@@ -13,10 +13,10 @@ command instead uses frequencies {0, ..., N-1}.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,39 +45,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@dataclass
-class RunSpec:
-    """A parsed invocation: all knobs of one command, normalized."""
-
-    command: str
-    bands: str | None = None
-    bands_file: str | None = None
-    measure: float | None = None
-    points: str | None = None
-    points_file: str | None = None
-    step: int | None = None
-    window: int | None = None
-    window_2d: str | None = None
-    schedule: str = "16,32,64,128,256"
-    threshold: float | None = None
-    drop_ratio: float = gramlib.DEFAULT_DROP_RATIO
-    r: int = 2
-    dim: int = 2
-    mode: str = "auto"
-    seed: int = 0
-    trials: int = 10000
-    boxes: str | None = None
-    cube_side: int | None = None
-    out: str | None = None
-    csv: str | None = None
-
-
-def _spec_from_namespace(ns: argparse.Namespace) -> RunSpec:
-    fields = RunSpec.__dataclass_fields__
-    kwargs = {k: getattr(ns, k) for k in fields if hasattr(ns, k)}
-    return RunSpec(**kwargs)
-
-
 def _emit(obj: dict, out_path: str | None) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if out_path:
@@ -87,7 +54,7 @@ def _emit(obj: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_spectrum(spec: RunSpec, required: bool = True) -> MultibandSet | None:
+def _load_spectrum(spec: argparse.Namespace, required: bool = True) -> MultibandSet | None:
     given = [spec.bands is not None, spec.bands_file is not None,
              spec.measure is not None]
     if sum(given) == 0:
@@ -111,7 +78,7 @@ def _load_spectrum(spec: RunSpec, required: bool = True) -> MultibandSet | None:
     return normalize_bands(raw, unit="2pi")
 
 
-def _load_points(spec: RunSpec) -> qc.PointSet | None:
+def _load_points(spec: argparse.Namespace) -> qc.PointSet | None:
     given = [spec.points is not None, spec.points_file is not None,
              spec.step is not None]
     if sum(given) == 0:
@@ -147,7 +114,7 @@ def _parse_schedule(text: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------- commands --
 
 
-def cmd_construct(spec: RunSpec) -> int:
+def cmd_construct(spec: argparse.Namespace) -> int:
     spectrum = _load_spectrum(spec)
     n = spec.window if spec.window is not None else 5000
     params, points = qc.construct_riesz_set(spectrum, (-n, n), mode=spec.mode)
@@ -173,7 +140,7 @@ def cmd_construct(spec: RunSpec) -> int:
     return EXIT_OK if landau_ok else EXIT_REFUTED
 
 
-def cmd_certify(spec: RunSpec) -> int:
+def cmd_certify(spec: argparse.Namespace) -> int:
     spectrum = _load_spectrum(spec)
     schedule = _parse_schedule(spec.schedule)
     threshold = spec.threshold if spec.threshold is not None else 1e-3 * TWO_PI
@@ -208,7 +175,7 @@ def cmd_certify(spec: RunSpec) -> int:
     return EXIT_INCONCLUSIVE
 
 
-def cmd_select(spec: RunSpec) -> int:
+def cmd_select(spec: argparse.Namespace) -> int:
     spectrum = _load_spectrum(spec)
     n = spec.window if spec.window is not None else 64
     if n < spec.r:
@@ -255,7 +222,7 @@ def cmd_select(spec: RunSpec) -> int:
     return EXIT_OK if result.met else EXIT_INCONCLUSIVE
 
 
-def cmd_partition(spec: RunSpec) -> int:
+def cmd_partition(spec: argparse.Namespace) -> int:
     d = spec.dim
     r = spec.r
     if spec.window_2d is not None:
@@ -284,8 +251,7 @@ def cmd_partition(spec: RunSpec) -> int:
                         for i in range(d) if i != axis - 1]
         max_gap = 0
         thin_sections = 0
-        import itertools as _it
-        for fixed in _it.product(*other_ranges):
+        for fixed in itertools.product(*other_ranges):
             stats = section_gaps(selector, axis, fixed, window)
             if not stats.gaps:
                 thin_sections += 1
@@ -334,7 +300,7 @@ def cmd_partition(spec: RunSpec) -> int:
     return EXIT_OK if ok else EXIT_REFUTED
 
 
-def cmd_density(spec: RunSpec) -> int:
+def cmd_density(spec: argparse.Namespace) -> int:
     spectrum = _load_spectrum(spec, required=False)
     points = _load_points(spec)
     constructed = None
@@ -364,7 +330,7 @@ def cmd_density(spec: RunSpec) -> int:
     return EXIT_OK
 
 
-def cmd_selftest(spec: RunSpec) -> int:
+def cmd_selftest(spec: argparse.Namespace) -> int:
     checks: list[tuple[str, bool, str]] = []
 
     def run(name, fn):
@@ -530,11 +496,10 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:  # argparse signals usage errors (and --help)
         return int(exc.code or 0)
-    spec = _spec_from_namespace(ns)
     try:
-        return _COMMANDS[spec.command](spec)
+        return _COMMANDS[ns.command](ns)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"rieszforge {spec.command}: error: {exc}", file=sys.stderr)
+        print(f"rieszforge {ns.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -323,7 +323,10 @@ def _as_blocks(blocks) -> BlockSystem:
     return BlockSystem(blocks=tuple(tuple(b) for b in blocks))
 
 
-def _prepare(system: VectorSystem, blocks) -> tuple[np.ndarray, dict, BlockSystem]:
+def _prepare(system: VectorSystem, blocks,
+             target: float) -> tuple[np.ndarray, dict, BlockSystem]:
+    if not math.isfinite(target):
+        raise ValueError(f"selection target must be finite, got {target}")
     bs = _as_blocks(blocks)
     label_pos = {lab: i for i, lab in enumerate(system.labels)}
     for b in bs.blocks:
@@ -337,7 +340,7 @@ def select_bessel(system: VectorSystem, blocks, target: float,
                   config: SelectorConfig | None = None) -> SelectorResult:
     """One pick per block with lambda_max of the selected Gram <= target (sought)."""
     config = config or SelectorConfig()
-    gram, label_pos, bs = _prepare(system, blocks)
+    gram, label_pos, bs = _prepare(system, blocks, target)
     labels, lmin, lmax, trials, met = _search(gram, label_pos, bs.blocks, config,
                                               "bessel", target)
     return SelectorResult(labels=labels, lambda_min=lmin, lambda_max=lmax, met=met,
@@ -349,7 +352,7 @@ def select_riesz(system: VectorSystem, blocks, threshold: float,
                  config: SelectorConfig | None = None) -> SelectorResult:
     """One pick per block with lambda_min of the selected Gram >= threshold (sought)."""
     config = config or SelectorConfig()
-    gram, label_pos, bs = _prepare(system, blocks)
+    gram, label_pos, bs = _prepare(system, blocks, threshold)
     labels, lmin, lmax, trials, met = _search(gram, label_pos, bs.blocks, config,
                                               "riesz", threshold)
     return SelectorResult(labels=labels, lambda_min=lmin, lambda_max=lmax, met=met,
@@ -375,7 +378,7 @@ def select_tight(system: VectorSystem, blocks, eps: float,
     if eps <= 0:
         raise ValueError("eps must be positive")
     config = config or SelectorConfig()
-    gram, label_pos, bs = _prepare(system, blocks)
+    gram, label_pos, bs = _prepare(system, blocks, eps)
     if bs.r_min < 4:
         raise ValueError("tight selection needs blocks of size >= 4")
     norms = np.real(np.diag(gram))

@@ -46,18 +46,16 @@ class BoundsEstimate:
     tol: float
 
 
-def _coefficient_cache(spectrum):
-    cache: dict = {}
-    coeff = spectrum.fourier_coefficient
-
-    def get(diff):
-        v = cache.get(diff)
-        if v is None:
-            v = coeff(diff)
-            cache[diff] = v
-        return v
-
-    return get
+def _frequency(key: int, radix: list[int], vector: bool):
+    """Decode a key difference into the frequency it codes."""
+    if not vector:
+        return key
+    digits = []
+    for r in reversed(radix):
+        digit = (key + r // 2) % r - r // 2
+        digits.append(digit)
+        key = (key - digit) // r
+    return tuple(reversed(digits))
 
 
 def build_gram(points, spectrum, normalized: bool = False) -> np.ndarray:
@@ -68,49 +66,51 @@ def build_gram(points, spectrum, normalized: bool = False) -> np.ndarray:
     total_volume (a MultibandSet, or a BoxSet in higher dimension).  With
     normalized=True the matrix is divided by the ambient volume, so the full
     integer lattice would give the identity.
+
+    Every dimension runs through one table of unique differences.  Points are
+    coded to scalar keys by a balanced mixed-radix code (radix 2*span+1 per
+    axis, first axis most significant).  The code is linear and injective on
+    differences, and a key's sign is the sign of the difference's first
+    nonzero component, so each non-negative key gets one coefficient and each
+    negative key the conjugate of its mirror: G is Hermitian bit-for-bit.
+    Raises ValueError when the points or their key differences do not fit in
+    64-bit integers.
     """
-    pts = list(points)
-    if not pts:
+    try:
+        arr = np.asarray(list(points), dtype=np.int64)
+    except OverflowError:
+        raise ValueError("points do not fit in 64-bit integers") from None
+    if arr.size == 0:
         raise ValueError("empty point set")
-    if isinstance(pts[0], tuple):
-        return _build_gram_tuples(pts, spectrum, normalized)
-    arr = np.asarray(pts, dtype=np.int64)
-    if arr.ndim != 1:
-        raise ValueError("1-D points must be plain integers")
-    diff = arr[None, :] - arr[:, None]
-    uniq, inverse = np.unique(diff.ravel(), return_inverse=True)
-    vals = np.empty(len(uniq), dtype=complex)
+    if arr.ndim not in (1, 2):
+        raise ValueError("points must be integers or equal-length integer tuples")
+    vector = arr.ndim == 2
+    arr = arr.reshape(len(arr), -1)
+    lo = arr.min(axis=0)
+    # spans, radices and strides in Python ints, so the range check cannot wrap
+    spans = [int(b) - int(a) for a, b in zip(lo, arr.max(axis=0))]
+    radix = [2 * s + 1 for s in spans]
+    strides = [math.prod(radix[i + 1:]) for i in range(len(radix))]
+    if sum(t * s for t, s in zip(strides, spans)) > np.iinfo(np.int64).max:
+        raise ValueError("point differences do not fit in 64-bit integers")
+    keys = (arr - lo) @ np.array(strides, dtype=np.int64)
+
+    diff = keys[None, :] - keys[:, None]
+    uniq = np.unique(diff)
+    # diff is antisymmetric, so uniq is symmetric about its middle entry 0
+    mid = len(uniq) // 2
     coeff = spectrum.fourier_coefficient
-    pos = {int(u): i for i, u in enumerate(uniq)}
-    for i, u in enumerate(uniq):
-        if u >= 0:
-            vals[i] = coeff(int(u))
-    # mirror negatives by conjugation so G is Hermitian bit-for-bit
-    for i, u in enumerate(uniq):
-        if u < 0:
-            j = pos.get(-int(u))
-            vals[i] = np.conj(vals[j]) if j is not None else coeff(int(u))
-    g = vals[inverse].reshape(diff.shape)
+    vals = np.empty(len(uniq), dtype=complex)
+    for i in range(mid, len(uniq)):
+        vals[i] = coeff(_frequency(int(uniq[i]), radix, vector))
+    vals[:mid] = vals[:mid:-1].conj()
     if normalized:
-        g = g / spectrum.total_volume
-    return g
-
-
-def _build_gram_tuples(pts, spectrum, normalized):
-    get = _coefficient_cache(spectrum)
-    n = len(pts)
-    g = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        pj = pts[j]
-        for k in range(j, n):
-            pk = pts[k]
-            d = tuple(b - a for a, b in zip(pj, pk))
-            v = get(d)
-            g[j, k] = v
-            g[k, j] = v.conjugate()
-    if normalized:
-        g = g / spectrum.total_volume
-    return g
+        vals = vals / spectrum.total_volume
+    # searchsorted, with diff released before the gather, peaks lower than
+    # np.unique(return_inverse=True)
+    idx = np.searchsorted(uniq, diff)
+    del diff
+    return vals[idx]
 
 
 def _check_hermitian(h: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -228,8 +228,8 @@ def certify(points, spectrum, threshold: float,
     supplied elements at the final section size and reports the worst
     lambda_min seen, as a cross-check against centering artifacts.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"threshold must be positive and finite, got {threshold}")
     schedule = tuple(int(n) for n in schedule)
     if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])) or schedule[0] < 1:
         raise ValueError(f"schedule must be strictly increasing and positive, got {schedule}")

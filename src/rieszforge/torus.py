@@ -105,6 +105,8 @@ def normalize_bands(bands, unit: str = "rad") -> MultibandSet:
 
     pieces: list[tuple[float, float]] = []
     for lo, hi in pairs:
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"band ({lo}, {hi}) has a non-finite endpoint")
         length = hi - lo
         if length < MIN_ARC:
             raise ValueError(f"band ({lo}, {hi}) is empty or reversed")

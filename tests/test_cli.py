@@ -131,6 +131,23 @@ def test_usage_errors_exit_1(capsys):
     assert main(["construct", "--bands", "not json"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "--measure", "0.5", "--points", "[0, 18446744073709551616]",
+     "--schedule", "2"],
+    ["certify", "--measure", "0.5", "--points", "[-4611686018427387904, 4611686018427387904]",
+     "--schedule", "2"],
+    ["certify", "--measure", "0.5", "--step", "3", "--window", "300",
+     "--schedule", "16,32", "--threshold", "nan"],
+    ["select", "--measure", "0.9", "--window", "8", "--trials", "3", "--threshold", "nan"],
+    ["construct", "--bands", "[[0.1, NaN]]", "--window", "50"],
+])
+def test_bad_numbers_exit_1(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"rieszforge {argv[0]}: error:" in captured.err
+
+
 def test_selftest(capsys):
     code, out = run(capsys, "selftest")
     assert code == 0

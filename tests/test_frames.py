@@ -213,6 +213,17 @@ def test_select_validates_labels():
         select_riesz(sys_, BlockSystem(blocks=((0, 5),)), 0.1)
 
 
+@pytest.mark.parametrize("target", [math.nan, math.inf])
+def test_select_rejects_non_finite_target(target):
+    sys_ = VectorSystem(matrix=np.eye(8), labels=tuple(range(8)))
+    with pytest.raises(ValueError):
+        select_riesz(sys_, BlockSystem.intervals(range(8), 2), target)
+    with pytest.raises(ValueError):
+        select_bessel(sys_, BlockSystem.intervals(range(8), 2), target)
+    with pytest.raises(ValueError):
+        select_tight(sys_, BlockSystem.intervals(range(8), 4), target)
+
+
 def test_select_tight():
     s = normalize_bands([(0.0, 1.0)], unit="2pi")  # full torus: orthonormal core
     sys_ = exponential_system(range(16), s)

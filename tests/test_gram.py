@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from rieszforge import TWO_PI, build_gram, certify, dual_system, extreme_eigs, \
-    normalize_bands
+from rieszforge import TWO_PI, BoxSet, build_gram, certify, dual_system, \
+    extreme_eigs, normalize_bands
 
 HALF = normalize_bands([(0.0, math.pi)])  # S = [0, pi)
 
@@ -59,6 +59,42 @@ def test_bessel_ceiling():
         s = normalize_bands([(lo, lo + float(rng.uniform(0.3, 2.5)))])
         pts = sorted(rng.choice(200, size=12, replace=False).tolist())
         assert extreme_eigs(build_gram(pts, s)).lambda_max <= TWO_PI + 1e-8
+
+
+# unequal per-axis spans and negative coordinates, so a wrong stride order in
+# the difference coding shows up as wrong entries
+ORACLE_CASES = [
+    ([-7, -3, 0, 2, 9, 40], normalize_bands([(0.3, 1.9), (3.0, 4.5)])),
+    ([(-3,), (0,), (5,)], BoxSet(boxes=(((0.4, 2.5),),))),
+    ([(-2, 5), (0, -11), (3, 0), (1, 7), (-2, -1), (4, 3)],
+     BoxSet(boxes=(((0.1, 1.7), (0.5, 2.9)), ((2.0, 5.0), (3.1, 6.0))))),
+    ([(0, -1, 4), (-3, 2, 0), (1, 0, -6), (2, -2, 1), (-1, 3, 3)],
+     BoxSet(boxes=(((0.2, 1.1), (0.0, 3.0), (1.5, 4.0)),))),
+]
+
+
+@pytest.mark.parametrize("pts,spectrum", ORACLE_CASES)
+def test_gram_entrywise_oracle(pts, spectrum):
+    g = build_gram(pts, spectrum)
+    for j, pj in enumerate(pts):
+        for k, pk in enumerate(pts):
+            m = pk - pj if isinstance(pk, int) else tuple(b - a for a, b in zip(pj, pk))
+            assert g[j, k] == spectrum.fourier_coefficient(m), (j, k)
+    assert np.array_equal(g, g.conj().T)
+    gn = build_gram(pts, spectrum, normalized=True)
+    assert np.array_equal(gn, g / spectrum.total_volume)
+
+
+def test_gram_rejects_int64_overflow():
+    with pytest.raises(ValueError):
+        build_gram([0, 2**64], HALF)             # a point beyond int64
+    with pytest.raises(ValueError):
+        build_gram([-2**62, 2**62], HALF)        # difference 2**63 would wrap
+    with pytest.raises(ValueError):
+        build_gram([(0, 0), (2**40, -2**40)], BoxSet(boxes=(((0.0, 1.0), (0.0, 1.0)),)))
+    # the widest 1-D span whose differences fit int64 stays accepted
+    g = build_gram([-2**62, 2**62 - 1], HALF)
+    assert g[0, 1] == HALF.fourier_coefficient(2**63 - 1)
 
 
 def test_normalized_gram():
@@ -147,6 +183,12 @@ def test_certify_validation():
         certify([0, 0, 1], HALF, threshold=0.1, schedule=(2,))
     with pytest.raises(ValueError):
         certify(pts, HALF, threshold=0.1, schedule=(16, 32), drop_ratio=1.5)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf])
+def test_certify_rejects_non_finite_threshold(threshold):
+    with pytest.raises(ValueError):
+        certify(list(range(50)), HALF, threshold=threshold, schedule=(16,))
 
 
 def test_certify_random_subset_cross_check():

@@ -55,6 +55,13 @@ def test_normalize_units_and_errors():
         normalize_bands([(0.0, 1.0)], unit="deg")
 
 
+@pytest.mark.parametrize("band", [(0.1, math.nan), (math.nan, 0.5),
+                                  (0.0, math.inf), (-math.inf, math.inf)])
+def test_normalize_rejects_non_finite(band):
+    with pytest.raises(ValueError):
+        normalize_bands([band])
+
+
 def test_full_torus_collapse():
     s = normalize_bands([(0.0, 1.0)], unit="2pi")
     assert s.is_full()
