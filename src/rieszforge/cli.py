@@ -78,6 +78,20 @@ def _load_spectrum(spec: argparse.Namespace, required: bool = True) -> Multiband
     return normalize_bands(raw, unit="2pi")
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """JSON numbers as ints; a fractional or non-finite value is an error."""
+    out = []
+    for x in values:
+        try:
+            n = int(x)
+        except (TypeError, ValueError, OverflowError):
+            n = None
+        if n is None or n != x:
+            raise ValueError(f"{what} must be integers, got {x!r}")
+        out.append(n)
+    return tuple(out)
+
+
 def _load_points(spec: argparse.Namespace) -> qc.PointSet | None:
     given = [spec.points is not None, spec.points_file is not None,
              spec.step is not None]
@@ -97,8 +111,9 @@ def _load_points(spec: argparse.Namespace) -> qc.PointSet | None:
         with open(spec.points_file) as fh:
             raw = json.load(fh)
     if isinstance(raw, dict):
-        return qc.PointSet.from_json(raw)
-    elems = tuple(sorted(int(x) for x in raw))
+        return qc.PointSet(elements=_integers(raw["elements"], "points"),
+                           window=_integers(raw["window"], "window"))
+    elems = tuple(sorted(_integers(raw, "points")))
     if not elems:
         raise ValueError("empty point list")
     return qc.PointSet(elements=elems, window=(elems[0], elems[-1]))

@@ -29,6 +29,7 @@ __all__ = [
 
 DEFAULT_SCHEDULE = (16, 32, 64, 128, 256)
 DEFAULT_DROP_RATIO = 0.05
+_CHECK_BLOCK = 64  # rows per block of the Hermiticity check
 
 FINITE_SECTION_NOTE = (
     "finite sections bound the infinite system's lower Riesz constant from "
@@ -73,13 +74,16 @@ def build_gram(points, spectrum, normalized: bool = False) -> np.ndarray:
     differences, and a key's sign is the sign of the difference's first
     nonzero component, so each non-negative key gets one coefficient and each
     negative key the conjugate of its mirror: G is Hermitian bit-for-bit.
-    Raises ValueError when the points or their key differences do not fit in
-    64-bit integers.
+    Raises ValueError when the points are not integers, or when they or their
+    key differences do not fit in 64-bit integers.
     """
+    points = list(points)
     try:
-        arr = np.asarray(list(points), dtype=np.int64)
+        arr = np.asarray(points, dtype=np.int64)
     except OverflowError:
         raise ValueError("points do not fit in 64-bit integers") from None
+    if not np.array_equal(arr, points):
+        raise ValueError("points must be integers")
     if arr.size == 0:
         raise ValueError("empty point set")
     if arr.ndim not in (1, 2):
@@ -117,8 +121,12 @@ def _check_hermitian(h: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    scale = max(1.0, float(np.abs(h).max()) if h.size else 0.0)
-    resid = float(np.abs(h - h.conj().T).max()) if h.size else 0.0
+    # row blocks against the matching column blocks, so no temporary is n x n
+    scale, resid = 1.0, 0.0
+    for i in range(0, len(h), _CHECK_BLOCK):
+        rows = h[i:i + _CHECK_BLOCK]
+        scale = max(scale, float(np.abs(rows).max()))
+        resid = max(resid, float(np.abs(rows - h[:, i:i + _CHECK_BLOCK].conj().T).max()))
     if resid > tol * scale:
         raise ValueError(f"matrix is not Hermitian: residual {resid:.3e}")
     return h

@@ -11,7 +11,9 @@ The two construction regimes (after the measure of the target spectrum):
   satisfies alpha > a.  The set {n : frac(alpha*n) in [a, 1)} has density
   1-a < s_norm and its complement is uniformly separated with gaps >= n.
 
-All membership decisions run in exact Q(sqrt(2)) arithmetic.
+Membership is decided by a float64 filter whose error is bounded rigorously;
+the rare integers the bound cannot settle fall back to exact Q(sqrt(D))
+arithmetic, so generated sets are exactly those of exact arithmetic.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ __all__ = [
     "landau_check",
     "kahane_classify",
 ]
+
+_EPS = float(np.finfo(float).eps)
 
 
 def _as_quad(x, d: int) -> QuadNum:
@@ -207,43 +211,78 @@ class QCParams:
 def generate(alpha: QuadNum, interval: UnitInterval, window: tuple[int, int]) -> PointSet:
     """All n in the inclusive window with frac(alpha*n) in [interval.lo, interval.hi).
 
-    alpha must be irrational with 0 < alpha < 1.  Membership is decided by
-    exact sign tests; the orbit frac(alpha*n) is advanced incrementally
-    (add alpha, subtract 1 on wrap), so the cost per lattice point is a few
-    exact rational operations.
+    alpha must be irrational with 0 < alpha < 1, and the window ends must be
+    integers.  Membership is decided by a float filter with a certified error
+    bound: the orbit frac(s + alpha*k), with s = frac(alpha*n0) taken exactly
+    and k = n - n0, is computed in float64 together with a rigorous bound on
+    its error.  An integer whose float orbit lies farther than that bound
+    from interval.lo, interval.hi, 0 and 1 is decided by the float; the few
+    others (all of them when a float overflows) are decided by exact sign
+    tests in Q(sqrt(D)).  The result equals the exact one.
     """
     if not isinstance(alpha, QuadNum) or alpha.q == 0:
         raise ValueError("alpha must be an irrational QuadNum")
     if alpha.sign() <= 0 or (alpha - 1).sign() >= 0:
         raise ValueError("alpha must satisfy 0 < alpha < 1")
-    n0, n1 = int(window[0]), int(window[1])
+    n0, n1 = _window_ends(window)
     if n0 > n1:
         raise ValueError(f"window {window} is reversed")
 
     d = alpha.D
-    lo = _aligned_pair(interval.lo, d, "interval.lo")
-    hi = _aligned_pair(interval.hi, d, "interval.hi")
-    lp, lq = lo
-    hp, hq = hi
-    skip_lo = lp == 0 and lq == 0
-    skip_hi = hp == 1 and hq == 0
-
+    lp, lq = _aligned_pair(interval.lo, d, "interval.lo")
+    hp, hq = _aligned_pair(interval.hi, d, "interval.hi")
     start = (alpha * n0).frac_mod1()
-    rp, rq = start.p, start.q
-    ap, aq = alpha.p, alpha.q
-    one = Fraction(1)
 
-    out = []
-    append = out.append
-    for n in range(n0, n1 + 1):
-        if (skip_lo or quad_sign(rp - lp, rq - lq, d) >= 0) and \
-           (skip_hi or quad_sign(rp - hp, rq - hq, d) < 0):
-            append(n)
-        rp += ap
-        rq += aq
-        if quad_sign(rp - one, rq, d) >= 0:
-            rp -= one
-    return PointSet(elements=tuple(out), window=(n0, n1))
+    # t = fl(s + fl(a*k)) is off from s + alpha*k by at most
+    # s_err + k*a_err + u*(1 + 2k), with u = eps/2 and s, a <= 1.  err doubles
+    # each term, which also covers the rounding of err and of f - edge below.
+    # f = t - floor(t) is exact for t >= 0; a t just below 0 gives f near 1,
+    # which the bound marks unsure.
+    s, s_err = _float_with_error(start.p, start.q, d)
+    a, a_err = _float_with_error(alpha.p, alpha.q, d)
+    k = np.arange(n1 - n0 + 1, dtype=float)
+    t = s + a * k
+    f = t - np.floor(t)
+    err = (2 * s_err + 8 * _EPS) + (2 * a_err + 8 * _EPS) * k
+
+    lo, lo_err = _float_with_error(lp, lq, d)
+    hi, hi_err = _float_with_error(hp, hq, d)
+    member = (f >= lo) & (f < hi)
+    # written as "not clearly apart", so a NaN or an infinite bound is unsure
+    unsure = np.zeros(len(f), dtype=bool)
+    for edge, edge_err in ((lo, lo_err), (hi, hi_err), (0.0, 0.0), (1.0, 0.0)):
+        unsure |= ~(np.abs(f - edge) > err + edge_err)
+    for i in np.flatnonzero(unsure).tolist():
+        x = (alpha * (n0 + i)).frac_mod1()
+        member[i] = quad_sign(x.p - lp, x.q - lq, d) >= 0 and \
+            quad_sign(x.p - hp, x.q - hq, d) < 0
+    elements = tuple(n0 + i for i in np.flatnonzero(member).tolist())
+    return PointSet(elements=elements, window=(n0, n1))
+
+
+def _window_ends(window) -> tuple[int, int]:
+    try:
+        n0, n1 = (int(x) for x in window)
+    except OverflowError:
+        raise ValueError(f"window {window} has a non-finite end") from None
+    if (n0, n1) != tuple(window):
+        raise ValueError(f"window {window} must have integer ends")
+    return n0, n1
+
+
+def _float_with_error(p: Fraction, q: Fraction, d: int) -> tuple[float, float]:
+    """float(p + q*sqrt(d)) and a bound on its absolute error (inf on overflow).
+
+    The sum of correctly rounded float(p), float(q) and sqrt(d), one multiply
+    and one add is off by at most 2u|p| + 4u|q|sqrt(d) to first order, with
+    u = eps/2; 4*eps bounds that with room to spare.
+    """
+    try:
+        fp, fq = float(p), float(q)
+    except OverflowError:
+        return math.inf, math.inf
+    root = math.sqrt(d)
+    return fp + fq * root, 4 * _EPS * (abs(fp) + abs(fq) * root)
 
 
 def _aligned_pair(x: QuadNum, d: int, what: str) -> tuple[Fraction, Fraction]:

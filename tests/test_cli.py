@@ -118,6 +118,26 @@ def test_density_step(capsys):
     assert obj["density"]["asymptotic"] == pytest.approx(1 / 3, abs=0.01)
 
 
+@pytest.mark.parametrize("points", [
+    "[0, 1.5, 3.9]",
+    "[0, NaN]",
+    "[0, Infinity]",
+    '["3", 4]',
+    '{"elements": [0, 2.5], "window": [0, 3]}',
+    '{"elements": [0, 2], "window": [0, 3.5]}',
+])
+def test_points_must_be_integers(capsys, points):
+    assert main(["density", "--points", points]) == 1
+    assert "integers" in capsys.readouterr().err
+
+
+def test_integral_points_keep_working(capsys):
+    code, obj = run_json(capsys, "density", "--points", "[0, 3.0, 6, 9.0]")
+    code2, obj2 = run_json(capsys, "density", "--points", "[0, 3, 6, 9]")
+    assert code == code2 == 0
+    assert obj == obj2
+
+
 def test_density_needs_source(capsys):
     assert main(["density"]) == 1
 

@@ -112,6 +112,33 @@ def test_extreme_eigs_rejects_non_hermitian():
         extreme_eigs(np.zeros((2, 3)))
 
 
+def test_hermitian_check_sees_every_block():
+    # larger than one row block; the defect sits off the diagonal blocks
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200))
+    h = a + a.conj().T
+    extreme_eigs(h)
+    h[150, 10] += 1e-6
+    resid = float(np.abs(h - h.conj().T).max())  # the unblocked residual
+    with pytest.raises(ValueError, match=f"residual {resid:.3e}"):
+        extreme_eigs(h)
+    with pytest.raises(ValueError):
+        extreme_eigs(np.eye(3)[:, ::-1] * [1.0, 1.0, 2.0])  # one-block case
+
+
+def test_gram_rejects_non_integer_points():
+    with pytest.raises(ValueError, match="integers"):
+        build_gram([0, 1.7], HALF)
+    with pytest.raises(ValueError, match="integers"):
+        build_gram([(0, 0), (1, 0.5)], BoxSet(boxes=(((0.0, 1.0), (0.0, 1.0)),)))
+    with pytest.raises(ValueError):
+        build_gram([0, float("nan")], HALF)
+    # integral values of any numeric type keep working
+    want = build_gram([0, 1, 5], HALF)
+    assert np.array_equal(build_gram([0.0, 1.0, 5.0], HALF), want)
+    assert np.array_equal(build_gram(np.array([0, 1, 5]), HALF), want)
+
+
 def test_interlacing_on_nested_sections():
     s = normalize_bands([(0.0, 0.45)], unit="2pi")
     pts = list(range(-64, 65))

@@ -3,14 +3,158 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rieszforge import PointSet, QuadNum, UnitInterval, choose_params, \
     construct_riesz_set, density_stats, gap_stats, generate, \
     generate_centered, kahane_classify, landau_check, normalize_bands
+from rieszforge import quasicrystal
+from rieszforge.quadfield import quad_sign
 
 SQRT6_OVER6 = QuadNum(0, Fraction(1, 6), 6)
 ALPHA6 = QuadNum(Fraction(1, 2), Fraction(-1, 12), 6)  # (6-sqrt(6))/12
+
+
+def _generate_exact(alpha, interval, window):
+    """Oracle: the orbit advanced in exact Q(sqrt(D)), two sign tests per integer."""
+    d = alpha.D
+    lp, lq = interval.lo.p, interval.lo.q
+    hp, hq = interval.hi.p, interval.hi.q
+    start = (alpha * window[0]).frac_mod1()
+    rp, rq = start.p, start.q
+    out = []
+    for n in range(window[0], window[1] + 1):
+        if quad_sign(rp - lp, rq - lq, d) >= 0 and quad_sign(rp - hp, rq - hq, d) < 0:
+            out.append(n)
+        rp += alpha.p
+        rq += alpha.q
+        if quad_sign(rp - 1, rq, d) >= 0:
+            rp -= 1
+    return PointSet(elements=tuple(out), window=tuple(window))
+
+
+def _count_exact_calls(monkeypatch):
+    calls = [0]
+    real = quasicrystal.quad_sign
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(quasicrystal, "quad_sign", counting)
+    return calls
+
+
+# both regimes: the ends and midpoints of the benchmark's regime slots
+# (0.27-0.31, 0.36-0.44, 0.56-0.64, 0.69-0.73, 0.765-0.79) and a few more
+ORACLE_S_NORMS = (0.15, 0.27, 0.29, 0.31, 0.36, 0.40, 0.44, 0.49,
+                  0.56, 0.60, 0.64, 0.69, 0.71, 0.73, 0.765, 0.78, 0.79, 0.9)
+
+
+@pytest.mark.parametrize("mode", ["auto", "small"])
+@pytest.mark.parametrize("s_norm", ORACLE_S_NORMS)
+def test_generate_matches_exact_oracle(s_norm, mode):
+    p = choose_params(s_norm, mode)
+    window = (-400, 400)
+    assert generate(p.alpha, p.riesz_interval, window) == \
+        _generate_exact(p.alpha, p.riesz_interval, window)
+
+
+@pytest.mark.parametrize("interval", [
+    UnitInterval(0, SQRT6_OVER6),
+    UnitInterval(SQRT6_OVER6, 1),
+    UnitInterval(Fraction(1, 3), Fraction(5, 7)),     # rational endpoints
+    UnitInterval(SQRT6_OVER6, Fraction(3, 4)),        # mixed endpoints
+    UnitInterval(0, 1),                               # the full interval
+])
+def test_generate_matches_exact_oracle_alpha6(interval):
+    window = (-1500, 1500)
+    assert generate(ALPHA6, interval, window) == _generate_exact(ALPHA6, interval, window)
+
+
+@pytest.mark.parametrize("alpha", [ALPHA6, choose_params(0.45).alpha])
+def test_generate_endpoints_on_the_orbit(alpha):
+    # lo = frac(alpha*7) and hi = frac(alpha*-13): the float orbit meets both
+    # endpoints exactly, so only the exact fallback can place 7 and -13
+    ends = sorted([(alpha * 7).frac_mod1(), (alpha * -13).frac_mod1()])
+    interval = UnitInterval(*ends)
+    window = (-300, 300)
+    got = generate(alpha, interval, window)
+    assert got == _generate_exact(alpha, interval, window)
+    first = 7 if ends[0] == (alpha * 7).frac_mod1() else -13
+    assert first in got.elements
+    assert ({7, -13} - {first}).isdisjoint(got.elements)
+
+
+@pytest.mark.parametrize("window", [
+    (10**6 - 300, 10**6 + 300),
+    (-10**6 - 300, -10**6 + 300),
+    (2**40 - 300, 2**40 + 300),
+    (-2**40 - 300, -2**40 + 300),
+    (10**20, 10**20 + 20),            # beyond int64: every integer goes exact
+])
+@pytest.mark.parametrize("s_norm", [0.45, 0.78])
+def test_generate_far_windows_match_oracle(window, s_norm):
+    p = choose_params(s_norm)
+    assert generate(p.alpha, p.riesz_interval, window) == \
+        _generate_exact(p.alpha, p.riesz_interval, window)
+
+
+def test_generate_cancelling_alpha_goes_exact_everywhere(monkeypatch):
+    # (1+sqrt 2)^42 = a + b sqrt 2, so a - b sqrt 2 = (sqrt 2 - 1)^42 ~ 8e-17:
+    # alpha + a - b sqrt 2 is alpha up to 1e-16, written with p, q ~ 6e15, so
+    # the float of alpha carries no information and the filter trusts nothing
+    p = choose_params(0.45)
+    a, b = 5964153172084899, 4217293152016490
+    assert a * a - 2 * b * b == 1
+    alpha = QuadNum(p.alpha.p + a, p.alpha.q - b, 2)
+    window = (-120, 120)
+    calls = _count_exact_calls(monkeypatch)
+    got = generate(alpha, p.riesz_interval, window)
+    assert calls[0] >= window[1] - window[0] + 1
+    assert got == _generate_exact(alpha, p.riesz_interval, window)
+
+
+def test_generate_bound_grows_along_the_orbit():
+    # (1+sqrt 2)^26 = a + b sqrt 2: alpha written with p, q ~ 4e9 has a float
+    # off by ~1e-7, so from n0 = 0, where s = 0 exactly, the float orbit drifts
+    # by ~1e-7 * k and only the k-proportional part of the bound catches it
+    p = choose_params(0.45)
+    a, b = 4478554083, 3166815962
+    assert a * a - 2 * b * b == 1
+    alpha = QuadNum(p.alpha.p + a, p.alpha.q - b, 2)
+    window = (0, 10000)
+    assert generate(alpha, p.riesz_interval, window) == \
+        _generate_exact(alpha, p.riesz_interval, window)
+
+
+def test_generate_exact_fallback_is_rare(monkeypatch):
+    # guards against a filter that silently decides everything exactly
+    for s_norm in (0.29, 0.45, 0.60, 0.78):
+        p = choose_params(s_norm)
+        calls = _count_exact_calls(monkeypatch)
+        ps = generate(p.alpha, p.riesz_interval, (-50000, 50000))
+        assert calls[0] <= 0.01 * ps.span, (s_norm, calls[0])
+
+
+def test_gap_law_wide_window():
+    for s_norm in (0.15, 0.29, 0.40, 0.49):
+        p = choose_params(s_norm)
+        ps = generate(p.alpha, p.riesz_interval, (-50000, 50000))
+        assert set(gap_stats(ps).gaps) == {1, p.n}, s_norm
+
+
+def test_generate_window_ends_must_be_integers():
+    interval = UnitInterval(0, SQRT6_OVER6)
+    for window in [(0.5, 10.7), (0, 10.5), (float("nan"), 10), (0, float("inf"))]:
+        with pytest.raises(ValueError):
+            generate(ALPHA6, interval, window)
+    # integral values of any numeric type keep working
+    want = generate(ALPHA6, interval, (0, 18))
+    assert generate(ALPHA6, interval, (0.0, 18.0)) == want
+    assert generate(ALPHA6, interval, (np.int64(0), np.int64(18))) == want
+    assert generate(ALPHA6, interval, (Fraction(0), Fraction(18))) == want
 
 
 def test_generate_regression_vector():
