@@ -21,7 +21,8 @@ from .frames import BlockSystem, SelectorConfig, SelectorResult, VectorSystem, \
     predicted_bessel_bound, select_bessel, select_riesz, select_tight, \
     stabilize
 from .lattice import BoxSet, Cube, LatticeWindow, Segment, covering_radius, \
-    cube_partition, cycling_partition, indicator_fourier_d, section_gaps
+    cube_partition, cycling_partition, indicator_fourier_d, section_gaps, \
+    section_report
 
 __version__ = "0.1.0"
 
@@ -40,6 +41,6 @@ __all__ = [
     "stabilize",
     "BoxSet", "Cube", "LatticeWindow", "Segment", "covering_radius",
     "cube_partition", "cycling_partition", "indicator_fourier_d",
-    "section_gaps",
+    "section_gaps", "section_report",
     "__version__",
 ]

@@ -13,7 +13,6 @@ command instead uses frequencies {0, ..., N-1}.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -25,7 +24,7 @@ from . import quasicrystal as qc
 from .frames import BlockSystem, SelectorConfig, exponential_system, \
     predicted_bessel_bound, select_bessel, select_riesz, select_tight
 from .lattice import BoxSet, LatticeWindow, covering_radius, cube_partition, \
-    cycling_partition, section_gaps
+    cycling_partition, section_report
 from .torus import TWO_PI, MultibandSet, normalize_bands
 
 SCHEMA = "riesz-forge/1"
@@ -34,6 +33,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_REFUTED = 2
 EXIT_INCONCLUSIVE = 3
+
+MAX_PARTITION_CELLS = 2 ** 20  # partition exits 1 above this, before enumerating
 
 
 class _Parser(argparse.ArgumentParser):
@@ -237,49 +238,40 @@ def cmd_select(spec: argparse.Namespace) -> int:
     return EXIT_OK if result.met else EXIT_INCONCLUSIVE
 
 
-def cmd_partition(spec: argparse.Namespace) -> int:
+def _partition_window(spec: argparse.Namespace) -> LatticeWindow:
     d = spec.dim
-    r = spec.r
     if spec.window_2d is not None:
         parts = [int(x) for x in spec.window_2d.split(",")]
         if len(parts) != 2 * d:
             raise ValueError(f"--window-2d needs {2 * d} comma-separated integers for dim {d}")
-        lo = tuple(parts[0::2])
-        hi = tuple(parts[1::2])
-    elif spec.window is not None:
-        lo = (0,) * d
-        hi = (spec.window - 1,) * d
+        lo, hi = tuple(parts[0::2]), tuple(parts[1::2])
     else:
-        lo = (0,) * d
-        hi = (6 * r - 1,) * d
+        n = spec.window if spec.window is not None else 6 * spec.r
+        lo, hi = (0,) * d, (n - 1,) * d
     window = LatticeWindow(lo=lo, hi=hi)
+    cells = math.prod(window.side_lengths)
+    if cells > MAX_PARTITION_CELLS:
+        raise ValueError(f"window has {cells} lattice cells; partition accepts "
+                         f"at most {MAX_PARTITION_CELLS}")
+    return window
+
+
+def cmd_partition(spec: argparse.Namespace) -> int:
+    d, r = spec.dim, spec.r
+    window = _partition_window(spec)
+
+    def one_cell_each(groups, key: int) -> list:
+        rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(key,)))
+        return [g.cells[int(rng.integers(len(g.cells)))] for g in groups]
 
     segments = cycling_partition(d, r, window)
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(0,)))
-    selector = [seg.cells[int(rng.integers(len(seg.cells)))] for seg in segments]
-
+    selector = one_cell_each(segments, 0)
     gap_bound = 2 * d * r
-    axis_report = []
-    worst = 0
-    for axis in range(1, d + 1):
-        other_ranges = [range(window.lo[i], window.hi[i] + 1)
-                        for i in range(d) if i != axis - 1]
-        max_gap = 0
-        thin_sections = 0
-        for fixed in itertools.product(*other_ranges):
-            stats = section_gaps(selector, axis, fixed, window)
-            if not stats.gaps:
-                thin_sections += 1
-                continue
-            max_gap = max(max_gap, int(stats.gamma))
-        axis_report.append({"axis": axis, "max_section_gap": max_gap,
-                            "sections_under_two_points": thin_sections})
-        worst = max(worst, max_gap)
+    axis_report = section_report(selector, window)
 
     s = spec.cube_side if spec.cube_side is not None else r
     cubes = cube_partition(d, s, window)
-    rng2 = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(1,)))
-    cube_selector = [cube.cells[int(rng2.integers(len(cube.cells)))] for cube in cubes]
+    cube_selector = one_cell_each(cubes, 1)
     radius = covering_radius(cube_selector, window)
 
     payload = {
@@ -292,7 +284,7 @@ def cmd_partition(spec: argparse.Namespace) -> int:
         "selector": [list(c) for c in selector],
         "section_gaps": axis_report,
         "section_gap_bound": gap_bound,
-        "section_gap_ok": worst <= gap_bound,
+        "section_gap_ok": max(a["max_section_gap"] for a in axis_report) <= gap_bound,
         "cube_side": s,
         "cube_count": len(cubes),
         "covering_radius": radius,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quasicrystal import GapStats
+from .quasicrystal import GapStats, gap_stats
 from .torus import TWO_PI, _arc_coefficient
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "cube_partition",
     "covering_radius",
     "section_gaps",
+    "section_report",
     "indicator_fourier_d",
 ]
 
@@ -88,6 +89,18 @@ class Cube:
     cells: tuple[tuple[int, ...], ...]
 
 
+def _aligned_bases(d: int, step: int, window: LatticeWindow, what: str):
+    """Validate a partition request; iterate the bases of its aligned cubes."""
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    if step < 1:
+        raise ValueError(f"{what} must be >= 1")
+    if window.dim != d:
+        raise ValueError(f"window dimension {window.dim} != {d}")
+    window.require_aligned(step)
+    return itertools.product(*(range(a, b + 1, step) for a, b in zip(window.lo, window.hi)))
+
+
 def cycling_partition(d: int, r: int, window: LatticeWindow) -> tuple[Segment, ...]:
     """Partition the window into axis segments of length r with cycling axes.
 
@@ -96,16 +109,8 @@ def cycling_partition(d: int, r: int, window: LatticeWindow) -> tuple[Segment, .
     j(k) = ((k_1+...+k_d)/r mod d, 0 -> d); the remaining coordinates take all
     r^(d-1) offset combinations in order.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if r < 1:
-        raise ValueError("segment length must be >= 1")
-    if window.dim != d:
-        raise ValueError(f"window dimension {window.dim} != {d}")
-    window.require_aligned(r)
-
     segments = []
-    for base in itertools.product(*(range(a, b + 1, r) for a, b in zip(window.lo, window.hi))):
+    for base in _aligned_bases(d, r, window, "segment length"):
         residue = (sum(base) // r) % d
         axis = d if residue == 0 else residue
         before = axis - 1
@@ -120,15 +125,8 @@ def cycling_partition(d: int, r: int, window: LatticeWindow) -> tuple[Segment, .
 
 def cube_partition(d: int, s: int, window: LatticeWindow) -> tuple[Cube, ...]:
     """Partition the window into aligned s-cubes (window must be aligned to s)."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if s < 1:
-        raise ValueError("cube side must be >= 1")
-    if window.dim != d:
-        raise ValueError(f"window dimension {window.dim} != {d}")
-    window.require_aligned(s)
     cubes = []
-    for base in itertools.product(*(range(a, b + 1, s) for a, b in zip(window.lo, window.hi))):
+    for base in _aligned_bases(d, s, window, "cube side"):
         cells = tuple(tuple(k + o for k, o in zip(base, rel))
                       for rel in itertools.product(range(s), repeat=d))
         cubes.append(Cube(base=base, cells=cells))
@@ -164,6 +162,17 @@ def covering_radius(points, window: LatticeWindow, margin: float = 0.0) -> float
     return float(dist.max())
 
 
+def _sections(points, axis: int, window: LatticeWindow) -> dict[tuple, list]:
+    """Axis coordinates (1-based axis) of the window's points, grouped by
+    their d-1 frozen coordinates; points of the wrong length are skipped."""
+    d, i = window.dim, axis - 1
+    groups: dict[tuple, list] = {}
+    for pt in points:
+        if len(pt) == d and window.contains(pt):
+            groups.setdefault((*pt[:i], *pt[i + 1:]), []).append(pt[i])
+    return groups
+
+
 def section_gaps(points, axis: int, fixed: tuple[int, ...],
                  window: LatticeWindow) -> GapStats:
     """Gap statistics of the 1-D section of `points` along `axis` (1-based).
@@ -176,18 +185,21 @@ def section_gaps(points, axis: int, fixed: tuple[int, ...],
         raise ValueError(f"axis must be in 1..{d}")
     if len(fixed) != d - 1:
         raise ValueError(f"need {d - 1} fixed coordinates, got {len(fixed)}")
-    coords = []
-    for pt in points:
-        if len(pt) != d or not window.contains(pt):
-            continue
-        others = tuple(x for i, x in enumerate(pt) if i != axis - 1)
-        if others == tuple(fixed):
-            coords.append(pt[axis - 1])
-    coords.sort()
-    if len(coords) < 2:
-        return GapStats(gaps=(), gamma=math.inf, min_gap=math.inf)
-    gaps = tuple(b - a for a, b in zip(coords, coords[1:]))
-    return GapStats(gaps=gaps, gamma=max(gaps), min_gap=min(gaps))
+    return gap_stats(sorted(_sections(points, axis, window).get(tuple(fixed), ())))
+
+
+def section_report(points, window: LatticeWindow) -> list[dict]:
+    """Per axis, the largest gap over the window's 1-D sections of `points`
+    (0 if none has two points) and how many sections hold fewer than two;
+    one grouping pass per axis, O(d*(|points| + W^(d-1)))."""
+    report, sides = [], window.side_lengths
+    for axis in range(1, window.dim + 1):
+        full = [gap_stats(sorted(c)) for c in _sections(points, axis, window).values()
+                if len(c) >= 2]
+        gap = max((int(st.gamma) for st in full), default=0)
+        sparse = math.prod(sides) // sides[axis - 1] - len(full)
+        report.append({"axis": axis, "max_section_gap": gap, "sections_under_two_points": sparse})
+    return report
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Numbers are stored as p + q*sqrt(D) with exact rational p, q and a fixed
 square-free radicand D, so sign tests, floors and fractional parts of
 irrational multiples never go through floating point.  This is what makes
 quasicrystal membership tests ({alpha*n} in [lo, hi)) exact: every decision
-reduces to comparing integers.
+reduces to comparing integers.  A floor is one integer square root, so its
+cost grows with the digits of p and q, not with their size.
 """
 
 from __future__ import annotations
@@ -54,16 +55,6 @@ def quad_sign(p: Fraction, q: Fraction, d: int) -> int:
         # impossible for a genuine irrational sqrt(d); guards against misuse
         raise ArithmeticError(f"sqrt({d}) behaves rationally; radicand invalid")
     return sp if lhs > rhs else sq
-
-
-def _floor_estimate(p: Fraction, q: Fraction, d: int) -> int:
-    # fast float guess; exactness is restored by the fixup loop in the caller
-    try:
-        return math.floor(float(p) + float(q) * math.sqrt(d))
-    except OverflowError:
-        whole = p.numerator // p.denominator
-        mag = math.isqrt((q.numerator * q.numerator * d) // (q.denominator * q.denominator))
-        return whole + (mag if q >= 0 else -mag - 1)
 
 
 class QuadNum:
@@ -220,13 +211,15 @@ class QuadNum:
     # -- floor / fractional part ---------------------------------------------------
 
     def __floor__(self) -> int:
-        """Exact floor: float estimate, then exact sign-test fixup."""
-        est = _floor_estimate(self.p, self.q, self.D)
-        while quad_sign(self.p - est, self.q, self.D) < 0:
-            est -= 1
-        while quad_sign(self.p - (est + 1), self.q, self.D) >= 0:
-            est += 1
-        return est
+        """Exact floor of (a + c*sqrt(D))/lcm over integers, with no float:
+        for c != 0, m = isqrt(c*c*D) lies strictly inside (|c|*sqrt(D) - 1,
+        |c|*sqrt(D)), so a + c*sqrt(D) lies strictly inside (a+m, a+m+1) or
+        (a-m-1, a-m); for c = 0, m = 0 and the floor is a // lcm."""
+        lcm = math.lcm(self.p.denominator, self.q.denominator)
+        a = self.p.numerator * (lcm // self.p.denominator)
+        c = self.q.numerator * (lcm // self.q.denominator)
+        m = math.isqrt(c * c * self.D)
+        return (a + m if c >= 0 else a - m - 1) // lcm
 
     def frac_mod1(self) -> "QuadNum":
         """Fractional part: self - floor(self), exactly in [0, 1)."""

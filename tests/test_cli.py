@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, schema, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -107,6 +108,53 @@ def test_partition_with_boxes(capsys):
     assert code == 0
     assert "quality" in obj
     assert obj["quality"]["lambda_max"] >= obj["quality"]["lambda_min"]
+
+
+
+# exact stdout of three partition runs, pinned by sha256 and byte length:
+# any change to the report, the selectors or the JSON layout shows here
+PARTITION_PINS = [
+    (["--dim", "1", "--r", "3", "--window", "12", "--seed", "5"],
+     562, "0f1073c4c74340bc29e73cd37eb0c03dc47d15787490e5d25ca3b5034459c49b",
+     [{"axis": 1, "max_section_gap": 4, "sections_under_two_points": 0}]),
+    (["--dim", "2", "--r", "2", "--window", "6", "--seed", "1",
+      "--boxes", "[[[0, 0.5], [0, 0.5]]]"],
+     1258, "03087d82e279703087af1fcd73cb69df90d5f30a7959d250c3d04bc68e2c07e6",
+     [{"axis": 1, "max_section_gap": 5, "sections_under_two_points": 0},
+      {"axis": 2, "max_section_gap": 3, "sections_under_two_points": 0}]),
+    (["--dim", "3", "--r", "2", "--window", "4", "--seed", "0"],
+     1982, "81e1f0401142d4239a608c554d686bdf6086efdddf3df93fe154e1b666cf4846",
+     [{"axis": 1, "max_section_gap": 3, "sections_under_two_points": 2},
+      {"axis": 2, "max_section_gap": 3, "sections_under_two_points": 2},
+      {"axis": 3, "max_section_gap": 3, "sections_under_two_points": 3}]),
+]
+
+
+@pytest.mark.parametrize("argv, size, digest, sections", PARTITION_PINS,
+                         ids=["dim1", "dim2-boxes", "dim3-sparse"])
+def test_partition_stdout_pinned(capsys, argv, size, digest, sections):
+    code, out = run(capsys, "partition", *argv)
+    assert code == 0
+    assert json.loads(out)["section_gaps"] == sections
+    assert len(out.encode()) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, cells", [
+    (["--dim", "8", "--window", "1000"], 1000 ** 8),
+    (["--dim", "2", "--window-2d", "0,1049,0,1000"], 1050 * 1001),
+])
+def test_partition_refuses_huge_windows(capsys, monkeypatch, argv, cells):
+    from rieszforge import cli
+
+    def no_partition(*args):
+        raise AssertionError("partition built for a refused window")
+
+    monkeypatch.setattr(cli, "cycling_partition", no_partition)
+    monkeypatch.setattr(cli, "cube_partition", no_partition)
+    assert cells > cli.MAX_PARTITION_CELLS
+    assert main(["partition", *argv]) == 1
+    assert str(cells) in capsys.readouterr().err
 
 
 def test_density_step(capsys):

@@ -9,7 +9,7 @@ from scipy.integrate import dblquad
 
 from rieszforge import BoxSet, LatticeWindow, TWO_PI, build_gram, \
     covering_radius, cube_partition, cycling_partition, extreme_eigs, \
-    indicator_fourier_d, section_gaps
+    indicator_fourier_d, section_gaps, section_report
 
 
 def test_window_basics():
@@ -145,6 +145,71 @@ def test_selector_section_gap_bound():
                 st = section_gaps(sel, axis, (fixed,), w)
                 assert st.gaps, "section lost all points"
                 assert st.gamma <= 12  # 2*d*r
+
+
+
+def _report_by_sections(points, window):
+    """Oracle: one section_gaps call per 1-D section of the window."""
+    report = []
+    for axis in range(1, window.dim + 1):
+        others = [range(a, b + 1) for i, (a, b) in enumerate(zip(window.lo, window.hi))
+                  if i != axis - 1]
+        max_gap, thin = 0, 0
+        for fixed in itertools.product(*others):
+            st = section_gaps(points, axis, fixed, window)
+            if st.gaps:
+                max_gap = max(max_gap, int(st.gamma))
+            else:
+                thin += 1
+        report.append({"axis": axis, "max_section_gap": max_gap,
+                       "sections_under_two_points": thin})
+    return report
+
+
+def _one_per_segment(d, r, window, seed):
+    rng = np.random.default_rng(seed)
+    return [s.cells[int(rng.integers(r))] for s in cycling_partition(d, r, window)]
+
+
+@pytest.mark.parametrize("d, r, lo, hi", [
+    (1, 3, (0,), (11,)),
+    (1, 2, (-6,), (5,)),
+    (2, 2, (0, 0), (11, 11)),
+    (2, 3, (-6, 0), (5, 8)),           # negative lo, unequal sides
+    (2, 3, (0, 0), (5, 5)),
+    (3, 2, (0, 0, 0), (3, 3, 3)),      # sparse sections
+    (3, 2, (-4, 0, -2), (1, 5, 3)),
+])
+def test_section_report_matches_per_section_loop(d, r, lo, hi):
+    w = LatticeWindow(lo=lo, hi=hi)
+    for seed in range(3):
+        sel = _one_per_segment(d, r, w, seed)
+        assert section_report(sel, w) == _report_by_sections(sel, w)
+
+
+def test_section_report_sparse_and_ignored_points():
+    w = LatticeWindow(lo=(0, 0, 0), hi=(3, 3, 3))
+    sel = _one_per_segment(3, 2, w, 0)
+    report = section_report(sel, w)
+    assert sum(a["sections_under_two_points"] for a in report) > 0
+    # points outside the window and points of the wrong length are ignored
+    noisy = sel + [(4, 0, 0), (0, -1, 2), (1, 1, 9), (1, 2), (0, 0, 0, 0)]
+    assert section_report(noisy, w) == report == _report_by_sections(noisy, w)
+    # no points: every section is sparse and the largest gap reads 0
+    assert section_report([], w) == [
+        {"axis": a, "max_section_gap": 0, "sections_under_two_points": 16}
+        for a in (1, 2, 3)]
+
+
+def test_section_report_rows_and_columns():
+    w = LatticeWindow(lo=(-2, 0), hi=(7, 9))
+    pts = [(-2, 2), (1, 2), (7, 2), (4, 7), (4, 9), (-2, 0)]
+    assert section_report(pts, w) == [
+        # rows y=2 (gaps 3, 6): one row of ten holds two points or more
+        {"axis": 1, "max_section_gap": 6, "sections_under_two_points": 9},
+        # columns x=-2 (gap 2) and x=4 (gap 2)
+        {"axis": 2, "max_section_gap": 2, "sections_under_two_points": 8},
+    ]
 
 
 def test_box_set_basics():

@@ -75,6 +75,43 @@ def test_floor_against_decimal_oracle():
         assert math.floor(x) == want
 
 
+def _decimal_floor(x: QuadNum) -> int:
+    # 200 digits resolve 1e-150 at |x| < 1e42; every non-integer x below lies
+    # much farther than that from the nearest integer
+    return int(decimal_value(x, prec=200).to_integral_value(rounding="ROUND_FLOOR"))
+
+
+def test_floor_against_decimal_oracle_large(monkeypatch):
+    import random
+    from rieszforge import quadfield
+
+    def no_sign_tests(*args):
+        raise AssertionError("floor must not call quad_sign")
+
+    monkeypatch.setattr(quadfield, "quad_sign", no_sign_tests)
+    rng = random.Random(2026)
+    cases = []
+    for _ in range(3000):
+        d = rng.choice([2, 3, 5, 6, 7, 10, 13])
+        top_p, top_q = 10 ** rng.randint(0, 40), 10 ** rng.randint(0, 40)
+        p = Fraction(rng.randint(-top_p, top_p), rng.randint(1, 10 ** rng.randint(0, 8)))
+        q = Fraction(rng.randint(-top_q, top_q), rng.randint(1, 10 ** rng.randint(0, 8)))
+        cases.append(QuadNum(p, q, d))
+        cases.append(QuadNum(p, 0, d))                  # q = 0
+    cases += [
+        QuadNum(10**40, 0, 2), QuadNum(-10**40, 0, 2),  # integer-valued x
+        QuadNum(Fraction(-10**40, 3), 0, 5),            # negative rational
+        QuadNum(0, -10**40, 2), QuadNum(0, 10**40, 3),  # pure irrationals
+        QuadNum(-10**40, 10**39, 2),                    # negative x, q > 0
+        QuadNum(10**40, -10**40, 6),                    # negative x, q < 0
+        # p + q*sqrt(2) = (sqrt 2 - 1)^42 ~ 8e-17: floor 0 by cancellation
+        QuadNum(5964153172084899, -4217293152016490, 2),
+        QuadNum(-5964153172084899, 4217293152016490, 2),
+    ]
+    for x in cases:
+        assert math.floor(x) == _decimal_floor(x), x
+
+
 def test_frac_mod1():
     x = QuadNum(0, 1, 2)  # sqrt(2)
     f = frac_mod1(x)

@@ -93,6 +93,7 @@ def test_generate_endpoints_on_the_orbit(alpha):
     (2**40 - 300, 2**40 + 300),
     (-2**40 - 300, -2**40 + 300),
     (10**20, 10**20 + 20),            # beyond int64: every integer goes exact
+    (10**30, 10**30 + 100),           # exact floors by integer square root
 ])
 @pytest.mark.parametrize("s_norm", [0.45, 0.78])
 def test_generate_far_windows_match_oracle(window, s_norm):
