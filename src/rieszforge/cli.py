@@ -35,6 +35,7 @@ EXIT_REFUTED = 2
 EXIT_INCONCLUSIVE = 3
 
 MAX_PARTITION_CELLS = 2 ** 20  # partition exits 1 above this, before enumerating
+MAX_GRAM_N = 4096  # certify sections and select windows: exit 1 above this, before any Gram
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,6 +128,11 @@ def _parse_schedule(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad schedule {text!r}; expected comma-separated integers") from None
 
 
+def _check_gram_size(n: int) -> None:
+    if n > MAX_GRAM_N:
+        raise ValueError(f"an n={n} Gram needs {16 * n * n} bytes; the limit is n={MAX_GRAM_N}")
+
+
 # ---------------------------------------------------------------- commands --
 
 
@@ -159,6 +165,7 @@ def cmd_construct(spec: argparse.Namespace) -> int:
 def cmd_certify(spec: argparse.Namespace) -> int:
     spectrum = _load_spectrum(spec)
     schedule = _parse_schedule(spec.schedule)
+    _check_gram_size(max(schedule))
     threshold = spec.threshold if spec.threshold is not None else 1e-3 * TWO_PI
     explicit = _load_points(spec)
     if explicit is not None:
@@ -196,6 +203,7 @@ def cmd_select(spec: argparse.Namespace) -> int:
     n = spec.window if spec.window is not None else 64
     if n < spec.r:
         raise ValueError("--window must be at least --r")
+    _check_gram_size(n)
     labels = range(n)
     system = exponential_system(labels, spectrum, normalized=True)
     blocks = BlockSystem.intervals(labels, spec.r)

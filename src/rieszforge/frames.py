@@ -17,11 +17,13 @@ results are bit-reproducible and independent of scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .gram import build_gram, dual_system, extreme_eigs
+
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 __all__ = [
     "VectorSystem",
@@ -180,16 +182,7 @@ class SelectorResult:
     objective: str
 
     def to_json(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "lambda_min": self.lambda_min,
-            "lambda_max": self.lambda_max,
-            "met": self.met,
-            "trials": self.trials,
-            "seed": self.seed,
-            "target": self.target,
-            "objective": self.objective,
-        }
+        return {**asdict(self), "labels": list(self.labels)}
 
 
 def exponential_system(points, spectrum, normalized: bool = True) -> VectorSystem:
@@ -282,87 +275,98 @@ def predicted_bessel_bound(r: int, delta: float, pairs: bool = False) -> float:
     return (1.0 / math.sqrt(r) + math.sqrt(delta)) ** 2
 
 
-def _trial_rng(seed: int, key: tuple[int, ...]) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-
-
 def _search(gram: np.ndarray, label_pos: dict, blocks: tuple, config: SelectorConfig,
             objective: str, target: float, stage: int | None = None):
     """Randomized one-per-block search over a fixed Gram.
 
-    Returns (labels, lambda_min, lambda_max, trials, met).  Stops at the first
-    trial meeting the target; otherwise keeps the best trial, ties broken by
-    the lexicographically smallest label sequence.
+    Returns (labels, lambda_min, lambda_max, trials, met).  Trial t draws one
+    index per block in one `integers(lengths)` call on the stream keyed
+    (master_seed, t), or (master_seed, stage, t).  The search stops at the
+    first trial meeting the target; otherwise it keeps the best trial, ties
+    broken by the lexicographically smallest label sequence.
+
+    Once a best trial has bound b (lambda_min for riesz, lambda_max for
+    bessel), only a block A that reaches b can win or meet the target, which,
+    being unmet, lies beyond b.  For such an A the shifted block A - (b - m)I
+    (riesz) or (b + m)I - A (bessel) is positive definite, and a failed
+    Cholesky factorization of it rejects the trial.  The first trial and the
+    trials that factor run `eigvalsh`, so results have the bits of a full
+    search.  The margin m = 4 n^2 eps (trace(A) + |b|) + tiny covers the
+    eigensolver's backward error, the shift's rounding and the room Cholesky
+    needs (README, "select", derives it), so a rejection is a proven bound,
+    not a rounding race, and the filter adds no BLAS-thread dependence.
     """
-    best_key = None
-    best = None
+    n = len(blocks)
+    lengths = np.array([len(b) for b in blocks])
+    table = np.array([[label_pos[lab] for lab in b] + [0] * (lengths.max() - len(b))
+                      for b in blocks])
+    diag = np.real(np.diagonal(gram))
+    sign = -1.0 if objective == "bessel" else 1.0
+    best_key = best = None
     for t in range(config.max_trials):
         key = (t,) if stage is None else (stage, t)
-        rng = _trial_rng(config.master_seed, key)
-        picks = tuple(b[int(rng.integers(len(b)))] for b in blocks)
-        idx = [label_pos[lab] for lab in picks]
-        w = np.linalg.eigvalsh(gram[np.ix_(idx, idx)])
+        rng = np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=key))
+        draws = rng.integers(lengths)
+        idx = table[np.arange(n), draws]
+        sub = gram[idx[:, None], idx]
+        if best_key is not None:  # best_key[0] is -b for riesz, b for bessel
+            margin = 4 * n * n * _EPS * (float(diag[idx].sum()) + abs(best_key[0])) + _TINY
+            shifted = sign * sub
+            shifted.flat[::n + 1] += best_key[0] + margin
+            try:
+                np.linalg.cholesky(shifted)
+            except np.linalg.LinAlgError:
+                continue
+        picks = tuple(b[d] for b, d in zip(blocks, draws.tolist()))
+        w = np.linalg.eigvalsh(sub)
         lmin, lmax = float(w[0]), float(w[-1])
-        if objective == "bessel":
-            quality, met = lmax, lmax <= target
-        else:
-            quality, met = -lmin, lmin >= target
+        quality, met = (lmax, lmax <= target) if objective == "bessel" else (-lmin, lmin >= target)
         if met:
             return picks, lmin, lmax, t + 1, True
         cand_key = (quality, picks)
         if best_key is None or cand_key < best_key:
-            best_key = cand_key
-            best = (picks, lmin, lmax)
-    picks, lmin, lmax = best
-    return picks, lmin, lmax, config.max_trials, False
-
-
-def _as_blocks(blocks) -> BlockSystem:
-    if isinstance(blocks, BlockSystem):
-        return blocks
-    return BlockSystem(blocks=tuple(tuple(b) for b in blocks))
+            best_key, best = cand_key, (picks, lmin, lmax)
+    return (*best, config.max_trials, False)
 
 
 def _prepare(system: VectorSystem, blocks,
              target: float) -> tuple[np.ndarray, dict, BlockSystem]:
     if not math.isfinite(target):
         raise ValueError(f"selection target must be finite, got {target}")
-    bs = _as_blocks(blocks)
+    bs = blocks if isinstance(blocks, BlockSystem) else \
+        BlockSystem(blocks=tuple(tuple(b) for b in blocks))
     label_pos = {lab: i for i, lab in enumerate(system.labels)}
-    for b in bs.blocks:
-        for lab in b:
-            if lab not in label_pos:
-                raise ValueError(f"block label {lab} not in the system")
+    missing = [lab for b in bs.blocks for lab in b if lab not in label_pos]
+    if missing:
+        raise ValueError(f"block label {missing[0]} not in the system")
     return system.gram(), label_pos, bs
+
+
+def _select(system: VectorSystem, blocks, target: float, config: SelectorConfig | None,
+            objective: str) -> SelectorResult:
+    config = config or SelectorConfig()
+    gram, label_pos, bs = _prepare(system, blocks, target)
+    labels, lmin, lmax, trials, met = _search(gram, label_pos, bs.blocks, config,
+                                              objective, target)
+    return SelectorResult(labels=labels, lambda_min=lmin, lambda_max=lmax, met=met,
+                          trials=trials, seed=config.master_seed, target=target,
+                          objective=objective)
 
 
 def select_bessel(system: VectorSystem, blocks, target: float,
                   config: SelectorConfig | None = None) -> SelectorResult:
     """One pick per block with lambda_max of the selected Gram <= target (sought)."""
-    config = config or SelectorConfig()
-    gram, label_pos, bs = _prepare(system, blocks, target)
-    labels, lmin, lmax, trials, met = _search(gram, label_pos, bs.blocks, config,
-                                              "bessel", target)
-    return SelectorResult(labels=labels, lambda_min=lmin, lambda_max=lmax, met=met,
-                          trials=trials, seed=config.master_seed, target=target,
-                          objective="bessel")
+    return _select(system, blocks, target, config, "bessel")
 
 
 def select_riesz(system: VectorSystem, blocks, threshold: float,
                  config: SelectorConfig | None = None) -> SelectorResult:
     """One pick per block with lambda_min of the selected Gram >= threshold (sought)."""
-    config = config or SelectorConfig()
-    gram, label_pos, bs = _prepare(system, blocks, threshold)
-    labels, lmin, lmax, trials, met = _search(gram, label_pos, bs.blocks, config,
-                                              "riesz", threshold)
-    return SelectorResult(labels=labels, lambda_min=lmin, lambda_max=lmax, met=met,
-                          trials=trials, seed=config.master_seed, target=threshold,
-                          objective="riesz")
+    return _select(system, blocks, threshold, config, "riesz")
 
 
-def _quarters(block: tuple[int, ...]) -> list[tuple[int, ...]]:
-    parts = np.array_split(np.asarray(block), 4)
-    return [tuple(int(x) for x in part) for part in parts]
+def _pairs(labels: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    return tuple(zip(labels[0::2], labels[1::2]))
 
 
 def select_tight(system: VectorSystem, blocks, eps: float,
@@ -381,37 +385,25 @@ def select_tight(system: VectorSystem, blocks, eps: float,
     gram, label_pos, bs = _prepare(system, blocks, eps)
     if bs.r_min < 4:
         raise ValueError("tight selection needs blocks of size >= 4")
-    norms = np.real(np.diag(gram))
-    if float(np.abs(norms - 1.0).max()) > 1e-8:
+    if float(np.abs(np.real(np.diag(gram)) - 1.0).max()) > 1e-8:
         raise ValueError("tight selection expects unit-norm vectors")
 
-    quarter_blocks = tuple(q for b in bs.blocks for q in _quarters(b))
+    quarter_blocks = tuple(tuple(int(x) for x in part) for b in bs.blocks
+                           for part in np.array_split(np.asarray(b), 4))
     s1_labels, _, _, t1, _ = _search(gram, label_pos, quarter_blocks, config,
                                      "riesz", config.eps0, stage=1)
-
-    pair_blocks = tuple(
-        pair
-        for i in range(len(bs.blocks))
-        for pair in ((s1_labels[4 * i], s1_labels[4 * i + 1]),
-                     (s1_labels[4 * i + 2], s1_labels[4 * i + 3]))
-    )
-    s2_labels, _, _, t2, _ = _search(gram, label_pos, pair_blocks, config,
+    s2_labels, _, _, t2, _ = _search(gram, label_pos, _pairs(s1_labels), config,
                                      "bessel", 1.0 + eps, stage=2)
 
-    sub = system.subsystem(s2_labels)
-    g2 = sub.gram()
+    g2 = system.subsystem(s2_labels).gram()
     sub_pos = {lab: i for i, lab in enumerate(s2_labels)}
-    final_blocks = tuple((s2_labels[2 * i], s2_labels[2 * i + 1])
-                         for i in range(len(bs.blocks)))
     try:
-        dual = dual_system(g2)
+        g3, objective, target = dual_system(g2), "bessel", 1.0 + eps
     except ValueError:
         # stage-2 subsystem degenerate: fall back to a primal lower-bound search
-        s3_labels, _, _, t3, _ = _search(g2, sub_pos, final_blocks, config,
-                                         "riesz", 1.0 - eps, stage=3)
-    else:
-        s3_labels, _, _, t3, _ = _search(dual, sub_pos, final_blocks, config,
-                                         "bessel", 1.0 + eps, stage=3)
+        g3, objective, target = g2, "riesz", 1.0 - eps
+    s3_labels, _, _, t3, _ = _search(g3, sub_pos, _pairs(s2_labels), config,
+                                     objective, target, stage=3)
 
     idx = [sub_pos[lab] for lab in s3_labels]
     w = np.linalg.eigvalsh(g2[np.ix_(idx, idx)])

@@ -157,6 +157,47 @@ def test_partition_refuses_huge_windows(capsys, monkeypatch, argv, cells):
     assert str(cells) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, n", [
+    (["certify", "--measure", "0.5", "--step", "1", "--window", "3000",
+      "--schedule", "16,5000"], 5000),
+    (["certify", "--measure", "0.4", "--schedule", "64,4097"], 4097),
+    (["select", "--measure", "0.5", "--window", "100000"], 100000),
+])
+def test_gram_size_guard_refuses_before_building(capsys, monkeypatch, argv, n):
+    from rieszforge import cli, gram
+
+    def no_gram(*args, **kwargs):
+        raise AssertionError("Gram built for a refused size")
+
+    monkeypatch.setattr(gram, "build_gram", no_gram)
+    monkeypatch.setattr(cli, "exponential_system", no_gram)
+    monkeypatch.setattr(cli.qc, "generate_centered", no_gram)
+    assert 2048 < cli.MAX_GRAM_N < n
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"n={n}" in err and str(16 * n * n) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--measure", "0.5", "--step", "1", "--window", "2048", "--schedule", "4096"],
+    ["select", "--measure", "0.5", "--window", "4096"],
+])
+def test_gram_size_guard_admits_the_limit(monkeypatch, argv):
+    from rieszforge import cli, gram
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(gram, "build_gram", reached)
+    monkeypatch.setattr(cli, "exponential_system", reached)
+    assert cli.MAX_GRAM_N == 4096
+    with pytest.raises(Reached):
+        main(argv)
+
+
 def test_density_step(capsys):
     code, obj = run_json(capsys, "density", "--step", "3",
                          "--window", "200", "--measure", "0.45")

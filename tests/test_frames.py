@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from rieszforge import BlockSystem, SelectorConfig, VectorSystem, \
-    complete_to_parseval_small, exponential_system, naimark_complement, \
-    normalize_bands, predicted_bessel_bound, select_bessel, select_riesz, \
-    select_tight, stabilize
+    complete_to_parseval_small, dual_system, exponential_system, frames, \
+    naimark_complement, normalize_bands, predicted_bessel_bound, select_bessel, \
+    select_riesz, select_tight, stabilize
 
 
 def random_parseval(rng, dim, count):
@@ -262,3 +262,164 @@ def test_stabilize():
         stabilize([])
     with pytest.raises(ValueError):
         stabilize([(1, 2)])  # wrong length
+
+
+# ------------------------------------------------- selection search oracle --
+
+
+def _search_oracle(gram, label_pos, blocks, config, objective, target, stage=None):
+    """The search without fast rejection: scalar draws, np.ix_, eigvalsh every trial."""
+    best_key = None
+    best = None
+    for t in range(config.max_trials):
+        key = (t,) if stage is None else (stage, t)
+        rng = np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=key))
+        picks = tuple(b[int(rng.integers(len(b)))] for b in blocks)
+        idx = [label_pos[lab] for lab in picks]
+        w = np.linalg.eigvalsh(gram[np.ix_(idx, idx)])
+        lmin, lmax = float(w[0]), float(w[-1])
+        if objective == "bessel":
+            quality, met = lmax, lmax <= target
+        else:
+            quality, met = -lmin, lmin >= target
+        if met:
+            return picks, lmin, lmax, t + 1, True
+        cand_key = (quality, picks)
+        if best_key is None or cand_key < best_key:
+            best_key = cand_key
+            best = (picks, lmin, lmax)
+    picks, lmin, lmax = best
+    return picks, lmin, lmax, config.max_trials, False
+
+
+def _search_both(gram, blocks, objective, target, trials, seed=0, stage=None):
+    label_pos = {i: i for i in range(gram.shape[0])}
+    config = SelectorConfig(master_seed=seed, max_trials=trials)
+    fast = frames._search(gram, label_pos, blocks, config, objective, target, stage)
+    slow = _search_oracle(gram, label_pos, blocks, config, objective, target, stage)
+    return fast, slow
+
+
+def _count_eigensolves(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+    return calls
+
+
+def _arc_gram(fraction, window):
+    return exponential_system(range(window), normalize_bands([(0.0, fraction)], unit="2pi")).gram()
+
+
+def _random_gram(seed, dim, count, scale=1.0):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(dim, count)) + 1j * rng.normal(size=(dim, count))
+    return VectorSystem(matrix=scale * z, labels=tuple(range(count))).gram()
+
+
+@pytest.mark.parametrize("objective, bands", [("riesz", [(0.0, 0.85)]),
+                                              ("bessel", [(0.0, 0.3), (0.45, 0.75)])])
+def test_search_matches_oracle_unmet(monkeypatch, objective, bands):
+    g = exponential_system(range(48), normalize_bands(bands, unit="2pi")).gram()
+    blocks = BlockSystem.intervals(range(48), 2).blocks
+    # the diagonal entry, the band's share, bounds lambda_min above and lambda_max below
+    share = sum(b - a for a, b in bands)
+    target = share + 0.02 if objective == "riesz" else 0.98 * share
+    calls = _count_eigensolves(monkeypatch)
+    fast = frames._search(g, {i: i for i in range(48)}, blocks,
+                          SelectorConfig(master_seed=11, max_trials=300), objective, target)
+    assert len(calls) < 30  # the Cholesky test rejects most trials
+    assert fast == _search_both(g, blocks, objective, target, 300, seed=11)[1]
+    assert fast[3] == 300 and not fast[4]
+
+
+@pytest.mark.parametrize("objective", ["riesz", "bessel"])
+def test_search_matches_oracle_met_mid_run(objective):
+    g = _arc_gram(0.7, 40)
+    blocks = BlockSystem.intervals(range(40), 2).blocks
+    # the best bound over 200 trials, reached first at a trial past the first
+    _, lmin, lmax, _, _ = _search_oracle(
+        g, {i: i for i in range(40)}, blocks, SelectorConfig(master_seed=4, max_trials=200),
+        objective, 2.0 if objective == "riesz" else 0.0)
+    target = lmin if objective == "riesz" else lmax
+    fast, slow = _search_both(g, blocks, objective, target, 200, seed=4)
+    assert fast == slow
+    assert fast[4] and 1 < fast[3] < 200
+
+
+def test_search_matches_oracle_saturated_bessel():
+    # one arc at W=128: every trial's lambda_max is 1 within a few ulps, so the
+    # filter can reject almost nothing and ulp-level order decides the winner
+    g = _arc_gram(0.66, 128)
+    blocks = BlockSystem.intervals(range(128), 2).blocks
+    fast, slow = _search_both(g, blocks, "bessel", 0.5, 150, seed=0)
+    assert fast == slow
+    assert abs(fast[2] - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("objective", ["riesz", "bessel"])
+def test_search_matches_oracle_unequal_blocks(objective):
+    g = _random_gram(5, 12, 40, scale=0.2)
+    sizes = [1, 3, 1, 5, 2, 1, 4, 1, 6, 2, 3, 1, 7, 3]  # sums to 40
+    edges = np.cumsum([0] + sizes)
+    blocks = tuple(tuple(range(a, b)) for a, b in zip(edges, edges[1:]))
+    fast, slow = _search_both(g, blocks, objective, 1e3 if objective == "riesz" else -1.0, 250,
+                              seed=9)
+    assert fast == slow
+    # select_tight's quarter blocks of a 5-block have lengths 2, 1, 1, 1
+    quarters = tuple(tuple(int(x) for x in part) for b in blocks if len(b) >= 4
+                     for part in np.array_split(np.asarray(b), 4))
+    assert min(len(q) for q in quarters) == 1
+    fast, slow = _search_both(g, quarters, objective, 1e3 if objective == "riesz" else -1.0,
+                              250, seed=9, stage=1)
+    assert fast == slow
+
+
+def test_search_matches_oracle_stage_keys_and_dual_gram():
+    g2 = _random_gram(2, 24, 16, scale=0.3)
+    dual = dual_system(g2)
+    assert np.iscomplexobj(dual) and np.abs(dual.imag).max() > 0
+    blocks = tuple((2 * i, 2 * i + 1) for i in range(8))
+    for stage in (1, 2, 3):
+        for objective, target in (("bessel", 0.0), ("riesz", 1e6)):
+            fast, slow = _search_both(dual, blocks, objective, target, 200, seed=3, stage=stage)
+            assert fast == slow
+    keyed = _search_both(dual, blocks, "bessel", 0.0, 200, seed=3, stage=3)[0]
+    assert keyed != _search_both(dual, blocks, "bessel", 0.0, 200, seed=3)[0]
+
+
+@pytest.mark.parametrize("objective", ["riesz", "bessel"])
+def test_search_matches_oracle_zero_gram(objective):
+    # every trial ties at 0, so the label order alone picks the winner
+    g = np.zeros((12, 12), dtype=complex)
+    blocks = BlockSystem.intervals(range(12), 3).blocks
+    fast, slow = _search_both(g, blocks, objective, 1.0 if objective == "riesz" else -1.0, 60)
+    assert fast == slow
+    first = _search_both(g, blocks, objective, 1.0 if objective == "riesz" else -1.0, 1)[1]
+    assert fast[1] == fast[2] == 0.0 and fast[0] < first[0]
+
+
+def test_select_tight_matches_oracle(monkeypatch):
+    # unit vectors in C^12: no stage meets its target, so all three run in full
+    rng = np.random.default_rng(6)
+    z = rng.normal(size=(12, 32)) + 1j * rng.normal(size=(12, 32))
+    sys_ = VectorSystem(matrix=z / np.linalg.norm(z, axis=0), labels=tuple(range(32)))
+    blocks = BlockSystem.intervals(range(32), 8)
+    config = SelectorConfig(master_seed=6, max_trials=200)
+    fast = select_tight(sys_, blocks, 0.05, config)
+    assert fast.trials == 600 and not fast.met
+    monkeypatch.setattr(frames, "_search", _search_oracle)
+    assert fast == select_tight(sys_, blocks, 0.05, config)
+
+
+def test_vector_draw_matches_scalar_draws():
+    # one integers(lengths) call consumes the stream exactly as a loop of
+    # scalar calls does, for lengths 1 (no draw) through 2**33
+    lengths = [1, 2, 3, 7, 1, 64, 2**31 - 1, 2**32 - 1, 2**32, 2**32 + 1, 1, 2**33, 5, 2]
+    for seed in range(4):
+        for key in ((0,), (7,), (3, 11)):
+            vec = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+            one = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+            draws = vec.integers(np.array(lengths))
+            assert draws.tolist() == [int(one.integers(n)) for n in lengths]
+            assert vec.integers(2**40) == one.integers(2**40)
