@@ -8,7 +8,7 @@ completions, Naimark complements, randomized one-per-block selections and
 lattice partitions with covering guarantees.
 """
 
-from .quadfield import QuadNum, frac_mod1, quad_sign
+from .quadfield import QuadNum, quad_sign
 from .torus import Arc, MultibandSet, TWO_PI, complement, indicator_fourier, \
     normalize_bands
 from .quasicrystal import DensityStats, GapStats, PointSet, QCParams, \
@@ -27,7 +27,7 @@ from .lattice import BoxSet, Cube, LatticeWindow, Segment, covering_radius, \
 __version__ = "0.1.0"
 
 __all__ = [
-    "QuadNum", "frac_mod1", "quad_sign",
+    "QuadNum", "quad_sign",
     "Arc", "MultibandSet", "TWO_PI", "complement", "indicator_fourier",
     "normalize_bands",
     "DensityStats", "GapStats", "PointSet", "QCParams", "UnitInterval",

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import gram as gramlib
 from . import quasicrystal as qc
-from .frames import BlockSystem, SelectorConfig, exponential_system, \
+from .frames import BlockSystem, SelectorConfig, VectorSystem, exponential_system, \
     predicted_bessel_bound, select_bessel, select_riesz, select_tight
 from .lattice import BoxSet, LatticeWindow, covering_radius, cube_partition, \
     cycling_partition, section_report
@@ -35,7 +35,8 @@ EXIT_REFUTED = 2
 EXIT_INCONCLUSIVE = 3
 
 MAX_PARTITION_CELLS = 2 ** 20  # partition exits 1 above this, before enumerating
-MAX_GRAM_N = 4096  # certify sections and select windows: exit 1 above this, before any Gram
+MAX_GRAM_N = 4096  # certify sections, select windows, --boxes selectors: exit 1 above this
+MAX_WINDOW = 2 ** 22  # integers a window may span: exit 1 above this, before generating
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,7 +48,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _emit(obj: dict, out_path: str | None) -> None:
+def _emit(command: str, payload: dict, out_path: str | None) -> None:
+    obj = {"schema": SCHEMA, "command": command, **payload}
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
@@ -56,63 +58,76 @@ def _emit(obj: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _one_of(spec: argparse.Namespace, *flags: str) -> str | None:
+    """The one of `flags` that was given, or None; giving two is an error."""
+    given = [f for f in flags if getattr(spec, f[2:].replace("-", "_")) is not None]
+    if len(given) > 1:
+        raise ValueError(f"pass only one of {' / '.join(flags)}")
+    return given[0] if given else None
+
+
+def _read_json(inline: str | None, path: str | None):
+    if inline is not None:
+        return json.loads(inline)
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def _load_spectrum(spec: argparse.Namespace, required: bool = True) -> MultibandSet | None:
-    given = [spec.bands is not None, spec.bands_file is not None,
-             spec.measure is not None]
-    if sum(given) == 0:
+    given = _one_of(spec, "--bands", "--bands-file", "--measure")
+    if given is None:
         if required:
             raise ValueError("a spectrum is required: pass --bands, --bands-file or --measure")
         return None
-    if sum(given) > 1:
-        raise ValueError("pass only one of --bands / --bands-file / --measure")
-    if spec.measure is not None:
+    if given == "--measure":
         if not 0.0 < spec.measure <= 1.0:
             raise ValueError("--measure is a fraction of 2*pi in (0, 1]")
         return normalize_bands([[0.0, spec.measure]], unit="2pi")
-    if spec.bands is not None:
-        raw = json.loads(spec.bands)
-    else:
-        with open(spec.bands_file) as fh:
-            raw = json.load(fh)
-    if isinstance(raw, dict):
-        return MultibandSet.from_json(raw)
-    # bare list of pairs is read in fractions of 2*pi
-    return normalize_bands(raw, unit="2pi")
+    raw = _read_json(spec.bands, spec.bands_file)
+    # a bare list of pairs is read in fractions of 2*pi
+    return MultibandSet.from_json(raw if isinstance(raw, dict) else {"bands_2pi": raw})
 
 
 def _integers(values, what: str) -> tuple[int, ...]:
-    """JSON numbers as ints; a fractional or non-finite value is an error."""
+    """A JSON list of numbers as ints; a fractional or non-finite value is an error."""
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a list of integers, got {values!r}")
     out = []
     for x in values:
         try:
             n = int(x)
         except (TypeError, ValueError, OverflowError):
             n = None
-        if n is None or n != x:
+        if n is None or n != x or isinstance(x, bool):
             raise ValueError(f"{what} must be integers, got {x!r}")
         out.append(n)
     return tuple(out)
 
 
+def _check_window(count: int) -> None:
+    if count > MAX_WINDOW:
+        raise ValueError(f"a window of {count} integers is over the limit of {MAX_WINDOW}")
+
+
+def _symmetric_window(n: int) -> tuple[int, int]:
+    _check_window(2 * n + 1)
+    return -n, n
+
+
 def _load_points(spec: argparse.Namespace) -> qc.PointSet | None:
-    given = [spec.points is not None, spec.points_file is not None,
-             spec.step is not None]
-    if sum(given) == 0:
+    given = _one_of(spec, "--points", "--points-file", "--step")
+    if given is None:
         return None
-    if sum(given) > 1:
-        raise ValueError("pass only one of --points / --points-file / --step")
-    if spec.step is not None:
+    if given == "--step":
         if spec.step < 1:
             raise ValueError("--step must be a positive integer")
-        n = spec.window if spec.window is not None else 5000
-        elems = tuple(range(-(n // spec.step) * spec.step, n + 1, spec.step))
-        return qc.PointSet(elements=elems, window=(-n, n))
-    if spec.points is not None:
-        raw = json.loads(spec.points)
-    else:
-        with open(spec.points_file) as fh:
-            raw = json.load(fh)
+        lo, hi = _symmetric_window(spec.window)
+        elems = tuple(range(-(hi // spec.step) * spec.step, hi + 1, spec.step))
+        return qc.PointSet(elements=elems, window=(lo, hi))
+    raw = _read_json(spec.points, spec.points_file)
     if isinstance(raw, dict):
+        if not {"elements", "window"} <= raw.keys():
+            raise ValueError(f"a points object needs 'elements' and 'window', got {sorted(raw)}")
         return qc.PointSet(elements=_integers(raw["elements"], "points"),
                            window=_integers(raw["window"], "window"))
     elems = tuple(sorted(_integers(raw, "points")))
@@ -138,15 +153,13 @@ def _check_gram_size(n: int) -> None:
 
 def cmd_construct(spec: argparse.Namespace) -> int:
     spectrum = _load_spectrum(spec)
-    n = spec.window if spec.window is not None else 5000
-    params, points = qc.construct_riesz_set(spectrum, (-n, n), mode=spec.mode)
+    params, points = qc.construct_riesz_set(spectrum, _symmetric_window(spec.window),
+                                            mode=spec.mode)
     stats = qc.gap_stats(points)
     r_window = min(1000, points.span)
     dens = qc.density_stats(points, r_window)
     landau_ok = qc.landau_check(points, spectrum, window_r=r_window)
     payload = {
-        "schema": SCHEMA,
-        "command": "construct",
         "spectrum": spectrum.to_json(),
         "params": params.to_json(),
         "points": points.to_json(),
@@ -158,7 +171,7 @@ def cmd_construct(spec: argparse.Namespace) -> int:
         removed = points.complement_in_window()
         payload["removed_gap_stats"] = qc.gap_stats(removed).to_json()
         payload["removed_separation_bound"] = params.n
-    _emit(payload, spec.out)
+    _emit("construct", payload, spec.out)
     return EXIT_OK if landau_ok else EXIT_REFUTED
 
 
@@ -166,7 +179,6 @@ def cmd_certify(spec: argparse.Namespace) -> int:
     spectrum = _load_spectrum(spec)
     schedule = _parse_schedule(spec.schedule)
     _check_gram_size(max(schedule))
-    threshold = spec.threshold if spec.threshold is not None else 1e-3 * TWO_PI
     explicit = _load_points(spec)
     if explicit is not None:
         points = explicit
@@ -175,32 +187,26 @@ def cmd_certify(spec: argparse.Namespace) -> int:
         params = None
     else:
         params = qc.choose_params(spectrum.fraction_of_torus, spec.mode)
+        # generate_centered scans about max(schedule) / |interval| integers
+        _check_window(int(max(schedule) / float(params.riesz_interval.length)))
         points = qc.generate_centered(params.alpha, params.riesz_interval,
                                      max(schedule))
         source = f"constructed(mode={params.mode}, n={params.n})"
-    cert = gramlib.certify(points, spectrum, threshold, schedule=schedule,
+    cert = gramlib.certify(points, spectrum, spec.threshold, schedule=schedule,
                            drop_ratio=spec.drop_ratio, source=source)
-    payload = {
-        "schema": SCHEMA,
-        "command": "certify",
-        "certificate": cert.to_json(),
-    }
+    payload = {"certificate": cert.to_json()}
     if params is not None:
         payload["params"] = params.to_json()
-    _emit(payload, spec.out)
+    _emit("certify", payload, spec.out)
     if spec.csv:
         with open(spec.csv, "w") as fh:
             fh.write(cert.csv_text())
-    if cert.verdict == "supported":
-        return EXIT_OK
-    if cert.verdict == "refuted":
-        return EXIT_REFUTED
-    return EXIT_INCONCLUSIVE
+    return {"supported": EXIT_OK, "refuted": EXIT_REFUTED}.get(cert.verdict, EXIT_INCONCLUSIVE)
 
 
 def cmd_select(spec: argparse.Namespace) -> int:
     spectrum = _load_spectrum(spec)
-    n = spec.window if spec.window is not None else 64
+    n = spec.window
     if n < spec.r:
         raise ValueError("--window must be at least --r")
     _check_gram_size(n)
@@ -219,7 +225,10 @@ def cmd_select(spec: argparse.Namespace) -> int:
         result = select_bessel(system, blocks, target, config)
     elif spec.mode == "tight":
         eps = spec.threshold if spec.threshold is not None else 0.5
-        result = select_tight(system, blocks, eps, config)
+        # normalized exponentials have squared norm delta = |S|/2pi; scale them to unit
+        # norm (by exactly 1.0 on the full torus)
+        unit = VectorSystem(matrix=system.matrix / math.sqrt(delta), labels=system.labels)
+        result = select_tight(unit, blocks, eps, config)
     else:
         raise ValueError(f"unknown selection mode {spec.mode!r}")
 
@@ -233,8 +242,6 @@ def cmd_select(spec: argparse.Namespace) -> int:
         "block_bessel_bound": predicted_bessel_bound(spec.r, delta),
     }
     payload = {
-        "schema": SCHEMA,
-        "command": "select",
         "spectrum": spectrum.to_json(),
         "window": n,
         "r": spec.r,
@@ -242,12 +249,14 @@ def cmd_select(spec: argparse.Namespace) -> int:
         "result": result.to_json(),
         "theory": theory,
     }
-    _emit(payload, spec.out)
+    _emit("select", payload, spec.out)
     return EXIT_OK if result.met else EXIT_INCONCLUSIVE
 
 
 def _partition_window(spec: argparse.Namespace) -> LatticeWindow:
     d = spec.dim
+    if d > 20:  # a window of side 2 has 2^dim cells, over MAX_PARTITION_CELLS
+        raise ValueError(f"--dim {d} is over 20")
     if spec.window_2d is not None:
         parts = [int(x) for x in spec.window_2d.split(",")]
         if len(parts) != 2 * d:
@@ -283,8 +292,6 @@ def cmd_partition(spec: argparse.Namespace) -> int:
     radius = covering_radius(cube_selector, window)
 
     payload = {
-        "schema": SCHEMA,
-        "command": "partition",
         "dim": d,
         "r": r,
         "window": {"lo": list(window.lo), "hi": list(window.hi)},
@@ -302,15 +309,15 @@ def cmd_partition(spec: argparse.Namespace) -> int:
 
     if spec.boxes is not None:
         raw = json.loads(spec.boxes)
-        box_set = BoxSet.from_json(raw) if isinstance(raw, dict) else \
-            BoxSet.from_json({"boxes_2pi": raw})
+        box_set = BoxSet.from_json(raw if isinstance(raw, dict) else {"boxes_2pi": raw})
         if box_set.dim != d:
             raise ValueError(f"--boxes dimension {box_set.dim} != --dim {d}")
+        _check_gram_size(len(selector))
         g = gramlib.build_gram(selector, box_set, normalized=True)
         be = gramlib.extreme_eigs(g)
         payload["quality"] = {"lambda_min": be.lambda_min, "lambda_max": be.lambda_max}
 
-    _emit(payload, spec.out)
+    _emit("partition", payload, spec.out)
     ok = payload["section_gap_ok"] and payload["covering_ok"]
     return EXIT_OK if ok else EXIT_REFUTED
 
@@ -323,12 +330,10 @@ def cmd_density(spec: argparse.Namespace) -> int:
         if spectrum is None:
             raise ValueError("give points (--points/--points-file/--step) "
                              "or a spectrum to construct from")
-        n = spec.window if spec.window is not None else 5000
-        constructed, points = qc.construct_riesz_set(spectrum, (-n, n), mode=spec.mode)
+        constructed, points = qc.construct_riesz_set(spectrum, _symmetric_window(spec.window),
+                                                     mode=spec.mode)
     r_window = min(1000, points.span)
     payload = {
-        "schema": SCHEMA,
-        "command": "density",
         "points": {"count": len(points), "window": list(points.window)},
         "gap_stats": qc.gap_stats(points).to_json(),
         "density": qc.density_stats(points, r_window).to_json(),
@@ -341,7 +346,7 @@ def cmd_density(spec: argparse.Namespace) -> int:
                                                      window_r=r_window) else "fail"
         if spec.step is not None and len(spectrum.arcs) == 1:
             payload["kahane"] = qc.kahane_classify(spec.step, spectrum)
-    _emit(payload, spec.out)
+    _emit("density", payload, spec.out)
     return EXIT_OK
 
 
@@ -409,9 +414,7 @@ def cmd_selftest(spec: argparse.Namespace) -> int:
         print(line)
     print(f"{passed}/{len(checks)} checks passed")
     if spec.out:
-        _emit({
-            "schema": SCHEMA,
-            "command": "selftest",
+        _emit("selftest", {
             "results": [{"name": n, "passed": ok, "detail": d} for n, ok, d in checks],
             "all_passed": passed == len(checks),
         }, spec.out)
@@ -444,7 +447,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("construct", help="build a syndetic Riesz candidate for a spectrum")
     _add_spectrum_flags(p)
     p.add_argument("--mode", choices=["auto", "small", "large"], default="auto")
-    p.add_argument("--window", type=int, help="inclusive symmetric window [-N, N] (default 5000)")
+    p.add_argument("--window", type=int, default=5000,
+                   help="inclusive symmetric window [-N, N] (default 5000)")
     p.add_argument("--out")
 
     p = sub.add_parser("certify", help="finite-section certificate for a point set")
@@ -452,10 +456,10 @@ def build_parser() -> _Parser:
     _add_points_flags(p)
     p.add_argument("--mode", choices=["auto", "small", "large"], default="auto",
                    help="construction mode when no explicit points are given")
-    p.add_argument("--window", type=int, help="window for --step (default 5000)")
+    p.add_argument("--window", type=int, default=5000, help="window for --step (default 5000)")
     p.add_argument("--schedule", default="16,32,64,128,256",
                    help="comma-separated section sizes")
-    p.add_argument("--threshold", type=float,
+    p.add_argument("--threshold", type=float, default=1e-3 * TWO_PI,
                    help="supported needs final lambda_min >= this (default 1e-3*2*pi)")
     p.add_argument("--drop-ratio", type=float, default=gramlib.DEFAULT_DROP_RATIO)
     p.add_argument("--out")
@@ -464,7 +468,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("select", help="randomized one-per-block selection")
     _add_spectrum_flags(p)
     p.add_argument("--mode", choices=["riesz", "bessel", "tight"], default="riesz")
-    p.add_argument("--window", type=int, help="use frequencies 0..N-1 (default 64)")
+    p.add_argument("--window", type=int, default=64, help="use frequencies 0..N-1 (default 64)")
     p.add_argument("--r", type=int, default=2, help="block size")
     p.add_argument("--threshold", type=float,
                    help="target: lambda_min (riesz), lambda_max (bessel) or eps (tight)")
@@ -486,7 +490,8 @@ def build_parser() -> _Parser:
     _add_spectrum_flags(p)
     _add_points_flags(p)
     p.add_argument("--mode", choices=["auto", "small", "large"], default="auto")
-    p.add_argument("--window", type=int, help="window for --step or construction (default 5000)")
+    p.add_argument("--window", type=int, default=5000,
+                   help="window for --step or construction (default 5000)")
     p.add_argument("--out")
 
     p = sub.add_parser("selftest", help="run the built-in quick checks")

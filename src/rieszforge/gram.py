@@ -10,7 +10,7 @@ so a certificate is evidence, never a proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -167,7 +167,6 @@ class GramCertificate:
 
     source: str
     spectrum: MultibandSet
-    normalized: bool
     schedule: tuple[int, ...]
     bounds: tuple[BoundsEstimate, ...]
     threshold: float
@@ -175,8 +174,6 @@ class GramCertificate:
     refute_floor: float
     final_drop: float
     verdict: str
-    cross_check_lambda_min: float | None = None
-    note: str = field(default=FINITE_SECTION_NOTE)
 
     @property
     def lambda_min(self) -> tuple[float, ...]:
@@ -188,27 +185,23 @@ class GramCertificate:
 
     def to_json(self) -> dict:
         volume = self.spectrum.total_volume
-        scale = 1.0 if self.normalized else volume
-        obj = {
+        return {
             "source": self.source,
             "S": self.spectrum.to_json(),
-            "normalized": self.normalized,
+            "normalized": False,
             "schedule": list(self.schedule),
             "lambda_min": list(self.lambda_min),
             "lambda_max": list(self.lambda_max),
-            "lambda_min_normalized": [v / scale for v in self.lambda_min],
-            "lambda_max_normalized": [v / scale for v in self.lambda_max],
+            "lambda_min_normalized": [v / volume for v in self.lambda_min],
+            "lambda_max_normalized": [v / volume for v in self.lambda_max],
             "verdict": self.verdict,
             "threshold": self.threshold,
             "drop_ratio": self.drop_ratio,
             "refute_floor": self.refute_floor,
             "final_drop": self.final_drop,
             "eig_tol": max(b.tol for b in self.bounds),
-            "note": self.note,
+            "note": FINITE_SECTION_NOTE,
         }
-        if self.cross_check_lambda_min is not None:
-            obj["cross_check_lambda_min"] = self.cross_check_lambda_min
-        return obj
 
     def csv_text(self) -> str:
         lines = ["window,lambda_min,lambda_max"]
@@ -219,22 +212,17 @@ class GramCertificate:
 
 def certify(points, spectrum, threshold: float,
             schedule=DEFAULT_SCHEDULE, drop_ratio: float = DEFAULT_DROP_RATIO,
-            refute_floor: float | None = None, normalized: bool = False,
-            source: str = "", random_subsets: int = 0, seed: int = 0) -> GramCertificate:
+            source: str = "") -> GramCertificate:
     """Certify a candidate Riesz sequence by growing centered finite sections.
 
     Elements are ordered by (|x|, x) so the sections are nested and the
-    extreme eigenvalues move monotonically.  Verdicts:
+    extreme eigenvalues move monotonically.  Grams are unnormalized.  Verdicts:
 
-    * refuted      final lambda_min below refute_floor (default 1e-6 of the
-                   ambient volume) -- the lower bound is numerically zero;
+    * refuted      final lambda_min below refute_floor, 1e-6 of the ambient
+                   volume -- the lower bound is numerically zero;
     * supported    final lambda_min >= threshold and the last-step relative
                    drop of lambda_min is at most drop_ratio;
     * inconclusive otherwise.
-
-    random_subsets > 0 additionally samples that many random subsets of the
-    supplied elements at the final section size and reports the worst
-    lambda_min seen, as a cross-check against centering artifacts.
     """
     if not (math.isfinite(threshold) and threshold > 0):
         raise ValueError(f"threshold must be positive and finite, got {threshold}")
@@ -243,9 +231,7 @@ def certify(points, spectrum, threshold: float,
         raise ValueError(f"schedule must be strictly increasing and positive, got {schedule}")
     if not 0.0 <= drop_ratio < 1.0:
         raise ValueError("drop_ratio must be in [0, 1)")
-    base = 1.0 if normalized else spectrum.total_volume
-    if refute_floor is None:
-        refute_floor = 1e-6 * base
+    refute_floor = 1e-6 * spectrum.total_volume
 
     elems = [int(x) for x in points]
     if len(set(elems)) != len(elems):
@@ -257,7 +243,7 @@ def certify(points, spectrum, threshold: float,
     bounds = []
     for n in schedule:
         section = sorted(order[:n])
-        g = build_gram(section, spectrum, normalized=normalized)
+        g = build_gram(section, spectrum)
         bounds.append(extreme_eigs(g))
 
     if len(bounds) >= 2:
@@ -277,20 +263,8 @@ def certify(points, spectrum, threshold: float,
     else:
         verdict = "inconclusive"
 
-    cross = None
-    if random_subsets > 0:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        n = schedule[-1]
-        worst = math.inf
-        for _ in range(random_subsets):
-            pick = sorted(rng.choice(len(elems), size=n, replace=False))
-            g = build_gram([elems[i] for i in pick], spectrum, normalized=normalized)
-            worst = min(worst, extreme_eigs(g).lambda_min)
-        cross = worst
-
     return GramCertificate(
-        source=source, spectrum=spectrum, normalized=normalized,
-        schedule=schedule, bounds=tuple(bounds), threshold=threshold,
-        drop_ratio=drop_ratio, refute_floor=refute_floor,
-        final_drop=final_drop, verdict=verdict, cross_check_lambda_min=cross,
+        source=source, spectrum=spectrum, schedule=schedule, bounds=tuple(bounds),
+        threshold=threshold, drop_ratio=drop_ratio, refute_floor=refute_floor,
+        final_drop=final_drop, verdict=verdict,
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quasicrystal import GapStats, gap_stats
-from .torus import TWO_PI, _arc_coefficient
+from .torus import TWO_PI, interval_coefficient
 
 __all__ = [
     "LatticeWindow",
@@ -261,25 +261,18 @@ class BoxSet:
             scale, raw = TWO_PI, obj["boxes_2pi"]
         else:
             raise ValueError(f"expected 'boxes_rad' or 'boxes_2pi' key, got {sorted(obj)}")
-        return cls(boxes=tuple(tuple((lo * scale, hi * scale) for lo, hi in box)
-                               for box in raw))
-
-
-def _axis_coefficient(lo: float, hi: float, m: int) -> complex:
-    if m == 0:
-        return complex(hi - lo)
-    if m < 0:
-        return _arc_coefficient(lo, hi, -m).conjugate()
-    return _arc_coefficient(lo, hi, m)
+        try:
+            boxes = tuple(tuple((lo * scale, hi * scale) for lo, hi in box) for box in raw)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError("boxes must be lists of [lo, hi] number pairs") from None
+        return cls(boxes=boxes)
 
 
 def indicator_fourier_d(s: BoxSet, m: tuple[int, ...]) -> complex:
     """Fourier coefficient of the box-set indicator at the integer vector m.
 
-    Separable per box: the product of one-dimensional arc coefficients.
-    Negative components go through conjugation axis by axis, which makes
-    c(-m) == conj(c(m)) exact and multi-dimensional Grams Hermitian
-    bit-for-bit.
+    Separable per box: the product of one-dimensional interval coefficients,
+    each conjugate-symmetric bit-for-bit, so c(-m) == conj(c(m)) is exact.
     """
     if len(m) != s.dim:
         raise ValueError(f"frequency vector of length {len(m)} for a {s.dim}-D set")
@@ -287,6 +280,6 @@ def indicator_fourier_d(s: BoxSet, m: tuple[int, ...]) -> complex:
     for box in s.boxes:
         term = complex(1.0)
         for (lo, hi), mi in zip(box, m):
-            term *= _axis_coefficient(lo, hi, int(mi))
+            term *= interval_coefficient(lo, hi, int(mi))
         total += term
     return total

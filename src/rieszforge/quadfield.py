@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["QuadNum", "quad_sign", "frac_mod1"]
+__all__ = ["QuadNum", "quad_sign"]
 
 _RationalLike = (int, Fraction)
 
@@ -227,8 +227,3 @@ class QuadNum:
 
     def __repr__(self):
         return f"QuadNum({self.p}, {self.q}, D={self.D})"
-
-
-def frac_mod1(x: QuadNum) -> QuadNum:
-    """Fractional part of x, exactly in [0, 1)."""
-    return x.frac_mod1()

@@ -323,6 +323,8 @@ def choose_params(s_norm: float, mode: str = "auto") -> QCParams:
 
     exact = Fraction(s_norm)
     snapped = exact.limit_denominator(10**6)
+    if not 0 < snapped < 1:
+        raise ValueError(f"s_norm={s_norm!r} is too close to 0 or 1 to pick a regime")
     if mode == "auto":
         mode = "small" if snapped <= Fraction(1, 2) else "large"
     if mode == "large" and snapped <= Fraction(1, 2):

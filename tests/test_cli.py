@@ -198,6 +198,69 @@ def test_gram_size_guard_admits_the_limit(monkeypatch, argv):
         main(argv)
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "--measure", "0.5", "--points", '{"elements": [1, 2]}'],
+    ["certify", "--measure", "0.5", "--points", "5"],
+    ["certify", "--measure", "0.5", "--points", "null"],
+    ["certify", "--bands", "[0.1]"],
+    ["partition", "--boxes", '[[[0, "nan"], [0, 0.5]]]'],
+    ["partition", "--boxes", '{"boxes_2pi": 5}'],
+    ["partition", "--boxes", "[[0, 1]]"],
+], ids=["points-no-window", "points-number", "points-null", "bands-flat",
+        "boxes-nan-string", "boxes-number", "boxes-flat"])
+def test_malformed_json_exits_1(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"rieszforge {argv[0]}: error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--measure", "0.45", "--window", str(2 ** 21)],
+    ["density", "--measure", "0.45", "--window", str(2 ** 21)],
+    ["density", "--step", "3", "--window", str(10 ** 12)],
+    ["certify", "--measure", "0.5", "--step", "3", "--window", str(2 ** 21), "--schedule", "16"],
+    # a constructed set at measure 1e-5 holds one integer in about 1e5
+    ["certify", "--measure", "1e-5", "--schedule", "16,64"],
+])
+def test_window_guard_refuses_before_generating(capsys, monkeypatch, argv):
+    from rieszforge import cli
+
+    def no_window(*args, **kwargs):
+        raise AssertionError("window generated for a refused size")
+
+    monkeypatch.setattr(cli.qc, "generate", no_window)
+    monkeypatch.setattr(cli.qc, "PointSet", no_window)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"over the limit of {cli.MAX_WINDOW}" in err and cli.MAX_WINDOW == 2 ** 22
+
+
+@pytest.mark.parametrize("command", ["construct", "density"])
+def test_window_guard_admits_the_limit(monkeypatch, command):
+    from rieszforge import cli
+
+    class Reached(Exception):
+        pass
+
+    def reached(alpha, interval, window):
+        assert window == (-(2 ** 21 - 1), 2 ** 21 - 1)
+        raise Reached
+
+    monkeypatch.setattr(cli.qc, "generate", reached)
+    with pytest.raises(Reached):
+        main([command, "--measure", "0.45", "--window", str(2 ** 21 - 1)])
+
+
+@pytest.mark.parametrize("measure", ["0.9", "0.6", "0.3"])
+def test_select_tight_off_the_full_torus(capsys, measure):
+    code, obj = run_json(capsys, "select", "--measure", measure, "--mode", "tight",
+                         "--r", "4", "--window", "32", "--trials", "300")
+    assert code == 0
+    assert obj["result"]["objective"] == "tight" and obj["result"]["met"] is True
+    assert 0.5 <= obj["result"]["lambda_min"] <= obj["result"]["lambda_max"] <= 1.5
+
+
 def test_density_step(capsys):
     code, obj = run_json(capsys, "density", "--step", "3",
                          "--window", "200", "--measure", "0.45")
@@ -214,6 +277,7 @@ def test_density_step(capsys):
     '["3", 4]',
     '{"elements": [0, 2.5], "window": [0, 3]}',
     '{"elements": [0, 2], "window": [0, 3.5]}',
+    "[true, 3, 6]",
 ])
 def test_points_must_be_integers(capsys, points):
     assert main(["density", "--points", points]) == 1
@@ -229,6 +293,27 @@ def test_integral_points_keep_working(capsys):
 
 def test_density_needs_source(capsys):
     assert main(["density"]) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["certify", "--measure", "0.4", "--bands", "[[0, 0.1]]"],
+     "pass only one of --bands / --bands-file / --measure"),
+    (["density", "--bands", "[[0, 0.1]]", "--bands-file", "b.json", "--step", "3"],
+     "pass only one of --bands / --bands-file / --measure"),
+    (["certify", "--measure", "0.4", "--points", "[0, 3]", "--step", "3"],
+     "pass only one of --points / --points-file / --step"),
+    (["density", "--points", "[0, 3]", "--points-file", "p.json"],
+     "pass only one of --points / --points-file / --step"),
+    (["certify", "--step", "3"],
+     "a spectrum is required: pass --bands, --bands-file or --measure"),
+    (["construct", "--window", "50"],
+     "a spectrum is required: pass --bands, --bands-file or --measure"),
+])
+def test_source_conflicts_exit_1(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"rieszforge {argv[0]}: error: {message}\n"
 
 
 def test_usage_errors_exit_1(capsys):
@@ -249,6 +334,8 @@ def test_usage_errors_exit_1(capsys):
      "--schedule", "16,32", "--threshold", "nan"],
     ["select", "--measure", "0.9", "--window", "8", "--trials", "3", "--threshold", "nan"],
     ["construct", "--bands", "[[0.1, NaN]]", "--window", "50"],
+    ["construct", "--measure", "1e-7", "--window", "50"],
+    ["partition", "--dim", "99999999999"],
 ])
 def test_bad_numbers_exit_1(capsys, argv):
     assert main(argv) == 1

@@ -218,29 +218,20 @@ def test_certify_rejects_non_finite_threshold(threshold):
         certify(list(range(50)), HALF, threshold=threshold, schedule=(16,))
 
 
-def test_certify_random_subset_cross_check():
-    s = normalize_bands([(0.0, 0.45)], unit="2pi")
-    from rieszforge import construct_riesz_set
-    _, pts = construct_riesz_set(s, (-300, 300))
-    c1 = certify(pts, s, threshold=1e-3 * TWO_PI, schedule=(16, 32),
-                 random_subsets=5, seed=11)
-    c2 = certify(pts, s, threshold=1e-3 * TWO_PI, schedule=(16, 32),
-                 random_subsets=5, seed=11)
-    assert c1.cross_check_lambda_min is not None
-    assert c1.cross_check_lambda_min == c2.cross_check_lambda_min
-    assert "cross_check_lambda_min" in c1.to_json()
-
-
 def test_certificate_serialization():
     pts = list(range(0, 120, 3))
     cert = certify(pts, HALF, threshold=0.1, schedule=(16, 32), source="test")
     obj = cert.to_json()
-    for key in ("source", "S", "schedule", "lambda_min", "lambda_max",
-                "lambda_min_normalized", "verdict", "threshold", "final_drop",
-                "refute_floor", "note"):
-        assert key in obj, key
+    assert set(obj) == {
+        "source", "S", "normalized", "schedule", "lambda_min", "lambda_max",
+        "lambda_min_normalized", "lambda_max_normalized", "verdict", "threshold",
+        "drop_ratio", "refute_floor", "final_drop", "eig_tol", "note"}
+    assert obj["normalized"] is False
+    assert obj["refute_floor"] == 1e-6 * TWO_PI
+    assert obj["note"].startswith("finite sections bound")
     assert obj["schedule"] == [16, 32]
-    assert obj["lambda_min_normalized"][0] == pytest.approx(obj["lambda_min"][0] / TWO_PI)
+    assert obj["lambda_min_normalized"] == [v / TWO_PI for v in obj["lambda_min"]]
+    assert obj["lambda_max_normalized"] == [v / TWO_PI for v in obj["lambda_max"]]
     csv = cert.csv_text()
     lines = csv.strip().split("\n")
     assert lines[0] == "window,lambda_min,lambda_max"

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from rieszforge import QuadNum, frac_mod1, quad_sign
+from rieszforge import QuadNum, quad_sign
 
 
 def decimal_value(x: QuadNum, prec: int = 100) -> Decimal:
@@ -114,18 +114,18 @@ def test_floor_against_decimal_oracle_large(monkeypatch):
 
 def test_frac_mod1():
     x = QuadNum(0, 1, 2)  # sqrt(2)
-    f = frac_mod1(x)
+    f = x.frac_mod1()
     assert f.p == -1 and f.q == 1
     assert 0 <= float(f) < 1
     # frac(14 * (6-sqrt(6))/12) = (36 - 14*sqrt(6))/12 ~ 0.142262
     alpha = QuadNum(Fraction(1, 2), Fraction(-1, 12), 6)
     y = alpha * 14
     assert math.floor(y) == 4
-    f = frac_mod1(y)
+    f = y.frac_mod1()
     assert f.p == Fraction(3) and f.q == Fraction(-14, 12)
     assert abs(float(f) - 0.142261967) < 1e-7
     # whole numbers have zero fractional part
-    assert frac_mod1(QuadNum(5, 0, 2)) == QuadNum(0, 0, 2)
+    assert QuadNum(5, 0, 2).frac_mod1() == QuadNum(0, 0, 2)
 
 
 def test_field_axioms_random():
