@@ -25,6 +25,7 @@ from .frames import BlockSystem, SelectorConfig, VectorSystem, exponential_syste
     predicted_bessel_bound, select_bessel, select_riesz, select_tight
 from .lattice import BoxSet, LatticeWindow, covering_radius, cube_partition, \
     cycling_partition, section_report
+from .quadfield import integers
 from .torus import TWO_PI, MultibandSet, normalize_bands
 
 SCHEMA = "riesz-forge/1"
@@ -83,25 +84,7 @@ def _load_spectrum(spec: argparse.Namespace, required: bool = True) -> Multiband
         if not 0.0 < spec.measure <= 1.0:
             raise ValueError("--measure is a fraction of 2*pi in (0, 1]")
         return normalize_bands([[0.0, spec.measure]], unit="2pi")
-    raw = _read_json(spec.bands, spec.bands_file)
-    # a bare list of pairs is read in fractions of 2*pi
-    return MultibandSet.from_json(raw if isinstance(raw, dict) else {"bands_2pi": raw})
-
-
-def _integers(values, what: str) -> tuple[int, ...]:
-    """A JSON list of numbers as ints; a fractional or non-finite value is an error."""
-    if not isinstance(values, list):
-        raise ValueError(f"{what} must be a list of integers, got {values!r}")
-    out = []
-    for x in values:
-        try:
-            n = int(x)
-        except (TypeError, ValueError, OverflowError):
-            n = None
-        if n is None or n != x or isinstance(x, bool):
-            raise ValueError(f"{what} must be integers, got {x!r}")
-        out.append(n)
-    return tuple(out)
+    return MultibandSet.from_json(_read_json(spec.bands, spec.bands_file))
 
 
 def _check_window(count: int) -> None:
@@ -128,9 +111,8 @@ def _load_points(spec: argparse.Namespace) -> qc.PointSet | None:
     if isinstance(raw, dict):
         if not {"elements", "window"} <= raw.keys():
             raise ValueError(f"a points object needs 'elements' and 'window', got {sorted(raw)}")
-        return qc.PointSet(elements=_integers(raw["elements"], "points"),
-                           window=_integers(raw["window"], "window"))
-    elems = tuple(sorted(_integers(raw, "points")))
+        return qc.PointSet.from_json(raw)
+    elems = tuple(sorted(integers(raw, "points")))
     if not elems:
         raise ValueError("empty point list")
     return qc.PointSet(elements=elems, window=(elems[0], elems[-1]))
@@ -156,9 +138,8 @@ def cmd_construct(spec: argparse.Namespace) -> int:
     params, points = qc.construct_riesz_set(spectrum, _symmetric_window(spec.window),
                                             mode=spec.mode)
     stats = qc.gap_stats(points)
-    r_window = min(1000, points.span)
-    dens = qc.density_stats(points, r_window)
-    landau_ok = qc.landau_check(points, spectrum, window_r=r_window)
+    dens = qc.density_stats(points)
+    landau_ok = qc.landau_check(points, spectrum)
     payload = {
         "spectrum": spectrum.to_json(),
         "params": params.to_json(),
@@ -308,8 +289,7 @@ def cmd_partition(spec: argparse.Namespace) -> int:
     }
 
     if spec.boxes is not None:
-        raw = json.loads(spec.boxes)
-        box_set = BoxSet.from_json(raw if isinstance(raw, dict) else {"boxes_2pi": raw})
+        box_set = BoxSet.from_json(json.loads(spec.boxes))
         if box_set.dim != d:
             raise ValueError(f"--boxes dimension {box_set.dim} != --dim {d}")
         _check_gram_size(len(selector))
@@ -332,18 +312,16 @@ def cmd_density(spec: argparse.Namespace) -> int:
                              "or a spectrum to construct from")
         constructed, points = qc.construct_riesz_set(spectrum, _symmetric_window(spec.window),
                                                      mode=spec.mode)
-    r_window = min(1000, points.span)
     payload = {
         "points": {"count": len(points), "window": list(points.window)},
         "gap_stats": qc.gap_stats(points).to_json(),
-        "density": qc.density_stats(points, r_window).to_json(),
+        "density": qc.density_stats(points).to_json(),
     }
     if constructed is not None:
         payload["params"] = constructed.to_json()
     if spectrum is not None:
         payload["spectrum"] = spectrum.to_json()
-        payload["landau"] = "pass" if qc.landau_check(points, spectrum,
-                                                     window_r=r_window) else "fail"
+        payload["landau"] = "pass" if qc.landau_check(points, spectrum) else "fail"
         if spec.step is not None and len(spectrum.arcs) == 1:
             payload["kahane"] = qc.kahane_classify(spec.step, spectrum)
     _emit("density", payload, spec.out)

@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .gram import build_gram, dual_system, extreme_eigs
+from .quadfield import integers
 
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
@@ -53,7 +54,7 @@ class VectorSystem:
         if m.ndim != 2:
             raise ValueError(f"matrix must be 2-D, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
-        labels = tuple(int(x) for x in self.labels)
+        labels = integers(self.labels, "labels")
         if len(labels) != m.shape[1]:
             raise ValueError(f"{len(labels)} labels for {m.shape[1]} columns")
         if len(set(labels)) != len(labels):
@@ -79,12 +80,12 @@ class VectorSystem:
 
     def subsystem(self, labels) -> "VectorSystem":
         index = {lab: i for i, lab in enumerate(self.labels)}
+        labels = integers(labels, "labels")
         try:
-            cols = [index[int(lab)] for lab in labels]
+            cols = [index[lab] for lab in labels]
         except KeyError as exc:
             raise ValueError(f"unknown label {exc.args[0]}") from None
-        return VectorSystem(matrix=self.matrix[:, cols],
-                            labels=tuple(int(lab) for lab in labels))
+        return VectorSystem(matrix=self.matrix[:, cols], labels=labels)
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ class BlockSystem:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        blocks = tuple(tuple(int(x) for x in b) for b in self.blocks)
+        blocks = tuple(integers(b, "block labels") for b in self.blocks)
         if not blocks:
             raise ValueError("need at least one block")
         seen: set[int] = set()
@@ -118,7 +119,7 @@ class BlockSystem:
         """Chunk sorted labels into consecutive blocks of size r (tail dropped)."""
         if r < 1:
             raise ValueError("block size must be positive")
-        ordered = sorted(int(x) for x in labels)
+        ordered = sorted(integers(labels, "labels"))
         full = len(ordered) // r
         if full == 0:
             raise ValueError(f"{len(ordered)} labels cannot fill a block of size {r}")
@@ -192,12 +193,12 @@ def exponential_system(points, spectrum, normalized: bool = True) -> VectorSyste
     resulting columns reproduce all inner products, which is all the frame
     algorithms consume.  Labels are the frequencies themselves.
     """
-    pts = [int(p) for p in points]
+    pts = integers(points, "points")
     g = build_gram(pts, spectrum, normalized=normalized)
     w, u = np.linalg.eigh(g)
     w = np.clip(w, 0.0, None)
     v = np.sqrt(w)[:, None] * u.conj().T
-    return VectorSystem(matrix=v, labels=tuple(pts))
+    return VectorSystem(matrix=v, labels=pts)
 
 
 def complete_to_parseval_small(system: VectorSystem, delta: float,
@@ -333,8 +334,7 @@ def _prepare(system: VectorSystem, blocks,
              target: float) -> tuple[np.ndarray, dict, BlockSystem]:
     if not math.isfinite(target):
         raise ValueError(f"selection target must be finite, got {target}")
-    bs = blocks if isinstance(blocks, BlockSystem) else \
-        BlockSystem(blocks=tuple(tuple(b) for b in blocks))
+    bs = blocks if isinstance(blocks, BlockSystem) else BlockSystem(blocks=tuple(blocks))
     label_pos = {lab: i for i, lab in enumerate(system.labels)}
     missing = [lab for b in bs.blocks for lab in b if lab not in label_pos]
     if missing:
@@ -388,7 +388,7 @@ def select_tight(system: VectorSystem, blocks, eps: float,
     if float(np.abs(np.real(np.diag(gram)) - 1.0).max()) > 1e-8:
         raise ValueError("tight selection expects unit-norm vectors")
 
-    quarter_blocks = tuple(tuple(int(x) for x in part) for b in bs.blocks
+    quarter_blocks = tuple(tuple(part.tolist()) for b in bs.blocks
                            for part in np.array_split(np.asarray(b), 4))
     s1_labels, _, _, t1, _ = _search(gram, label_pos, quarter_blocks, config,
                                      "riesz", config.eps0, stage=1)
@@ -423,7 +423,7 @@ def stabilize(selectors) -> tuple[int, tuple[int, ...]]:
     the longest prefix pinned this way.  This is the finitary shadow of the
     diagonal/pigeonhole argument producing a selector of the whole family.
     """
-    sels = [tuple(int(x) for x in s) for s in selectors]
+    sels = [integers(s, "selector picks") for s in selectors]
     if not sels:
         raise ValueError("need at least one selector")
     for t, s in enumerate(sels):

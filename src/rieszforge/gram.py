@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quadfield import integers
 from .torus import MultibandSet
 
 __all__ = [
@@ -78,17 +79,15 @@ def build_gram(points, spectrum, normalized: bool = False) -> np.ndarray:
     key differences do not fit in 64-bit integers.
     """
     points = list(points)
+    if not points:
+        raise ValueError("empty point set")
+    vector = np.ndim(points[0]) > 0
+    points = [integers(p, "point coordinates") for p in points] if vector \
+        else integers(points, "points")
     try:
-        arr = np.asarray(points, dtype=np.int64)
+        arr = np.array(points, dtype=np.int64)
     except OverflowError:
         raise ValueError("points do not fit in 64-bit integers") from None
-    if not np.array_equal(arr, points):
-        raise ValueError("points must be integers")
-    if arr.size == 0:
-        raise ValueError("empty point set")
-    if arr.ndim not in (1, 2):
-        raise ValueError("points must be integers or equal-length integer tuples")
-    vector = arr.ndim == 2
     arr = arr.reshape(len(arr), -1)
     lo = arr.min(axis=0)
     # spans, radices and strides in Python ints, so the range check cannot wrap
@@ -226,14 +225,14 @@ def certify(points, spectrum, threshold: float,
     """
     if not (math.isfinite(threshold) and threshold > 0):
         raise ValueError(f"threshold must be positive and finite, got {threshold}")
-    schedule = tuple(int(n) for n in schedule)
+    schedule = integers(schedule, "schedule")
     if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])) or schedule[0] < 1:
         raise ValueError(f"schedule must be strictly increasing and positive, got {schedule}")
     if not 0.0 <= drop_ratio < 1.0:
         raise ValueError("drop_ratio must be in [0, 1)")
     refute_floor = 1e-6 * spectrum.total_volume
 
-    elems = [int(x) for x in points]
+    elems = integers(points, "points")
     if len(set(elems)) != len(elems):
         raise ValueError("duplicate elements")
     if schedule[-1] > len(elems):

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quadfield import integers
 from .quasicrystal import GapStats, gap_stats
-from .torus import TWO_PI, interval_coefficient
+from .torus import TWO_PI, interval_coefficient, unit_keyed
 
 __all__ = [
     "LatticeWindow",
@@ -43,8 +44,8 @@ class LatticeWindow:
     hi: tuple[int, ...]
 
     def __post_init__(self):
-        lo = tuple(int(x) for x in self.lo)
-        hi = tuple(int(x) for x in self.hi)
+        lo = integers(self.lo, "window lo")
+        hi = integers(self.hi, "window hi")
         if len(lo) != len(hi) or not lo:
             raise ValueError("lo and hi must be non-empty and of equal length")
         if any(a > b for a, b in zip(lo, hi)):
@@ -248,19 +249,16 @@ class BoxSet:
         return TWO_PI ** self.dim
 
     def fourier_coefficient(self, m) -> complex:
-        return indicator_fourier_d(self, tuple(m))
+        return indicator_fourier_d(self, m)
 
     def to_json(self) -> dict:
         return {"boxes_rad": [[[lo, hi] for lo, hi in box] for box in self.boxes]}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "BoxSet":
-        if "boxes_rad" in obj:
-            scale, raw = 1.0, obj["boxes_rad"]
-        elif "boxes_2pi" in obj:
-            scale, raw = TWO_PI, obj["boxes_2pi"]
-        else:
-            raise ValueError(f"expected 'boxes_rad' or 'boxes_2pi' key, got {sorted(obj)}")
+    def from_json(cls, obj) -> "BoxSet":
+        """Parse {"boxes_rad": ...}, {"boxes_2pi": ...} or a bare list of boxes."""
+        unit, raw = unit_keyed(obj, "boxes")
+        scale = TWO_PI if unit == "2pi" else 1.0
         try:
             boxes = tuple(tuple((lo * scale, hi * scale) for lo, hi in box) for box in raw)
         except (TypeError, ValueError, OverflowError):
@@ -274,12 +272,13 @@ def indicator_fourier_d(s: BoxSet, m: tuple[int, ...]) -> complex:
     Separable per box: the product of one-dimensional interval coefficients,
     each conjugate-symmetric bit-for-bit, so c(-m) == conj(c(m)) is exact.
     """
+    m = integers(m, "frequency vector")
     if len(m) != s.dim:
         raise ValueError(f"frequency vector of length {len(m)} for a {s.dim}-D set")
     total = 0j
     for box in s.boxes:
         term = complex(1.0)
         for (lo, hi), mi in zip(box, m):
-            term *= interval_coefficient(lo, hi, int(mi))
+            term *= interval_coefficient(lo, hi, mi)
         total += term
     return total

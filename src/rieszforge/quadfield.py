@@ -18,6 +18,27 @@ __all__ = ["QuadNum", "quad_sign"]
 _RationalLike = (int, Fraction)
 
 
+# not in __all__, whose functions perfbench's tracer wraps: every boundary calls it
+def integers(values, what: str) -> tuple[int, ...]:
+    """`values` as Python ints.  Any integral number is accepted (int, numpy
+    integer, integral float or Fraction); a bool or a fractional, non-finite
+    or non-numeric value raises ValueError naming `what` and the value."""
+    if not hasattr(values, "__iter__"):
+        raise ValueError(f"{what} must be a list of integers, got {values!r}")
+    out = []
+    for x in values:
+        if type(x) is not int:
+            try:
+                n = int(x)
+            except (TypeError, ValueError, OverflowError):
+                n = None
+            if n is None or n != x or type(x).__name__ == "bool":  # also numpy.bool
+                raise ValueError(f"{what} must be integers, got {x!r}")
+            x = n
+        out.append(x)
+    return tuple(out)
+
+
 def _is_square_free(d: int) -> bool:
     k = 2
     while k * k <= d:
@@ -79,7 +100,7 @@ class QuadNum:
     def from_json(cls, obj: dict) -> "QuadNum":
         """Parse {"p": "num/den", "q": "num/den", "D": int}."""
         try:
-            return cls(Fraction(obj["p"]), Fraction(obj["q"]), int(obj["D"]))
+            return cls(Fraction(obj["p"]), Fraction(obj["q"]), *integers([obj["D"]], "D"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad quadratic-number JSON {obj!r}: {exc}") from None
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .quadfield import QuadNum, quad_sign
+from .quadfield import QuadNum, integers, quad_sign
 from .torus import TWO_PI, MultibandSet
 
 __all__ = [
@@ -108,14 +108,18 @@ class PointSet:
     window: tuple[int, int]
 
     def __post_init__(self):
-        n0, n1 = self.window
+        n0, n1 = window = integers(self.window, "window")
         if n0 > n1:
-            raise ValueError(f"window {self.window} is reversed")
-        prev = None
+            raise ValueError(f"window {window} is reversed")
+        object.__setattr__(self, "window", window)
+        prev = n0 - 1
         for x in self.elements:
+            if type(x) is not int:  # convert every element once, then check the ints
+                object.__setattr__(self, "elements", integers(self.elements, "points"))
+                return self.__post_init__()
             if not n0 <= x <= n1:
-                raise ValueError(f"element {x} outside window {self.window}")
-            if prev is not None and x <= prev:
+                raise ValueError(f"element {x} outside window {window}")
+            if x <= prev:
                 raise ValueError("elements must be strictly increasing")
             prev = x
 
@@ -143,7 +147,7 @@ class PointSet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PointSet":
-        return cls(elements=tuple(obj["elements"]), window=tuple(obj["window"]))
+        return cls(elements=integers(obj["elements"], "points"), window=obj["window"])
 
 
 @dataclass(frozen=True)
@@ -224,9 +228,7 @@ def generate(alpha: QuadNum, interval: UnitInterval, window: tuple[int, int]) ->
         raise ValueError("alpha must be an irrational QuadNum")
     if alpha.sign() <= 0 or (alpha - 1).sign() >= 0:
         raise ValueError("alpha must satisfy 0 < alpha < 1")
-    n0, n1 = _window_ends(window)
-    if n0 > n1:
-        raise ValueError(f"window {window} is reversed")
+    n0, n1 = integers(window, "window ends")  # PointSet below rejects n0 > n1
 
     d = alpha.D
     lp, lq = _aligned_pair(interval.lo, d, "interval.lo")
@@ -258,16 +260,6 @@ def generate(alpha: QuadNum, interval: UnitInterval, window: tuple[int, int]) ->
             quad_sign(x.p - hp, x.q - hq, d) < 0
     elements = tuple(n0 + i for i in np.flatnonzero(member).tolist())
     return PointSet(elements=elements, window=(n0, n1))
-
-
-def _window_ends(window) -> tuple[int, int]:
-    try:
-        n0, n1 = (int(x) for x in window)
-    except OverflowError:
-        raise ValueError(f"window {window} has a non-finite end") from None
-    if (n0, n1) != tuple(window):
-        raise ValueError(f"window {window} must have integer ends")
-    return n0, n1
 
 
 def _float_with_error(p: Fraction, q: Fraction, d: int) -> tuple[float, float]:
@@ -396,8 +388,11 @@ def gap_stats(points) -> GapStats:
     return GapStats(gaps=gaps, gamma=max(gaps), min_gap=min(gaps))
 
 
-def density_stats(points: PointSet, window_r: int) -> DensityStats:
-    """Extreme densities over all length-window_r sub-windows, plus the global rate."""
+def density_stats(points: PointSet, window_r: int | None = None) -> DensityStats:
+    """Extreme densities over all length-window_r sub-windows, plus the global
+    rate; window_r defaults to min(1000, points.span)."""
+    if window_r is None:
+        window_r = min(1000, points.span)
     n0, n1 = points.window
     span = n1 - n0 + 1
     if not 1 <= window_r <= span:
@@ -418,8 +413,6 @@ def density_stats(points: PointSet, window_r: int) -> DensityStats:
 def landau_check(points: PointSet, spectrum: MultibandSet,
                  window_r: int | None = None, tol: float = 0.02) -> bool:
     """Necessary-condition check: sliding upper density <= |S|/2pi + tol."""
-    if window_r is None:
-        window_r = min(1000, points.span)
     stats = density_stats(points, window_r)
     return stats.upper <= spectrum.fraction_of_torus + tol
 

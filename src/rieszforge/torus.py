@@ -75,13 +75,21 @@ class MultibandSet:
         return {"bands_rad": [[a.start, a.end] for a in self.arcs]}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "MultibandSet":
-        """Parse {"bands_rad": [[a,b],...]} or {"bands_2pi": [[a,b],...]}."""
-        if "bands_rad" in obj:
-            return normalize_bands(obj["bands_rad"], unit="rad")
-        if "bands_2pi" in obj:
-            return normalize_bands(obj["bands_2pi"], unit="2pi")
-        raise ValueError(f"expected 'bands_rad' or 'bands_2pi' key, got {sorted(obj)}")
+    def from_json(cls, obj) -> "MultibandSet":
+        """Parse {"bands_rad": [[a,b],...]}, {"bands_2pi": ...} or a bare pair list."""
+        unit, bands = unit_keyed(obj, "bands")
+        return normalize_bands(bands, unit=unit)
+
+
+def unit_keyed(obj, stem: str) -> tuple[str, object]:
+    """(unit, value) of spectrum JSON: an object carries exactly one of
+    `<stem>_rad` and `<stem>_2pi`; a bare value is in fractions of 2*pi ("2pi")."""
+    if not isinstance(obj, dict):
+        return "2pi", obj
+    given = [unit for unit in ("rad", "2pi") if f"{stem}_{unit}" in obj]
+    if len(given) != 1:
+        raise ValueError(f"expected exactly one of '{stem}_rad' / '{stem}_2pi', got {sorted(obj)}")
+    return given[0], obj[f"{stem}_{given[0]}"]
 
 
 def normalize_bands(bands, unit: str = "rad") -> MultibandSet:

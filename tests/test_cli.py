@@ -206,8 +206,13 @@ def test_gram_size_guard_admits_the_limit(monkeypatch, argv):
     ["partition", "--boxes", '[[[0, "nan"], [0, 0.5]]]'],
     ["partition", "--boxes", '{"boxes_2pi": 5}'],
     ["partition", "--boxes", "[[0, 1]]"],
+    ["construct", "--bands", '{"bands_2pi": [[0, 0.3]], "bands_rad": [[0, 1]]}',
+     "--window", "50"],
+    ["partition", "--boxes",
+     '{"boxes_2pi": [[[0, 0.5], [0, 0.5]]], "boxes_rad": [[[0, 1], [0, 1]]]}'],
 ], ids=["points-no-window", "points-number", "points-null", "bands-flat",
-        "boxes-nan-string", "boxes-number", "boxes-flat"])
+        "boxes-nan-string", "boxes-number", "boxes-flat", "bands-both-units",
+        "boxes-both-units"])
 def test_malformed_json_exits_1(capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()

@@ -1,6 +1,7 @@
 """Gram matrices of exponential systems and finite-section certificates."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -133,10 +134,17 @@ def test_gram_rejects_non_integer_points():
         build_gram([(0, 0), (1, 0.5)], BoxSet(boxes=(((0.0, 1.0), (0.0, 1.0)),)))
     with pytest.raises(ValueError):
         build_gram([0, float("nan")], HALF)
+    with pytest.raises(ValueError, match="True"):
+        build_gram([0, True], HALF)
     # integral values of any numeric type keep working
     want = build_gram([0, 1, 5], HALF)
     assert np.array_equal(build_gram([0.0, 1.0, 5.0], HALF), want)
     assert np.array_equal(build_gram(np.array([0, 1, 5]), HALF), want)
+    assert np.array_equal(build_gram([np.int64(0), Fraction(1), 5], HALF), want)
+    box = BoxSet(boxes=(((0.0, 1.0), (0.0, 1.0)),))
+    want = build_gram([(0, 0), (1, 2)], box)
+    assert np.array_equal(build_gram([(0.0, np.int64(0)), (Fraction(1), 2.0)], box), want)
+    assert np.array_equal(build_gram(np.array([[0, 0], [1, 2]]), box), want)
 
 
 def test_interlacing_on_nested_sections():

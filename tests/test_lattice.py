@@ -279,3 +279,7 @@ def test_box_json_round_trip():
     assert scaled.measure == pytest.approx(math.pi * math.pi / 2)
     with pytest.raises(ValueError):
         BoxSet.from_json({"nope": []})
+    # a bare box list is in fractions of 2*pi; an object names exactly one unit
+    assert BoxSet.from_json([[[0.0, 0.5], [0.0, 0.25]]]) == scaled
+    with pytest.raises(ValueError, match="exactly one of 'boxes_rad' / 'boxes_2pi'"):
+        BoxSet.from_json({"boxes_2pi": [[[0.0, 0.5]]], "boxes_rad": [[[0.0, 1.0]]]})

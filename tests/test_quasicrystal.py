@@ -148,7 +148,7 @@ def test_gap_law_wide_window():
 
 def test_generate_window_ends_must_be_integers():
     interval = UnitInterval(0, SQRT6_OVER6)
-    for window in [(0.5, 10.7), (0, 10.5), (float("nan"), 10), (0, float("inf"))]:
+    for window in [(0.5, 10.7), (0, 10.5), (float("nan"), 10), (0, float("inf")), (True, 10)]:
         with pytest.raises(ValueError):
             generate(ALPHA6, interval, window)
     # integral values of any numeric type keep working
@@ -156,6 +156,8 @@ def test_generate_window_ends_must_be_integers():
     assert generate(ALPHA6, interval, (0.0, 18.0)) == want
     assert generate(ALPHA6, interval, (np.int64(0), np.int64(18))) == want
     assert generate(ALPHA6, interval, (Fraction(0), Fraction(18))) == want
+    assert generate(ALPHA6, interval, [np.float64(0), 18]) == want
+    assert all(type(n) is int for n in (*want.elements, *want.window))
 
 
 def test_generate_regression_vector():
@@ -294,6 +296,13 @@ def test_density_stats_progression():
         density_stats(ps, 0)
     with pytest.raises(ValueError):
         density_stats(ps, 1000)
+
+
+def test_density_window_defaults_to_min_1000_span():
+    short = PointSet(elements=tuple(range(0, 300, 3)), window=(0, 299))
+    long = PointSet(elements=tuple(range(0, 3000, 3)), window=(0, 2999))
+    assert density_stats(short) == density_stats(short, 300)
+    assert density_stats(long) == density_stats(long, 1000)
 
 
 def test_landau_check():

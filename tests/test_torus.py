@@ -137,6 +137,10 @@ def test_json_round_trip():
     assert t.measure == pytest.approx(math.pi / 2)
     with pytest.raises(ValueError):
         MultibandSet.from_json({"wrong": []})
+    # a bare pair list is in fractions of 2*pi; an object names exactly one unit
+    assert MultibandSet.from_json([[0.0, 0.25]]) == t
+    with pytest.raises(ValueError, match="exactly one of 'bands_rad' / 'bands_2pi'"):
+        MultibandSet.from_json({"bands_2pi": [[0.0, 0.3]], "bands_rad": [[0.0, 1.0]]})
 
 
 def test_translate_wraps():
