@@ -12,7 +12,7 @@ import rieszforge as rf
 
 def main():
     s = rf.normalize_bands([(0.0, 0.9)], unit="2pi")
-    system = rf.exponential_system(range(64), s, normalized=True)
+    system = rf.exponential_system(range(64), s)
     blocks = rf.BlockSystem.intervals(range(64), 2)
     config = rf.SelectorConfig(master_seed=0, max_trials=10000)
 
@@ -30,7 +30,7 @@ def main():
 
     # two-sided selection needs unit vectors; the full circle provides them
     full = rf.normalize_bands([(0.0, 1.0)], unit="2pi")
-    ortho = rf.exponential_system(range(32), full, normalized=True)
+    ortho = rf.exponential_system(range(32), full)
     tight = rf.select_tight(ortho, rf.BlockSystem.intervals(range(32), 8), 0.25)
     print(f"\nselect_tight on an orthonormal system: met={tight.met}, "
           f"spectrum in [{tight.lambda_min:.3f}, {tight.lambda_max:.3f}]")

@@ -192,7 +192,7 @@ def cmd_select(spec: argparse.Namespace) -> int:
         raise ValueError("--window must be at least --r")
     _check_gram_size(n)
     labels = range(n)
-    system = exponential_system(labels, spectrum, normalized=True)
+    system = exponential_system(labels, spectrum)
     blocks = BlockSystem.intervals(labels, spec.r)
     config = SelectorConfig(master_seed=spec.seed, max_trials=spec.trials)
     delta = spectrum.fraction_of_torus

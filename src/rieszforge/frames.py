@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .gram import build_gram, dual_system, extreme_eigs
+from .gram import build_gram, dual_system
 from .quadfield import integers
 
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
@@ -130,7 +131,7 @@ class BlockSystem:
 class SelectorConfig:
     """Knobs for the randomized search plus the theory-side reference constants.
 
-    delta0 parameterizes the pair-selection bound: eps0 = 1/2 -
+    delta0 = 0.1 fixes the pair-selection bound: eps0 = 1/2 -
     sqrt(2*delta0*(1-2*delta0)) and C = 9*((1-delta0)/delta0)^2 give the
     predicted block size 2*ceil(C/eps) for a lower Riesz bound of eps*eps0
     (r = 2 suffices when eps > 3/4).  These constants come from an existence
@@ -138,13 +139,11 @@ class SelectorConfig:
     asserted.
     """
 
-    delta0: float = 0.1
+    delta0: ClassVar[float] = 0.1
     master_seed: int = 0
     max_trials: int = 10000
 
     def __post_init__(self):
-        if not 0.0 < self.delta0 < 0.25:
-            raise ValueError("delta0 must be in (0, 1/4)")
         if self.max_trials < 1:
             raise ValueError("max_trials must be positive")
 
@@ -163,10 +162,11 @@ class SelectorConfig:
             return 2
         return 2 * math.ceil(self.big_constant / eps)
 
-    def predicted_tight_block_size(self, eps: float, bessel_bound: float = 1.0) -> int:
+    def predicted_tight_block_size(self, eps: float) -> int:
+        """ceil(C/eps^4), the block size for Bessel bound 1."""
         if eps <= 0:
             raise ValueError("eps must be positive")
-        return math.ceil(self.big_constant * bessel_bound / eps**4)
+        return math.ceil(self.big_constant / eps**4)
 
 
 @dataclass(frozen=True)
@@ -186,33 +186,33 @@ class SelectorResult:
         return {**asdict(self), "labels": list(self.labels)}
 
 
-def exponential_system(points, spectrum, normalized: bool = True) -> VectorSystem:
+def exponential_system(points, spectrum) -> VectorSystem:
     """Concrete coordinates for exponentials restricted to a spectrum.
 
-    Factors the (normalized) Gram as V^H V via an eigendecomposition; the
+    Factors the normalized Gram as V^H V via an eigendecomposition; the
     resulting columns reproduce all inner products, which is all the frame
     algorithms consume.  Labels are the frequencies themselves.
     """
     pts = integers(points, "points")
-    g = build_gram(pts, spectrum, normalized=normalized)
+    g = build_gram(pts, spectrum, normalized=True)
     w, u = np.linalg.eigh(g)
     w = np.clip(w, 0.0, None)
     v = np.sqrt(w)[:, None] * u.conj().T
     return VectorSystem(matrix=v, labels=pts)
 
 
-def complete_to_parseval_small(system: VectorSystem, delta: float,
-                               tol: float = 1e-10) -> VectorSystem:
+def complete_to_parseval_small(system: VectorSystem, delta: float) -> VectorSystem:
     """Vectors of squared norm <= delta completing `system` to a Parseval frame.
 
-    Requires Bessel bound 1 and all input squared norms <= delta.  For each
-    nonzero eigenvalue lam of the frame operator, adds m copies of
-    sqrt((1-lam)/m) times the eigenvector, with m the smallest integer making
-    (1 - lam_min_nonzero)/m < delta.  Returns only the added vectors (possibly
-    none), labeled 0..K-1.
+    Requires Bessel bound 1 (to 1e-10, which also decides which deficits are
+    zero) and all input squared norms <= delta.  For each nonzero eigenvalue
+    lam of the frame operator, adds m copies of sqrt((1-lam)/m) times the
+    eigenvector, with m the smallest integer making (1 - lam_min_nonzero)/m <
+    delta.  Returns only the added vectors (possibly none), labeled 0..K-1.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
+    tol = 1e-10
     norms = system.norms_squared()
     if norms.size and float(norms.max()) > delta + 1e-12:
         raise ValueError(f"a vector has squared norm {norms.max():.6f} > delta={delta}")
@@ -239,17 +239,18 @@ def complete_to_parseval_small(system: VectorSystem, delta: float,
     return VectorSystem(matrix=added, labels=tuple(range(added.shape[1])))
 
 
-def naimark_complement(system: VectorSystem, tol: float = 1e-8) -> VectorSystem:
+def naimark_complement(system: VectorSystem) -> VectorSystem:
     """A Parseval frame G with Gram(F) + Gram(G) = I, for Parseval F.
 
     Computed from an orthonormal basis of the null space of the synthesis
     matrix, so it is one representative of the unitary equivalence class.
-    Labels carry over.  The complement lives in dimension count - rank (an
-    orthonormal-basis input yields an empty, zero-dimensional complement).
+    Labels carry over; the input's Gram must be idempotent to 1e-8.  The
+    complement lives in dimension count - rank (an orthonormal-basis input
+    yields an empty, zero-dimensional complement).
     """
     g = system.gram()
     resid = float(np.abs(g @ g - g).max()) if g.size else 0.0
-    if resid > tol:
+    if resid > 1e-8:
         raise ValueError(f"Gram is not idempotent (residual {resid:.3e}); "
                          "input must be a Parseval frame for its span")
     _, s, vh = np.linalg.svd(system.matrix, full_matrices=True)

@@ -31,6 +31,7 @@ __all__ = [
 DEFAULT_SCHEDULE = (16, 32, 64, 128, 256)
 DEFAULT_DROP_RATIO = 0.05
 _CHECK_BLOCK = 64  # rows per block of the Hermiticity check
+_HERMITIAN_TOL = 1e-12  # Hermiticity residual allowed, relative to the largest entry
 
 FINITE_SECTION_NOTE = (
     "finite sections bound the infinite system's lower Riesz constant from "
@@ -116,7 +117,7 @@ def build_gram(points, spectrum, normalized: bool = False) -> np.ndarray:
     return vals[idx]
 
 
-def _check_hermitian(h: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _check_hermitian(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
@@ -126,23 +127,23 @@ def _check_hermitian(h: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         rows = h[i:i + _CHECK_BLOCK]
         scale = max(scale, float(np.abs(rows).max()))
         resid = max(resid, float(np.abs(rows - h[:, i:i + _CHECK_BLOCK].conj().T).max()))
-    if resid > tol * scale:
+    if resid > _HERMITIAN_TOL * scale:
         raise ValueError(f"matrix is not Hermitian: residual {resid:.3e}")
     return h
 
 
-def extreme_eigs(h: np.ndarray, tol: float = 1e-12) -> BoundsEstimate:
+def extreme_eigs(h: np.ndarray) -> BoundsEstimate:
     """Smallest and largest eigenvalue of a Hermitian matrix.
 
-    Raises if the input fails the Hermiticity residual check at `tol`
+    Raises if the input fails the Hermiticity residual check at 1e-12
     (relative to the largest entry).  The reported tol field estimates the
-    eigensolver's achieved accuracy, n*eps*max|lambda|.
+    eigensolver's achieved accuracy, n*eps*max|lambda|, and is at least 1e-12.
     """
-    h = _check_hermitian(h, tol)
+    h = _check_hermitian(h)
     w = np.linalg.eigvalsh(h)
     achieved = len(w) * np.finfo(float).eps * max(abs(w[0]), abs(w[-1]), 1.0)
     return BoundsEstimate(lambda_min=float(w[0]), lambda_max=float(w[-1]),
-                          tol=float(max(achieved, tol)))
+                          tol=float(max(achieved, _HERMITIAN_TOL)))
 
 
 def dual_system(h: np.ndarray) -> np.ndarray:

@@ -134,12 +134,8 @@ def cube_partition(d: int, s: int, window: LatticeWindow) -> tuple[Cube, ...]:
     return tuple(cubes)
 
 
-def covering_radius(points, window: LatticeWindow, margin: float = 0.0) -> float:
-    """Largest Euclidean distance from a window lattice point to `points`.
-
-    margin > 0 shrinks the window on every side before taking the supremum,
-    to ignore boundary effects of a finite sample of an infinite selector.
-    """
+def covering_radius(points, window: LatticeWindow) -> float:
+    """Largest Euclidean distance from a window lattice point to `points`."""
     pts = np.asarray(list(points), dtype=float)
     if pts.size == 0:
         raise ValueError("empty point set")
@@ -147,14 +143,7 @@ def covering_radius(points, window: LatticeWindow, margin: float = 0.0) -> float
         pts = pts[:, None]
     if pts.shape[1] != window.dim:
         raise ValueError(f"points of dimension {pts.shape[1]} in a {window.dim}-D window")
-    ranges = []
-    for a, b in zip(window.lo, window.hi):
-        lo = math.ceil(a + margin)
-        hi = math.floor(b - margin)
-        if lo > hi:
-            raise ValueError("margin leaves no lattice points in the window")
-        ranges.append(range(lo, hi + 1))
-    targets = np.array(list(itertools.product(*ranges)), dtype=float)
+    targets = np.array(list(window.points()), dtype=float)
     # imported here: scipy.spatial adds about 37 MB of resident memory and
     # 0.1 s of start-up that only this function needs
     from scipy.spatial import cKDTree

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .quadfield import QuadNum, integers, quad_sign
-from .torus import TWO_PI, MultibandSet
+from .torus import MultibandSet
 
 __all__ = [
     "UnitInterval",
@@ -74,30 +74,11 @@ class UnitInterval:
     def length(self) -> QuadNum:
         return self.hi - self.lo
 
-    def contains(self, x: QuadNum) -> bool:
-        return (x - self.lo).sign() >= 0 and (x - self.hi).sign() < 0
-
-    def is_full(self) -> bool:
-        return self.lo.sign() == 0 and (self.hi - 1).sign() == 0
-
-    def complement(self) -> "UnitInterval":
-        """Complement within [0, 1); defined when one endpoint is 0 or 1."""
-        if self.is_full():
-            raise ValueError("complement of [0, 1) is empty")
-        if self.lo.sign() == 0:
-            return UnitInterval(self.hi, 1)
-        if (self.hi - 1).sign() == 0:
-            return UnitInterval(0, self.lo)
-        raise ValueError("complement of an interior interval is not a single interval")
-
     def __eq__(self, other):
         return isinstance(other, UnitInterval) and self.lo == other.lo and self.hi == other.hi
 
     def __repr__(self):
         return f"UnitInterval({self.lo!r}, {self.hi!r})"
-
-    def to_json(self) -> dict:
-        return {"lo": self.lo.to_json(), "hi": self.hi.to_json()}
 
 
 @dataclass(frozen=True)
@@ -182,23 +163,16 @@ class DensityStats:
 class QCParams:
     """Parameters of a constructed quasicrystal.
 
-    interval is always the generating interval I = [0, a); the Riesz set is
-    generate(alpha, riesz_interval, window), which is I itself in small mode
-    and its complement [a, 1) in large mode.
+    The Riesz set is generate(alpha, riesz_interval, window), with
+    riesz_interval = [0, a) in small mode and [a, 1) in large mode.
     """
 
     mode: str
     n: int
     a: QuadNum
     alpha: QuadNum
-    interval: UnitInterval
+    riesz_interval: UnitInterval
     s_norm: float
-
-    @property
-    def riesz_interval(self) -> UnitInterval:
-        if self.mode == "small":
-            return self.interval
-        return self.interval.complement()
 
     def to_json(self) -> dict:
         return {
@@ -346,8 +320,8 @@ def choose_params(s_norm: float, mode: str = "auto") -> QCParams:
     if alpha.sign() <= 0 or (alpha - 1).sign() >= 0:
         raise RuntimeError("construction invariant 0 < alpha < 1 failed")
 
-    interval = UnitInterval(0, a)
-    return QCParams(mode=mode, n=n, a=a, alpha=alpha, interval=interval, s_norm=s_norm)
+    interval = UnitInterval(0, a) if mode == "small" else UnitInterval(a, 1)
+    return QCParams(mode=mode, n=n, a=a, alpha=alpha, riesz_interval=interval, s_norm=s_norm)
 
 
 def _pick_irrational(lower: Fraction, upper: Fraction) -> QuadNum:
@@ -388,15 +362,12 @@ def gap_stats(points) -> GapStats:
     return GapStats(gaps=gaps, gamma=max(gaps), min_gap=min(gaps))
 
 
-def density_stats(points: PointSet, window_r: int | None = None) -> DensityStats:
-    """Extreme densities over all length-window_r sub-windows, plus the global
-    rate; window_r defaults to min(1000, points.span)."""
-    if window_r is None:
-        window_r = min(1000, points.span)
+def density_stats(points: PointSet) -> DensityStats:
+    """Extreme densities over all sub-windows of window_r = min(1000,
+    points.span) integers, plus the global rate."""
     n0, n1 = points.window
     span = n1 - n0 + 1
-    if not 1 <= window_r <= span:
-        raise ValueError(f"window_r must be in [1, {span}], got {window_r}")
+    window_r = min(1000, span)
     elems = np.asarray(points.elements, dtype=np.int64)
     starts = np.arange(n0, n1 - window_r + 2, dtype=np.int64)
     hi_counts = np.searchsorted(elems, starts + window_r, side="left")
@@ -410,11 +381,10 @@ def density_stats(points: PointSet, window_r: int | None = None) -> DensityStats
     )
 
 
-def landau_check(points: PointSet, spectrum: MultibandSet,
-                 window_r: int | None = None, tol: float = 0.02) -> bool:
-    """Necessary-condition check: sliding upper density <= |S|/2pi + tol."""
-    stats = density_stats(points, window_r)
-    return stats.upper <= spectrum.fraction_of_torus + tol
+def landau_check(points: PointSet, spectrum: MultibandSet) -> bool:
+    """Necessary-condition check: the upper density of density_stats is at
+    most |S|/2pi + 0.02."""
+    return density_stats(points).upper <= spectrum.fraction_of_torus + 0.02
 
 
 def kahane_classify(step: int, spectrum: MultibandSet) -> str:

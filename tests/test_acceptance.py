@@ -118,7 +118,7 @@ def test_criterion_02_small_mode_construction(small_bundle, capsys):
     verdict_line(capsys, 2, "small-mode set on 45% spectrum", {
         "gap_set{1,3}": set(stats.gaps) == {1, 3},
         "density~a": abs(b["points"].density - float(b["params"].a)) < 0.01,
-        "landau": rf.landau_check(b["points"], b["spectrum"], tol=0.02),
+        "landau": rf.landau_check(b["points"], b["spectrum"]),
         "supported": cert.verdict == "supported",
         "lambda_min>0": cert.lambda_min[-1] > 0.0,
         "drop<=5%": cert.final_drop <= 0.05,
@@ -229,7 +229,7 @@ def test_criterion_07_parseval_completion(capsys):
 
 def test_criterion_08_pair_selector(capsys):
     s = rf.normalize_bands([(0.0, 0.9)], unit="2pi")
-    system = rf.exponential_system(range(64), s, normalized=True)
+    system = rf.exponential_system(range(64), s)
     blocks = rf.BlockSystem.intervals(range(64), 2)
     config = rf.SelectorConfig(master_seed=0, max_trials=10000)
     r1 = rf.select_riesz(system, blocks, 0.05, config)

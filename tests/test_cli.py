@@ -110,6 +110,14 @@ def test_partition_with_boxes(capsys):
     assert obj["quality"]["lambda_max"] >= obj["quality"]["lambda_min"]
 
 
+def test_partition_boxes_of_another_dimension_exit_1(capsys):
+    assert main(["partition", "--dim", "2", "--r", "3",
+                 "--boxes", "[[[0, 0.5], [0, 0.5], [0, 0.5]]]"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--boxes dimension 3 != --dim 2" in captured.err
+
+
 
 # exact stdout of three partition runs, pinned by sha256 and byte length:
 # any change to the report, the selectors or the JSON layout shows here
@@ -354,6 +362,17 @@ def test_selftest(capsys):
     assert code == 0
     assert "5/5 checks passed" in out
     assert out.count("PASS") == 5
+
+
+def test_selftest_out_writes_json(tmp_path, capsys):
+    path = tmp_path / "selftest.json"
+    code, out = run(capsys, "selftest", "--out", str(path))
+    assert code == 0
+    assert "5/5 checks passed" in out
+    obj = json.loads(path.read_text())
+    assert obj["schema"] == "riesz-forge/1" and obj["command"] == "selftest"
+    assert obj["all_passed"] is True
+    assert len(obj["results"]) == 5 and all(r["passed"] for r in obj["results"])
 
 
 def test_json_is_deterministic(tmp_path):

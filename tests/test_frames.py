@@ -59,7 +59,7 @@ def test_exponential_system_reproduces_gram():
     from rieszforge import build_gram
     s = normalize_bands([(0.0, 0.7 * 2 * math.pi)])
     pts = [0, 1, 3, 6]
-    sys_ = exponential_system(pts, s, normalized=True)
+    sys_ = exponential_system(pts, s)
     g = build_gram(pts, s, normalized=True)
     assert np.abs(sys_.gram() - g).max() < 1e-12
     assert sys_.labels == (0, 1, 3, 6)
@@ -109,6 +109,10 @@ def test_completion_validation():
         complete_to_parseval_small(vs, 0.5)  # norms exceed delta
     with pytest.raises(ValueError):
         complete_to_parseval_small(vs, 1.5)
+    # four copies of one vector of squared norm 0.3: norms fit delta, Bessel bound 1.2
+    copies = VectorSystem(matrix=np.full((1, 4), math.sqrt(0.3)), labels=(0, 1, 2, 3))
+    with pytest.raises(ValueError, match="Bessel bound exceeds 1"):
+        complete_to_parseval_small(copies, 0.5)
     # a Parseval frame with small norms needs nothing added
     rng = np.random.default_rng(0)
     f = random_parseval(rng, 2, 8)
@@ -158,10 +162,9 @@ def test_predicted_bounds():
 
 def test_selector_config_validation():
     with pytest.raises(ValueError):
-        SelectorConfig(delta0=0.3)
-    with pytest.raises(ValueError):
         SelectorConfig(max_trials=0)
-    cfg = SelectorConfig(delta0=0.1)
+    cfg = SelectorConfig()
+    assert cfg.delta0 == 0.1
     assert cfg.eps0 == pytest.approx(0.5 - math.sqrt(0.16))  # = 0.1
     assert cfg.big_constant == pytest.approx(729.0)
 
@@ -410,6 +413,20 @@ def test_select_tight_matches_oracle(monkeypatch):
     assert fast.trials == 600 and not fast.met
     monkeypatch.setattr(frames, "_search", _search_oracle)
     assert fast == select_tight(sys_, blocks, 0.05, config)
+
+
+def test_select_tight_degenerate_stage_2_falls_back_to_riesz(monkeypatch):
+    # eight copies of one unit vector in C^1: the stage-2 pair Gram is the
+    # singular 2x2 all-ones matrix, so dual_system raises and stage 3 runs the
+    # primal lower-bound search
+    sys_ = VectorSystem(matrix=np.ones((1, 8)), labels=tuple(range(8)))
+    blocks = BlockSystem.intervals(range(8), 8)
+    config = SelectorConfig(max_trials=20)
+    fast = select_tight(sys_, blocks, 0.5, config)
+    assert fast.labels == (0,) and fast.lambda_min == fast.lambda_max == 1.0
+    assert fast.met and fast.trials == 41
+    monkeypatch.setattr(frames, "_search", _search_oracle)
+    assert fast == select_tight(sys_, blocks, 0.5, config)
 
 
 def test_vector_draw_matches_scalar_draws():

@@ -96,12 +96,11 @@ def test_covering_radius_lattice():
     w = LatticeWindow(lo=(0, 0), hi=(6, 6))
     pts = [(x, y) for x in range(0, 7, 3) for y in range(0, 7, 3)]
     assert covering_radius(pts, w) == pytest.approx(math.sqrt(2))
-    # margin trims the boundary
-    assert covering_radius([(4, 4)], w, margin=3.0) == pytest.approx(math.sqrt(2))
+    assert covering_radius([(3, 3)], w) == pytest.approx(3 * math.sqrt(2))
     with pytest.raises(ValueError):
         covering_radius([], w)
-    with pytest.raises(ValueError):
-        covering_radius([(0, 0)], w, margin=10.0)
+    with pytest.raises(ValueError, match="points of dimension 3 in a 2-D window"):
+        covering_radius([(0, 0, 0)], w)
 
 
 def test_covering_radius_1d():

@@ -218,7 +218,7 @@ def test_choose_params_small_045():
     assert float(p.a) == pytest.approx(47 / 120 + math.sqrt(2) / 64, abs=1e-12)
     assert float(p.alpha) == pytest.approx((1 - float(p.a)) / 2, abs=1e-15)
     assert (p.a - p.alpha).sign() > 0       # alpha < a
-    assert p.riesz_interval.lo.sign() == 0  # [0, a)
+    assert p.riesz_interval == UnitInterval(0, p.a)
 
 
 def test_choose_params_large_08():
@@ -228,8 +228,7 @@ def test_choose_params_large_08():
     assert float(p.a) == pytest.approx(9 / 40 + math.sqrt(2) / 128, abs=1e-12)
     assert (p.alpha - p.a).sign() > 0       # alpha > a
     # riesz interval is the complement [a, 1)
-    ri = p.riesz_interval
-    assert ri.lo == p.a and (ri.hi - 1).sign() == 0
+    assert p.riesz_interval == UnitInterval(p.a, 1)
 
 
 def test_choose_params_small_for_large_measure():
@@ -287,22 +286,20 @@ def test_gap_stats_degenerate():
 
 
 def test_density_stats_progression():
-    ps = PointSet(elements=tuple(range(0, 300, 3)), window=(0, 299))
-    st = density_stats(ps, 30)
-    assert st.upper == pytest.approx(1 / 3)
-    assert st.lower == pytest.approx(1 / 3)
-    assert st.asymptotic == pytest.approx(1 / 3)
-    with pytest.raises(ValueError):
-        density_stats(ps, 0)
-    with pytest.raises(ValueError):
-        density_stats(ps, 1000)
+    # span 4000: every sliding window of 1000 integers holds exactly 250 points
+    ps = PointSet(elements=tuple(range(0, 4000, 4)), window=(0, 3999))
+    st = density_stats(ps)
+    assert st.window_r == 1000
+    assert st.upper == st.lower == st.asymptotic == 0.25
 
 
 def test_density_window_defaults_to_min_1000_span():
     short = PointSet(elements=tuple(range(0, 300, 3)), window=(0, 299))
-    long = PointSet(elements=tuple(range(0, 3000, 3)), window=(0, 2999))
-    assert density_stats(short) == density_stats(short, 300)
-    assert density_stats(long) == density_stats(long, 1000)
+    st = density_stats(short)
+    assert st.window_r == 300
+    assert st.upper == st.lower == st.asymptotic == 100 / 300
+    one = density_stats(PointSet(elements=(5,), window=(5, 5)))
+    assert one.window_r == 1 and one.upper == one.lower == 1.0
 
 
 def test_landau_check():
@@ -341,11 +338,4 @@ def test_unit_interval_rules():
     with pytest.raises(ValueError):
         UnitInterval(0, Fraction(3, 2))
     full = UnitInterval(0, 1)
-    assert full.is_full()
-    with pytest.raises(ValueError):
-        full.complement()
-    # interior intervals have no single-interval complement
-    with pytest.raises(ValueError):
-        UnitInterval(Fraction(1, 4), Fraction(1, 2)).complement()
-    c = UnitInterval(0, Fraction(1, 3)).complement()
-    assert c.lo == Fraction(1, 3) and (c.hi - 1).sign() == 0
+    assert full.length == 1 and full == UnitInterval(Fraction(0), Fraction(1))
