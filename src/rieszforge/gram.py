@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadfield import integers
-from .torus import MultibandSet
+from .torus import MultibandSet, centered_interval_coefficient
 
 __all__ = [
     "DEFAULT_SCHEDULE",
@@ -42,11 +42,13 @@ FINITE_SECTION_NOTE = (
 
 @dataclass(frozen=True)
 class BoundsEstimate:
-    """Extreme eigenvalues of one Hermitian section, with an accuracy estimate."""
+    """Extreme eigenvalues of one Hermitian section, their accuracy, and the
+    solver ("real-symmetric" or "hermitian") that produced them."""
 
     lambda_min: float
     lambda_max: float
     tol: float
+    solver: str
 
 
 def _frequency(key: int, radix: list[int], vector: bool):
@@ -68,16 +70,24 @@ def build_gram(points, spectrum, normalized: bool = False) -> np.ndarray:
     (multi-dim); spectrum is any object with fourier_coefficient and
     total_volume (a MultibandSet, or a BoxSet in higher dimension).  With
     normalized=True the matrix is divided by the ambient volume, so the full
-    integer lattice would give the identity.
+    integer lattice would give the identity.  Raises ValueError when the
+    points are not integers, or when they or their key differences do not fit
+    in 64-bit integers.
+    """
+    volume = spectrum.total_volume if normalized else None
+    return _section(points, spectrum.fourier_coefficient, complex, volume)
 
-    Every dimension runs through one table of unique differences.  Points are
-    coded to scalar keys by a balanced mixed-radix code (radix 2*span+1 per
-    axis, first axis most significant).  The code is linear and injective on
-    differences, and a key's sign is the sign of the difference's first
-    nonzero component, so each non-negative key gets one coefficient and each
-    negative key the conjugate of its mirror: G is Hermitian bit-for-bit.
-    Raises ValueError when the points are not integers, or when they or their
-    key differences do not fit in 64-bit integers.
+
+def _section(points, coefficient, dtype, volume=None) -> np.ndarray:
+    """M[j,k] = coefficient(p_k - p_j) / volume, of the given dtype.
+
+    Points are coded to scalar keys by a balanced mixed-radix code (radix
+    2*span+1 per axis, first axis most significant), linear and injective on
+    differences; a key's sign is that of the difference's first nonzero
+    component, so each non-negative key gets one coefficient call and each
+    negative key the conjugate of its mirror: M is Hermitian bit-for-bit.  If
+    the largest key difference K has K+1 <= n^2, each row is one np.take from
+    a table of every key in -K..K; wider spans tabulate unique differences.
     """
     points = list(points)
     if not points:
@@ -99,20 +109,28 @@ def build_gram(points, spectrum, normalized: bool = False) -> np.ndarray:
         raise ValueError("point differences do not fit in 64-bit integers")
     keys = (arr - lo) @ np.array(strides, dtype=np.int64)
 
-    diff = keys[None, :] - keys[:, None]
-    uniq = np.unique(diff)
-    # diff is antisymmetric, so uniq is symmetric about its middle entry 0
-    mid = len(uniq) // 2
-    coeff = spectrum.fourier_coefficient
-    vals = np.empty(len(uniq), dtype=complex)
-    for i in range(mid, len(uniq)):
-        vals[i] = coeff(_frequency(int(uniq[i]), radix, vector))
+    n, span = len(keys), int(keys.max()) - int(keys.min())
+    if span + 1 <= n * n:
+        diff, table = None, np.arange(-span, span + 1)
+    else:
+        diff = keys[None, :] - keys[:, None]
+        table = np.unique(diff)
+    # table is symmetric about its middle entry 0
+    mid = len(table) // 2
+    vals = np.empty(len(table), dtype=dtype)
+    for i in range(mid, len(table)):
+        vals[i] = coefficient(_frequency(int(table[i]), radix, vector))
     vals[:mid] = vals[:mid:-1].conj()
-    if normalized:
-        vals = vals / spectrum.total_volume
+    if volume is not None:
+        vals = vals / volume
+    if diff is None:
+        out = np.empty((n, n), dtype=dtype)
+        for i, row in enumerate(out):
+            np.take(vals, keys - (keys[i] - span), out=row)
+        return out
     # searchsorted, with diff released before the gather, peaks lower than
     # np.unique(return_inverse=True)
-    idx = np.searchsorted(uniq, diff)
+    idx = np.searchsorted(table, diff)
     del diff
     return vals[idx]
 
@@ -143,7 +161,8 @@ def extreme_eigs(h: np.ndarray) -> BoundsEstimate:
     w = np.linalg.eigvalsh(h)
     achieved = len(w) * np.finfo(float).eps * max(abs(w[0]), abs(w[-1]), 1.0)
     return BoundsEstimate(lambda_min=float(w[0]), lambda_max=float(w[-1]),
-                          tol=float(max(achieved, _HERMITIAN_TOL)))
+                          tol=float(max(achieved, _HERMITIAN_TOL)),
+                          solver="real-symmetric" if np.isrealobj(h) else "hermitian")
 
 
 def dual_system(h: np.ndarray) -> np.ndarray:
@@ -216,7 +235,10 @@ def certify(points, spectrum, threshold: float,
     """Certify a candidate Riesz sequence by growing centered finite sections.
 
     Elements are ordered by (|x|, x) so the sections are nested and the
-    extreme eigenvalues move monotonically.  Grams are unnormalized.  Verdicts:
+    extreme eigenvalues move monotonically.  Grams are unnormalized.  On a
+    single arc the Gram is a diagonal unitary conjugate of the real symmetric
+    R[j,k] = r(p_k - p_j) (see centered_interval_coefficient), so R is solved
+    instead.  Verdicts:
 
     * refuted      final lambda_min below refute_floor, 1e-6 of the ambient
                    volume -- the lower bound is numerically zero;
@@ -240,11 +262,12 @@ def certify(points, spectrum, threshold: float,
         raise ValueError(f"schedule needs {schedule[-1]} elements, have {len(elems)}")
     order = sorted(elems, key=lambda x: (abs(x), x))
 
-    bounds = []
-    for n in schedule:
-        section = sorted(order[:n])
-        g = build_gram(section, spectrum)
-        bounds.append(extreme_eigs(g))
+    if len(spectrum.arcs) == 1:
+        length = spectrum.arcs[0].length
+        coefficient, dtype = (lambda m: centered_interval_coefficient(length, m)), float
+    else:
+        coefficient, dtype = spectrum.fourier_coefficient, complex
+    bounds = [extreme_eigs(_section(sorted(order[:n]), coefficient, dtype)) for n in schedule]
 
     if len(bounds) >= 2:
         prev, last = bounds[-2].lambda_min, bounds[-1].lambda_min

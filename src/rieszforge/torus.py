@@ -186,6 +186,13 @@ def interval_coefficient(lo: float, hi: float, m: int) -> complex:
     return (cmath.exp(-1j * m * lo) - cmath.exp(-1j * m * hi)) / (1j * m)
 
 
+def centered_interval_coefficient(length: float, m: int) -> float:
+    """integral over [-length/2, length/2) of exp(-i*m*t) dt = 2*sin(m*length/2)/m:
+    real, even in m, and exp(i*m*mid) times the coefficient of any arc of this
+    length with midpoint mid."""
+    return float(length) if m == 0 else 2.0 * math.sin(m * length / 2.0) / m
+
+
 def indicator_fourier(s: MultibandSet, m: int) -> complex:
     """Fourier coefficient c(m) of the indicator of s: the sum of its arcs'
     interval coefficients."""

@@ -177,7 +177,8 @@ def test_gram_size_guard_refuses_before_building(capsys, monkeypatch, argv, n):
     def no_gram(*args, **kwargs):
         raise AssertionError("Gram built for a refused size")
 
-    monkeypatch.setattr(gram, "build_gram", no_gram)
+    # _section assembles every Gram: build_gram's and certify's real sections
+    monkeypatch.setattr(gram, "_section", no_gram)
     monkeypatch.setattr(cli, "exponential_system", no_gram)
     monkeypatch.setattr(cli.qc, "generate_centered", no_gram)
     assert 2048 < cli.MAX_GRAM_N < n
@@ -199,7 +200,7 @@ def test_gram_size_guard_admits_the_limit(monkeypatch, argv):
     def reached(*args, **kwargs):
         raise Reached
 
-    monkeypatch.setattr(gram, "build_gram", reached)
+    monkeypatch.setattr(gram, "_section", reached)
     monkeypatch.setattr(cli, "exponential_system", reached)
     assert cli.MAX_GRAM_N == 4096
     with pytest.raises(Reached):

@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rieszforge import TWO_PI, BoxSet, build_gram, certify, dual_system, \
-    extreme_eigs, normalize_bands
+from rieszforge import TWO_PI, BoxSet, build_gram, certify, construct_riesz_set, \
+    dual_system, extreme_eigs, normalize_bands
+from rieszforge.torus import centered_interval_coefficient, interval_coefficient
 
 HALF = normalize_bands([(0.0, math.pi)])  # S = [0, pi)
 
@@ -255,3 +256,116 @@ def test_certify_centered_ordering():
     cert = certify(pts, HALF, threshold=0.1, schedule=(16,))
     g16 = build_gram(sorted(pts, key=lambda x: (abs(x), x))[:16], HALF)
     assert cert.lambda_min[0] == pytest.approx(float(np.linalg.eigvalsh(g16)[0]), abs=1e-12)
+
+
+# ------------------------------------------------ table gather and real path --
+
+class CountingSpectrum:
+    """A spectrum that counts its coefficient calls."""
+
+    def __init__(self, spectrum):
+        self.spectrum, self.calls = spectrum, 0
+        self.total_volume = spectrum.total_volume
+
+    def fourier_coefficient(self, m):
+        self.calls += 1
+        return self.spectrum.fourier_coefficient(m)
+
+
+def test_gather_takes_the_table_only_for_narrow_spans():
+    narrow = CountingSpectrum(HALF)
+    build_gram([0, 1, 5], narrow)       # K = 5 <= n^2 - 1: one call per d in 0..5,
+    assert narrow.calls == 6            # where unique keys would take 0, 1, 4, 5
+    wide = CountingSpectrum(HALF)
+    g = build_gram([0, 10**9], wide)    # K + 1 > n^2: the unique keys 0 and 10**9
+    assert wide.calls == 2
+    assert g[0, 1] == HALF.fourier_coefficient(10**9)
+
+
+# a far point widens the span past n^2, so the leading block of the widened
+# Gram comes from the unique-key branch and the small Gram from the table
+TABLE_VS_UNIQUE = [
+    ([-7, -3, 0, 2, 9, 11], 10**9, normalize_bands([(0.3, 1.9), (3.0, 4.5)])),
+    ([(-2, 5), (0, -1), (3, 0), (1, 2), (-2, -1), (4, 3)], (10**4, -10**4),
+     BoxSet(boxes=(((0.1, 1.7), (0.5, 2.9)), ((2.0, 5.0), (3.1, 6.0))))),
+]
+
+
+@pytest.mark.parametrize("pts,far,spectrum", TABLE_VS_UNIQUE)
+@pytest.mark.parametrize("normalized", [False, True])
+def test_table_gather_matches_unique_gather_bitwise(pts, far, spectrum, normalized):
+    counter = CountingSpectrum(spectrum)
+    wide = build_gram(pts + [far], counter, normalized=normalized)
+    assert counter.calls <= (len(pts) + 1) ** 2 // 2 + 1  # the unique branch ran
+    n = len(pts)
+    assert np.array_equal(build_gram(pts, spectrum, normalized=normalized), wide[:n, :n])
+
+
+def test_centered_interval_coefficient():
+    length = 1.3
+    assert centered_interval_coefficient(length, 0) == length
+    for m in (1, 2, 7, 40):
+        r = centered_interval_coefficient(length, m)
+        assert r == centered_interval_coefficient(length, -m)
+        for lo in (0.0, 0.4, 4.0):
+            c = interval_coefficient(lo, lo + length, m)
+            assert abs(c - np.exp(-1j * m * (lo + length / 2)) * r) < 1e-14
+
+
+def _assert_matches_complex_oracle(pts, s, schedule):
+    cert = certify(pts, s, threshold=1e-3, schedule=schedule)
+    order = sorted(pts, key=lambda x: (abs(x), x))
+    for n, b in zip(schedule, cert.bounds):
+        assert b.solver == "real-symmetric"
+        w = np.linalg.eigvalsh(build_gram(sorted(order[:n]), s))
+        # a backward-stable solver errs by eps * ||G||, so relative to lambda_max
+        scale = max(abs(w[-1]), 1.0)
+        assert abs(b.lambda_min - w[0]) <= 1e-12 * scale, n
+        assert abs(b.lambda_max - w[-1]) <= 1e-12 * scale, n
+
+
+def test_real_path_matches_complex_gram_on_random_arcs():
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        lo = float(rng.uniform(0, TWO_PI))
+        length = float(rng.uniform(0.2, TWO_PI - lo))
+        pts = sorted(rng.choice(np.arange(-300, 300), size=80, replace=False).tolist())
+        _assert_matches_complex_oracle(pts, normalize_bands([(lo, lo + length)]), (20, 40, 80))
+
+
+@pytest.mark.parametrize("step", [1, 2, 3, 5])
+def test_real_path_matches_complex_gram_on_progressions(step):
+    s = normalize_bands([(0.35, 0.9)], unit="2pi")
+    _assert_matches_complex_oracle(list(range(-64 * step, 64 * step + 1, step)), s, (16, 64, 128))
+
+
+@pytest.mark.parametrize("band", [(0.05, 0.45), (0.2, 0.8)])
+def test_real_path_matches_complex_gram_on_constructed_sets(band):
+    s = normalize_bands([band], unit="2pi")
+    _, pts = construct_riesz_set(s, (-600, 600))
+    _assert_matches_complex_oracle(list(pts), s, (16, 64, 128))
+
+
+def test_certify_bounds_invariant_under_arc_translation():
+    pts = list(range(-150, 151, 2))
+    s = normalize_bands([(0.5, 2.0)])
+    # dyadic endpoints keep the length exact, so the bounds agree bit for bit
+    exact = certify(pts, s.translate(2.25), threshold=0.1, schedule=(16, 64, 128))
+    base = certify(pts, s, threshold=0.1, schedule=(16, 64, 128))
+    assert exact.bounds == base.bounds
+    for t in (0.1, 1.7, 3.3):
+        moved = certify(pts, s.translate(t), threshold=0.1, schedule=(16, 64, 128))
+        assert moved.lambda_min == pytest.approx(base.lambda_min, rel=1e-12)
+        assert moved.lambda_max == pytest.approx(base.lambda_max, rel=1e-12)
+
+
+@pytest.mark.parametrize("bands", [[(0.3, 1.9), (3.0, 4.5)], [(5.5, 7.0)]],
+                         ids=["two-arcs", "arc-across-zero"])
+def test_multiband_certify_uses_the_hermitian_solver(bands):
+    s = normalize_bands(bands)
+    assert len(s.arcs) == 2
+    pts = list(range(-40, 41))
+    cert = certify(pts, s, threshold=0.1, schedule=(16, 32))
+    assert [b.solver for b in cert.bounds] == ["hermitian", "hermitian"]
+    g = build_gram(sorted(sorted(pts, key=lambda x: (abs(x), x))[:32]), s)
+    assert cert.bounds[-1] == extreme_eigs(g)
