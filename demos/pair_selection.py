@@ -12,7 +12,7 @@ import rieszforge as rf
 
 def main():
     s = rf.normalize_bands([(0.0, 0.9)], unit="2pi")
-    system = rf.exponential_system(range(64), s)
+    gram = rf.build_gram(range(64), s, normalized=True)
     blocks = rf.BlockSystem.intervals(range(64), 2)
     config = rf.SelectorConfig(master_seed=0, max_trials=10000)
 
@@ -23,14 +23,14 @@ def main():
     print(f"existence-proof block size for lambda_min >= eps0*eps at eps=0.5: "
           f"{config.predicted_block_size(0.5)}")
 
-    result = rf.select_riesz(system, blocks, 0.05, config)
+    result = rf.select_riesz(gram, blocks, 0.05, config)
     print(f"\nselect_riesz: met={result.met} after {result.trials} trial(s)")
     print(f"lambda_min = {result.lambda_min:.6f}  lambda_max = {result.lambda_max:.6f}")
     print(f"first picks: {result.labels[:8]} ...")
 
     # two-sided selection needs unit vectors; the full circle provides them
     full = rf.normalize_bands([(0.0, 1.0)], unit="2pi")
-    ortho = rf.exponential_system(range(32), full)
+    ortho = rf.build_gram(range(32), full, normalized=True)
     tight = rf.select_tight(ortho, rf.BlockSystem.intervals(range(32), 8), 0.25)
     print(f"\nselect_tight on an orthonormal system: met={tight.met}, "
           f"spectrum in [{tight.lambda_min:.3f}, {tight.lambda_max:.3f}]")

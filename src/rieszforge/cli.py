@@ -21,8 +21,8 @@ import numpy as np
 
 from . import gram as gramlib
 from . import quasicrystal as qc
-from .frames import BlockSystem, SelectorConfig, VectorSystem, exponential_system, \
-    predicted_bessel_bound, select_bessel, select_riesz, select_tight
+from .frames import BlockSystem, SelectorConfig, predicted_bessel_bound, select_bessel, \
+    select_riesz, select_tight
 from .lattice import BoxSet, LatticeWindow, covering_radius, cube_partition, \
     cycling_partition, section_report
 from .quadfield import integers
@@ -192,24 +192,23 @@ def cmd_select(spec: argparse.Namespace) -> int:
         raise ValueError("--window must be at least --r")
     _check_gram_size(n)
     labels = range(n)
-    system = exponential_system(labels, spectrum)
+    gram = gramlib.build_gram(labels, spectrum, normalized=True)
     blocks = BlockSystem.intervals(labels, spec.r)
     config = SelectorConfig(master_seed=spec.seed, max_trials=spec.trials)
     delta = spectrum.fraction_of_torus
 
     if spec.mode == "riesz":
         threshold = spec.threshold if spec.threshold is not None else 0.05
-        result = select_riesz(system, blocks, threshold, config)
+        result = select_riesz(gram, blocks, threshold, config)
     elif spec.mode == "bessel":
         target = spec.threshold if spec.threshold is not None else \
             predicted_bessel_bound(spec.r, delta)
-        result = select_bessel(system, blocks, target, config)
+        result = select_bessel(gram, blocks, target, config)
     elif spec.mode == "tight":
         eps = spec.threshold if spec.threshold is not None else 0.5
-        # normalized exponentials have squared norm delta = |S|/2pi; scale them to unit
-        # norm (by exactly 1.0 on the full torus)
-        unit = VectorSystem(matrix=system.matrix / math.sqrt(delta), labels=system.labels)
-        result = select_tight(unit, blocks, eps, config)
+        # normalized exponentials have squared norm delta = |S|/2pi; scale the Gram to a
+        # unit diagonal (by exactly 1.0 on the full torus)
+        result = select_tight(gram / delta, blocks, eps, config)
     else:
         raise ValueError(f"unknown selection mode {spec.mode!r}")
 
@@ -322,7 +321,7 @@ def cmd_density(spec: argparse.Namespace) -> int:
     if spectrum is not None:
         payload["spectrum"] = spectrum.to_json()
         payload["landau"] = "pass" if qc.landau_check(points, spectrum) else "fail"
-        if spec.step is not None and len(spectrum.arcs) == 1:
+        if spec.step is not None and spectrum.is_arc():
             payload["kahane"] = qc.kahane_classify(spec.step, spectrum)
     _emit("density", payload, spec.out)
     return EXIT_OK
@@ -364,10 +363,10 @@ def cmd_selftest(spec: argparse.Namespace) -> int:
 
     def selector_determinism():
         s = normalize_bands([[0.0, 0.9]], unit="2pi")
-        system = exponential_system(range(16), s)
+        g = gramlib.build_gram(range(16), s, normalized=True)
         blocks = BlockSystem.intervals(range(16), 2)
-        a = select_riesz(system, blocks, 0.05, SelectorConfig(max_trials=50))
-        b = select_riesz(system, blocks, 0.05, SelectorConfig(max_trials=50))
+        a = select_riesz(g, blocks, 0.05, SelectorConfig(max_trials=50))
+        b = select_riesz(g, blocks, 0.05, SelectorConfig(max_trials=50))
         if a != b:
             raise AssertionError("selection is not reproducible")
 

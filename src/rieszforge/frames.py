@@ -1,7 +1,9 @@
 """Finite frame utilities: Parseval completion, Naimark complements, and
 randomized one-per-block selection of well-conditioned subsystems.
 
-Selection targets come in three flavors:
+The selectors take a Hermitian positive semidefinite Gram, such as
+build_gram(range(n), S, normalized=True), whose row index is the label, and
+blocks of row indices.  Selection targets come in three flavors:
 
 * select_bessel  minimize lambda_max of the selected Gram (upper bound);
 * select_riesz   maximize lambda_min (lower bound);
@@ -22,7 +24,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .gram import build_gram, dual_system
+from .gram import _check_hermitian, build_gram, dual_system
 from .quadfield import integers
 
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
@@ -78,15 +80,6 @@ class VectorSystem:
 
     def norms_squared(self) -> np.ndarray:
         return np.real(np.sum(self.matrix.conj() * self.matrix, axis=0))
-
-    def subsystem(self, labels) -> "VectorSystem":
-        index = {lab: i for i, lab in enumerate(self.labels)}
-        labels = integers(labels, "labels")
-        try:
-            cols = [index[lab] for lab in labels]
-        except KeyError as exc:
-            raise ValueError(f"unknown label {exc.args[0]}") from None
-        return VectorSystem(matrix=self.matrix[:, cols], labels=labels)
 
 
 @dataclass(frozen=True)
@@ -277,15 +270,15 @@ def predicted_bessel_bound(r: int, delta: float, pairs: bool = False) -> float:
     return (1.0 / math.sqrt(r) + math.sqrt(delta)) ** 2
 
 
-def _search(gram: np.ndarray, label_pos: dict, blocks: tuple, config: SelectorConfig,
+def _search(gram: np.ndarray, blocks: tuple, config: SelectorConfig,
             objective: str, target: float, stage: int | None = None):
-    """Randomized one-per-block search over a fixed Gram.
+    """Randomized one-per-block search over a fixed Gram; blocks hold row indices.
 
-    Returns (labels, lambda_min, lambda_max, trials, met).  Trial t draws one
+    Returns (rows, lambda_min, lambda_max, trials, met).  Trial t draws one
     index per block in one `integers(lengths)` call on the stream keyed
     (master_seed, t), or (master_seed, stage, t).  The search stops at the
     first trial meeting the target; otherwise it keeps the best trial, ties
-    broken by the lexicographically smallest label sequence.
+    broken by the lexicographically smallest row sequence.
 
     Once a best trial has bound b (lambda_min for riesz, lambda_max for
     bessel), only a block A that reaches b can win or meet the target, which,
@@ -300,8 +293,7 @@ def _search(gram: np.ndarray, label_pos: dict, blocks: tuple, config: SelectorCo
     """
     n = len(blocks)
     lengths = np.array([len(b) for b in blocks])
-    table = np.array([[label_pos[lab] for lab in b] + [0] * (lengths.max() - len(b))
-                      for b in blocks])
+    table = np.array([list(b) + [0] * (lengths.max() - len(b)) for b in blocks])
     diag = np.real(np.diagonal(gram))
     sign = -1.0 if objective == "bessel" else 1.0
     best_key = best = None
@@ -319,7 +311,7 @@ def _search(gram: np.ndarray, label_pos: dict, blocks: tuple, config: SelectorCo
                 np.linalg.cholesky(shifted)
             except np.linalg.LinAlgError:
                 continue
-        picks = tuple(b[d] for b, d in zip(blocks, draws.tolist()))
+        picks = tuple(idx.tolist())
         w = np.linalg.eigvalsh(sub)
         lmin, lmax = float(w[0]), float(w[-1])
         quality, met = (lmax, lmax <= target) if objective == "bessel" else (-lmin, lmin >= target)
@@ -331,59 +323,60 @@ def _search(gram: np.ndarray, label_pos: dict, blocks: tuple, config: SelectorCo
     return (*best, config.max_trials, False)
 
 
-def _prepare(system: VectorSystem, blocks,
-             target: float) -> tuple[np.ndarray, dict, BlockSystem]:
+def _prepare(gram, blocks, target: float) -> tuple[np.ndarray, BlockSystem]:
     if not math.isfinite(target):
         raise ValueError(f"selection target must be finite, got {target}")
+    gram = _check_hermitian(gram)
     bs = blocks if isinstance(blocks, BlockSystem) else BlockSystem(blocks=tuple(blocks))
-    label_pos = {lab: i for i, lab in enumerate(system.labels)}
-    missing = [lab for b in bs.blocks for lab in b if lab not in label_pos]
-    if missing:
-        raise ValueError(f"block label {missing[0]} not in the system")
-    return system.gram(), label_pos, bs
+    n = len(gram)
+    outside = [lab for b in bs.blocks for lab in b if not 0 <= lab < n]
+    if outside:
+        raise ValueError(f"block label {outside[0]} is not a row of the {n}x{n} Gram")
+    return gram, bs
 
 
-def _select(system: VectorSystem, blocks, target: float, config: SelectorConfig | None,
+def _select(gram, blocks, target: float, config: SelectorConfig | None,
             objective: str) -> SelectorResult:
     config = config or SelectorConfig()
-    gram, label_pos, bs = _prepare(system, blocks, target)
-    labels, lmin, lmax, trials, met = _search(gram, label_pos, bs.blocks, config,
-                                              objective, target)
+    gram, bs = _prepare(gram, blocks, target)
+    labels, lmin, lmax, trials, met = _search(gram, bs.blocks, config, objective, target)
     return SelectorResult(labels=labels, lambda_min=lmin, lambda_max=lmax, met=met,
                           trials=trials, seed=config.master_seed, target=target,
                           objective=objective)
 
 
-def select_bessel(system: VectorSystem, blocks, target: float,
+def select_bessel(gram, blocks, target: float,
                   config: SelectorConfig | None = None) -> SelectorResult:
-    """One pick per block with lambda_max of the selected Gram <= target (sought)."""
-    return _select(system, blocks, target, config, "bessel")
+    """One row per block with lambda_max of the selected Gram <= target (sought)."""
+    return _select(gram, blocks, target, config, "bessel")
 
 
-def select_riesz(system: VectorSystem, blocks, threshold: float,
+def select_riesz(gram, blocks, threshold: float,
                  config: SelectorConfig | None = None) -> SelectorResult:
-    """One pick per block with lambda_min of the selected Gram >= threshold (sought)."""
-    return _select(system, blocks, threshold, config, "riesz")
+    """One row per block with lambda_min of the selected Gram >= threshold (sought)."""
+    return _select(gram, blocks, threshold, config, "riesz")
 
 
 def _pairs(labels: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple(zip(labels[0::2], labels[1::2]))
 
 
-def select_tight(system: VectorSystem, blocks, eps: float,
+def select_tight(gram, blocks, eps: float,
                  config: SelectorConfig | None = None) -> SelectorResult:
     """Two-sided selection: aim for spectrum of the selected Gram in [1-eps, 1+eps].
 
     Stage 1 keeps four survivors per block (quarter blocks, lower-bound
     search); stage 2 keeps two (pair blocks, upper-bound search); stage 3
-    runs the upper-bound search on the biorthogonal dual of the stage-2
-    subsystem, which lifts the primal lower bound to at least 1/(1+eps) when
-    it succeeds.  Requires unit-norm vectors and blocks of size >= 4.
+    runs the upper-bound search on the biorthogonal dual of the stage-2 Gram
+    g2, which lifts the primal lower bound to at least 1/(1+eps) when it
+    succeeds.  Requires a unit diagonal (unit-norm vectors) and blocks of
+    size >= 4.  Ties break on row order; stage 3 searches g2 by position, and
+    positions follow rows whenever the blocks ascend, as interval blocks do.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     config = config or SelectorConfig()
-    gram, label_pos, bs = _prepare(system, blocks, eps)
+    gram, bs = _prepare(gram, blocks, eps)
     if bs.r_min < 4:
         raise ValueError("tight selection needs blocks of size >= 4")
     if float(np.abs(np.real(np.diag(gram)) - 1.0).max()) > 1e-8:
@@ -391,27 +384,23 @@ def select_tight(system: VectorSystem, blocks, eps: float,
 
     quarter_blocks = tuple(tuple(part.tolist()) for b in bs.blocks
                            for part in np.array_split(np.asarray(b), 4))
-    s1_labels, _, _, t1, _ = _search(gram, label_pos, quarter_blocks, config,
-                                     "riesz", config.eps0, stage=1)
-    s2_labels, _, _, t2, _ = _search(gram, label_pos, _pairs(s1_labels), config,
-                                     "bessel", 1.0 + eps, stage=2)
+    s1, _, _, t1, _ = _search(gram, quarter_blocks, config, "riesz", config.eps0, stage=1)
+    s2, _, _, t2, _ = _search(gram, _pairs(s1), config, "bessel", 1.0 + eps, stage=2)
 
-    g2 = system.subsystem(s2_labels).gram()
-    sub_pos = {lab: i for i, lab in enumerate(s2_labels)}
+    g2 = gram[np.ix_(s2, s2)]
     try:
         g3, objective, target = dual_system(g2), "bessel", 1.0 + eps
     except ValueError:
-        # stage-2 subsystem degenerate: fall back to a primal lower-bound search
+        # stage-2 Gram degenerate: fall back to a primal lower-bound search
         g3, objective, target = g2, "riesz", 1.0 - eps
-    s3_labels, _, _, t3, _ = _search(g3, sub_pos, _pairs(s2_labels), config,
-                                     objective, target, stage=3)
+    pos, _, _, t3, _ = _search(g3, _pairs(tuple(range(len(s2)))), config,
+                               objective, target, stage=3)
 
-    idx = [sub_pos[lab] for lab in s3_labels]
-    w = np.linalg.eigvalsh(g2[np.ix_(idx, idx)])
+    w = np.linalg.eigvalsh(g2[np.ix_(pos, pos)])
     lmin, lmax = float(w[0]), float(w[-1])
     met = lmin >= 1.0 - eps and lmax <= 1.0 + eps
-    return SelectorResult(labels=s3_labels, lambda_min=lmin, lambda_max=lmax, met=met,
-                          trials=t1 + t2 + t3, seed=config.master_seed, target=eps,
+    return SelectorResult(labels=tuple(s2[i] for i in pos), lambda_min=lmin, lambda_max=lmax,
+                          met=met, trials=t1 + t2 + t3, seed=config.master_seed, target=eps,
                           objective="tight")
 
 

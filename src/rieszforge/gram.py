@@ -262,8 +262,8 @@ def certify(points, spectrum, threshold: float,
         raise ValueError(f"schedule needs {schedule[-1]} elements, have {len(elems)}")
     order = sorted(elems, key=lambda x: (abs(x), x))
 
-    if len(spectrum.arcs) == 1:
-        length = spectrum.arcs[0].length
+    if spectrum.is_arc():
+        length = spectrum.measure
         coefficient, dtype = (lambda m: centered_interval_coefficient(length, m)), float
     else:
         coefficient, dtype = spectrum.fourier_coefficient, complex

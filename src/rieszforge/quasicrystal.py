@@ -395,7 +395,7 @@ def kahane_classify(step: int, spectrum: MultibandSet) -> str:
     """
     if step < 1:
         raise ValueError("step must be a positive integer")
-    if len(spectrum.arcs) != 1:
+    if not spectrum.is_arc():
         raise ValueError("the dichotomy applies to a single arc")
     ratio = spectrum.fraction_of_torus
     gap = 1.0 / step

@@ -59,6 +59,12 @@ class MultibandSet:
     def is_full(self) -> bool:
         return self.measure >= TWO_PI - MIN_ARC
 
+    def is_arc(self) -> bool:
+        """One arc on the circle: one arc, or the two pieces normalize_bands
+        leaves of an arc across 0 (their gap across 0 at most MIN_ARC)."""
+        a = self.arcs
+        return len(a) == 1 or (len(a) == 2 and a[0].start + (TWO_PI - a[1].end) <= MIN_ARC)
+
     def fourier_coefficient(self, m: int) -> complex:
         return indicator_fourier(self, m)
 

@@ -229,11 +229,11 @@ def test_criterion_07_parseval_completion(capsys):
 
 def test_criterion_08_pair_selector(capsys):
     s = rf.normalize_bands([(0.0, 0.9)], unit="2pi")
-    system = rf.exponential_system(range(64), s)
+    g = rf.build_gram(range(64), s, normalized=True)
     blocks = rf.BlockSystem.intervals(range(64), 2)
     config = rf.SelectorConfig(master_seed=0, max_trials=10000)
-    r1 = rf.select_riesz(system, blocks, 0.05, config)
-    r2 = rf.select_riesz(system, blocks, 0.05, config)
+    r1 = rf.select_riesz(g, blocks, 0.05, config)
+    r2 = rf.select_riesz(g, blocks, 0.05, config)
 
     # and byte-for-byte across processes pinned to different BLAS thread counts
     outs = []

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -177,9 +178,8 @@ def test_gram_size_guard_refuses_before_building(capsys, monkeypatch, argv, n):
     def no_gram(*args, **kwargs):
         raise AssertionError("Gram built for a refused size")
 
-    # _section assembles every Gram: build_gram's and certify's real sections
+    # _section assembles every Gram: build_gram's (select's too) and certify's real sections
     monkeypatch.setattr(gram, "_section", no_gram)
-    monkeypatch.setattr(cli, "exponential_system", no_gram)
     monkeypatch.setattr(cli.qc, "generate_centered", no_gram)
     assert 2048 < cli.MAX_GRAM_N < n
     assert main(argv) == 1
@@ -201,7 +201,6 @@ def test_gram_size_guard_admits_the_limit(monkeypatch, argv):
         raise Reached
 
     monkeypatch.setattr(gram, "_section", reached)
-    monkeypatch.setattr(cli, "exponential_system", reached)
     assert cli.MAX_GRAM_N == 4096
     with pytest.raises(Reached):
         main(argv)
@@ -275,6 +274,26 @@ def test_select_tight_off_the_full_torus(capsys, measure):
     assert 0.5 <= obj["result"]["lambda_min"] <= obj["result"]["lambda_max"] <= 1.5
 
 
+def test_select_stdout_does_not_depend_on_blas_threads():
+    # one arc at W=128: every trial's lambda_max is 1 within a few ulps, so a
+    # Gram that moves by an ulp with the thread count would move the picks too
+    from pathlib import Path
+
+    import rieszforge
+    argv = ["select", "--measure", "0.66", "--mode", "bessel", "--window", "128",
+            "--threshold", "0.5", "--trials", "200"]
+    package_root = str(Path(rieszforge.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=package_root)
+        proc = subprocess.run([sys.executable, "-m", "rieszforge.cli", *argv],
+                              capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
+
 def test_density_step(capsys):
     code, obj = run_json(capsys, "density", "--step", "3",
                          "--window", "200", "--measure", "0.45")
@@ -282,6 +301,14 @@ def test_density_step(capsys):
     assert obj["landau"] == "pass"
     assert obj["kahane"] == "riesz"
     assert obj["density"]["asymptotic"] == pytest.approx(1 / 3, abs=0.01)
+    # an arc across 0 is stored as two pieces but gets a verdict; two arcs do not
+    code, obj = run_json(capsys, "density", "--step", "3", "--window", "200",
+                         "--bands", "[[0.8, 1.2]]")
+    assert code == 0 and len(obj["spectrum"]["bands_rad"]) == 2
+    assert obj["kahane"] == "riesz"    # 1/3 < 0.4
+    code, obj = run_json(capsys, "density", "--step", "3", "--window", "200",
+                         "--bands", "[[0.2, 0.4], [0.6, 1.0]]")
+    assert code == 0 and "kahane" not in obj
 
 
 @pytest.mark.parametrize("points", [

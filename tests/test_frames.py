@@ -1,11 +1,12 @@
 """Frame-operator algebra: completions, complements, randomized selection."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from rieszforge import BlockSystem, SelectorConfig, VectorSystem, \
+from rieszforge import BlockSystem, SelectorConfig, VectorSystem, build_gram, \
     complete_to_parseval_small, dual_system, exponential_system, frames, \
     naimark_complement, normalize_bands, predicted_bessel_bound, select_bessel, \
     select_riesz, select_tight, stabilize
@@ -33,10 +34,6 @@ def test_vector_system_basics():
     vs = VectorSystem(matrix=m, labels=(5, 9))
     assert vs.ambient_dim == 2 and vs.count == 2
     assert np.allclose(vs.norms_squared(), [1.0, 4.0])
-    sub = vs.subsystem([9])
-    assert sub.labels == (9,) and sub.matrix.shape == (2, 1)
-    with pytest.raises(ValueError):
-        vs.subsystem([7])
     with pytest.raises(ValueError):
         VectorSystem(matrix=m, labels=(1,))
     with pytest.raises(ValueError):
@@ -56,7 +53,6 @@ def test_block_system():
 
 
 def test_exponential_system_reproduces_gram():
-    from rieszforge import build_gram
     s = normalize_bands([(0.0, 0.7 * 2 * math.pi)])
     pts = [0, 1, 3, 6]
     sys_ = exponential_system(pts, s)
@@ -170,11 +166,10 @@ def test_selector_config_validation():
 
 
 def test_select_riesz_deterministic():
-    s = normalize_bands([(0.0, 0.9)], unit="2pi")
-    sys_ = exponential_system(range(32), s)
+    g = _arc_gram(0.9, 32)
     blocks = BlockSystem.intervals(range(32), 2)
-    r1 = select_riesz(sys_, blocks, 0.05)
-    r2 = select_riesz(sys_, blocks, 0.05)
+    r1 = select_riesz(g, blocks, 0.05)
+    r2 = select_riesz(g, blocks, 0.05)
     assert r1 == r2
     assert r1.met and r1.lambda_min >= 0.05
     assert len(r1.labels) == len(blocks)
@@ -183,11 +178,9 @@ def test_select_riesz_deterministic():
 
 
 def test_select_bessel_beats_prediction():
-    s = normalize_bands([(0.0, 0.5)], unit="2pi")
-    sys_ = exponential_system(range(32), s)
     blocks = BlockSystem.intervals(range(32), 4)
     bound = predicted_bessel_bound(4, 0.5)
-    res = select_bessel(sys_, blocks, bound)
+    res = select_bessel(_arc_gram(0.5, 32), blocks, bound)
     assert res.met
     assert res.lambda_max <= bound
 
@@ -197,58 +190,69 @@ def test_select_exhaustive_oracle():
     import itertools
     rng = np.random.default_rng(8)
     z = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
-    sys_ = VectorSystem(matrix=z / 3.0, labels=tuple(range(6)))
+    g = VectorSystem(matrix=z / 3.0, labels=tuple(range(6))).gram()
     blocks = BlockSystem(blocks=((0, 1), (2, 3), (4, 5)))
-    g = sys_.gram()
     best = -math.inf
     for combo in itertools.product(*blocks.blocks):
         idx = list(combo)
         best = max(best, float(np.linalg.eigvalsh(g[np.ix_(idx, idx)])[0]))
-    res = select_riesz(sys_, blocks, best + 1e-9, SelectorConfig(max_trials=500))
+    res = select_riesz(g, blocks, best + 1e-9, SelectorConfig(max_trials=500))
     # 500 seeded trials over 8 selectors: misses one choice with prob ~0
     assert not res.met
     assert res.lambda_min == pytest.approx(best, abs=1e-12)
 
 
 def test_select_validates_labels():
-    sys_ = VectorSystem(matrix=np.eye(3), labels=(0, 1, 2))
-    with pytest.raises(ValueError):
-        select_riesz(sys_, BlockSystem(blocks=((0, 5),)), 0.1)
+    # block labels are Gram rows, so each must lie in 0..n-1
+    for label in (3, -1):
+        for select in (select_riesz, select_bessel):
+            with pytest.raises(ValueError, match=f"block label {label} is not a row of the 3x3"):
+                select(np.eye(3), BlockSystem(blocks=((0, label),)), 0.1)
+    with pytest.raises(ValueError, match="block label 8 is not a row of the 8x8"):
+        select_tight(np.eye(8), BlockSystem(blocks=((0, 1, 2, 8),)), 0.5)
+
+
+@pytest.mark.parametrize("gram, message", [
+    (np.eye(3)[:2], "expected a square matrix, got shape (2, 3)"),
+    (np.array([[1.0, 0.5], [0.0, 1.0]]), "matrix is not Hermitian"),
+    (np.array([[1.0, 0.5j], [0.5j, 1.0]]), "matrix is not Hermitian"),
+], ids=["non-square", "asymmetric", "not-conjugate"])
+def test_select_rejects_a_gram_that_is_not_hermitian(gram, message):
+    blocks = BlockSystem(blocks=((0,),))
+    for select in (select_riesz, select_bessel, select_tight):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            select(gram, blocks, 0.5)
 
 
 @pytest.mark.parametrize("target", [math.nan, math.inf])
 def test_select_rejects_non_finite_target(target):
-    sys_ = VectorSystem(matrix=np.eye(8), labels=tuple(range(8)))
     with pytest.raises(ValueError):
-        select_riesz(sys_, BlockSystem.intervals(range(8), 2), target)
+        select_riesz(np.eye(8), BlockSystem.intervals(range(8), 2), target)
     with pytest.raises(ValueError):
-        select_bessel(sys_, BlockSystem.intervals(range(8), 2), target)
+        select_bessel(np.eye(8), BlockSystem.intervals(range(8), 2), target)
     with pytest.raises(ValueError):
-        select_tight(sys_, BlockSystem.intervals(range(8), 4), target)
+        select_tight(np.eye(8), BlockSystem.intervals(range(8), 4), target)
 
 
 def test_select_tight():
-    s = normalize_bands([(0.0, 1.0)], unit="2pi")  # full torus: orthonormal core
-    sys_ = exponential_system(range(16), s)
+    g = _arc_gram(1.0, 16)  # full torus: orthonormal core
     blocks = BlockSystem.intervals(range(16), 8)
-    res = select_tight(sys_, blocks, 0.5)
+    res = select_tight(g, blocks, 0.5)
     assert res.objective == "tight"
     assert res.met
     assert len(res.labels) == 2
     assert 0.5 <= res.lambda_min and res.lambda_max <= 1.5
     # reproducible
-    assert res == select_tight(sys_, blocks, 0.5)
+    assert res == select_tight(g, blocks, 0.5)
 
 
 def test_select_tight_validation():
-    sys_ = VectorSystem(matrix=np.eye(8), labels=tuple(range(8)))
     with pytest.raises(ValueError):
-        select_tight(sys_, BlockSystem.intervals(range(8), 2), 0.5)  # r < 4
+        select_tight(np.eye(8), BlockSystem.intervals(range(8), 2), 0.5)  # r < 4
     with pytest.raises(ValueError):
-        select_tight(sys_, BlockSystem.intervals(range(8), 4), 0.0)
-    bad = VectorSystem(matrix=2 * np.eye(8), labels=tuple(range(8)))
+        select_tight(np.eye(8), BlockSystem.intervals(range(8), 4), 0.0)
     with pytest.raises(ValueError):
-        select_tight(bad, BlockSystem.intervals(range(8), 4), 0.5)  # not unit norm
+        select_tight(4 * np.eye(8), BlockSystem.intervals(range(8), 4), 0.5)  # not unit norm
 
 
 def test_stabilize():
@@ -270,7 +274,7 @@ def test_stabilize():
 # ------------------------------------------------- selection search oracle --
 
 
-def _search_oracle(gram, label_pos, blocks, config, objective, target, stage=None):
+def _search_oracle(gram, blocks, config, objective, target, stage=None):
     """The search without fast rejection: scalar draws, np.ix_, eigvalsh every trial."""
     best_key = None
     best = None
@@ -278,8 +282,7 @@ def _search_oracle(gram, label_pos, blocks, config, objective, target, stage=Non
         key = (t,) if stage is None else (stage, t)
         rng = np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=key))
         picks = tuple(b[int(rng.integers(len(b)))] for b in blocks)
-        idx = [label_pos[lab] for lab in picks]
-        w = np.linalg.eigvalsh(gram[np.ix_(idx, idx)])
+        w = np.linalg.eigvalsh(gram[np.ix_(picks, picks)])
         lmin, lmax = float(w[0]), float(w[-1])
         if objective == "bessel":
             quality, met = lmax, lmax <= target
@@ -296,10 +299,9 @@ def _search_oracle(gram, label_pos, blocks, config, objective, target, stage=Non
 
 
 def _search_both(gram, blocks, objective, target, trials, seed=0, stage=None):
-    label_pos = {i: i for i in range(gram.shape[0])}
     config = SelectorConfig(master_seed=seed, max_trials=trials)
-    fast = frames._search(gram, label_pos, blocks, config, objective, target, stage)
-    slow = _search_oracle(gram, label_pos, blocks, config, objective, target, stage)
+    fast = frames._search(gram, blocks, config, objective, target, stage)
+    slow = _search_oracle(gram, blocks, config, objective, target, stage)
     return fast, slow
 
 
@@ -311,7 +313,7 @@ def _count_eigensolves(monkeypatch):
 
 
 def _arc_gram(fraction, window):
-    return exponential_system(range(window), normalize_bands([(0.0, fraction)], unit="2pi")).gram()
+    return build_gram(range(window), normalize_bands([(0.0, fraction)], unit="2pi"), normalized=True)
 
 
 def _random_gram(seed, dim, count, scale=1.0):
@@ -323,14 +325,14 @@ def _random_gram(seed, dim, count, scale=1.0):
 @pytest.mark.parametrize("objective, bands", [("riesz", [(0.0, 0.85)]),
                                               ("bessel", [(0.0, 0.3), (0.45, 0.75)])])
 def test_search_matches_oracle_unmet(monkeypatch, objective, bands):
-    g = exponential_system(range(48), normalize_bands(bands, unit="2pi")).gram()
+    g = build_gram(range(48), normalize_bands(bands, unit="2pi"), normalized=True)
     blocks = BlockSystem.intervals(range(48), 2).blocks
     # the diagonal entry, the band's share, bounds lambda_min above and lambda_max below
     share = sum(b - a for a, b in bands)
     target = share + 0.02 if objective == "riesz" else 0.98 * share
     calls = _count_eigensolves(monkeypatch)
-    fast = frames._search(g, {i: i for i in range(48)}, blocks,
-                          SelectorConfig(master_seed=11, max_trials=300), objective, target)
+    fast = frames._search(g, blocks, SelectorConfig(master_seed=11, max_trials=300),
+                          objective, target)
     assert len(calls) < 30  # the Cholesky test rejects most trials
     assert fast == _search_both(g, blocks, objective, target, 300, seed=11)[1]
     assert fast[3] == 300 and not fast[4]
@@ -342,7 +344,7 @@ def test_search_matches_oracle_met_mid_run(objective):
     blocks = BlockSystem.intervals(range(40), 2).blocks
     # the best bound over 200 trials, reached first at a trial past the first
     _, lmin, lmax, _, _ = _search_oracle(
-        g, {i: i for i in range(40)}, blocks, SelectorConfig(master_seed=4, max_trials=200),
+        g, blocks, SelectorConfig(master_seed=4, max_trials=200),
         objective, 2.0 if objective == "riesz" else 0.0)
     target = lmin if objective == "riesz" else lmax
     fast, slow = _search_both(g, blocks, objective, target, 200, seed=4)
@@ -406,27 +408,31 @@ def test_select_tight_matches_oracle(monkeypatch):
     # unit vectors in C^12: no stage meets its target, so all three run in full
     rng = np.random.default_rng(6)
     z = rng.normal(size=(12, 32)) + 1j * rng.normal(size=(12, 32))
-    sys_ = VectorSystem(matrix=z / np.linalg.norm(z, axis=0), labels=tuple(range(32)))
+    g = VectorSystem(matrix=z / np.linalg.norm(z, axis=0), labels=tuple(range(32))).gram()
     blocks = BlockSystem.intervals(range(32), 8)
     config = SelectorConfig(master_seed=6, max_trials=200)
-    fast = select_tight(sys_, blocks, 0.05, config)
+    fast = select_tight(g, blocks, 0.05, config)
     assert fast.trials == 600 and not fast.met
+    # stage 3 searches by position; its picks come back as rows of g, one per block
+    assert all(lab in block for lab, block in zip(fast.labels, blocks.blocks))
+    w = np.linalg.eigvalsh(g[np.ix_(fast.labels, fast.labels)])
+    assert (fast.lambda_min, fast.lambda_max) == (w[0], w[-1])
     monkeypatch.setattr(frames, "_search", _search_oracle)
-    assert fast == select_tight(sys_, blocks, 0.05, config)
+    assert fast == select_tight(g, blocks, 0.05, config)
 
 
 def test_select_tight_degenerate_stage_2_falls_back_to_riesz(monkeypatch):
     # eight copies of one unit vector in C^1: the stage-2 pair Gram is the
     # singular 2x2 all-ones matrix, so dual_system raises and stage 3 runs the
     # primal lower-bound search
-    sys_ = VectorSystem(matrix=np.ones((1, 8)), labels=tuple(range(8)))
+    g = np.ones((8, 8))
     blocks = BlockSystem.intervals(range(8), 8)
     config = SelectorConfig(max_trials=20)
-    fast = select_tight(sys_, blocks, 0.5, config)
+    fast = select_tight(g, blocks, 0.5, config)
     assert fast.labels == (0,) and fast.lambda_min == fast.lambda_max == 1.0
     assert fast.met and fast.trials == 41
     monkeypatch.setattr(frames, "_search", _search_oracle)
-    assert fast == select_tight(sys_, blocks, 0.5, config)
+    assert fast == select_tight(g, blocks, 0.5, config)
 
 
 def test_vector_draw_matches_scalar_draws():

@@ -11,13 +11,12 @@ import pytest
 
 from rieszforge import BlockSystem, BoxSet, LatticeWindow, PointSet, QuadNum, \
     UnitInterval, VectorSystem, build_gram, certify, exponential_system, generate, \
-    normalize_bands, stabilize
+    normalize_bands, select_riesz, stabilize
 from rieszforge.quadfield import integers
 
 HALF = normalize_bands([(0.0, 0.5)], unit="2pi")
 SQUARE = BoxSet(boxes=(((0.0, 1.0), (0.0, 1.0)),))
 ALPHA6 = QuadNum(Fraction(1, 2), Fraction(-1, 12), 6)
-SYSTEM = VectorSystem(matrix=np.eye(2), labels=(0, 1))
 
 # each boundary as a call that puts the value v where an integer belongs
 BOUNDARIES = {
@@ -27,7 +26,7 @@ BOUNDARIES = {
     "certify_points": lambda v: certify([0, v, 3, 4], HALF, 0.1, schedule=(2, 4)),
     "certify_schedule": lambda v: certify([0, 1, 3, 4], HALF, 0.1, schedule=(1, v)),
     "vector_system_labels": lambda v: VectorSystem(matrix=np.eye(2), labels=(0, v)),
-    "subsystem": lambda v: SYSTEM.subsystem([v]),
+    "select_blocks": lambda v: select_riesz(np.eye(2), ((0, v),), 0.1),
     "block_system": lambda v: BlockSystem(blocks=((0, v),)),
     "block_intervals": lambda v: BlockSystem.intervals([0, v, 4, 5], 2),
     "exponential_system": lambda v: exponential_system([0, v, 4], HALF),

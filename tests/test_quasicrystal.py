@@ -320,6 +320,11 @@ def test_kahane_classify():
         kahane_classify(0, s)
     with pytest.raises(ValueError):
         kahane_classify(3, normalize_bands([(0.0, 1.0), (2.0, 3.0)]))
+    # normalize_bands splits [0.9, 1.2) of 2*pi at 0; it is still one arc
+    across = normalize_bands([[0.9, 1.2]], unit="2pi")
+    assert len(across.arcs) == 2
+    assert kahane_classify(3, across) == "not_riesz"    # 1/3 > 0.3
+    assert kahane_classify(4, across) == "riesz"        # 1/4 < 0.3
 
 
 def test_construct_riesz_set_end_to_end():

@@ -150,6 +150,17 @@ def test_translate_wraps():
     assert len(shifted.arcs) == 2
 
 
+def test_is_arc():
+    # one arc on the circle, whether or not normalize_bands split it at 0
+    for bands in ([(0.5, 2.0)], [(5.5, 7.0)], [(-0.5, 0.5)], [(0.0, TWO_PI)],
+                  [(0.0, 1.0), (5.0, TWO_PI)], [(1e-13, 1.0), (5.0, TWO_PI)]):
+        assert normalize_bands(bands).is_arc(), bands
+    # two arcs apart, across 0 or elsewhere, and three pieces
+    for bands in ([(0.3, 1.9), (3.0, 4.5)], [(1e-9, 1.0), (5.0, TWO_PI)],
+                  [(0.0, 1.0), (5.0, 6.0)], [(0.0, 1.0), (2.0, 3.0), (5.0, TWO_PI)]):
+        assert not normalize_bands(bands).is_arc(), bands
+
+
 def test_numpy_float_inputs():
     s = normalize_bands(np.array([[0.0, 1.0]]))
     assert s.measure == pytest.approx(1.0)
