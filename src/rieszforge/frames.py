@@ -155,12 +155,6 @@ class SelectorConfig:
             return 2
         return 2 * math.ceil(self.big_constant / eps)
 
-    def predicted_tight_block_size(self, eps: float) -> int:
-        """ceil(C/eps^4), the block size for Bessel bound 1."""
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        return math.ceil(self.big_constant / eps**4)
-
 
 @dataclass(frozen=True)
 class SelectorResult:

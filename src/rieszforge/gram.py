@@ -43,7 +43,9 @@ FINITE_SECTION_NOTE = (
 @dataclass(frozen=True)
 class BoundsEstimate:
     """Extreme eigenvalues of one Hermitian section, their accuracy, and the
-    solver ("real-symmetric" or "hermitian") that produced them."""
+    solver that produced them: "real-symmetric" or "hermitian" for a full
+    solve, "centrosymmetric-split" or "centrohermitian-real" for a folded
+    point-symmetric section (see certify)."""
 
     lambda_min: float
     lambda_max: float
@@ -143,7 +145,10 @@ def _check_hermitian(h: np.ndarray) -> np.ndarray:
     scale, resid = 1.0, 0.0
     for i in range(0, len(h), _CHECK_BLOCK):
         rows = h[i:i + _CHECK_BLOCK]
-        scale = max(scale, float(np.abs(rows).max()))
+        top = float(np.abs(rows).max())  # nan or inf if any entry is non-finite
+        if not np.isfinite(top):
+            raise ValueError("matrix has non-finite entries")
+        scale = max(scale, top)
         resid = max(resid, float(np.abs(rows - h[:, i:i + _CHECK_BLOCK].conj().T).max()))
     if resid > _HERMITIAN_TOL * scale:
         raise ValueError(f"matrix is not Hermitian: residual {resid:.3e}")
@@ -159,10 +164,58 @@ def extreme_eigs(h: np.ndarray) -> BoundsEstimate:
     """
     h = _check_hermitian(h)
     w = np.linalg.eigvalsh(h)
-    achieved = len(w) * np.finfo(float).eps * max(abs(w[0]), abs(w[-1]), 1.0)
-    return BoundsEstimate(lambda_min=float(w[0]), lambda_max=float(w[-1]),
-                          tol=float(max(achieved, _HERMITIAN_TOL)),
-                          solver="real-symmetric" if np.isrealobj(h) else "hermitian")
+    return _estimate(w[0], w[-1], len(h), "real-symmetric" if np.isrealobj(h) else "hermitian")
+
+
+def _estimate(lo, hi, n: int, solver: str) -> BoundsEstimate:
+    """Bounds of an n x n section, with tol = max(n*eps*max|lambda|, 1e-12)."""
+    achieved = n * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0)
+    return BoundsEstimate(lambda_min=float(lo), lambda_max=float(hi),
+                          tol=float(max(achieved, _HERMITIAN_TOL)), solver=solver)
+
+
+def _section_bounds(points, coefficient, dtype) -> BoundsEstimate:
+    """extreme_eigs(_section(points, coefficient, dtype)), folded when it can be.
+
+    points are sorted.  If p_j + p_{n-1-j} is the same for every j, the
+    section G satisfies J G J = conj(G), J the exchange matrix.  With m = n//2,
+    A = G[:m,:m], BJ = the last m columns of G[:m] reversed, and x = G[:m,m],
+    the unitary Q = [[I, iI], [J, -iJ]]/sqrt(2) (with a unit middle row and
+    column when n is odd) takes G to the real symmetric Q^H G Q
+
+        [[Re A + Re BJ,  sqrt2 Re x,  Im BJ - Im A],
+         [.,             G[m,m],      sqrt2 Im x  ],
+         [.,             .,           Re A - Re BJ]]
+
+    (Lee, LAA 1980), solved as "centrohermitian-real".  A real G is
+    centrosymmetric, the off-diagonal blocks vanish, and the two diagonal
+    blocks are solved apart as "centrosymmetric-split" (Cantoni & Butler, LAA
+    1976).  tol uses the full n.  Other point sets take extreme_eigs.
+    """
+    g = _section(points, coefficient, dtype)
+    n, ends = len(points), points[0] + points[-1]
+    if n < 2 or any(p + q != ends for p, q in zip(points, reversed(points))):
+        return extreme_eigs(g)
+    m, h = n // 2, n - n // 2  # h = m, plus the middle when n is odd
+    a, bj = g[:m, :m], g[:m, ::-1][:, :m]
+    plus = np.empty((h, h))
+    np.add(a.real, bj.real, out=plus[:m, :m])
+    minus = a.real - bj.real
+    if h > m:
+        x = math.sqrt(2.0) * g[:m, m]
+        plus[m, :m] = plus[:m, m] = x.real
+        plus[m, m] = g[m, m].real
+    if np.isrealobj(g):
+        del g, a, bj  # free the section before the solves
+        wp, wm = np.linalg.eigvalsh(plus), np.linalg.eigvalsh(minus)
+        return _estimate(min(wp[0], wm[0]), max(wp[-1], wm[-1]), n, "centrosymmetric-split")
+    k = np.empty((h, m))
+    np.subtract(bj.imag, a.imag, out=k[:m])
+    if h > m:
+        k[m] = x.imag
+    del g, a, bj
+    w = np.linalg.eigvalsh(np.block([[plus, k], [k.T, minus]]))
+    return _estimate(w[0], w[-1], n, "centrohermitian-real")
 
 
 def dual_system(h: np.ndarray) -> np.ndarray:
@@ -238,7 +291,10 @@ def certify(points, spectrum, threshold: float,
     extreme eigenvalues move monotonically.  Grams are unnormalized.  On a
     single arc the Gram is a diagonal unitary conjugate of the real symmetric
     R[j,k] = r(p_k - p_j) (see centered_interval_coefficient), so R is solved
-    instead.  Verdicts:
+    instead ("real-symmetric"; "hermitian" on several arcs).  A point-symmetric
+    section, such as any cut from a progression, is folded into half-size
+    real solves ("centrosymmetric-split") on one arc and into one real solve
+    ("centrohermitian-real") on several; see _section_bounds.  Verdicts:
 
     * refuted      final lambda_min below refute_floor, 1e-6 of the ambient
                    volume -- the lower bound is numerically zero;
@@ -267,7 +323,7 @@ def certify(points, spectrum, threshold: float,
         coefficient, dtype = (lambda m: centered_interval_coefficient(length, m)), float
     else:
         coefficient, dtype = spectrum.fourier_coefficient, complex
-    bounds = [extreme_eigs(_section(sorted(order[:n]), coefficient, dtype)) for n in schedule]
+    bounds = [_section_bounds(sorted(order[:n]), coefficient, dtype) for n in schedule]
 
     if len(bounds) >= 2:
         prev, last = bounds[-2].lambda_min, bounds[-1].lambda_min

@@ -153,7 +153,6 @@ def test_predicted_bounds():
     cfg = SelectorConfig()
     assert cfg.predicted_block_size(0.8) == 2          # eps > 3/4
     assert cfg.predicted_block_size(0.5) == 2 * math.ceil(cfg.big_constant / 0.5)
-    assert cfg.predicted_tight_block_size(0.5) == math.ceil(cfg.big_constant / 0.5**4)
 
 
 def test_selector_config_validation():
@@ -232,6 +231,14 @@ def test_select_rejects_non_finite_target(target):
         select_bessel(np.eye(8), BlockSystem.intervals(range(8), 2), target)
     with pytest.raises(ValueError):
         select_tight(np.eye(8), BlockSystem.intervals(range(8), 4), target)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_select_rejects_non_finite_gram(bad):
+    g = np.eye(4)
+    g[1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        select_riesz(g, [[0, 1], [2, 3]], 0.1)
 
 
 def test_select_tight():

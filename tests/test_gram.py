@@ -8,6 +8,7 @@ import pytest
 
 from rieszforge import TWO_PI, BoxSet, build_gram, certify, construct_riesz_set, \
     dual_system, extreme_eigs, normalize_bands
+from rieszforge.gram import _section
 from rieszforge.torus import centered_interval_coefficient, interval_coefficient
 
 HALF = normalize_bands([(0.0, math.pi)])  # S = [0, pi)
@@ -126,6 +127,21 @@ def test_hermitian_check_sees_every_block():
         extreme_eigs(h)
     with pytest.raises(ValueError):
         extreme_eigs(np.eye(3)[:, ::-1] * [1.0, 1.0, 2.0])  # one-block case
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+def test_extreme_eigs_rejects_non_finite_entries(bad):
+    g = np.eye(4, dtype=complex)
+    g[1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        extreme_eigs(g)
+    with pytest.raises(ValueError, match="non-finite"):
+        dual_system(g)
+    # a symmetric pair of bad entries past the first row block, and a real matrix
+    h = np.eye(100)
+    h[90, 3] = h[3, 90] = abs(bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        extreme_eigs(h)
 
 
 def test_gram_rejects_non_integer_points():
@@ -312,12 +328,20 @@ def test_centered_interval_coefficient():
             assert abs(c - np.exp(-1j * m * (lo + length / 2)) * r) < 1e-14
 
 
+def _point_symmetric(section):
+    return len(section) > 1 and all(p + q == section[0] + section[-1]
+                                    for p, q in zip(section, section[::-1]))
+
+
 def _assert_matches_complex_oracle(pts, s, schedule):
     cert = certify(pts, s, threshold=1e-3, schedule=schedule)
     order = sorted(pts, key=lambda x: (abs(x), x))
     for n, b in zip(schedule, cert.bounds):
-        assert b.solver == "real-symmetric"
-        w = np.linalg.eigvalsh(build_gram(sorted(order[:n]), s))
+        section = sorted(order[:n])
+        folded, full = ("centrosymmetric-split", "real-symmetric") if s.is_arc() \
+            else ("centrohermitian-real", "hermitian")
+        assert b.solver == (folded if _point_symmetric(section) else full)
+        w = np.linalg.eigvalsh(build_gram(section, s))
         # a backward-stable solver errs by eps * ||G||, so relative to lambda_max
         scale = max(abs(w[-1]), 1.0)
         assert abs(b.lambda_min - w[0]) <= 1e-12 * scale, n
@@ -360,13 +384,14 @@ def test_certify_bounds_invariant_under_arc_translation():
 
 
 # normalize_bands splits an arc across 0 in two, but it is one arc on the
-# circle, so it takes the real path
+# circle, so it takes the real path; without 7 no section below is
+# point-symmetric, so neither is folded
 @pytest.mark.parametrize("bands, real", [([(0.3, 1.9), (3.0, 4.5)], False), ([(5.5, 7.0)], True)],
                          ids=["two-arcs", "arc-across-zero"])
 def test_multiband_certify_uses_the_hermitian_solver(bands, real):
     s = normalize_bands(bands)
     assert len(s.arcs) == 2
-    pts = list(range(-40, 41))
+    pts = [p for p in range(-40, 41) if p != 7]
     if real:
         _assert_matches_complex_oracle(pts, s, (16, 32))
         return
@@ -374,3 +399,47 @@ def test_multiband_certify_uses_the_hermitian_solver(bands, real):
     assert [b.solver for b in cert.bounds] == ["hermitian", "hermitian"]
     g = build_gram(sorted(sorted(pts, key=lambda x: (abs(x), x))[:32]), s)
     assert cert.bounds[-1] == extreme_eigs(g)
+
+
+# ---------------------------------------------------- point-symmetric folds --
+
+FOLD_SPECTRA = [[(0.35 * TWO_PI, 0.9 * TWO_PI)], [(5.5, 7.0)], [(0.3, 1.9), (3.0, 4.5)]]
+FOLD_SETS = [
+    (list(range(-90, 91, 3)), (2, 3, 16, 17, 40, 41)),  # a progression, even and odd n
+    (list(range(-7, 200, 4)), (20, 21)),                 # a progression not centred on 0
+    ([3, 5, 10, 15, 17], (5,)),                          # symmetric about 10, not a progression
+    ([3, 5, 9, 11, 15, 17], (6,)),
+]
+
+
+@pytest.mark.parametrize("bands", FOLD_SPECTRA, ids=["one-arc", "arc-across-zero", "two-arcs"])
+@pytest.mark.parametrize("pts, schedule", FOLD_SETS, ids=["progression", "off-centre", "odd", "even"])
+def test_point_symmetric_sections_match_the_full_solve(bands, pts, schedule):
+    order = sorted(pts, key=lambda x: (abs(x), x))
+    assert all(_point_symmetric(sorted(order[:n])) for n in schedule)
+    _assert_matches_complex_oracle(pts, normalize_bands(bands), schedule)
+
+
+@pytest.mark.parametrize("bands", [[(0.5, 2.0)], [(0.3, 1.9), (3.0, 4.5)]], ids=["one-arc", "two-arcs"])
+@pytest.mark.parametrize("pts", [[3, 5, 10, 15, 18], [-6, -3, 0, 3, 6, 10]])
+def test_almost_symmetric_sections_take_the_full_solve(bands, pts):
+    s = normalize_bands(bands)
+    assert not _point_symmetric(pts)
+    cert = certify(pts, s, threshold=1e-3, schedule=(len(pts),))
+    if s.is_arc():
+        g = _section(pts, lambda m: centered_interval_coefficient(s.measure, m), float)
+    else:
+        g = _section(pts, s.fourier_coefficient, complex)
+    assert cert.bounds == (extreme_eigs(g),)
+    assert cert.bounds[0].solver == ("real-symmetric" if s.is_arc() else "hermitian")
+
+
+@pytest.mark.parametrize("bands", [[(0.5, 2.0)], [(0.3, 1.9), (3.0, 4.5)]], ids=["one-arc", "two-arcs"])
+def test_folded_tol_uses_the_full_section_size(bands):
+    # at n = 801 the achieved-accuracy estimate n*eps*max|lambda| passes the 1e-12 floor
+    s = normalize_bands(bands)
+    b = certify(list(range(-400, 401)), s, threshold=1e-3, schedule=(801,)).bounds[0]
+    assert b.solver in ("centrosymmetric-split", "centrohermitian-real")
+    want = 801 * np.finfo(float).eps * max(abs(b.lambda_min), abs(b.lambda_max), 1.0)
+    assert want > 1e-12
+    assert b.tol == want
