@@ -237,7 +237,7 @@ def _partition_window(spec: argparse.Namespace) -> LatticeWindow:
     d = spec.dim
     if d > 20:  # a window of side 2 has 2^dim cells, over MAX_PARTITION_CELLS
         raise ValueError(f"--dim {d} is over 20")
-    if spec.window_2d is not None:
+    if _one_of(spec, "--window-2d", "--window") == "--window-2d":
         parts = [int(x) for x in spec.window_2d.split(",")]
         if len(parts) != 2 * d:
             raise ValueError(f"--window-2d needs {2 * d} comma-separated integers for dim {d}")

@@ -24,7 +24,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .gram import _check_hermitian, build_gram, dual_system
+from .gram import _check_hermitian, dual_system
 from .quadfield import integers
 
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
@@ -34,7 +34,6 @@ __all__ = [
     "BlockSystem",
     "SelectorConfig",
     "SelectorResult",
-    "exponential_system",
     "complete_to_parseval_small",
     "naimark_complement",
     "predicted_bessel_bound",
@@ -171,21 +170,6 @@ class SelectorResult:
 
     def to_json(self) -> dict:
         return {**asdict(self), "labels": list(self.labels)}
-
-
-def exponential_system(points, spectrum) -> VectorSystem:
-    """Concrete coordinates for exponentials restricted to a spectrum.
-
-    Factors the normalized Gram as V^H V via an eigendecomposition; the
-    resulting columns reproduce all inner products, which is all the frame
-    algorithms consume.  Labels are the frequencies themselves.
-    """
-    pts = integers(points, "points")
-    g = build_gram(pts, spectrum, normalized=True)
-    w, u = np.linalg.eigh(g)
-    w = np.clip(w, 0.0, None)
-    v = np.sqrt(w)[:, None] * u.conj().T
-    return VectorSystem(matrix=v, labels=pts)
 
 
 def complete_to_parseval_small(system: VectorSystem, delta: float) -> VectorSystem:

@@ -46,25 +46,15 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 
 
-def _as_quad(x, d: int) -> QuadNum:
-    if isinstance(x, QuadNum):
-        return x
-    return QuadNum(Fraction(x), 0, d)
-
-
 class UnitInterval:
     """Half-open interval [lo, hi) with exact endpoints, 0 <= lo < hi <= 1."""
 
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi):
-        d = 2
-        if isinstance(lo, QuadNum):
-            d = lo.D
-        elif isinstance(hi, QuadNum):
-            d = hi.D
-        self.lo = _as_quad(lo, d)
-        self.hi = _as_quad(hi, d)
+        # a rational end adopts the other operand's radicand in every operation
+        self.lo = lo if isinstance(lo, QuadNum) else QuadNum(lo)
+        self.hi = hi if isinstance(hi, QuadNum) else QuadNum(hi)
         if self.lo.sign() < 0 or (self.hi - 1).sign() > 0:
             raise ValueError("interval must lie inside [0, 1]")
         if (self.hi - self.lo).sign() <= 0:
@@ -263,8 +253,7 @@ def generate_centered(alpha: QuadNum, interval: UnitInterval, count: int) -> Poi
     """Grow a symmetric window [-H, H] until it holds at least count elements."""
     if count < 1:
         raise ValueError("count must be positive")
-    density = max(float(interval.length), 1e-3)
-    half = max(8, int(count / density / 2) + 4)
+    half = max(8, int(count / float(interval.length) / 2) + 4)
     for _ in range(40):
         ps = generate(alpha, interval, (-half, half))
         if len(ps) >= count:

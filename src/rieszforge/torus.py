@@ -18,7 +18,6 @@ __all__ = [
     "Arc",
     "MultibandSet",
     "normalize_bands",
-    "complement",
     "indicator_fourier",
 ]
 
@@ -55,9 +54,6 @@ class MultibandSet:
     @property
     def fraction_of_torus(self) -> float:
         return self.measure / TWO_PI
-
-    def is_full(self) -> bool:
-        return self.measure >= TWO_PI - MIN_ARC
 
     def is_arc(self) -> bool:
         """One arc on the circle: one arc, or the two pieces normalize_bands
@@ -129,8 +125,6 @@ def normalize_bands(bands, unit: str = "rad") -> MultibandSet:
             raise ValueError(f"band ({lo}, {hi}) is empty or reversed")
         if length > TWO_PI + MIN_ARC:
             raise ValueError(f"band ({lo}, {hi}) is longer than the torus")
-        if length >= TWO_PI - MIN_ARC:
-            return MultibandSet(arcs=(Arc(0.0, TWO_PI),), measure=TWO_PI)
         lo_mod = math.fmod(lo, TWO_PI)
         if lo_mod < 0.0:
             lo_mod += TWO_PI
@@ -156,24 +150,6 @@ def normalize_bands(bands, unit: str = "rad") -> MultibandSet:
     if measure >= TWO_PI - MIN_ARC:
         return MultibandSet(arcs=(Arc(0.0, TWO_PI),), measure=TWO_PI)
     return MultibandSet(arcs=arcs, measure=measure)
-
-
-def complement(s: MultibandSet) -> MultibandSet:
-    """Closure of the complementary arcs; raises on the full torus."""
-    if s.is_full():
-        raise ValueError("complement of the full torus is empty")
-    gaps = []
-    prev_end = 0.0
-    for a in s.arcs:
-        if a.start > prev_end + MIN_ARC:
-            gaps.append((prev_end, a.start))
-        prev_end = a.end
-    if prev_end < TWO_PI - MIN_ARC:
-        gaps.append((prev_end, TWO_PI))
-    if not gaps:
-        raise ValueError("complement of the full torus is empty")
-    arcs = tuple(Arc(lo, hi) for lo, hi in gaps)
-    return MultibandSet(arcs=arcs, measure=sum(a.length for a in arcs))
 
 
 # not in __all__: perfbench's tracer wraps every __all__ function in a span,

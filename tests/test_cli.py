@@ -5,10 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import rieszforge
 from rieszforge.cli import main
+
+PACKAGE_ROOT = str(Path(rieszforge.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -277,21 +281,51 @@ def test_select_tight_off_the_full_torus(capsys, measure):
 def test_select_stdout_does_not_depend_on_blas_threads():
     # one arc at W=128: every trial's lambda_max is 1 within a few ulps, so a
     # Gram that moves by an ulp with the thread count would move the picks too
-    from pathlib import Path
-
-    import rieszforge
     argv = ["select", "--measure", "0.66", "--mode", "bessel", "--window", "128",
             "--threshold", "0.5", "--trials", "200"]
-    package_root = str(Path(rieszforge.__file__).resolve().parents[1])
     outs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads, PYTHONPATH=package_root)
+                   MKL_NUM_THREADS=threads, PYTHONPATH=PACKAGE_ROOT)
         proc = subprocess.run([sys.executable, "-m", "rieszforge.cli", *argv],
                               capture_output=True, env=env, timeout=120)
         assert proc.returncode == 3, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+from rieszforge.cli import main
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(argv)
+
+codes = [run(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+run(["partition", "--dim", "2", "--r", "2", "--window", "8"])
+print(json.dumps([codes, loaded, "scipy" in sys.modules]))
+"""
+
+
+def test_scipy_is_imported_by_partition_only():
+    # importing scipy would add to every other command's start-up time and memory
+    argvs = [
+        ["construct", "--measure", "0.45", "--window", "200"],
+        ["certify", "--measure", "0.45", "--schedule", "16,32"],
+        ["certify", "--bands", "[[0, 0.2], [0.5, 0.7]]", "--step", "3", "--window", "300",
+         "--schedule", "16,32"],
+        ["select", "--measure", "0.9", "--window", "16", "--trials", "5"],
+        ["density", "--step", "3", "--window", "200", "--measure", "0.45"],
+    ]
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded, after_partition = json.loads(proc.stdout)
+    assert 1 not in codes and loaded == []
+    assert after_partition  # the probe does see scipy once partition loads it
 
 
 def test_density_step(capsys):
@@ -349,6 +383,8 @@ def test_density_needs_source(capsys):
      "a spectrum is required: pass --bands, --bands-file or --measure"),
     (["construct", "--window", "50"],
      "a spectrum is required: pass --bands, --bands-file or --measure"),
+    (["partition", "--dim", "2", "--r", "2", "--window", "8", "--window-2d", "0,3,0,3"],
+     "pass only one of --window-2d / --window"),
 ])
 def test_source_conflicts_exit_1(capsys, argv, message):
     assert main(argv) == 1
@@ -377,6 +413,7 @@ def test_usage_errors_exit_1(capsys):
     ["construct", "--bands", "[[0.1, NaN]]", "--window", "50"],
     ["construct", "--measure", "1e-7", "--window", "50"],
     ["partition", "--dim", "99999999999"],
+    ["density", "--bands", "[[0, 1], [0.5, 0.2]]", "--step", "2", "--window", "10"],
 ])
 def test_bad_numbers_exit_1(capsys, argv):
     assert main(argv) == 1

@@ -1,6 +1,8 @@
-"""Every script under demos/ runs to completion against the package under test."""
+"""Every script under demos/ and the README's python examples run to completion,
+with warnings as errors, against the package under test."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,14 +11,38 @@ import pytest
 
 import rieszforge
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 PACKAGE_ROOT = str(Path(rieszforge.__file__).resolve().parents[1])
+# a `print(...)  # expected` line; an expectation ending in "..." is a prefix
+EXPECTED = re.compile(r"^\s*print\(.*\)\s*#\s*(.+?)\s*$")
+
+
+def run_python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-W", "error", *args], capture_output=True,
+                          text=True, env=env, timeout=120)
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
-                          env=env, timeout=120)
+    proc = run_python(str(script))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_examples_print_what_they_say():
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        flags=re.M | re.S)
+    code = "\n".join(blocks)
+    expected = [m.group(1) for line in code.splitlines() if (m := EXPECTED.match(line))]
+    assert len(blocks) >= 2 and expected
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    got = proc.stdout.splitlines()
+    assert len(got) == len(expected), proc.stdout
+    for line, want in zip(got, expected):
+        if want.endswith("..."):
+            assert line.startswith(want[:-3]), (line, want)
+        else:
+            assert line == want

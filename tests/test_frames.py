@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rieszforge import BlockSystem, SelectorConfig, VectorSystem, build_gram, \
-    complete_to_parseval_small, dual_system, exponential_system, frames, \
+    complete_to_parseval_small, dual_system, frames, \
     naimark_complement, normalize_bands, predicted_bessel_bound, select_bessel, \
     select_riesz, select_tight, stabilize
 
@@ -50,15 +50,6 @@ def test_block_system():
         BlockSystem(blocks=((0, 1), ()))
     with pytest.raises(ValueError):
         BlockSystem.intervals(range(2), 3)
-
-
-def test_exponential_system_reproduces_gram():
-    s = normalize_bands([(0.0, 0.7 * 2 * math.pi)])
-    pts = [0, 1, 3, 6]
-    sys_ = exponential_system(pts, s)
-    g = build_gram(pts, s, normalized=True)
-    assert np.abs(sys_.gram() - g).max() < 1e-12
-    assert sys_.labels == (0, 1, 3, 6)
 
 
 def test_completion_two_vector_example():

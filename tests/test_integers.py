@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rieszforge import BlockSystem, BoxSet, LatticeWindow, PointSet, QuadNum, \
-    UnitInterval, VectorSystem, build_gram, certify, exponential_system, generate, \
+    UnitInterval, VectorSystem, build_gram, certify, generate, \
     normalize_bands, select_riesz, stabilize
 from rieszforge.quadfield import integers
 
@@ -29,7 +29,6 @@ BOUNDARIES = {
     "select_blocks": lambda v: select_riesz(np.eye(2), ((0, v),), 0.1),
     "block_system": lambda v: BlockSystem(blocks=((0, v),)),
     "block_intervals": lambda v: BlockSystem.intervals([0, v, 4, 5], 2),
-    "exponential_system": lambda v: exponential_system([0, v, 4], HALF),
     "stabilize": lambda v: stabilize([(0,), (0, v)]),
     "lattice_window_lo": lambda v: LatticeWindow(lo=(0, v), hi=(5, 5)),
     "lattice_window_hi": lambda v: LatticeWindow(lo=(0, 0), hi=(5, v)),

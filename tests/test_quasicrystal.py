@@ -210,6 +210,22 @@ def test_generate_centered_reaches_count():
         generate_centered(ALPHA6, UnitInterval(0, SQRT6_OVER6), 0)
 
 
+@pytest.mark.parametrize("s_norm", [2e-4, 5e-4, 9e-4])
+def test_generate_centered_sizes_short_intervals_in_one_window(monkeypatch, s_norm):
+    # the first window is sized from |I| itself, so it already holds count points
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return generate(*args)
+
+    monkeypatch.setattr(quasicrystal, "generate", counting)
+    p = choose_params(s_norm)
+    assert float(p.riesz_interval.length) < 1e-3
+    assert len(generate_centered(p.alpha, p.riesz_interval, 256)) >= 256
+    assert len(calls) == 1, calls
+
+
 def test_choose_params_small_045():
     p = choose_params(0.45)
     assert p.mode == "small" and p.n == 3

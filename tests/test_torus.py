@@ -1,4 +1,4 @@
-"""Multiband torus sets: canonicalization, complements, indicator coefficients."""
+"""Multiband torus sets: canonicalization and indicator coefficients."""
 
 import cmath
 import math
@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from rieszforge import TWO_PI, MultibandSet, complement, indicator_fourier, \
-    normalize_bands
+from rieszforge import TWO_PI, Arc, MultibandSet, indicator_fourier, normalize_bands
 
 
 def test_normalize_basic():
@@ -53,6 +52,10 @@ def test_normalize_units_and_errors():
         normalize_bands([])
     with pytest.raises(ValueError):
         normalize_bands([(0.0, 1.0)], unit="deg")
+    # a band that covers the torus does not excuse the bands after it
+    for bad in ([math.nan, 0.5], [0.5, 0.2], [0, 5]):
+        with pytest.raises(ValueError):
+            normalize_bands([[0, 1], bad], unit="2pi")
 
 
 @pytest.mark.parametrize("band", [(0.1, math.nan), (math.nan, 0.5),
@@ -64,21 +67,10 @@ def test_normalize_rejects_non_finite(band):
 
 def test_full_torus_collapse():
     s = normalize_bands([(0.0, 1.0)], unit="2pi")
-    assert s.is_full()
-    assert len(s.arcs) == 1 and s.measure == TWO_PI
+    assert s.arcs == (Arc(0.0, TWO_PI),) and s.measure == TWO_PI
     # covering the circle in two overlapping pieces collapses as well
     t = normalize_bands([(0.0, 4.0), (3.9, TWO_PI)])
-    assert t.is_full()
-
-
-def test_complement():
-    s = normalize_bands([(1.0, 2.0), (3.0, 4.0)])
-    c = complement(s)
-    assert s.measure + c.measure == pytest.approx(TWO_PI)
-    got = [(a.start, a.end) for a in c.arcs]
-    assert got == [(0.0, 1.0), (2.0, 3.0), (4.0, pytest.approx(TWO_PI))]
-    with pytest.raises(ValueError):
-        complement(normalize_bands([(0.0, TWO_PI)]))
+    assert t.arcs == (Arc(0.0, TWO_PI),)
 
 
 def test_indicator_fourier_against_quadrature():
