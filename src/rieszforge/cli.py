@@ -21,8 +21,8 @@ import numpy as np
 
 from . import gram as gramlib
 from . import quasicrystal as qc
-from .frames import BlockSystem, SelectorConfig, predicted_bessel_bound, select_bessel, \
-    select_riesz, select_tight
+from .frames import BlockSystem, SelectorConfig, pair_bessel_bound, predicted_bessel_bound, \
+    select_bessel, select_riesz, select_tight
 from .lattice import BoxSet, LatticeWindow, covering_radius, cube_partition, \
     cycling_partition, section_report
 from .quadfield import integers
@@ -188,12 +188,10 @@ def cmd_certify(spec: argparse.Namespace) -> int:
 def cmd_select(spec: argparse.Namespace) -> int:
     spectrum = _load_spectrum(spec)
     n = spec.window
-    if n < spec.r:
-        raise ValueError("--window must be at least --r")
     _check_gram_size(n)
     labels = range(n)
-    gram = gramlib.build_gram(labels, spectrum, normalized=True)
     blocks = BlockSystem.intervals(labels, spec.r)
+    gram = gramlib.build_gram(labels, spectrum, normalized=True)
     config = SelectorConfig(master_seed=spec.seed, max_trials=spec.trials)
     delta = spectrum.fraction_of_torus
 
@@ -204,21 +202,18 @@ def cmd_select(spec: argparse.Namespace) -> int:
         target = spec.threshold if spec.threshold is not None else \
             predicted_bessel_bound(spec.r, delta)
         result = select_bessel(gram, blocks, target, config)
-    elif spec.mode == "tight":
+    else:
         eps = spec.threshold if spec.threshold is not None else 0.5
         # normalized exponentials have squared norm delta = |S|/2pi; scale the Gram to a
         # unit diagonal (by exactly 1.0 on the full torus)
         result = select_tight(gram / delta, blocks, eps, config)
-    else:
-        raise ValueError(f"unknown selection mode {spec.mode!r}")
 
     theory = {
         "delta0": config.delta0,
         "eps0": config.eps0,
         "big_constant": config.big_constant,
         "vector_norm_squared": delta,
-        "pair_bessel_bound": predicted_bessel_bound(2, delta, pairs=True)
-        if delta < 0.25 else None,
+        "pair_bessel_bound": pair_bessel_bound(delta) if delta < 0.25 else None,
         "block_bessel_bound": predicted_bessel_bound(spec.r, delta),
     }
     payload = {

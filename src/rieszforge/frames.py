@@ -36,6 +36,7 @@ __all__ = [
     "SelectorResult",
     "complete_to_parseval_small",
     "naimark_complement",
+    "pair_bessel_bound",
     "predicted_bessel_bound",
     "select_bessel",
     "select_riesz",
@@ -123,8 +124,8 @@ class BlockSystem:
 class SelectorConfig:
     """Knobs for the randomized search plus the theory-side reference constants.
 
-    delta0 = 0.1 fixes the pair-selection bound: eps0 = 1/2 -
-    sqrt(2*delta0*(1-2*delta0)) and C = 9*((1-delta0)/delta0)^2 give the
+    delta0 = 0.1 fixes the pair-selection bound: eps0 = 1 -
+    pair_bessel_bound(delta0) and C = 9*((1-delta0)/delta0)^2 give the
     predicted block size 2*ceil(C/eps) for a lower Riesz bound of eps*eps0
     (r = 2 suffices when eps > 3/4).  These constants come from an existence
     proof and are far from empirically sharp; they are reported, never
@@ -141,7 +142,7 @@ class SelectorConfig:
 
     @property
     def eps0(self) -> float:
-        return 0.5 - math.sqrt(2.0 * self.delta0 * (1.0 - 2.0 * self.delta0))
+        return 1.0 - pair_bessel_bound(self.delta0)
 
     @property
     def big_constant(self) -> float:
@@ -230,22 +231,23 @@ def naimark_complement(system: VectorSystem) -> VectorSystem:
     return VectorSystem(matrix=comp, labels=system.labels)
 
 
-def predicted_bessel_bound(r: int, delta: float, pairs: bool = False) -> float:
-    """Theory reference bound for a one-per-block selection.
-
-    General blocks of size r with squared norms <= delta: (1/sqrt(r) +
-    sqrt(delta))^2.  With pairs=True (blocks of 2, delta < 1/4): 1 - eps0 =
-    1/2 + sqrt(2*delta*(1-2*delta)).
-    """
-    if pairs:
-        if not 0.0 < delta < 0.25:
-            raise ValueError("pair bound needs delta in (0, 1/4)")
-        return 0.5 + math.sqrt(2.0 * delta * (1.0 - 2.0 * delta))
+def predicted_bessel_bound(r: int, delta: float) -> float:
+    """Theory reference bound for a one-per-block selection from blocks of
+    size r with squared norms <= delta: (1/sqrt(r) + sqrt(delta))^2."""
     if r < 1:
         raise ValueError("block size must be positive")
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     return (1.0 / math.sqrt(r) + math.sqrt(delta)) ** 2
+
+
+def pair_bessel_bound(delta: float) -> float:
+    """Theory reference bound for a one-per-pair selection from vectors of
+    squared norm <= delta < 1/4: 1/2 + sqrt(2*delta*(1-2*delta)), which is
+    1 - eps0 at delta = SelectorConfig.delta0."""
+    if not 0.0 < delta < 0.25:
+        raise ValueError("pair bound needs delta in (0, 1/4)")
+    return 0.5 + math.sqrt(2.0 * delta * (1.0 - 2.0 * delta))
 
 
 def _search(gram: np.ndarray, blocks: tuple, config: SelectorConfig,

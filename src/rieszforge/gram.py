@@ -76,12 +76,14 @@ def build_gram(points, spectrum, normalized: bool = False) -> np.ndarray:
     points are not integers, or when they or their key differences do not fit
     in 64-bit integers.
     """
-    volume = spectrum.total_volume if normalized else None
-    return _section(points, spectrum.fourier_coefficient, complex, volume)
+    g = _section(points, spectrum.fourier_coefficient, complex)
+    if normalized:
+        g /= spectrum.total_volume
+    return g
 
 
-def _section(points, coefficient, dtype, volume=None) -> np.ndarray:
-    """M[j,k] = coefficient(p_k - p_j) / volume, of the given dtype.
+def _section(points, coefficient, dtype) -> np.ndarray:
+    """M[j,k] = coefficient(p_k - p_j), of the given dtype.
 
     Points are coded to scalar keys by a balanced mixed-radix code (radix
     2*span+1 per axis, first axis most significant), linear and injective on
@@ -123,8 +125,6 @@ def _section(points, coefficient, dtype, volume=None) -> np.ndarray:
     for i in range(mid, len(table)):
         vals[i] = coefficient(_frequency(int(table[i]), radix, vector))
     vals[:mid] = vals[:mid:-1].conj()
-    if volume is not None:
-        vals = vals / volume
     if diff is None:
         out = np.empty((n, n), dtype=dtype)
         for i, row in enumerate(out):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .quadfield import integers
 from .quasicrystal import GapStats, gap_stats
-from .torus import TWO_PI, interval_coefficient, unit_keyed
+from .torus import MIN_ARC, RADIANS_PER_UNIT, TWO_PI, interval_coefficient, unit_keyed
 
 __all__ = [
     "LatticeWindow",
@@ -212,11 +212,11 @@ class BoxSet:
             if len(box) != d:
                 raise ValueError("boxes must share one dimension")
             for lo, hi in box:
-                if not (0.0 <= lo < hi <= TWO_PI + 1e-12):
+                if not (0.0 <= lo < hi <= TWO_PI + MIN_ARC):
                     raise ValueError(f"box side ({lo}, {hi}) outside [0, 2*pi]")
         for i in range(len(boxes)):
             for j in range(i + 1, len(boxes)):
-                if all(lo1 < hi2 - 1e-12 and lo2 < hi1 - 1e-12
+                if all(lo1 < hi2 - MIN_ARC and lo2 < hi1 - MIN_ARC
                        for (lo1, hi1), (lo2, hi2) in zip(boxes[i], boxes[j])):
                     raise ValueError(f"boxes {i} and {j} overlap")
         object.__setattr__(self, "boxes", boxes)
@@ -247,7 +247,7 @@ class BoxSet:
     def from_json(cls, obj) -> "BoxSet":
         """Parse {"boxes_rad": ...}, {"boxes_2pi": ...} or a bare list of boxes."""
         unit, raw = unit_keyed(obj, "boxes")
-        scale = TWO_PI if unit == "2pi" else 1.0
+        scale = RADIANS_PER_UNIT[unit]
         try:
             boxes = tuple(tuple((lo * scale, hi * scale) for lo, hi in box) for box in raw)
         except (TypeError, ValueError, OverflowError):

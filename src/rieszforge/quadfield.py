@@ -78,6 +78,30 @@ def quad_sign(p: Fraction, q: Fraction, d: int) -> int:
     return sp if lhs > rhs else sq
 
 
+def _aligned(op):
+    """The binary method op(a, b) on self and other over one radicand.
+
+    A rational other (int, Fraction, or a QuadNum with q = 0) adopts self's
+    radicand, and a rational self adopts other's; two irrationals with
+    different radicands raise ValueError; any other type gives NotImplemented,
+    so Python raises TypeError once the reflected operation declines too.
+    """
+    def method(self, other):
+        if isinstance(other, _RationalLike):
+            other = QuadNum(other, 0, self.D)
+        elif not isinstance(other, QuadNum):
+            return NotImplemented
+        elif self.D != other.D:
+            if other.q == 0:
+                other = QuadNum(other.p, 0, self.D)
+            elif self.q == 0:
+                self = QuadNum(self.p, 0, other.D)
+            else:
+                raise ValueError(f"mixed radicands {self.D} and {other.D}")
+        return op(self, other)
+    return method
+
+
 class QuadNum:
     """An element p + q*sqrt(D) of the real quadratic field Q(sqrt(D)).
 
@@ -114,29 +138,10 @@ class QuadNum:
     def __float__(self) -> float:
         return float(self.p) + float(self.q) * math.sqrt(self.D)
 
-    # -- alignment of operands -----------------------------------------------------
-
-    def _align(self, other):
-        """Return (a, b) over a common radicand, or None if other is foreign."""
-        if isinstance(other, _RationalLike):
-            return self, QuadNum(other, 0, self.D)
-        if not isinstance(other, QuadNum):
-            return None
-        if self.D == other.D:
-            return self, other
-        if other.q == 0:
-            return self, QuadNum(other.p, 0, self.D)
-        if self.q == 0:
-            return QuadNum(self.p, 0, other.D), other
-        raise ValueError(f"mixed radicands {self.D} and {other.D}")
-
     # -- arithmetic ----------------------------------------------------------------
 
-    def __add__(self, other):
-        pair = self._align(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
+    @_aligned
+    def __add__(a, b):
         return QuadNum(a.p + b.p, a.q + b.q, a.D)
 
     __radd__ = __add__
@@ -144,25 +149,16 @@ class QuadNum:
     def __neg__(self):
         return QuadNum(-self.p, -self.q, self.D)
 
-    def __sub__(self, other):
-        pair = self._align(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
+    @_aligned
+    def __sub__(a, b):
         return QuadNum(a.p - b.p, a.q - b.q, a.D)
 
-    def __rsub__(self, other):
-        pair = self._align(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
+    @_aligned
+    def __rsub__(a, b):
         return QuadNum(b.p - a.p, b.q - a.q, a.D)
 
-    def __mul__(self, other):
-        pair = self._align(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
+    @_aligned
+    def __mul__(a, b):
         return QuadNum(a.p * b.p + a.q * b.q * a.D, a.p * b.q + a.q * b.p, a.D)
 
     __rmul__ = __mul__
@@ -171,22 +167,16 @@ class QuadNum:
         """Field conjugate p - q*sqrt(D)."""
         return QuadNum(self.p, -self.q, self.D)
 
-    def __truediv__(self, other):
-        pair = self._align(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
+    @_aligned
+    def __truediv__(a, b):
         # 1/(p+q*sqrt(D)) = (p-q*sqrt(D)) / (p^2 - q^2*D)
         norm = b.p * b.p - b.q * b.q * b.D
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt(D))")
         return a * QuadNum(b.p / norm, -b.q / norm, a.D)
 
-    def __rtruediv__(self, other):
-        pair = self._align(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
+    @_aligned
+    def __rtruediv__(a, b):
         return b / a
 
     # -- order and identity --------------------------------------------------------
@@ -195,39 +185,36 @@ class QuadNum:
         """Exact sign as -1, 0 or +1."""
         return quad_sign(self.p, self.q, self.D)
 
+    @_aligned
+    def _equal(a, b):
+        return a.p == b.p and a.q == b.q
+
     def __eq__(self, other):
         try:
-            pair = self._align(other)
+            return self._equal(other)
         except ValueError:
             return False  # distinct irrationals from different fields
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return a.p == b.p and a.q == b.q
 
     def __hash__(self):
         if self.q == 0:
             return hash(self.p)
         return hash((self.p, self.q, self.D))
 
-    def _cmp(self, other) -> int:
-        pair = self._align(other)
-        if pair is None:
-            raise TypeError(f"cannot compare QuadNum with {type(other).__name__}")
-        a, b = pair
-        return quad_sign(a.p - b.p, a.q - b.q, a.D)
+    @_aligned
+    def __lt__(a, b):
+        return quad_sign(a.p - b.p, a.q - b.q, a.D) < 0
 
-    def __lt__(self, other):
-        return self._cmp(other) < 0
+    @_aligned
+    def __le__(a, b):
+        return quad_sign(a.p - b.p, a.q - b.q, a.D) <= 0
 
-    def __le__(self, other):
-        return self._cmp(other) <= 0
+    @_aligned
+    def __gt__(a, b):
+        return quad_sign(a.p - b.p, a.q - b.q, a.D) > 0
 
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
+    @_aligned
+    def __ge__(a, b):
+        return quad_sign(a.p - b.p, a.q - b.q, a.D) >= 0
 
     # -- floor / fractional part ---------------------------------------------------
 

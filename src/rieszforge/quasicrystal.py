@@ -46,15 +46,21 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 
 
+@dataclass(frozen=True)
 class UnitInterval:
-    """Half-open interval [lo, hi) with exact endpoints, 0 <= lo < hi <= 1."""
+    """Half-open interval [lo, hi) with exact endpoints, 0 <= lo < hi <= 1.
 
-    __slots__ = ("lo", "hi")
+    A rational end is stored as QuadNum(x), which adopts the other operand's
+    radicand in every operation.
+    """
 
-    def __init__(self, lo, hi):
-        # a rational end adopts the other operand's radicand in every operation
-        self.lo = lo if isinstance(lo, QuadNum) else QuadNum(lo)
-        self.hi = hi if isinstance(hi, QuadNum) else QuadNum(hi)
+    lo: QuadNum
+    hi: QuadNum
+
+    def __post_init__(self):
+        for end, x in (("lo", self.lo), ("hi", self.hi)):
+            if not isinstance(x, QuadNum):
+                object.__setattr__(self, end, QuadNum(x))
         if self.lo.sign() < 0 or (self.hi - 1).sign() > 0:
             raise ValueError("interval must lie inside [0, 1]")
         if (self.hi - self.lo).sign() <= 0:
@@ -63,12 +69,6 @@ class UnitInterval:
     @property
     def length(self) -> QuadNum:
         return self.hi - self.lo
-
-    def __eq__(self, other):
-        return isinstance(other, UnitInterval) and self.lo == other.lo and self.hi == other.hi
-
-    def __repr__(self):
-        return f"UnitInterval({self.lo!r}, {self.hi!r})"
 
 
 @dataclass(frozen=True)
@@ -206,18 +206,21 @@ def generate(alpha: QuadNum, interval: UnitInterval, window: tuple[int, int]) ->
     # which the bound marks unsure.
     s, s_err = _float_with_error(start.p, start.q, d)
     a, a_err = _float_with_error(alpha.p, alpha.q, d)
-    k = np.arange(n1 - n0 + 1, dtype=float)
-    t = s + a * k
-    f = t - np.floor(t)
-    err = (2 * s_err + 8 * _EPS) + (2 * a_err + 8 * _EPS) * k
-
-    lo, lo_err = _float_with_error(lp, lq, d)
-    hi, hi_err = _float_with_error(hp, hq, d)
-    member = (f >= lo) & (f < hi)
-    # written as "not clearly apart", so a NaN or an infinite bound is unsure
-    unsure = np.zeros(len(f), dtype=bool)
-    for edge, edge_err in ((lo, lo_err), (hi, hi_err), (0.0, 0.0), (1.0, 0.0)):
-        unsure |= ~(np.abs(f - edge) > err + edge_err)
+    size = n1 - n0 + 1
+    if not math.isfinite(s_err + a_err):  # no float orbit: every integer is unsure
+        member, unsure = np.zeros(size, dtype=bool), np.ones(size, dtype=bool)
+    else:
+        k = np.arange(size, dtype=float)
+        t = s + a * k
+        f = t - np.floor(t)
+        err = (2 * s_err + 8 * _EPS) + (2 * a_err + 8 * _EPS) * k
+        lo, lo_err = _float_with_error(lp, lq, d)
+        hi, hi_err = _float_with_error(hp, hq, d)
+        member = (f >= lo) & (f < hi)
+        # written as "not clearly apart", so an infinite edge bound is unsure
+        unsure = np.zeros(size, dtype=bool)
+        for edge, edge_err in ((lo, lo_err), (hi, hi_err), (0.0, 0.0), (1.0, 0.0)):
+            unsure |= ~(np.abs(f - edge) > err + edge_err)
     for i in np.flatnonzero(unsure).tolist():
         x = (alpha * (n0 + i)).frac_mod1()
         member[i] = quad_sign(x.p - lp, x.q - lq, d) >= 0 and \

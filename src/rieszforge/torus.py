@@ -27,6 +27,9 @@ TWO_PI = 2.0 * math.pi
 # are treated as rounding artifacts and merged away
 MIN_ARC = 1e-12
 
+# spectrum units: radians, or fractions of the full circle
+RADIANS_PER_UNIT = {"rad": 1.0, "2pi": TWO_PI}
+
 
 @dataclass(frozen=True)
 class Arc:
@@ -88,7 +91,7 @@ def unit_keyed(obj, stem: str) -> tuple[str, object]:
     `<stem>_rad` and `<stem>_2pi`; a bare value is in fractions of 2*pi ("2pi")."""
     if not isinstance(obj, dict):
         return "2pi", obj
-    given = [unit for unit in ("rad", "2pi") if f"{stem}_{unit}" in obj]
+    given = [unit for unit in RADIANS_PER_UNIT if f"{stem}_{unit}" in obj]
     if len(given) != 1:
         raise ValueError(f"expected exactly one of '{stem}_rad' / '{stem}_2pi', got {sorted(obj)}")
     return given[0], obj[f"{stem}_{given[0]}"]
@@ -102,13 +105,10 @@ def normalize_bands(bands, unit: str = "rad") -> MultibandSet:
     or adjacent arcs are merged.  unit is "rad" for radians or "2pi" for
     fractions of the full circle.
     """
-    if unit == "rad":
-        scale = 1.0
-    elif unit == "2pi":
-        scale = TWO_PI
-    else:
-        raise ValueError(f"unit must be 'rad' or '2pi', got {unit!r}")
-
+    try:
+        scale = RADIANS_PER_UNIT[unit]
+    except (KeyError, TypeError):
+        raise ValueError(f"unit must be 'rad' or '2pi', got {unit!r}") from None
     try:
         pairs = [(float(lo) * scale, float(hi) * scale) for lo, hi in bands]
     except (TypeError, ValueError, OverflowError):

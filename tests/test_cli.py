@@ -153,6 +153,49 @@ def test_partition_stdout_pinned(capsys, argv, size, digest, sections):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# one op per selection mode, captured before the pair bound moved to
+# pair_bessel_bound; the theory block carries the pair bound only below 1/4
+SELECT_PINS = [
+    (["--measure", "0.2", "--window", "32", "--r", "4", "--mode", "riesz", "--seed", "3",
+      "--trials", "50"],
+     3, 713, "b99b6953c7bfc16a8717a6c2ff7f93b40f8aff073926dbe219a1d50a897965f0",
+     {"big_constant": 729.0, "block_bessel_bound": 0.8972135954999578, "delta0": 0.1,
+      "eps0": 0.09999999999999998, "pair_bessel_bound": 0.9898979485566356,
+      "vector_norm_squared": 0.2}),
+    (["--measure", "0.66", "--window", "64", "--r", "4", "--mode", "bessel", "--seed", "1",
+      "--trials", "40"],
+     0, 793, "f5b9f49d51c1edfc74482ca023aa9b0ff5b5b8e4e00b612eb9d30242db27e5e3",
+     {"big_constant": 729.0, "block_bessel_bound": 1.722403840463596, "delta0": 0.1,
+      "eps0": 0.09999999999999998, "pair_bessel_bound": None, "vector_norm_squared": 0.66}),
+    (["--measure", "0.1", "--window", "32", "--r", "4", "--mode", "tight", "--seed", "2",
+      "--trials", "20"],
+     3, 697, "ece7a7af4f1af470f6f45623063ddb2516ef7c05ae3330903a540a573aedf63f",
+     {"big_constant": 729.0, "block_bessel_bound": 0.6662277660168381, "delta0": 0.1,
+      "eps0": 0.09999999999999998, "pair_bessel_bound": 0.9, "vector_norm_squared": 0.1}),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, size, digest, theory", SELECT_PINS,
+                         ids=["riesz", "bessel", "tight"])
+def test_select_stdout_pinned(capsys, argv, exit_code, size, digest, theory):
+    code, out = run(capsys, "select", *argv)
+    assert code == exit_code
+    assert json.loads(out)["theory"] == theory
+    assert len(out.encode()) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_select_refuses_a_window_short_of_one_block_before_the_gram(capsys, monkeypatch):
+    from rieszforge import gram
+
+    def no_gram(*args, **kwargs):
+        raise AssertionError("Gram built for a refused window")
+
+    monkeypatch.setattr(gram, "build_gram", no_gram)
+    assert main(["select", "--measure", "0.5", "--window", "3", "--r", "4"]) == 1
+    assert "3 labels cannot fill a block of size 4" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, cells", [
     (["--dim", "8", "--window", "1000"], 1000 ** 8),
     (["--dim", "2", "--window-2d", "0,1049,0,1000"], 1050 * 1001),

@@ -8,8 +8,8 @@ import pytest
 
 from rieszforge import BlockSystem, SelectorConfig, VectorSystem, build_gram, \
     complete_to_parseval_small, dual_system, frames, \
-    naimark_complement, normalize_bands, predicted_bessel_bound, select_bessel, \
-    select_riesz, select_tight, stabilize
+    naimark_complement, normalize_bands, pair_bessel_bound, predicted_bessel_bound, \
+    select_bessel, select_riesz, select_tight, stabilize
 
 
 def random_parseval(rng, dim, count):
@@ -136,14 +136,46 @@ def test_predicted_bounds():
     assert predicted_bessel_bound(4, 0.25) == pytest.approx((0.5 + 0.5) ** 2)
     assert predicted_bessel_bound(1, 0.0) == pytest.approx(1.0)
     # pair bound at delta0 = 0.1: 1 - eps0 = 0.9
-    assert predicted_bessel_bound(2, 0.1, pairs=True) == pytest.approx(0.9)
+    assert pair_bessel_bound(0.1) == pytest.approx(0.9)
     with pytest.raises(ValueError):
-        predicted_bessel_bound(2, 0.3, pairs=True)
+        pair_bessel_bound(0.3)
     with pytest.raises(ValueError):
         predicted_bessel_bound(0, 0.1)
     cfg = SelectorConfig()
     assert cfg.predicted_block_size(0.8) == 2          # eps > 3/4
     assert cfg.predicted_block_size(0.5) == 2 * math.ceil(cfg.big_constant / 0.5)
+
+
+def test_pair_bound_is_one_minus_eps0():
+    # SelectorConfig.eps0 is written through pair_bessel_bound; both print the same digits
+    cfg = SelectorConfig()
+    assert cfg.eps0 == 1.0 - pair_bessel_bound(cfg.delta0)
+    assert repr(cfg.eps0) == repr(0.5 - math.sqrt(2 * 0.1 * (1 - 2 * 0.1))) == "0.09999999999999998"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: predicted_bessel_bound(2, -0.1), "delta must be nonnegative"),
+    (lambda: pair_bessel_bound(0.0), "pair bound needs delta"),
+    (lambda: SelectorConfig().predicted_block_size(0), "eps must be positive"),
+    (lambda: BlockSystem(blocks=()), "need at least one block"),
+    (lambda: VectorSystem(matrix=np.ones(3), labels=(0, 1, 2)), "matrix must be 2-D"),
+])
+def test_theory_and_container_validation(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_completion_skips_a_direction_already_at_one():
+    # four copies of e1/2 give frame-operator eigenvalue 1 on e1: no deficit there,
+    # so only e2 (eigenvalue 1/4) is completed, by m = 4 copies of sqrt(3/16) e2
+    m = np.array([[0.5, 0.5, 0.5, 0.5, 0.0], [0.0, 0.0, 0.0, 0.0, 0.5]])
+    system = VectorSystem(matrix=m, labels=range(5))
+    added = complete_to_parseval_small(system, 0.25)
+    assert added.count == 4
+    assert np.abs(added.matrix[0]).max() < 1e-15
+    assert np.allclose(np.abs(added.matrix[1]), math.sqrt(3 / 16))
+    total = system.frame_operator() + added.frame_operator()
+    assert np.abs(total - np.eye(2)).max() < 1e-12
 
 
 def test_selector_config_validation():

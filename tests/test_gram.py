@@ -108,6 +108,22 @@ def test_normalized_gram():
     assert np.abs(gn - np.eye(5)).max() < 1e-13
 
 
+@pytest.mark.parametrize("pts, spectrum", [
+    ([-7, -3, 0, 2, 9, 40], normalize_bands([(0.3, 1.9), (3.0, 4.5)])),
+    ([0, 10**9, 5], HALF),  # unique-key gather
+    ([(-2, 5), (0, -1), (3, 0), (1, 2)],
+     BoxSet(boxes=(((0.1, 1.7), (0.5, 2.9)), ((2.0, 5.0), (3.1, 6.0))))),
+])
+def test_normalized_gram_is_the_gram_over_the_volume_bitwise(pts, spectrum):
+    g = build_gram(pts, spectrum)
+    assert np.array_equal(build_gram(pts, spectrum, normalized=True), g / spectrum.total_volume)
+
+
+def test_gram_of_no_points_raises():
+    with pytest.raises(ValueError, match="empty point set"):
+        build_gram([], HALF)
+
+
 def test_extreme_eigs_rejects_non_hermitian():
     with pytest.raises(ValueError):
         extreme_eigs(np.array([[1.0, 2.0], [0.0, 1.0]]))

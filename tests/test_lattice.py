@@ -282,3 +282,9 @@ def test_box_json_round_trip():
     assert BoxSet.from_json([[[0.0, 0.5], [0.0, 0.25]]]) == scaled
     with pytest.raises(ValueError, match="exactly one of 'boxes_rad' / 'boxes_2pi'"):
         BoxSet.from_json({"boxes_2pi": [[[0.0, 0.5]]], "boxes_rad": [[[0.0, 1.0]]]})
+
+
+def test_box_units_2pi_equal_rad():
+    frac = [[[0.1, 0.35], [0.5, 0.9]], [[0.6, 0.8], [0.05, 0.2]]]
+    rad = [[[lo * TWO_PI, hi * TWO_PI] for lo, hi in box] for box in frac]
+    assert BoxSet.from_json({"boxes_2pi": frac}) == BoxSet.from_json({"boxes_rad": rad})

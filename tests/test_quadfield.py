@@ -204,3 +204,35 @@ def test_hash_consistency():
     assert hash(QuadNum(1, 1, 2)) == hash(QuadNum(1, 1, 2))
     s = {QuadNum(1, 1, 2), QuadNum(1, 1, 2), QuadNum(1, 0, 2)}
     assert len(s) == 2
+
+
+FOREIGN = ["x", 1.5, None]
+ARITHMETIC = [lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+              lambda a, b: a / b]
+ORDER = [lambda a, b: a < b, lambda a, b: a <= b, lambda a, b: a > b,
+         lambda a, b: a >= b]
+
+
+@pytest.mark.parametrize("other", FOREIGN)
+@pytest.mark.parametrize("op", ARITHMETIC + ORDER)
+def test_foreign_operands_raise_type_error_on_either_side(op, other):
+    q = QuadNum(1, 1, 2)
+    with pytest.raises(TypeError):
+        op(q, other)
+    with pytest.raises(TypeError):
+        op(other, q)
+
+
+@pytest.mark.parametrize("other", FOREIGN)
+def test_foreign_operands_are_unequal(other):
+    q = QuadNum(1, 1, 2)
+    assert not q == other and q != other
+    assert not other == q and other != q
+
+
+def test_equality_across_radicands():
+    assert (QuadNum(1, 1, 2) == QuadNum(1, 1, 3)) is False
+    assert (QuadNum(1, 1, 2) != QuadNum(1, 1, 3)) is True
+    assert QuadNum(2, 0, 2) == QuadNum(2, 0, 3) == 2
+    with pytest.raises(ValueError):
+        QuadNum(0, 1, 2) < QuadNum(0, 1, 3)

@@ -94,6 +94,8 @@ def test_generate_endpoints_on_the_orbit(alpha):
     (-2**40 - 300, -2**40 + 300),
     (10**20, 10**20 + 20),            # beyond int64: every integer goes exact
     (10**30, 10**30 + 100),           # exact floors by integer square root
+    (10**310, 10**310 + 100),         # frac(alpha*n0) has a q past float range
+    (10**400, 10**400 + 100),
 ])
 @pytest.mark.parametrize("s_norm", [0.45, 0.78])
 def test_generate_far_windows_match_oracle(window, s_norm):
@@ -224,6 +226,23 @@ def test_generate_centered_sizes_short_intervals_in_one_window(monkeypatch, s_no
     assert float(p.riesz_interval.length) < 1e-3
     assert len(generate_centered(p.alpha, p.riesz_interval, 256)) >= 256
     assert len(calls) == 1, calls
+
+
+def test_generate_centered_doubles_until_count(monkeypatch):
+    # alpha = sqrt2/1000 first reaches [1/2, 3/5) at n = -283 (alpha*283 is
+    # just over 0.4): the windows +-9, 18, 36, 72 and 144 hold nothing
+    alpha = QuadNum(0, Fraction(1, 1000), 2)
+    interval = UnitInterval(Fraction(1, 2), Fraction(3, 5))
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return generate(*args)
+
+    monkeypatch.setattr(quasicrystal, "generate", counting)
+    ps = generate_centered(alpha, interval, 1)
+    assert [w[1] for w in calls] == [9, 18, 36, 72, 144, 288]
+    assert ps.window == (-288, 288) and len(ps) >= 1
 
 
 def test_choose_params_small_045():
@@ -360,3 +379,9 @@ def test_unit_interval_rules():
         UnitInterval(0, Fraction(3, 2))
     full = UnitInterval(0, 1)
     assert full.length == 1 and full == UnitInterval(Fraction(0), Fraction(1))
+
+
+def test_params_and_intervals_are_hashable():
+    assert hash(choose_params(0.45)) == hash(choose_params(0.45))
+    assert len({UnitInterval(0, 1), UnitInterval(Fraction(0), Fraction(1)),
+                UnitInterval(0, SQRT6_OVER6)}) == 2

@@ -156,3 +156,9 @@ def test_is_arc():
 def test_numpy_float_inputs():
     s = normalize_bands(np.array([[0.0, 1.0]]))
     assert s.measure == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("unit", ["deg", "RAD", ["rad"], None])
+def test_unknown_units_raise_value_error(unit):
+    with pytest.raises(ValueError, match="unit must be 'rad' or '2pi'"):
+        normalize_bands([(0.0, 1.0)], unit=unit)
