@@ -11,6 +11,7 @@ cost grows with the digits of p and q, not with their size.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 __all__ = ["QuadNum", "quad_sign"]
@@ -48,12 +49,24 @@ def _is_square_free(d: int) -> bool:
     return True
 
 
-def _validate_radicand(d: int) -> int:
-    if not isinstance(d, int) or d <= 1:
+def _validate_radicand(d) -> int:
+    try:
+        n = operator.index(d)  # a numpy integer becomes a Python int
+    except TypeError:
+        n = 0
+    if n <= 1:
         raise ValueError(f"radicand must be an integer >= 2, got {d!r}")
-    if math.isqrt(d) ** 2 == d or not _is_square_free(d):
-        raise ValueError(f"radicand must be square-free and not a perfect square, got {d}")
-    return d
+    if math.isqrt(n) ** 2 == n or not _is_square_free(n):
+        raise ValueError(f"radicand must be square-free and not a perfect square, got {n}")
+    return n
+
+
+def _fraction(x) -> Fraction:
+    """Fraction(x) over Python ints; Fraction keeps a fixed-width numpy integer."""
+    x = Fraction(x)
+    if type(x.numerator) is type(x.denominator) is int:
+        return x
+    return Fraction(int(x.numerator), int(x.denominator))
 
 
 def quad_sign(p: Fraction, q: Fraction, d: int) -> int:
@@ -114,8 +127,8 @@ class QuadNum:
     __slots__ = ("p", "q", "D")
 
     def __init__(self, p=0, q=0, D=2):
-        self.p = Fraction(p)
-        self.q = Fraction(q)
+        self.p = _fraction(p)
+        self.q = _fraction(q)
         self.D = _validate_radicand(D)
 
     # -- construction / conversion -------------------------------------------------

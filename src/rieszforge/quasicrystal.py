@@ -11,9 +11,9 @@ The two construction regimes (after the measure of the target spectrum):
   satisfies alpha > a.  The set {n : frac(alpha*n) in [a, 1)} has density
   1-a < s_norm and its complement is uniformly separated with gaps >= n.
 
-Membership is decided by a float64 filter whose error is bounded rigorously;
-the rare integers the bound cannot settle fall back to exact Q(sqrt(D))
-arithmetic, so generated sets are exactly those of exact arithmetic.
+Membership is decided by integer brackets built from exact floors in
+Q(sqrt(D)); the rare integers a bracket cannot settle fall back to exact sign
+tests, so generated sets are exactly those of exact arithmetic.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ __all__ = [
     "landau_check",
     "kahane_classify",
 ]
-
-_EPS = float(np.finfo(float).eps)
-
 
 @dataclass(frozen=True)
 class UnitInterval:
@@ -180,68 +177,40 @@ def generate(alpha: QuadNum, interval: UnitInterval, window: tuple[int, int]) ->
     """All n in the inclusive window with frac(alpha*n) in [interval.lo, interval.hi).
 
     alpha must be irrational with 0 < alpha < 1, and the window ends must be
-    integers.  Membership is decided by a float filter with a certified error
-    bound: the orbit frac(s + alpha*k), with s = frac(alpha*n0) taken exactly
-    and k = n - n0, is computed in float64 together with a rigorous bound on
-    its error.  An integer whose float orbit lies farther than that bound
-    from interval.lo, interval.hi, 0 and 1 is decided by the float; the few
-    others (all of them when a float overflows) are decided by exact sign
-    tests in Q(sqrt(D)).  The result equals the exact one.
+    integers.  Membership is decided in int64 fixed point: the exact floors
+    s, a, lo and hi of frac(alpha*n0), alpha, interval.lo and interval.hi
+    times one = 2**b give each k = n - n0 an integer bracket [u, u + k + 1)
+    holding frac(alpha*n) * one.  An integer whose bracket lies inside [lo, hi)
+    or clear of it is decided there, the few others by exact sign tests in
+    Q(sqrt(D)), so the result equals the exact one.
     """
     if not isinstance(alpha, QuadNum) or alpha.q == 0:
         raise ValueError("alpha must be an irrational QuadNum")
     if alpha.sign() <= 0 or (alpha - 1).sign() >= 0:
         raise ValueError("alpha must satisfy 0 < alpha < 1")
-    n0, n1 = integers(window, "window ends")  # PointSet below rejects n0 > n1
+    n0, n1 = PointSet(elements=(), window=window).window  # refuses n0 > n1 up front
 
     d = alpha.D
     lp, lq = _aligned_pair(interval.lo, d, "interval.lo")
     hp, hq = _aligned_pair(interval.hi, d, "interval.hi")
-    start = (alpha * n0).frac_mod1()
 
-    # t = fl(s + fl(a*k)) is off from s + alpha*k by at most
-    # s_err + k*a_err + u*(1 + 2k), with u = eps/2 and s, a <= 1.  err doubles
-    # each term, which also covers the rounding of err and of f - edge below.
-    # f = t - floor(t) is exact for t >= 0; a t just below 0 gives f near 1,
-    # which the bound marks unsure.
-    s, s_err = _float_with_error(start.p, start.q, d)
-    a, a_err = _float_with_error(alpha.p, alpha.q, d)
+    # s + a*k <= (frac(alpha*n0) + alpha*k) * one < s + a*k + k + 1, so the
+    # bracket holds unless top passes one; b keeps a*k < 2**62, inside int64
     size = n1 - n0 + 1
-    if not math.isfinite(s_err + a_err):  # no float orbit: every integer is unsure
-        member, unsure = np.zeros(size, dtype=bool), np.ones(size, dtype=bool)
-    else:
-        k = np.arange(size, dtype=float)
-        t = s + a * k
-        f = t - np.floor(t)
-        err = (2 * s_err + 8 * _EPS) + (2 * a_err + 8 * _EPS) * k
-        lo, lo_err = _float_with_error(lp, lq, d)
-        hi, hi_err = _float_with_error(hp, hq, d)
-        member = (f >= lo) & (f < hi)
-        # written as "not clearly apart", so an infinite edge bound is unsure
-        unsure = np.zeros(size, dtype=bool)
-        for edge, edge_err in ((lo, lo_err), (hi, hi_err), (0.0, 0.0), (1.0, 0.0)):
-            unsure |= ~(np.abs(f - edge) > err + edge_err)
+    one = 1 << (62 - size.bit_length())
+    s, a, lo, hi = (math.floor(x * one) for x in
+                    ((alpha * n0).frac_mod1(), alpha, interval.lo, interval.hi))
+    k = np.arange(size, dtype=np.int64)
+    u = (s + a * k) % one
+    top = u + k + 1
+    member = (u > lo) & (top <= hi)
+    unsure = ~member & (top > lo) & ((u <= hi) | (top > one))
     for i in np.flatnonzero(unsure).tolist():
         x = (alpha * (n0 + i)).frac_mod1()
         member[i] = quad_sign(x.p - lp, x.q - lq, d) >= 0 and \
             quad_sign(x.p - hp, x.q - hq, d) < 0
     elements = tuple(n0 + i for i in np.flatnonzero(member).tolist())
     return PointSet(elements=elements, window=(n0, n1))
-
-
-def _float_with_error(p: Fraction, q: Fraction, d: int) -> tuple[float, float]:
-    """float(p + q*sqrt(d)) and a bound on its absolute error (inf on overflow).
-
-    The sum of correctly rounded float(p), float(q) and sqrt(d), one multiply
-    and one add is off by at most 2u|p| + 4u|q|sqrt(d) to first order, with
-    u = eps/2; 4*eps bounds that with room to spare.
-    """
-    try:
-        fp, fq = float(p), float(q)
-    except OverflowError:
-        return math.inf, math.inf
-    root = math.sqrt(d)
-    return fp + fq * root, 4 * _EPS * (abs(fp) + abs(fq) * root)
 
 
 def _aligned_pair(x: QuadNum, d: int, what: str) -> tuple[Fraction, Fraction]:

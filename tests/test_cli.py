@@ -457,12 +457,19 @@ def test_usage_errors_exit_1(capsys):
     ["construct", "--measure", "1e-7", "--window", "50"],
     ["partition", "--dim", "99999999999"],
     ["density", "--bands", "[[0, 1], [0.5, 0.2]]", "--step", "2", "--window", "10"],
+    ["construct", "--measure", "0.45", "--window", "-3"],
+    ["density", "--measure", "0.45", "--window", "-1"],
 ])
 def test_bad_numbers_exit_1(capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"rieszforge {argv[0]}: error:" in captured.err
+
+
+def test_reversed_window_is_named(capsys):
+    assert main(["construct", "--measure", "0.45", "--window", "-3"]) == 1
+    assert capsys.readouterr().err == "rieszforge construct: error: window (3, -3) is reversed\n"
 
 
 def test_selftest(capsys):

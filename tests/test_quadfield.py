@@ -4,9 +4,10 @@ import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from rieszforge import QuadNum, quad_sign
+from rieszforge import QuadNum, UnitInterval, quad_sign
 
 
 def decimal_value(x: QuadNum, prec: int = 100) -> Decimal:
@@ -25,6 +26,26 @@ def test_radicand_validation():
         QuadNum(1, 1, 1)
     QuadNum(1, 1, 2)
     QuadNum(1, 1, 6)
+    for bad in (2.5, 2.0, True, "2", None):
+        with pytest.raises(ValueError, match="radicand must be an integer"):
+            QuadNum(1, 1, bad)
+
+
+def test_numpy_integers_become_python_ints():
+    # Fraction keeps a numpy numerator, whose fixed width broke quad_sign
+    cases = [
+        (QuadNum(np.int64(1), np.int64(1), 2), QuadNum(1, 1, 2)),
+        (QuadNum(Fraction(np.int64(3), 4), 1, 2), QuadNum(Fraction(3, 4), 1, 2)),
+        (QuadNum(np.int64(-7), np.int32(5), np.int64(2)), QuadNum(-7, 5, 2)),
+        (QuadNum(0, 1, np.int64(6)), QuadNum(0, 1, 6)),
+    ]
+    for got, want in cases:
+        assert got == want and got.sign() == want.sign()
+        assert math.floor(got * 2**70) == math.floor(want * 2**70)
+        assert all(type(v) is int for v in (got.p.numerator, got.p.denominator,
+                                             got.q.numerator, got.q.denominator, got.D))
+    assert UnitInterval(np.int64(0), 1) == UnitInterval(0, 1)
+    assert UnitInterval(Fraction(np.int64(1), 3), np.int64(1)).length == Fraction(2, 3)
 
 
 def test_sign_simple_cases():

@@ -75,8 +75,8 @@ def test_generate_matches_exact_oracle_alpha6(interval):
 
 @pytest.mark.parametrize("alpha", [ALPHA6, choose_params(0.45).alpha])
 def test_generate_endpoints_on_the_orbit(alpha):
-    # lo = frac(alpha*7) and hi = frac(alpha*-13): the float orbit meets both
-    # endpoints exactly, so only the exact fallback can place 7 and -13
+    # lo = frac(alpha*7) and hi = frac(alpha*-13): the brackets of 7 and -13
+    # hold an endpoint, so only the exact fallback can place them
     ends = sorted([(alpha * 7).frac_mod1(), (alpha * -13).frac_mod1()])
     interval = UnitInterval(*ends)
     window = (-300, 300)
@@ -87,12 +87,26 @@ def test_generate_endpoints_on_the_orbit(alpha):
     assert ({7, -13} - {first}).isdisjoint(got.elements)
 
 
+@pytest.mark.parametrize("alpha", [ALPHA6, choose_params(0.45).alpha])
+@pytest.mark.parametrize("nudge", [Fraction(1, 2**80), -Fraction(1, 2**80)])
+def test_generate_ends_a_hair_off_the_orbit(alpha, nudge):
+    # an end 2^-80 off frac(alpha*n0) shares its floor with the one-unit
+    # bracket of n0 itself, so only strict compares against the floored ends
+    # (or the exact fallback) place n0 right
+    for n0 in (7, -13):
+        x = (alpha * n0).frac_mod1() + nudge
+        for interval in (UnitInterval(x, 1), UnitInterval(0, x)):
+            window = (n0, n0 + 300)
+            assert generate(alpha, interval, window) == \
+                _generate_exact(alpha, interval, window), (n0, interval)
+
+
 @pytest.mark.parametrize("window", [
     (10**6 - 300, 10**6 + 300),
     (-10**6 - 300, -10**6 + 300),
     (2**40 - 300, 2**40 + 300),
     (-2**40 - 300, -2**40 + 300),
-    (10**20, 10**20 + 20),            # beyond int64: every integer goes exact
+    (10**20, 10**20 + 20),            # n0 past int64: only frac(alpha*n0) sees it
     (10**30, 10**30 + 100),           # exact floors by integer square root
     (10**310, 10**310 + 100),         # frac(alpha*n0) has a q past float range
     (10**400, 10**400 + 100),
@@ -104,10 +118,14 @@ def test_generate_far_windows_match_oracle(window, s_norm):
         _generate_exact(p.alpha, p.riesz_interval, window)
 
 
-def test_generate_cancelling_alpha_goes_exact_everywhere(monkeypatch):
+# a handful of integers land within a bracket of an endpoint, 0 or 1
+FEW_EXACT_CALLS = 16
+
+
+def test_generate_cancelling_alpha_is_decided_by_the_bracket(monkeypatch):
     # (1+sqrt 2)^42 = a + b sqrt 2, so a - b sqrt 2 = (sqrt 2 - 1)^42 ~ 8e-17:
-    # alpha + a - b sqrt 2 is alpha up to 1e-16, written with p, q ~ 6e15, so
-    # the float of alpha carries no information and the filter trusts nothing
+    # alpha + a - b sqrt 2 is alpha up to 1e-16, written with p, q ~ 6e15.  A
+    # float of alpha carries no information; its exact floor loses nothing
     p = choose_params(0.45)
     a, b = 5964153172084899, 4217293152016490
     assert a * a - 2 * b * b == 1
@@ -115,14 +133,42 @@ def test_generate_cancelling_alpha_goes_exact_everywhere(monkeypatch):
     window = (-120, 120)
     calls = _count_exact_calls(monkeypatch)
     got = generate(alpha, p.riesz_interval, window)
-    assert calls[0] >= window[1] - window[0] + 1
+    assert calls[0] <= FEW_EXACT_CALLS, calls[0]
     assert got == _generate_exact(alpha, p.riesz_interval, window)
 
 
+@pytest.mark.parametrize("n0", [10**20, 10**30, 10**400], ids=["1e20", "1e30", "1e400"])
+def test_generate_far_windows_stay_in_the_bracket(monkeypatch, n0):
+    # the window's place enters only through the exact floor of frac(alpha*n0)
+    p = choose_params(0.45)
+    window = (n0, n0 + 1000)
+    calls = _count_exact_calls(monkeypatch)
+    got = generate(p.alpha, p.riesz_interval, window)
+    assert calls[0] <= FEW_EXACT_CALLS, calls[0]
+    assert got == _generate_exact(p.alpha, p.riesz_interval, window)
+
+
+@pytest.mark.parametrize("n0", [-7, 0, 10**18, -10**25], ids=["-7", "0", "1e18", "-1e25"])
+@pytest.mark.parametrize("s_norm", [0.45, 0.78])
+def test_generate_every_bracket_width_matches_oracle(n0, s_norm):
+    # sizes 2^k - 1, 2^k and 2^k + 1 step through every bit_length of the
+    # window, so each fraction width b the bracket takes for k <= 12 is met;
+    # every window starts at n0, so one oracle run covers them all
+    p = choose_params(s_norm)
+    sizes = sorted({2**k + j for k in range(13) for j in (-1, 0, 1)} - {0})
+    exact = _generate_exact(p.alpha, p.riesz_interval, (n0, n0 + sizes[-1] - 1))
+    for size in sizes:
+        window = (n0, n0 + size - 1)
+        want = tuple(n for n in exact.elements if n <= window[1])
+        assert generate(p.alpha, p.riesz_interval, window) == \
+            PointSet(elements=want, window=window), size
+
+
 def test_generate_bound_grows_along_the_orbit():
-    # (1+sqrt 2)^26 = a + b sqrt 2: alpha written with p, q ~ 4e9 has a float
-    # off by ~1e-7, so from n0 = 0, where s = 0 exactly, the float orbit drifts
-    # by ~1e-7 * k and only the k-proportional part of the bound catches it
+    # (1+sqrt 2)^26 = a + b sqrt 2: alpha written with p, q ~ 4e9, whose float
+    # is off by ~1e-7.  From n0 = 0, where s = 0 exactly, the bracket widens
+    # by one unit in 2**b per step, and its k-proportional width must cover
+    # the drift of the floored alpha
     p = choose_params(0.45)
     a, b = 4478554083, 3166815962
     assert a * a - 2 * b * b == 1
@@ -142,10 +188,13 @@ def test_generate_exact_fallback_is_rare(monkeypatch):
 
 
 def test_gap_law_wide_window():
-    for s_norm in (0.15, 0.29, 0.40, 0.49):
+    # +-2^21, the CLI's widest window, has the widest brackets (b = 39); with
+    # n >= 3 one flipped membership would add a gap outside {1, n}
+    for s_norm, half in ((0.15, 50000), (0.29, 50000), (0.40, 50000), (0.49, 50000),
+                         (0.40, 2**21)):
         p = choose_params(s_norm)
-        ps = generate(p.alpha, p.riesz_interval, (-50000, 50000))
-        assert set(gap_stats(ps).gaps) == {1, p.n}, s_norm
+        ps = generate(p.alpha, p.riesz_interval, (-half, half))
+        assert set(gap_stats(ps).gaps) == {1, p.n}, (s_norm, half)
 
 
 def test_generate_window_ends_must_be_integers():
@@ -162,6 +211,12 @@ def test_generate_window_ends_must_be_integers():
     assert all(type(n) is int for n in (*want.elements, *want.window))
 
 
+def test_generate_accepts_numpy_interval_ends():
+    want = generate(ALPHA6, UnitInterval(Fraction(1, 3), 1), (-50, 50))
+    assert generate(ALPHA6, UnitInterval(Fraction(np.int64(1), 3), np.int64(1)),
+                    (-50, 50)) == want
+
+
 def test_generate_regression_vector():
     got = generate(ALPHA6, UnitInterval(0, SQRT6_OVER6), (0, 18))
     assert got.elements == (0, 1, 4, 7, 8, 11, 14, 17, 18)
@@ -174,8 +229,8 @@ def test_generate_validates_inputs():
         generate(QuadNum(Fraction(1, 3), 0, 2), interval, (0, 10))  # rational
     with pytest.raises(ValueError):
         generate(QuadNum(1, 1, 2), interval, (0, 10))  # > 1
-    with pytest.raises(ValueError):
-        generate(ALPHA6, interval, (5, 1))  # reversed window
+    with pytest.raises(ValueError, match=r"window \(5, 1\) is reversed"):
+        generate(ALPHA6, interval, (5, 1))
     # interval endpoints must live in alpha's field (or be rational)
     with pytest.raises(ValueError):
         generate(ALPHA6, UnitInterval(0, QuadNum(0, Fraction(1, 2), 2)), (0, 10))
