@@ -189,9 +189,8 @@ def cmd_select(spec: argparse.Namespace) -> int:
     spectrum = _load_spectrum(spec)
     n = spec.window
     _check_gram_size(n)
-    labels = range(n)
-    blocks = BlockSystem.intervals(labels, spec.r)
-    gram = gramlib.build_gram(labels, spectrum, normalized=True)
+    blocks = BlockSystem.intervals(range(n), spec.r)
+    gram = gramlib.build_gram(range(n), spectrum, normalized=True)
     config = SelectorConfig(master_seed=spec.seed, max_trials=spec.trials)
     delta = spectrum.fraction_of_torus
 
@@ -404,6 +403,12 @@ def _add_spectrum_flags(p: argparse.ArgumentParser) -> None:
                    help="single arc [0, x) as a fraction x of 2*pi")
 
 
+def _seed(text: str) -> int:
+    if (seed := int(text)) < 0:  # refused at parse time, before select builds its Gram
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _add_points_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--points", help="inline JSON list of integers")
     p.add_argument("--points-file", help="path to a JSON list of integers")
@@ -444,7 +449,7 @@ def build_parser() -> _Parser:
     p.add_argument("--r", type=int, default=2, help="block size")
     p.add_argument("--threshold", type=float,
                    help="target: lambda_min (riesz), lambda_max (bessel) or eps (tight)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--out")
 
@@ -455,7 +460,7 @@ def build_parser() -> _Parser:
     p.add_argument("--window", type=int, help="per-axis window [0, N-1]")
     p.add_argument("--cube-side", type=int, help="cube partition side (default r)")
     p.add_argument("--boxes", help="inline JSON box spectrum for a selection quality report")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
 
     p = sub.add_parser("density", help="gap/density statistics and Landau/Kahane verdicts")

@@ -257,49 +257,44 @@ def _search(gram: np.ndarray, blocks: tuple, config: SelectorConfig,
     Returns (rows, lambda_min, lambda_max, trials, met).  Trial t draws one
     index per block in one `integers(lengths)` call on the stream keyed
     (master_seed, t), or (master_seed, stage, t).  The search stops at the
-    first trial meeting the target; otherwise it keeps the best trial, ties
-    broken by the lexicographically smallest row sequence.
+    first trial meeting the target.  Otherwise it keeps the first trial until
+    one is certifiably better: with quality q = lambda_max (bessel) or
+    -lambda_min (riesz), lower being better, it must reach q < q_b - 3m.
 
-    Once a best trial has bound b (lambda_min for riesz, lambda_max for
-    bessel), only a block A that reaches b can win or meet the target, which,
-    being unmet, lies beyond b.  For such an A the shifted block A - (b - m)I
-    (riesz) or (b + m)I - A (bessel) is positive definite, and a failed
-    Cholesky factorization of it rejects the trial.  The first trial and the
-    trials that factor run `eigvalsh`, so results have the bits of a full
-    search.  The margin m = 4 n^2 eps (trace(A) + |b|) + tiny covers the
-    eigensolver's backward error, the shift's rounding and the room Cholesky
-    needs (README, "select", derives it), so a rejection is a proven bound,
-    not a rounding race, and the filter adds no BLAS-thread dependence.
+    The margin m = 4 n^2 eps (trace(A) + |q_b|) + tiny bounds the rounding
+    (README, "select", derives it).  Only a block A of exact quality below
+    c = max(q_b - 2m, q_goal + m), q_goal the quality meeting the target, can
+    win or meet the target, and then sign*A + cI is positive definite, so a
+    failed Cholesky factorization of it proves the trial cannot matter.  The
+    first trial and those that factor run `eigvalsh`: results have the bits
+    of a search solving every trial, at any BLAS thread count.
     """
     n = len(blocks)
     lengths = np.array([len(b) for b in blocks])
     table = np.array([list(b) + [0] * (lengths.max() - len(b)) for b in blocks])
-    diag = np.real(np.diagonal(gram))
-    sign = -1.0 if objective == "bessel" else 1.0
-    best_key = best = None
+    rows, diag = np.arange(n), np.real(np.diagonal(gram))
+    sign, goal = (-1.0, target) if objective == "bessel" else (1.0, -target)
+    best = None
     for t in range(config.max_trials):
         key = (t,) if stage is None else (stage, t)
         rng = np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=key))
-        draws = rng.integers(lengths)
-        idx = table[np.arange(n), draws]
-        sub = gram[idx[:, None], idx]
-        if best_key is not None:  # best_key[0] is -b for riesz, b for bessel
-            margin = 4 * n * n * _EPS * (float(diag[idx].sum()) + abs(best_key[0])) + _TINY
+        idx = table[rows, rng.integers(lengths)]
+        sub = gram.take(idx, 0).take(idx, 1)
+        if best is not None:
+            margin = 4 * n * n * _EPS * (float(diag[idx].sum()) + abs(best_q)) + _TINY
             shifted = sign * sub
-            shifted.flat[::n + 1] += best_key[0] + margin
+            shifted.flat[::n + 1] += max(best_q - 2 * margin, goal + margin)
             try:
                 np.linalg.cholesky(shifted)
             except np.linalg.LinAlgError:
                 continue
-        picks = tuple(idx.tolist())
         w = np.linalg.eigvalsh(sub)
         lmin, lmax = float(w[0]), float(w[-1])
-        quality, met = (lmax, lmax <= target) if objective == "bessel" else (-lmin, lmin >= target)
-        if met:
-            return picks, lmin, lmax, t + 1, True
-        cand_key = (quality, picks)
-        if best_key is None or cand_key < best_key:
-            best_key, best = cand_key, (picks, lmin, lmax)
+        q = lmax if objective == "bessel" else -lmin
+        if q <= goal:
+            return tuple(idx.tolist()), lmin, lmax, t + 1, True
+        if best is None or q < best_q - 3 * margin:
+            best_q, best = q, (tuple(idx.tolist()), lmin, lmax)
     return (*best, config.max_trials, False)
 
 
@@ -350,8 +345,8 @@ def select_tight(gram, blocks, eps: float,
     runs the upper-bound search on the biorthogonal dual of the stage-2 Gram
     g2, which lifts the primal lower bound to at least 1/(1+eps) when it
     succeeds.  Requires a unit diagonal (unit-norm vectors) and blocks of
-    size >= 4.  Ties break on row order; stage 3 searches g2 by position, and
-    positions follow rows whenever the blocks ascend, as interval blocks do.
+    size >= 4.  Ties keep the earliest trial, so stage 3, which searches g2
+    by position, picks what a search over the rows would.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")

@@ -323,7 +323,8 @@ def test_select_tight_off_the_full_torus(capsys, measure):
 
 def test_select_stdout_does_not_depend_on_blas_threads():
     # one arc at W=128: every trial's lambda_max is 1 within a few ulps, so a
-    # Gram that moves by an ulp with the thread count would move the picks too
+    # Gram that moved by an ulp with the thread count would move the printed
+    # lambda_max even where the first of the tied trials keeps its picks
     argv = ["select", "--measure", "0.66", "--mode", "bessel", "--window", "128",
             "--threshold", "0.5", "--trials", "200"]
     outs = []
@@ -459,6 +460,8 @@ def test_usage_errors_exit_1(capsys):
     ["density", "--bands", "[[0, 1], [0.5, 0.2]]", "--step", "2", "--window", "10"],
     ["construct", "--measure", "0.45", "--window", "-3"],
     ["density", "--measure", "0.45", "--window", "-1"],
+    ["select", "--measure", "0.9", "--window", "8", "--seed", "-1"],
+    ["partition", "--seed", "-1"],
 ])
 def test_bad_numbers_exit_1(capsys, argv):
     assert main(argv) == 1

@@ -11,6 +11,8 @@ from rieszforge import BlockSystem, SelectorConfig, VectorSystem, build_gram, \
     naimark_complement, normalize_bands, pair_bessel_bound, predicted_bessel_bound, \
     select_bessel, select_riesz, select_tight, stabilize
 
+EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny
+
 
 def random_parseval(rng, dim, count):
     """dim rows of a random count x count unitary: synthesis FF^H = I."""
@@ -304,9 +306,24 @@ def test_stabilize():
 # ------------------------------------------------- selection search oracle --
 
 
-def _search_oracle(gram, blocks, config, objective, target, stage=None):
-    """The search without fast rejection: scalar draws, np.ix_, eigvalsh every trial."""
-    best_key = None
+def _margin(gram, picks, best_q):
+    """The search's per-trial margin m = 4 n^2 eps (trace + |q_b|) + tiny."""
+    trace = float(np.real(np.diagonal(gram))[list(picks)].sum())
+    return 4 * len(picks) ** 2 * EPS * (trace + abs(best_q)) + TINY
+
+
+def _quality(objective, result):
+    return result[2] if objective == "bessel" else -result[1]
+
+
+def _search_oracle(gram, blocks, config, objective, target, stage=None, certified=True):
+    """The search without fast rejection: scalar draws, np.ix_, eigvalsh every trial.
+
+    A trial replaces the best quality q_b (lambda_max for bessel, -lambda_min
+    for riesz) only when its own is below q_b - 3m.  certified=False is the
+    earlier rule: any lower (quality, picks) key wins, so ulp-level ties let
+    the labels decide.
+    """
     best = None
     for t in range(config.max_trials):
         key = (t,) if stage is None else (stage, t)
@@ -314,17 +331,18 @@ def _search_oracle(gram, blocks, config, objective, target, stage=None):
         picks = tuple(b[int(rng.integers(len(b)))] for b in blocks)
         w = np.linalg.eigvalsh(gram[np.ix_(picks, picks)])
         lmin, lmax = float(w[0]), float(w[-1])
-        if objective == "bessel":
-            quality, met = lmax, lmax <= target
-        else:
-            quality, met = -lmin, lmin >= target
-        if met:
+        quality = _quality(objective, (picks, lmin, lmax))
+        if (lmax <= target) if objective == "bessel" else (lmin >= target):
             return picks, lmin, lmax, t + 1, True
-        cand_key = (quality, picks)
-        if best_key is None or cand_key < best_key:
-            best_key = cand_key
-            best = (picks, lmin, lmax)
-    picks, lmin, lmax = best
+        if best is None:
+            better = True
+        elif certified:
+            better = quality < best[0] - 3 * _margin(gram, picks, best[0])
+        else:
+            better = (quality, picks) < best[:2]
+        if better:
+            best = (quality, picks, lmin, lmax)
+    _, picks, lmin, lmax = best
     return picks, lmin, lmax, config.max_trials, False
 
 
@@ -332,6 +350,17 @@ def _search_both(gram, blocks, objective, target, trials, seed=0, stage=None):
     config = SelectorConfig(master_seed=seed, max_trials=trials)
     fast = frames._search(gram, blocks, config, objective, target, stage)
     slow = _search_oracle(gram, blocks, config, objective, target, stage)
+    # against the earlier rule's best, the certified rule gives up at most 3m,
+    # where m is bounded by the largest trace and |quality| any block can have
+    old = _search_oracle(gram, blocks, config, objective, target, stage, certified=False)
+    if slow[4]:
+        assert old == slow  # the first trial meeting the target does not depend on the rule
+    else:
+        diag = np.real(np.diagonal(gram))
+        trace = sum(max(float(diag[i]) for i in b) for b in blocks)
+        top = float(np.abs(np.linalg.eigvalsh(gram)).max())
+        m = 4 * len(blocks) ** 2 * EPS * (trace + top) + TINY
+        assert 0 <= _quality(objective, slow) - _quality(objective, old) <= 3 * m
     return fast, slow
 
 
@@ -382,14 +411,54 @@ def test_search_matches_oracle_met_mid_run(objective):
     assert fast[4] and 1 < fast[3] < 200
 
 
-def test_search_matches_oracle_saturated_bessel():
-    # one arc at W=128: every trial's lambda_max is 1 within a few ulps, so the
-    # filter can reject almost nothing and ulp-level order decides the winner
+def test_search_matches_oracle_saturated_bessel(monkeypatch):
+    # one arc at W=128: every trial's lambda_max is 1 within a few ulps, far
+    # inside the margin, so no trial improves on the first and Cholesky
+    # rejects the other 149
     g = _arc_gram(0.66, 128)
     blocks = BlockSystem.intervals(range(128), 2).blocks
-    fast, slow = _search_both(g, blocks, "bessel", 0.5, 150, seed=0)
-    assert fast == slow
+    calls = _count_eigensolves(monkeypatch)
+    fast = frames._search(g, blocks, SelectorConfig(max_trials=150), "bessel", 0.5)
+    assert len(calls) <= 3
+    assert fast == _search_both(g, blocks, "bessel", 0.5, 150, seed=0)[1]
+    assert fast[0] == _search_oracle(g, blocks, SelectorConfig(max_trials=1), "bessel", 0.5)[0]
     assert abs(fast[2] - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("objective, seed, trial", [("bessel", 3, 9), ("riesz", 6, 3)])
+def test_search_meets_a_target_inside_the_margin(objective, seed, trial):
+    # diagonal entries one ulp apart: lambda_max is 1 + 14 eps or 1 + 15 eps
+    # (the last block's pick) and lambda_min 1 or 1 + eps (the first block's).
+    # A target at the better value lies within 3m of the first trial's
+    # quality, so only the shift's goal branch keeps the trial meeting it
+    g = np.diag(1.0 + EPS * np.arange(16))
+    blocks = BlockSystem.intervals(range(16), 2).blocks
+    target = 1.0 + 14 * EPS if objective == "bessel" else 1.0 + EPS
+    first = _search_oracle(g, blocks, SelectorConfig(master_seed=seed, max_trials=1),
+                           objective, target)
+    q = _quality(objective, first)
+    goal = target if objective == "bessel" else -target
+    assert not first[4] and q - 3 * _margin(g, first[0], q) < goal < q
+    fast, slow = _search_both(g, blocks, objective, target, 40, seed=seed)
+    assert fast == slow
+    assert fast[4] and fast[3] == trial
+
+
+@pytest.mark.parametrize("objective", ["bessel", "riesz"])
+def test_search_shift_sits_two_margins_below_the_best(monkeypatch, objective):
+    # one block: a 1x1 block factors exactly when its entry is positive, so the
+    # shift is seen exactly.  Trial 0 picks the entry of quality 1, and trials
+    # 1, 2, 4, 5 the other one; with m = 8 eps, an entry 12 eps better is
+    # rejected by Cholesky, one 20 eps better is solved but ties, and one
+    # 28 eps better wins at trial 1
+    sign = 1.0 if objective == "bessel" else -1.0
+    g = np.diag(1.0 - sign * EPS * np.array([0.0, 12.0, 20.0, 28.0]))
+    config, target = SelectorConfig(master_seed=9, max_trials=6), -1.0 if sign > 0 else 2.0
+    for other, solves, winner in ((1, 1, 0), (2, 5, 0), (3, 2, 3)):
+        calls = _count_eigensolves(monkeypatch)
+        fast = frames._search(g, ((0, other),), config, objective, target)
+        assert (len(calls), fast[0], fast[4]) == (solves, (winner,), False)
+        assert fast == _search_oracle(g, ((0, other),), config, objective, target)
 
 
 @pytest.mark.parametrize("objective", ["riesz", "bessel"])
@@ -425,13 +494,13 @@ def test_search_matches_oracle_stage_keys_and_dual_gram():
 
 @pytest.mark.parametrize("objective", ["riesz", "bessel"])
 def test_search_matches_oracle_zero_gram(objective):
-    # every trial ties at 0, so the label order alone picks the winner
+    # every trial ties at 0, so the first trial wins
     g = np.zeros((12, 12), dtype=complex)
     blocks = BlockSystem.intervals(range(12), 3).blocks
     fast, slow = _search_both(g, blocks, objective, 1.0 if objective == "riesz" else -1.0, 60)
     assert fast == slow
     first = _search_both(g, blocks, objective, 1.0 if objective == "riesz" else -1.0, 1)[1]
-    assert fast[1] == fast[2] == 0.0 and fast[0] < first[0]
+    assert fast[1] == fast[2] == 0.0 and fast[0] == first[0]
 
 
 def test_select_tight_matches_oracle(monkeypatch):
