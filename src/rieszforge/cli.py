@@ -190,7 +190,7 @@ def cmd_select(spec: argparse.Namespace) -> int:
     n = spec.window
     _check_gram_size(n)
     blocks = BlockSystem.intervals(range(n), spec.r)
-    gram = gramlib.build_gram(range(n), spectrum, normalized=True)
+    gram = gramlib._search_gram(range(n), spectrum)
     config = SelectorConfig(master_seed=spec.seed, max_trials=spec.trials)
     delta = spectrum.fraction_of_torus
 

@@ -12,8 +12,8 @@ blocks of row indices.  Selection targets come in three flavors:
   lower bound), ending with one pick per original block and two-sided bounds
   near 1.
 
-Every trial draws from an RNG stream keyed by (master seed, trial index), so
-results are bit-reproducible and independent of scheduling.
+Trials draw in chunks of 64 from RNG streams keyed by (master seed, trial
+index // 64), so results are bit-reproducible and independent of scheduling.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .gram import _check_hermitian, dual_system
 from .quadfield import integers
 
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+_CHUNK = 64  # trials drawn from one keyed stream
 
 __all__ = [
     "VectorSystem",
@@ -254,9 +255,11 @@ def _search(gram: np.ndarray, blocks: tuple, config: SelectorConfig,
             objective: str, target: float, stage: int | None = None):
     """Randomized one-per-block search over a fixed Gram; blocks hold row indices.
 
-    Returns (rows, lambda_min, lambda_max, trials, met).  Trial t draws one
-    index per block in one `integers(lengths)` call on the stream keyed
-    (master_seed, t), or (master_seed, stage, t).  The search stops at the
+    Returns (rows, lambda_min, lambda_max, trials, met).  Trials t of chunk
+    c = t // 64 draw their indices, one per block, in one `integers(lengths,
+    size=(64, n))` call on the stream keyed (master_seed, c), or
+    (master_seed, stage, c): row t % 64 holds trial t, drawn as a loop of
+    scalar `integers(len(block))` calls would.  The search stops at the
     first trial meeting the target.  Otherwise it keeps the first trial until
     one is certifiably better: with quality q = lambda_max (bessel) or
     -lambda_min (riesz), lower being better, it must reach q < q_b - 3m.
@@ -273,22 +276,24 @@ def _search(gram: np.ndarray, blocks: tuple, config: SelectorConfig,
     lengths = np.array([len(b) for b in blocks])
     table = np.array([list(b) + [0] * (lengths.max() - len(b)) for b in blocks])
     rows, diag = np.arange(n), np.real(np.diagonal(gram))
-    sign, goal = (-1.0, target) if objective == "bessel" else (1.0, -target)
+    # negation is exact: blocks of signed are sign * A bit for bit
+    signed, goal = (-gram, target) if objective == "bessel" else (gram, -target)
     best = None
     for t in range(config.max_trials):
-        key = (t,) if stage is None else (stage, t)
-        rng = np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=key))
-        idx = table[rows, rng.integers(lengths)]
-        sub = gram.take(idx, 0).take(idx, 1)
+        if t % _CHUNK == 0:
+            key = (t // _CHUNK,) if stage is None else (stage, t // _CHUNK)
+            rng = np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=key))
+            chunk = table[rows, rng.integers(lengths, size=(_CHUNK, n))]
+        idx = chunk[t % _CHUNK]
         if best is not None:
             margin = 4 * n * n * _EPS * (float(diag[idx].sum()) + abs(best_q)) + _TINY
-            shifted = sign * sub
-            shifted.flat[::n + 1] += max(best_q - 2 * margin, goal + margin)
+            shifted = signed.take(idx, 0).take(idx, 1)
+            shifted.ravel()[::n + 1] += max(best_q - 2 * margin, goal + margin)
             try:
                 np.linalg.cholesky(shifted)
             except np.linalg.LinAlgError:
                 continue
-        w = np.linalg.eigvalsh(sub)
+        w = np.linalg.eigvalsh(gram.take(idx, 0).take(idx, 1))
         lmin, lmax = float(w[0]), float(w[-1])
         q = lmax if objective == "bessel" else -lmin
         if q <= goal:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadfield import integers
-from .torus import MultibandSet, centered_interval_coefficient
+from .torus import TWO_PI, MultibandSet, centered_interval_coefficient
 
 __all__ = [
     "DEFAULT_SCHEDULE",
@@ -79,6 +79,33 @@ def build_gram(points, spectrum, normalized: bool = False) -> np.ndarray:
     g = _section(points, spectrum.fourier_coefficient, complex)
     if normalized:
         g /= spectrum.total_volume
+    return g
+
+
+def _solved_coefficient(spectrum):
+    """The coefficient and dtype of the Gram that certify and select solve.
+
+    On one arc, the real r(m) = centered_interval_coefficient(length, m):
+    R[j,k] = r(p_k - p_j) is D G D^H for build_gram's G and a diagonal
+    unitary D, so every principal submatrix of R has the eigenvalues of
+    G's.  On several arcs, the indicator coefficient, complex.
+    """
+    if spectrum.is_arc():
+        length = spectrum.measure
+        return (lambda m: centered_interval_coefficient(length, m)), float
+    return spectrum.fourier_coefficient, complex
+
+
+def _search_gram(points, spectrum) -> np.ndarray:
+    """The normalized Gram that select searches: R / 2pi on one arc short of
+    the full torus (see _solved_coefficient), build_gram's elsewhere.  On the
+    full torus both are the identity but for off-diagonal rounding, of other
+    bits in R, so there select keeps build_gram's matrix and its output.
+    """
+    if not spectrum.is_arc() or spectrum.measure >= TWO_PI:
+        return build_gram(points, spectrum, normalized=True)
+    g = _section(points, *_solved_coefficient(spectrum))
+    g /= spectrum.total_volume
     return g
 
 
@@ -318,11 +345,7 @@ def certify(points, spectrum, threshold: float,
         raise ValueError(f"schedule needs {schedule[-1]} elements, have {len(elems)}")
     order = sorted(elems, key=lambda x: (abs(x), x))
 
-    if spectrum.is_arc():
-        length = spectrum.measure
-        coefficient, dtype = (lambda m: centered_interval_coefficient(length, m)), float
-    else:
-        coefficient, dtype = spectrum.fourier_coefficient, complex
+    coefficient, dtype = _solved_coefficient(spectrum)
     bounds = [_section_bounds(sorted(order[:n]), coefficient, dtype) for n in schedule]
 
     if len(bounds) >= 2:

@@ -20,6 +20,7 @@ from scipy.linalg import eigvalsh as scipy_eigvalsh
 
 import rieszforge as rf
 from rieszforge import TWO_PI
+from rieszforge.gram import _search_gram
 
 THRESHOLD = 1e-3 * TWO_PI
 
@@ -246,6 +247,8 @@ def test_criterion_08_pair_selector(capsys):
             capture_output=True, env=env, check=True)
         outs.append(proc.stdout)
     cli_result = json.loads(outs[0])["result"]
+    # on one arc the CLI searches the real R, a diagonal unitary conjugate of g
+    real = rf.select_riesz(_search_gram(range(64), s), blocks, 0.05, config)
 
     verdict_line(capsys, 8, "pair selector on 90% spectrum, seed 0", {
         "met": r1.met,
@@ -253,8 +256,9 @@ def test_criterion_08_pair_selector(capsys):
         "within_1e4_trials": r1.trials <= 10000,
         "rerun_identical": r1 == r2,
         "thread_counts_identical": outs[0] == outs[1],
-        "cli_matches_api": cli_result["labels"] == list(r1.labels)
-                           and cli_result["lambda_min"] == r1.lambda_min,
+        "cli_matches_api": cli_result["labels"] == list(r1.labels) == list(real.labels)
+                           and cli_result["lambda_min"] == real.lambda_min,
+        "real_gram_matches_complex": abs(real.lambda_min - r1.lambda_min) <= 1e-12,
     })
 
 

@@ -10,6 +10,7 @@ from rieszforge import BlockSystem, SelectorConfig, VectorSystem, build_gram, \
     complete_to_parseval_small, dual_system, frames, \
     naimark_complement, normalize_bands, pair_bessel_bound, predicted_bessel_bound, \
     select_bessel, select_riesz, select_tight, stabilize
+from rieszforge.gram import _search_gram
 
 EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny
 
@@ -316,8 +317,19 @@ def _quality(objective, result):
     return result[2] if objective == "bessel" else -result[1]
 
 
+def _draws(blocks, config, stage=None):
+    """Each trial's picks from scalar draws: trials 64c .. 64c + 63 share the
+    stream keyed (seed, c), or (seed, stage, c), and draw one
+    integers(len(block)) per block in turn."""
+    for t in range(config.max_trials):
+        if t % 64 == 0:
+            key = (t // 64,) if stage is None else (stage, t // 64)
+            rng = np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=key))
+        yield tuple(b[int(rng.integers(len(b)))] for b in blocks)
+
+
 def _search_oracle(gram, blocks, config, objective, target, stage=None, certified=True):
-    """The search without fast rejection: scalar draws, np.ix_, eigvalsh every trial.
+    """The search without fast rejection: _draws, np.ix_, eigvalsh every trial.
 
     A trial replaces the best quality q_b (lambda_max for bessel, -lambda_min
     for riesz) only when its own is below q_b - 3m.  certified=False is the
@@ -325,10 +337,7 @@ def _search_oracle(gram, blocks, config, objective, target, stage=None, certifie
     the labels decide.
     """
     best = None
-    for t in range(config.max_trials):
-        key = (t,) if stage is None else (stage, t)
-        rng = np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=key))
-        picks = tuple(b[int(rng.integers(len(b)))] for b in blocks)
+    for t, picks in enumerate(_draws(blocks, config, stage)):
         w = np.linalg.eigvalsh(gram[np.ix_(picks, picks)])
         lmin, lmax = float(w[0]), float(w[-1])
         quality = _quality(objective, (picks, lmin, lmax))
@@ -425,7 +434,7 @@ def test_search_matches_oracle_saturated_bessel(monkeypatch):
     assert abs(fast[2] - 1.0) < 1e-14
 
 
-@pytest.mark.parametrize("objective, seed, trial", [("bessel", 3, 9), ("riesz", 6, 3)])
+@pytest.mark.parametrize("objective, seed, trial", [("bessel", 579, 9), ("riesz", 2, 3)])
 def test_search_meets_a_target_inside_the_margin(objective, seed, trial):
     # diagonal entries one ulp apart: lambda_max is 1 + 14 eps or 1 + 15 eps
     # (the last block's pick) and lambda_min 1 or 1 + eps (the first block's).
@@ -453,7 +462,7 @@ def test_search_shift_sits_two_margins_below_the_best(monkeypatch, objective):
     # 28 eps better wins at trial 1
     sign = 1.0 if objective == "bessel" else -1.0
     g = np.diag(1.0 - sign * EPS * np.array([0.0, 12.0, 20.0, 28.0]))
-    config, target = SelectorConfig(master_seed=9, max_trials=6), -1.0 if sign > 0 else 2.0
+    config, target = SelectorConfig(master_seed=1, max_trials=6), -1.0 if sign > 0 else 2.0
     for other, solves, winner in ((1, 1, 0), (2, 5, 0), (3, 2, 3)):
         calls = _count_eigensolves(monkeypatch)
         fast = frames._search(g, ((0, other),), config, objective, target)
@@ -535,8 +544,9 @@ def test_select_tight_degenerate_stage_2_falls_back_to_riesz(monkeypatch):
 
 
 def test_vector_draw_matches_scalar_draws():
-    # one integers(lengths) call consumes the stream exactly as a loop of
-    # scalar calls does, for lengths 1 (no draw) through 2**33
+    # one integers(lengths) call, and one integers(lengths, size=(64, n)) call
+    # as _search draws a chunk, consume the stream exactly as a row-major loop
+    # of scalar calls does, for lengths 1 (no draw) through 2**33
     lengths = [1, 2, 3, 7, 1, 64, 2**31 - 1, 2**32 - 1, 2**32, 2**32 + 1, 1, 2**33, 5, 2]
     for seed in range(4):
         for key in ((0,), (7,), (3, 11)):
@@ -544,4 +554,72 @@ def test_vector_draw_matches_scalar_draws():
             one = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
             draws = vec.integers(np.array(lengths))
             assert draws.tolist() == [int(one.integers(n)) for n in lengths]
+            chunk = vec.integers(np.array(lengths), size=(64, len(lengths)))
+            assert chunk.tolist() == [[int(one.integers(n)) for n in lengths] for _ in range(64)]
             assert vec.integers(2**40) == one.integers(2**40)
+
+
+@pytest.mark.parametrize("stage", [None, 2])
+@pytest.mark.parametrize("objective", ["riesz", "bessel"])
+def test_search_matches_oracle_across_chunk_boundaries(monkeypatch, objective, stage):
+    # 130 trials read three streams: trials 0-63, 64-127 and 128-129
+    g = _random_gram(8, 10, 24, scale=0.3)
+    blocks = BlockSystem.intervals(range(24), 3).blocks
+    unmet = 1e3 if objective == "riesz" else -1.0
+    fast, slow = _search_both(g, blocks, objective, unmet, 130, seed=5, stage=stage)
+    assert fast == slow and fast[3] == 130 and not fast[4]
+    # a target at the best quality of the 130 trials stops at the trial first reaching it
+    target = fast[1] if objective == "riesz" else fast[2]
+    fast, slow = _search_both(g, blocks, objective, target, 130, seed=5, stage=stage)
+    assert fast == slow and fast[4]
+    # every trial after the first reaches the Cholesky gate, whose block is
+    # sign * A + cI: failing each factorization shows every trial's picks in
+    # the block's off-diagonal entries, which are distinct in this Gram
+    shifted = []
+
+    def fail(b):
+        shifted.append(b.copy())
+        raise np.linalg.LinAlgError
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    config = SelectorConfig(master_seed=5, max_trials=130)
+    frames._search(g, blocks, config, objective, unmet, stage)
+    sign, off = (1.0 if objective == "riesz" else -1.0), ~np.eye(len(blocks), dtype=bool)
+    picks = list(_draws(blocks, config, stage))[1:]
+    assert len(shifted) == len(picks) == 129
+    for b, p in zip(shifted, picks):
+        assert np.array_equal(b[off], sign * g[np.ix_(p, p)][off])
+
+
+@pytest.mark.parametrize("bands, window, objective, target, trials", [
+    ([(0.1, 0.4)], 48, "riesz", 0.32, 300),   # a short arc, lambda_min below its share
+    ([(0.1, 0.4)], 48, "bessel", 0.29, 300),  # lambda_max above it
+    ([(0.9, 1.1)], 48, "riesz", 0.22, 300),   # across 0: normalize_bands splits it in two
+    ([(0.9, 1.1)], 48, "bessel", 0.19, 300),
+    ([(0.0, 0.66)], 128, "bessel", 0.5, 150),  # saturated: every lambda_max is 1 within ulps
+])
+def test_real_one_arc_gram_searches_as_the_complex_one(bands, window, objective, target, trials):
+    s = normalize_bands(bands, unit="2pi")
+    assert s.is_arc() and len(s.arcs) == len(bands) + (bands[0][1] > 1.0)
+    real, full = _search_gram(range(window), s), build_gram(range(window), s, normalized=True)
+    assert np.isrealobj(real) and np.iscomplexobj(full)
+    # a diagonal unitary conjugate of build_gram's matrix: the same spectrum
+    assert np.allclose(np.linalg.eigvalsh(real), np.linalg.eigvalsh(full), rtol=0, atol=1e-13)
+    blocks = BlockSystem.intervals(range(window), 2)
+    select = select_riesz if objective == "riesz" else select_bessel
+    config = SelectorConfig(master_seed=7, max_trials=trials)
+    a, b = select(real, blocks, target, config), select(full, blocks, target, config)
+    assert (a.labels, a.trials, a.met) == (b.labels, b.trials, b.met)
+    assert a.trials == trials and not a.met
+    q = b.lambda_max if objective == "bessel" else -b.lambda_min
+    m = _margin(full, b.labels, q)
+    assert abs(a.lambda_min - b.lambda_min) <= m and abs(a.lambda_max - b.lambda_max) <= m
+
+
+def test_full_torus_search_gram_is_build_gram():
+    # off the diagonal both Grams are rounding, of other bits in R, so the
+    # full torus keeps build_gram's matrix and the output it gives
+    s = normalize_bands([(0.0, 1.0)], unit="2pi")
+    g = _search_gram(range(32), s)
+    assert np.iscomplexobj(g)
+    assert np.array_equal(g, build_gram(range(32), s, normalized=True))
