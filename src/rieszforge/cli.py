@@ -190,7 +190,8 @@ def cmd_select(spec: argparse.Namespace) -> int:
     n = spec.window
     _check_gram_size(n)
     blocks = BlockSystem.intervals(range(n), spec.r)
-    gram = gramlib._search_gram(range(n), spectrum)
+    gram = gramlib._solved_gram(range(n), spectrum)
+    gram /= spectrum.total_volume
     config = SelectorConfig(master_seed=spec.seed, max_trials=spec.trials)
     delta = spectrum.fraction_of_torus
 
@@ -434,7 +435,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=["auto", "small", "large"], default="auto",
                    help="construction mode when no explicit points are given")
     p.add_argument("--window", type=int, default=5000, help="window for --step (default 5000)")
-    p.add_argument("--schedule", default="16,32,64,128,256",
+    p.add_argument("--schedule", default=",".join(map(str, gramlib.DEFAULT_SCHEDULE)),
                    help="comma-separated section sizes")
     p.add_argument("--threshold", type=float, default=1e-3 * TWO_PI,
                    help="supported needs final lambda_min >= this (default 1e-3*2*pi)")
@@ -450,7 +451,7 @@ def build_parser() -> _Parser:
     p.add_argument("--threshold", type=float,
                    help="target: lambda_min (riesz), lambda_max (bessel) or eps (tight)")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--trials", type=int, default=SelectorConfig.max_trials)
     p.add_argument("--out")
 
     p = sub.add_parser("partition", help="cycling/cube lattice partitions and their selectors")

@@ -24,7 +24,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .gram import _check_hermitian, dual_system
+from .gram import _bounds, _check_hermitian, dual_system
 from .quadfield import integers
 
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
@@ -269,8 +269,8 @@ def _search(gram: np.ndarray, blocks: tuple, config: SelectorConfig,
     c = max(q_b - 2m, q_goal + m), q_goal the quality meeting the target, can
     win or meet the target, and then sign*A + cI is positive definite, so a
     failed Cholesky factorization of it proves the trial cannot matter.  The
-    first trial and those that factor run `eigvalsh`: results have the bits
-    of a search solving every trial, at any BLAS thread count.
+    first trial and those that factor are solved by gram._bounds: results have
+    the bits of a search solving every trial, at any BLAS thread count.
     """
     n = len(blocks)
     lengths = np.array([len(b) for b in blocks])
@@ -293,8 +293,8 @@ def _search(gram: np.ndarray, blocks: tuple, config: SelectorConfig,
                 np.linalg.cholesky(shifted)
             except np.linalg.LinAlgError:
                 continue
-        w = np.linalg.eigvalsh(gram.take(idx, 0).take(idx, 1))
-        lmin, lmax = float(w[0]), float(w[-1])
+        b = _bounds([gram.take(idx, 0).take(idx, 1)], n)
+        lmin, lmax = b.lambda_min, b.lambda_max
         q = lmax if objective == "bessel" else -lmin
         if q <= goal:
             return tuple(idx.tolist()), lmin, lmax, t + 1, True
@@ -376,12 +376,11 @@ def select_tight(gram, blocks, eps: float,
     pos, _, _, t3, _ = _search(g3, _pairs(tuple(range(len(s2)))), config,
                                objective, target, stage=3)
 
-    w = np.linalg.eigvalsh(g2[np.ix_(pos, pos)])
-    lmin, lmax = float(w[0]), float(w[-1])
-    met = lmin >= 1.0 - eps and lmax <= 1.0 + eps
-    return SelectorResult(labels=tuple(s2[i] for i in pos), lambda_min=lmin, lambda_max=lmax,
-                          met=met, trials=t1 + t2 + t3, seed=config.master_seed, target=eps,
-                          objective="tight")
+    b = _bounds([g2[np.ix_(pos, pos)]], len(pos))
+    met = b.lambda_min >= 1.0 - eps and b.lambda_max <= 1.0 + eps
+    return SelectorResult(labels=tuple(s2[i] for i in pos), lambda_min=b.lambda_min,
+                          lambda_max=b.lambda_max, met=met, trials=t1 + t2 + t3,
+                          seed=config.master_seed, target=eps, objective="tight")
 
 
 def stabilize(selectors) -> tuple[int, tuple[int, ...]]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadfield import integers
-from .torus import TWO_PI, MultibandSet, centered_interval_coefficient
+from .torus import MultibandSet, centered_interval_coefficient
 
 __all__ = [
     "DEFAULT_SCHEDULE",
@@ -43,9 +43,9 @@ FINITE_SECTION_NOTE = (
 @dataclass(frozen=True)
 class BoundsEstimate:
     """Extreme eigenvalues of one Hermitian section, their accuracy, and the
-    solver that produced them: "real-symmetric" or "hermitian" for a full
-    solve, "centrosymmetric-split" or "centrohermitian-real" for a folded
-    point-symmetric section (see certify)."""
+    solver (see _bounds): "real-symmetric" or "hermitian" for a full solve,
+    "centrosymmetric-split" or "centrohermitian-real" for a folded
+    point-symmetric section (see _section_bounds)."""
 
     lambda_min: float
     lambda_max: float
@@ -82,31 +82,17 @@ def build_gram(points, spectrum, normalized: bool = False) -> np.ndarray:
     return g
 
 
-def _solved_coefficient(spectrum):
-    """The coefficient and dtype of the Gram that certify and select solve.
+def _solved_gram(points, spectrum) -> np.ndarray:
+    """The unnormalized Gram that certify and select solve.
 
-    On one arc, the real r(m) = centered_interval_coefficient(length, m):
-    R[j,k] = r(p_k - p_j) is D G D^H for build_gram's G and a diagonal
-    unitary D, so every principal submatrix of R has the eigenvalues of
-    G's.  On several arcs, the indicator coefficient, complex.
+    On one arc, the full torus included, the real R[j,k] = r(p_k - p_j) with
+    r the centered_interval_coefficient of the arc's length: R is D G D^H for
+    build_gram's G and a diagonal unitary D, so every principal submatrix of
+    R has the eigenvalues of G's.  On several arcs, build_gram's G.
     """
-    if spectrum.is_arc():
-        length = spectrum.measure
-        return (lambda m: centered_interval_coefficient(length, m)), float
-    return spectrum.fourier_coefficient, complex
-
-
-def _search_gram(points, spectrum) -> np.ndarray:
-    """The normalized Gram that select searches: R / 2pi on one arc short of
-    the full torus (see _solved_coefficient), build_gram's elsewhere.  On the
-    full torus both are the identity but for off-diagonal rounding, of other
-    bits in R, so there select keeps build_gram's matrix and its output.
-    """
-    if not spectrum.is_arc() or spectrum.measure >= TWO_PI:
-        return build_gram(points, spectrum, normalized=True)
-    g = _section(points, *_solved_coefficient(spectrum))
-    g /= spectrum.total_volume
-    return g
+    if not spectrum.is_arc():
+        return build_gram(points, spectrum)
+    return _section(points, lambda m: centered_interval_coefficient(spectrum.measure, m), float)
 
 
 def _section(points, coefficient, dtype) -> np.ndarray:
@@ -168,6 +154,8 @@ def _check_hermitian(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
+    if not h.size:
+        raise ValueError("expected a non-empty matrix")
     # row blocks against the matching column blocks, so no temporary is n x n
     scale, resid = 1.0, 0.0
     for i in range(0, len(h), _CHECK_BLOCK):
@@ -190,19 +178,23 @@ def extreme_eigs(h: np.ndarray) -> BoundsEstimate:
     eigensolver's achieved accuracy, n*eps*max|lambda|, and is at least 1e-12.
     """
     h = _check_hermitian(h)
-    w = np.linalg.eigvalsh(h)
-    return _estimate(w[0], w[-1], len(h), "real-symmetric" if np.isrealobj(h) else "hermitian")
+    return _bounds([h], len(h))
 
 
-def _estimate(lo, hi, n: int, solver: str) -> BoundsEstimate:
-    """Bounds of an n x n section, with tol = max(n*eps*max|lambda|, 1e-12)."""
+def _bounds(parts, n: int, solver: str | None = None) -> BoundsEstimate:
+    """Bounds of an n x n section from its Hermitian parts, the package's one
+    eigenvalue solve: the extremes over every part, tol = max(n*eps*max|lambda|,
+    1e-12), and solver by the first part's dtype unless given."""
+    w = [np.linalg.eigvalsh(p) for p in parts]
+    lo, hi = min(v[0] for v in w), max(v[-1] for v in w)
+    solver = solver or ("real-symmetric" if np.isrealobj(parts[0]) else "hermitian")
     achieved = n * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0)
     return BoundsEstimate(lambda_min=float(lo), lambda_max=float(hi),
                           tol=float(max(achieved, _HERMITIAN_TOL)), solver=solver)
 
 
-def _section_bounds(points, coefficient, dtype) -> BoundsEstimate:
-    """extreme_eigs(_section(points, coefficient, dtype)), folded when it can be.
+def _section_bounds(points, spectrum) -> BoundsEstimate:
+    """extreme_eigs(_solved_gram(points, spectrum)), folded when it can be.
 
     points are sorted.  If p_j + p_{n-1-j} is the same for every j, the
     section G satisfies J G J = conj(G), J the exchange matrix.  With m = n//2,
@@ -217,9 +209,10 @@ def _section_bounds(points, coefficient, dtype) -> BoundsEstimate:
     (Lee, LAA 1980), solved as "centrohermitian-real".  A real G is
     centrosymmetric, the off-diagonal blocks vanish, and the two diagonal
     blocks are solved apart as "centrosymmetric-split" (Cantoni & Butler, LAA
-    1976).  tol uses the full n.  Other point sets take extreme_eigs.
+    1976); _bounds solves the folds with tol for the full n.  Other point sets
+    take the public extreme_eigs.
     """
-    g = _section(points, coefficient, dtype)
+    g = _solved_gram(points, spectrum)
     n, ends = len(points), points[0] + points[-1]
     if n < 2 or any(p + q != ends for p, q in zip(points, reversed(points))):
         return extreme_eigs(g)
@@ -234,15 +227,13 @@ def _section_bounds(points, coefficient, dtype) -> BoundsEstimate:
         plus[m, m] = g[m, m].real
     if np.isrealobj(g):
         del g, a, bj  # free the section before the solves
-        wp, wm = np.linalg.eigvalsh(plus), np.linalg.eigvalsh(minus)
-        return _estimate(min(wp[0], wm[0]), max(wp[-1], wm[-1]), n, "centrosymmetric-split")
+        return _bounds([plus, minus], n, "centrosymmetric-split")
     k = np.empty((h, m))
     np.subtract(bj.imag, a.imag, out=k[:m])
     if h > m:
         k[m] = x.imag
     del g, a, bj
-    w = np.linalg.eigvalsh(np.block([[plus, k], [k.T, minus]]))
-    return _estimate(w[0], w[-1], n, "centrohermitian-real")
+    return _bounds([np.block([[plus, k], [k.T, minus]])], n, "centrohermitian-real")
 
 
 def dual_system(h: np.ndarray) -> np.ndarray:
@@ -252,10 +243,10 @@ def dual_system(h: np.ndarray) -> np.ndarray:
     between min and max.  Raises on singular or indefinite input.
     """
     h = _check_hermitian(h)
-    w = np.linalg.eigvalsh(h)
-    floor = max(len(w) * np.finfo(float).eps * max(abs(w[-1]), 1.0), 0.0)
-    if w[0] <= floor:
-        raise ValueError(f"matrix is singular or indefinite: lambda_min={w[0]:.3e}")
+    b = _bounds([h], len(h))
+    floor = max(len(h) * np.finfo(float).eps * max(abs(b.lambda_max), 1.0), 0.0)
+    if b.lambda_min <= floor:
+        raise ValueError(f"matrix is singular or indefinite: lambda_min={b.lambda_min:.3e}")
     inv = np.linalg.inv(h)
     return (inv + inv.conj().T) / 2.0
 
@@ -345,8 +336,7 @@ def certify(points, spectrum, threshold: float,
         raise ValueError(f"schedule needs {schedule[-1]} elements, have {len(elems)}")
     order = sorted(elems, key=lambda x: (abs(x), x))
 
-    coefficient, dtype = _solved_coefficient(spectrum)
-    bounds = [_section_bounds(sorted(order[:n]), coefficient, dtype) for n in schedule]
+    bounds = [_section_bounds(sorted(order[:n]), spectrum) for n in schedule]
 
     if len(bounds) >= 2:
         prev, last = bounds[-2].lambda_min, bounds[-1].lambda_min

@@ -20,7 +20,7 @@ from scipy.linalg import eigvalsh as scipy_eigvalsh
 
 import rieszforge as rf
 from rieszforge import TWO_PI
-from rieszforge.gram import _search_gram
+from rieszforge.gram import _solved_gram
 
 THRESHOLD = 1e-3 * TWO_PI
 
@@ -248,7 +248,7 @@ def test_criterion_08_pair_selector(capsys):
         outs.append(proc.stdout)
     cli_result = json.loads(outs[0])["result"]
     # on one arc the CLI searches the real R, a diagonal unitary conjugate of g
-    real = rf.select_riesz(_search_gram(range(64), s), blocks, 0.05, config)
+    real = rf.select_riesz(_solved_gram(range(64), s) / s.total_volume, blocks, 0.05, config)
 
     verdict_line(capsys, 8, "pair selector on 90% spectrum, seed 0", {
         "met": r1.met,

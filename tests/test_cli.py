@@ -13,7 +13,7 @@ import pytest
 import rieszforge
 from rieszforge import normalize_bands
 from rieszforge.cli import main
-from rieszforge.gram import _search_gram
+from rieszforge.gram import _solved_gram
 
 PACKAGE_ROOT = str(Path(rieszforge.__file__).resolve().parents[1])
 
@@ -194,9 +194,39 @@ def test_select_refuses_a_window_short_of_one_block_before_the_gram(capsys, monk
     def no_gram(*args, **kwargs):
         raise AssertionError("Gram built for a refused window")
 
-    monkeypatch.setattr(gram, "build_gram", no_gram)
+    # _section assembles every Gram, the one-arc R that select solves too
+    monkeypatch.setattr(gram, "_section", no_gram)
     assert main(["select", "--measure", "0.5", "--window", "3", "--r", "4"]) == 1
     assert "3 labels cannot fill a block of size 4" in capsys.readouterr().err
+
+
+def test_every_eigensolve_runs_in_gram_bounds(capsys, monkeypatch):
+    callers = set()
+    eigvalsh = np.linalg.eigvalsh
+
+    def traced(a, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # <listcomp>, <genexpr>
+            frame = frame.f_back
+        callers.add(f"{frame.f_globals['__name__']}.{frame.f_code.co_name}")
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", traced)
+    two_arcs = ["--bands", "[[0.0, 0.2], [0.5, 0.7]]"]
+    for argv in (
+        ["certify", "--measure", "0.5", "--step", "2", "--window", "100", "--schedule", "16,33"],
+        ["certify", *two_arcs, "--step", "1", "--window", "100", "--schedule", "16,33"],
+        ["certify", "--measure", "0.45", "--schedule", "16,32"],
+        ["select", "--measure", "0.5", "--window", "16", "--trials", "50"],
+        ["select", *two_arcs, "--mode", "bessel", "--window", "16", "--trials", "50"],
+        ["select", "--bands", "[[0.0, 1.0]]", "--mode", "tight", "--r", "4", "--window", "16",
+         "--trials", "50"],
+        ["partition", "--dim", "2", "--r", "2", "--window", "8",
+         "--boxes", "[[[0.0, 0.5], [0.0, 0.5]]]"],
+    ):
+        assert main(argv) in (0, 2, 3), argv
+    capsys.readouterr()
+    assert callers == {"rieszforge.gram._bounds"}
 
 
 @pytest.mark.parametrize("argv, cells", [
@@ -325,7 +355,7 @@ def test_select_tight_off_the_full_torus(capsys, measure):
     result = obj["result"]
     assert result["objective"] == "tight"
     spectrum = normalize_bands([(0.0, float(measure))], unit="2pi")
-    g = _search_gram(range(32), spectrum) / spectrum.fraction_of_torus
+    g = _solved_gram(range(32), spectrum) / spectrum.total_volume / spectrum.fraction_of_torus
     w = np.linalg.eigvalsh(g[np.ix_(result["labels"], result["labels"])])
     assert (result["lambda_min"], result["lambda_max"]) == (w[0], w[-1])
     eps = result["target"]

@@ -10,7 +10,7 @@ from rieszforge import BlockSystem, SelectorConfig, VectorSystem, build_gram, \
     complete_to_parseval_small, dual_system, frames, \
     naimark_complement, normalize_bands, pair_bessel_bound, predicted_bessel_bound, \
     select_bessel, select_riesz, select_tight, stabilize
-from rieszforge.gram import _search_gram
+from rieszforge.gram import _solved_gram
 
 EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny
 
@@ -597,11 +597,14 @@ def test_search_matches_oracle_across_chunk_boundaries(monkeypatch, objective, s
     ([(0.9, 1.1)], 48, "riesz", 0.22, 300),   # across 0: normalize_bands splits it in two
     ([(0.9, 1.1)], 48, "bessel", 0.19, 300),
     ([(0.0, 0.66)], 128, "bessel", 0.5, 150),  # saturated: every lambda_max is 1 within ulps
+    ([(0.0, 1.0)], 48, "riesz", 1.02, 300),   # the full torus: both are I but for rounding
+    ([(0.0, 1.0)], 48, "bessel", 0.98, 300),
 ])
 def test_real_one_arc_gram_searches_as_the_complex_one(bands, window, objective, target, trials):
     s = normalize_bands(bands, unit="2pi")
     assert s.is_arc() and len(s.arcs) == len(bands) + (bands[0][1] > 1.0)
-    real, full = _search_gram(range(window), s), build_gram(range(window), s, normalized=True)
+    real = _solved_gram(range(window), s) / s.total_volume
+    full = build_gram(range(window), s, normalized=True)
     assert np.isrealobj(real) and np.iscomplexobj(full)
     # a diagonal unitary conjugate of build_gram's matrix: the same spectrum
     assert np.allclose(np.linalg.eigvalsh(real), np.linalg.eigvalsh(full), rtol=0, atol=1e-13)
@@ -614,12 +617,3 @@ def test_real_one_arc_gram_searches_as_the_complex_one(bands, window, objective,
     q = b.lambda_max if objective == "bessel" else -b.lambda_min
     m = _margin(full, b.labels, q)
     assert abs(a.lambda_min - b.lambda_min) <= m and abs(a.lambda_max - b.lambda_max) <= m
-
-
-def test_full_torus_search_gram_is_build_gram():
-    # off the diagonal both Grams are rounding, of other bits in R, so the
-    # full torus keeps build_gram's matrix and the output it gives
-    s = normalize_bands([(0.0, 1.0)], unit="2pi")
-    g = _search_gram(range(32), s)
-    assert np.iscomplexobj(g)
-    assert np.array_equal(g, build_gram(range(32), s, normalized=True))

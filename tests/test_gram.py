@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rieszforge import TWO_PI, BoxSet, build_gram, certify, construct_riesz_set, \
-    dual_system, extreme_eigs, normalize_bands
+    dual_system, extreme_eigs, normalize_bands, select_riesz
 from rieszforge.gram import _section
 from rieszforge.torus import centered_interval_coefficient, interval_coefficient
 
@@ -129,6 +129,13 @@ def test_extreme_eigs_rejects_non_hermitian():
         extreme_eigs(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         extreme_eigs(np.zeros((2, 3)))
+
+
+def test_empty_matrix_is_refused():
+    # the Hermiticity check refuses it, for the solvers and the selectors alike
+    for solve in (extreme_eigs, dual_system, lambda g: select_riesz(g, [[0]], 0.1)):
+        with pytest.raises(ValueError, match="expected a non-empty matrix"):
+            solve(np.zeros((0, 0)))
 
 
 def test_hermitian_check_sees_every_block():
