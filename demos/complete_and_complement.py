@@ -12,6 +12,10 @@ import numpy as np
 import rieszforge as rf
 
 
+def norms_squared(f):
+    return np.real(np.sum(f.conj() * f, axis=0))
+
+
 def main():
     rng = np.random.default_rng(42)
 
@@ -20,30 +24,30 @@ def main():
     z = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
     z /= np.linalg.norm(z, axis=0, keepdims=True)
     z *= np.sqrt(rng.uniform(0.05, delta, size=5))
-    vs = rf.VectorSystem(matrix=z, labels=tuple(range(5)))
-    print(f"input: {vs.count} vectors in C^{vs.ambient_dim}, "
-          f"squared norms <= {vs.norms_squared().max():.4f}")
+    # columns are the vectors: f @ f^H is the frame operator, f^H @ f the Gram
+    print(f"input: {z.shape[1]} vectors in C^{z.shape[0]}, "
+          f"squared norms <= {norms_squared(z).max():.4f}")
 
-    added = rf.complete_to_parseval_small(vs, delta)
-    total = vs.frame_operator() + added.frame_operator()
+    added = rf.complete_to_parseval_small(z, delta)
+    total = z @ z.conj().T + added @ added.conj().T
     resid = np.abs(total - np.eye(3)).max()
-    print(f"completion added {added.count} vectors "
-          f"(squared norms <= {added.norms_squared().max():.4f})")
+    print(f"completion added {added.shape[1]} vectors "
+          f"(squared norms <= {norms_squared(added).max():.4f})")
     print(f"frame operator vs identity: max residual {resid:.2e}")
 
     # a random Parseval frame of 7 vectors in C^3 and its complement
     q, _ = np.linalg.qr(rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7)))
-    f = rf.VectorSystem(matrix=q[:3, :], labels=tuple(range(7)))
+    f = q[:3, :]
     g = rf.naimark_complement(f)
-    print(f"\nParseval frame: 7 vectors in C^3, complement lives in C^{g.ambient_dim}")
-    resid = np.abs(f.gram() + g.gram() - np.eye(7)).max()
+    print(f"\nParseval frame: 7 vectors in C^3, complement lives in C^{g.shape[0]}")
+    gram_f, gram_g = f.conj().T @ f, g.conj().T @ g
+    resid = np.abs(gram_f + gram_g - np.eye(7)).max()
     print(f"Gram(F) + Gram(G) vs identity: max residual {resid:.2e}")
     # the complement turns an upper bound on F into a lower bound on G
-    lf = float(np.linalg.eigvalsh(f.gram())[-1])
-    lg = float(np.linalg.eigvalsh(g.gram())[0])
+    lf = float(np.linalg.eigvalsh(gram_f)[-1])
+    lg = float(np.linalg.eigvalsh(gram_g)[0])
     print(f"lambda_max(F Gram) = {lf:.6f},  lambda_min(G Gram) = {lg:.6f}, "
           f"sum = {lf + lg:.6f}")
-
 
 if __name__ == "__main__":
     main()

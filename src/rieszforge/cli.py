@@ -118,11 +118,11 @@ def _load_points(spec: argparse.Namespace) -> qc.PointSet | None:
     return qc.PointSet(elements=elems, window=(elems[0], elems[-1]))
 
 
-def _parse_schedule(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ValueError(f"bad schedule {text!r}; expected comma-separated integers") from None
+        raise ValueError(f"bad {what} {text!r}; expected comma-separated integers") from None
 
 
 def _check_gram_size(n: int) -> None:
@@ -158,7 +158,7 @@ def cmd_construct(spec: argparse.Namespace) -> int:
 
 def cmd_certify(spec: argparse.Namespace) -> int:
     spectrum = _load_spectrum(spec)
-    schedule = _parse_schedule(spec.schedule)
+    schedule = _parse_ints(spec.schedule, "schedule")
     _check_gram_size(max(schedule))
     explicit = _load_points(spec)
     if explicit is not None:
@@ -230,15 +230,19 @@ def cmd_select(spec: argparse.Namespace) -> int:
 
 def _partition_window(spec: argparse.Namespace) -> LatticeWindow:
     d = spec.dim
-    if d > 20:  # a window of side 2 has 2^dim cells, over MAX_PARTITION_CELLS
-        raise ValueError(f"--dim {d} is over 20")
+    if not 0 < d <= 20:  # a window of side 2 has 2^dim cells, over MAX_PARTITION_CELLS
+        raise ValueError(f"--dim must be in 1..20, got {d}")
+    if spec.r < 1:
+        raise ValueError(f"--r must be positive, got {spec.r}")
     if _one_of(spec, "--window-2d", "--window") == "--window-2d":
-        parts = [int(x) for x in spec.window_2d.split(",")]
+        parts = _parse_ints(spec.window_2d, "--window-2d")
         if len(parts) != 2 * d:
             raise ValueError(f"--window-2d needs {2 * d} comma-separated integers for dim {d}")
         lo, hi = tuple(parts[0::2]), tuple(parts[1::2])
     else:
         n = spec.window if spec.window is not None else 6 * spec.r
+        if n < 1:
+            raise ValueError(f"--window must be positive, got {n}")
         lo, hi = (0,) * d, (n - 1,) * d
     window = LatticeWindow(lo=lo, hi=hi)
     cells = math.prod(window.side_lengths)
@@ -306,6 +310,7 @@ def cmd_density(spec: argparse.Namespace) -> int:
                              "or a spectrum to construct from")
         constructed, points = qc.construct_riesz_set(spectrum, _symmetric_window(spec.window),
                                                      mode=spec.mode)
+    _check_window(points.span)  # density_stats allocates one entry per integer of the window
     payload = {
         "points": {"count": len(points), "window": list(points.window)},
         "gap_stats": qc.gap_stats(points).to_json(),

@@ -1,6 +1,9 @@
 """Finite frame utilities: Parseval completion, Naimark complements, and
 randomized one-per-block selection of well-conditioned subsystems.
 
+Completion and the complement take and return synthesis matrices f, whose
+columns are the vectors: f @ f^H is the frame operator, f^H @ f the Gram.
+
 The selectors take a Hermitian positive semidefinite Gram, such as
 build_gram(range(n), S, normalized=True), whose row index is the label, and
 blocks of row indices.  Selection targets come in three flavors:
@@ -31,7 +34,6 @@ _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 _CHUNK = 64  # trials drawn from one keyed stream
 
 __all__ = [
-    "VectorSystem",
     "BlockSystem",
     "SelectorConfig",
     "SelectorResult",
@@ -44,43 +46,6 @@ __all__ = [
     "select_tight",
     "stabilize",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class VectorSystem:
-    """Columns of `matrix` are the vectors; labels name them (one per column)."""
-
-    matrix: np.ndarray
-    labels: tuple[int, ...]
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2:
-            raise ValueError(f"matrix must be 2-D, got shape {m.shape}")
-        object.__setattr__(self, "matrix", m)
-        labels = integers(self.labels, "labels")
-        if len(labels) != m.shape[1]:
-            raise ValueError(f"{len(labels)} labels for {m.shape[1]} columns")
-        if len(set(labels)) != len(labels):
-            raise ValueError("labels must be unique")
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def count(self) -> int:
-        return self.matrix.shape[1]
-
-    def gram(self) -> np.ndarray:
-        return self.matrix.conj().T @ self.matrix
-
-    def frame_operator(self) -> np.ndarray:
-        return self.matrix @ self.matrix.conj().T
-
-    def norms_squared(self) -> np.ndarray:
-        return np.real(np.sum(self.matrix.conj() * self.matrix, axis=0))
 
 
 @dataclass(frozen=True)
@@ -174,23 +139,31 @@ class SelectorResult:
         return {**asdict(self), "labels": list(self.labels)}
 
 
-def complete_to_parseval_small(system: VectorSystem, delta: float) -> VectorSystem:
-    """Vectors of squared norm <= delta completing `system` to a Parseval frame.
+def _synthesis(vectors) -> np.ndarray:
+    m = np.asarray(vectors, dtype=complex)
+    if m.ndim != 2:
+        raise ValueError(f"matrix must be 2-D, got shape {m.shape}")
+    return m
 
-    Requires Bessel bound 1 (to 1e-10, which also decides which deficits are
-    zero) and all input squared norms <= delta.  For each nonzero eigenvalue
-    lam of the frame operator, adds m copies of sqrt((1-lam)/m) times the
-    eigenvector, with m the smallest integer making (1 - lam_min_nonzero)/m <
-    delta.  Returns only the added vectors (possibly none), labeled 0..K-1.
+
+def complete_to_parseval_small(vectors, delta: float) -> np.ndarray:
+    """Vectors of squared norm <= delta completing `vectors` to a Parseval frame.
+
+    Columns of `vectors` are the vectors.  Requires Bessel bound 1 (to 1e-10,
+    which also decides which deficits are zero) and all input squared norms
+    <= delta.  For each nonzero eigenvalue lam of the frame operator, adds m
+    copies of sqrt((1-lam)/m) times the eigenvector, with m the smallest
+    integer making (1 - lam_min_nonzero)/m < delta.  Returns the added vectors
+    as the columns of a d x K matrix (K = 0 when none are needed).
     """
+    f = _synthesis(vectors)
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
     tol = 1e-10
-    norms = system.norms_squared()
+    norms = np.real(np.sum(f.conj() * f, axis=0))
     if norms.size and float(norms.max()) > delta + 1e-12:
         raise ValueError(f"a vector has squared norm {norms.max():.6f} > delta={delta}")
-    s = system.frame_operator()
-    w, v = np.linalg.eigh(s)
+    w, v = np.linalg.eigh(f @ f.conj().T)
     if w.size and float(w[-1]) > 1.0 + tol:
         raise ValueError(f"Bessel bound exceeds 1: lambda_max={w[-1]:.6f}")
 
@@ -198,7 +171,7 @@ def complete_to_parseval_small(system: VectorSystem, delta: float) -> VectorSyst
     nonzero = [(float(lam), v[:, i]) for i, lam in enumerate(w) if lam > zero_tol]
     deficits = [(max(0.0, 1.0 - lam), vec) for lam, vec in nonzero]
     if not any(d > tol for d, _ in deficits):
-        return VectorSystem(matrix=np.zeros((system.ambient_dim, 0), dtype=complex), labels=())
+        return np.zeros((f.shape[0], 0), dtype=complex)
 
     lam_min_nz = min(lam for lam, _ in nonzero)
     m = math.floor((1.0 - lam_min_nz) / delta) + 1
@@ -208,28 +181,26 @@ def complete_to_parseval_small(system: VectorSystem, delta: float) -> VectorSyst
             continue
         coeff = math.sqrt(deficit / m)
         cols.extend([coeff * vec] * m)
-    added = np.column_stack(cols)
-    return VectorSystem(matrix=added, labels=tuple(range(added.shape[1])))
+    return np.column_stack(cols)
 
 
-def naimark_complement(system: VectorSystem) -> VectorSystem:
+def naimark_complement(vectors) -> np.ndarray:
     """A Parseval frame G with Gram(F) + Gram(G) = I, for Parseval F.
 
-    Computed from an orthonormal basis of the null space of the synthesis
-    matrix, so it is one representative of the unitary equivalence class.
-    Labels carry over; the input's Gram must be idempotent to 1e-8.  The
-    complement lives in dimension count - rank (an orthonormal-basis input
-    yields an empty, zero-dimensional complement).
+    F and G are synthesis matrices (columns are the vectors); G comes from an
+    orthonormal basis of the null space of F, one representative of the
+    unitary equivalence class.  The Gram of F must be idempotent to 1e-8.  G
+    is (count - rank) x count: an orthonormal-basis input yields 0 x count.
     """
-    g = system.gram()
+    f = _synthesis(vectors)
+    g = f.conj().T @ f
     resid = float(np.abs(g @ g - g).max()) if g.size else 0.0
     if resid > 1e-8:
         raise ValueError(f"Gram is not idempotent (residual {resid:.3e}); "
                          "input must be a Parseval frame for its span")
-    _, s, vh = np.linalg.svd(system.matrix, full_matrices=True)
+    _, s, vh = np.linalg.svd(f, full_matrices=True)
     rank = int(np.sum(s > 0.5))
-    comp = vh[rank:, :]
-    return VectorSystem(matrix=comp, labels=system.labels)
+    return vh[rank:, :]
 
 
 def predicted_bessel_bound(r: int, delta: float) -> float:

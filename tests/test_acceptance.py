@@ -181,12 +181,12 @@ def test_criterion_06_naimark_identity(capsys):
         m = int(rng.integers(d, 13))
         z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
         q, _ = np.linalg.qr(z)
-        f = rf.VectorSystem(matrix=q[:d, :], labels=tuple(range(m)))
+        f = q[:d, :]
         g = rf.naimark_complement(f)
         jsz = int(rng.integers(1, m + 1))
         sel = np.sort(rng.choice(m, size=jsz, replace=False)).tolist()
-        gf = f.gram()[np.ix_(sel, sel)]
-        gg = g.gram()[np.ix_(sel, sel)]
+        gf = (f.conj().T @ f)[np.ix_(sel, sel)]
+        gg = (g.conj().T @ g)[np.ix_(sel, sel)]
         ok_identity &= float(np.abs(gf + gg - np.eye(jsz)).max()) < 1e-10
         lf = float(np.linalg.eigvalsh(gf)[-1])
         lg = float(np.linalg.eigvalsh(gg)[0])
@@ -214,12 +214,11 @@ def test_criterion_07_parseval_completion(capsys):
         w = np.linalg.eigvalsh(z @ z.conj().T)
         if w[-1] > 1.0:
             z /= math.sqrt(w[-1]) * (1 + 1e-12)
-        vs = rf.VectorSystem(matrix=z, labels=tuple(range(cnt)))
-        added = rf.complete_to_parseval_small(vs, delta)
-        if added.count:
-            ok_norms &= float(added.norms_squared().max()) <= delta + 1e-12
-        total = vs.frame_operator() + added.frame_operator()
-        w2, v2 = np.linalg.eigh(vs.frame_operator())
+        added = rf.complete_to_parseval_small(z, delta)
+        if added.shape[1]:
+            ok_norms &= float(np.real(np.sum(added.conj() * added, axis=0)).max()) <= delta + 1e-12
+        total = z @ z.conj().T + added @ added.conj().T
+        w2, v2 = np.linalg.eigh(z @ z.conj().T)
         span = v2[:, w2 > 1e-10]
         ok_span &= float(np.abs(total @ span - span).max()) < 1e-8
     verdict_line(capsys, 7, "small-norm completion reaches Parseval", {

@@ -329,6 +329,23 @@ def test_window_guard_refuses_before_generating(capsys, monkeypatch, argv):
     assert f"over the limit of {cli.MAX_WINDOW}" in err and cli.MAX_WINDOW == 2 ** 22
 
 
+@pytest.mark.parametrize("points", [
+    "[0, 1000000000000]",
+    '{"elements": [0, 1], "window": [0, 1000000000000]}',
+], ids=["list", "object"])
+def test_density_refuses_explicit_windows_over_the_limit(capsys, monkeypatch, points):
+    from rieszforge import cli
+
+    def no_stats(*args):
+        raise AssertionError("density statistics computed for a refused window")
+
+    # density_stats allocates one entry per integer of the window
+    monkeypatch.setattr(cli.qc, "density_stats", no_stats)
+    assert main(["density", "--points", points]) == 1
+    assert capsys.readouterr().err == ("rieszforge density: error: a window of 1000000000001 "
+                                       f"integers is over the limit of {cli.MAX_WINDOW}\n")
+
+
 @pytest.mark.parametrize("command", ["construct", "density"])
 def test_window_guard_admits_the_limit(monkeypatch, command):
     from rieszforge import cli
@@ -474,6 +491,13 @@ def test_density_needs_source(capsys):
      "a spectrum is required: pass --bands, --bands-file or --measure"),
     (["partition", "--dim", "2", "--r", "2", "--window", "8", "--window-2d", "0,3,0,3"],
      "pass only one of --window-2d / --window"),
+    (["partition", "--dim", "0"], "--dim must be in 1..20, got 0"),
+    (["partition", "--r", "0"], "--r must be positive, got 0"),
+    (["partition", "--dim", "2", "--r", "2", "--window", "0"], "--window must be positive, got 0"),
+    (["partition", "--dim", "2", "--r", "3", "--window-2d", "0,5,0,x"],
+     "bad --window-2d '0,5,0,x'; expected comma-separated integers"),
+    (["certify", "--measure", "0.4", "--schedule", "16,x"],
+     "bad schedule '16,x'; expected comma-separated integers"),
 ])
 def test_source_conflicts_exit_1(capsys, argv, message):
     assert main(argv) == 1

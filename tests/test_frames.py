@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from rieszforge import BlockSystem, SelectorConfig, VectorSystem, build_gram, \
+import rieszforge
+from rieszforge import BlockSystem, SelectorConfig, build_gram, \
     complete_to_parseval_small, dual_system, frames, \
     naimark_complement, normalize_bands, pair_bessel_bound, predicted_bessel_bound, \
     select_bessel, select_riesz, select_tight, stabilize
@@ -19,7 +20,7 @@ def random_parseval(rng, dim, count):
     """dim rows of a random count x count unitary: synthesis FF^H = I."""
     z = rng.normal(size=(count, count)) + 1j * rng.normal(size=(count, count))
     q, _ = np.linalg.qr(z)
-    return VectorSystem(matrix=q[:dim, :], labels=tuple(range(count)))
+    return q[:dim, :]
 
 
 def random_bessel(rng, dim, count, delta):
@@ -29,18 +30,21 @@ def random_bessel(rng, dim, count, delta):
     w = np.linalg.eigvalsh(z @ z.conj().T)
     if w[-1] > 1.0:
         z /= math.sqrt(w[-1]) * (1 + 1e-12)
-    return VectorSystem(matrix=z, labels=tuple(range(count)))
+    return z
 
 
-def test_vector_system_basics():
-    m = np.array([[1.0, 0.0], [0.0, 2.0]])
-    vs = VectorSystem(matrix=m, labels=(5, 9))
-    assert vs.ambient_dim == 2 and vs.count == 2
-    assert np.allclose(vs.norms_squared(), [1.0, 4.0])
-    with pytest.raises(ValueError):
-        VectorSystem(matrix=m, labels=(1,))
-    with pytest.raises(ValueError):
-        VectorSystem(matrix=m, labels=(1, 1))
+def norms_squared(f):
+    return np.real(np.sum(f.conj() * f, axis=0))
+
+
+@pytest.mark.parametrize("as_input", [np.asarray, np.ndarray.tolist], ids=["ndarray", "list"])
+def test_frame_steps_take_and_return_synthesis_matrices(as_input):
+    # columns are the vectors: a real ndarray or a nested list in, a complex ndarray out
+    added = complete_to_parseval_small(as_input(np.diag([math.sqrt(0.2)] * 2)), 0.25)
+    assert type(added) is np.ndarray and added.dtype == complex and added.shape == (2, 8)
+    comp = naimark_complement(as_input(np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]])))
+    assert type(comp) is np.ndarray and comp.dtype == complex and comp.shape == (1, 3)
+    assert "VectorSystem" not in rieszforge.__all__
 
 
 def test_block_system():
@@ -58,22 +62,20 @@ def test_block_system():
 def test_completion_two_vector_example():
     # two orthogonal vectors of squared norm 0.2, delta = 0.25:
     # deficit 0.8 per direction, m = floor(0.8/0.25)+1 = 4 copies each
-    m = np.diag([math.sqrt(0.2), math.sqrt(0.2)])
-    vs = VectorSystem(matrix=m, labels=(0, 1))
+    vs = np.diag([math.sqrt(0.2), math.sqrt(0.2)])
     added = complete_to_parseval_small(vs, 0.25)
-    assert added.count == 8
-    assert float(added.norms_squared().max()) <= 0.25 + 1e-12
-    total = vs.frame_operator() + added.frame_operator()
+    assert added.shape[1] == 8
+    assert float(norms_squared(added).max()) <= 0.25 + 1e-12
+    total = vs @ vs.conj().T + added @ added.conj().T
     assert np.abs(total - np.eye(2)).max() < 1e-12
 
 
 def test_completion_m_rule_forces_five():
     # deficit 0.8 with delta = 0.2 needs m = 5 (0.8/4 = 0.2 is not < 0.2)
-    m = np.diag([math.sqrt(0.2)])
-    vs = VectorSystem(matrix=m, labels=(0,))
+    vs = np.diag([math.sqrt(0.2)])
     added = complete_to_parseval_small(vs, 0.2)
-    assert added.count == 5
-    assert float(added.norms_squared().max()) < 0.2
+    assert added.shape[1] == 5
+    assert float(norms_squared(added).max()) < 0.2
 
 
 def test_completion_random_systems():
@@ -84,55 +86,53 @@ def test_completion_random_systems():
             count = int(rng.integers(1, 2 * dim + 1))
             vs = random_bessel(rng, dim, count, delta)
             added = complete_to_parseval_small(vs, delta)
-            if added.count:
-                assert float(added.norms_squared().max()) <= delta + 1e-12
-            total = vs.frame_operator() + added.frame_operator()
+            if added.shape[1]:
+                assert float(norms_squared(added).max()) <= delta + 1e-12
+            total = vs @ vs.conj().T + added @ added.conj().T
             # identity on the span of the input
-            w, v = np.linalg.eigh(vs.frame_operator())
+            w, v = np.linalg.eigh(vs @ vs.conj().T)
             span = v[:, w > 1e-10]
             assert np.abs(total @ span - span).max() < 1e-8
 
 
 def test_completion_validation():
-    vs = VectorSystem(matrix=np.eye(2), labels=(0, 1))
+    vs = np.eye(2)
     with pytest.raises(ValueError):
         complete_to_parseval_small(vs, 0.5)  # norms exceed delta
     with pytest.raises(ValueError):
         complete_to_parseval_small(vs, 1.5)
     # four copies of one vector of squared norm 0.3: norms fit delta, Bessel bound 1.2
-    copies = VectorSystem(matrix=np.full((1, 4), math.sqrt(0.3)), labels=(0, 1, 2, 3))
+    copies = np.full((1, 4), math.sqrt(0.3))
     with pytest.raises(ValueError, match="Bessel bound exceeds 1"):
         complete_to_parseval_small(copies, 0.5)
     # a Parseval frame with small norms needs nothing added
     rng = np.random.default_rng(0)
     f = random_parseval(rng, 2, 8)
     added = complete_to_parseval_small(f, 0.9)
-    assert added.count == 0
+    assert added.shape == (2, 0)
 
 
 def test_naimark_complement_identity():
     rng = np.random.default_rng(3)
     f = random_parseval(rng, 3, 7)
     g = naimark_complement(f)
-    assert g.ambient_dim == 7 - 3
-    assert np.abs(f.gram() + g.gram() - np.eye(7)).max() < 1e-12
-    assert g.labels == f.labels
+    assert g.shape == (7 - 3, 7)
+    assert np.abs(f.conj().T @ f + g.conj().T @ g - np.eye(7)).max() < 1e-12
     # complement of a Parseval frame is Parseval for its span
-    wg = np.linalg.eigvalsh(g.frame_operator())
+    wg = np.linalg.eigvalsh(g @ g.conj().T)
     assert np.abs(wg - 1.0).max() < 1e-10
 
 
 def test_naimark_rejects_non_parseval():
-    vs = VectorSystem(matrix=np.array([[2.0, 0.0], [0.0, 1.0]]), labels=(0, 1))
     with pytest.raises(ValueError):
-        naimark_complement(vs)
+        naimark_complement(np.array([[2.0, 0.0], [0.0, 1.0]]))
 
 
 def test_naimark_of_orthonormal_basis_is_empty():
-    f = VectorSystem(matrix=np.eye(4), labels=(0, 1, 2, 3))
+    f = np.eye(4)
     g = naimark_complement(f)
-    assert g.ambient_dim == 0
-    assert np.abs(f.gram() + g.gram() - np.eye(4)).max() < 1e-12
+    assert g.shape == (0, 4)
+    assert np.abs(f.conj().T @ f + g.conj().T @ g - np.eye(4)).max() < 1e-12
 
 
 def test_predicted_bounds():
@@ -161,7 +161,8 @@ def test_pair_bound_is_one_minus_eps0():
     (lambda: pair_bessel_bound(0.0), "pair bound needs delta"),
     (lambda: SelectorConfig().predicted_block_size(0), "eps must be positive"),
     (lambda: BlockSystem(blocks=()), "need at least one block"),
-    (lambda: VectorSystem(matrix=np.ones(3), labels=(0, 1, 2)), "matrix must be 2-D"),
+    (lambda: complete_to_parseval_small(np.ones(3), 0.5), "matrix must be 2-D"),
+    (lambda: naimark_complement(np.ones(3)), "matrix must be 2-D"),
 ])
 def test_theory_and_container_validation(call, message):
     with pytest.raises(ValueError, match=message):
@@ -172,12 +173,11 @@ def test_completion_skips_a_direction_already_at_one():
     # four copies of e1/2 give frame-operator eigenvalue 1 on e1: no deficit there,
     # so only e2 (eigenvalue 1/4) is completed, by m = 4 copies of sqrt(3/16) e2
     m = np.array([[0.5, 0.5, 0.5, 0.5, 0.0], [0.0, 0.0, 0.0, 0.0, 0.5]])
-    system = VectorSystem(matrix=m, labels=range(5))
-    added = complete_to_parseval_small(system, 0.25)
-    assert added.count == 4
-    assert np.abs(added.matrix[0]).max() < 1e-15
-    assert np.allclose(np.abs(added.matrix[1]), math.sqrt(3 / 16))
-    total = system.frame_operator() + added.frame_operator()
+    added = complete_to_parseval_small(m, 0.25)
+    assert added.shape[1] == 4
+    assert np.abs(added[0]).max() < 1e-15
+    assert np.allclose(np.abs(added[1]), math.sqrt(3 / 16))
+    total = m @ m.conj().T + added @ added.conj().T
     assert np.abs(total - np.eye(2)).max() < 1e-12
 
 
@@ -215,7 +215,8 @@ def test_select_exhaustive_oracle():
     import itertools
     rng = np.random.default_rng(8)
     z = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
-    g = VectorSystem(matrix=z / 3.0, labels=tuple(range(6))).gram()
+    f = z / 3.0
+    g = f.conj().T @ f
     blocks = BlockSystem(blocks=((0, 1), (2, 3), (4, 5)))
     best = -math.inf
     for combo in itertools.product(*blocks.blocks):
@@ -387,7 +388,8 @@ def _arc_gram(fraction, window):
 def _random_gram(seed, dim, count, scale=1.0):
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(dim, count)) + 1j * rng.normal(size=(dim, count))
-    return VectorSystem(matrix=scale * z, labels=tuple(range(count))).gram()
+    f = scale * z
+    return f.conj().T @ f
 
 
 @pytest.mark.parametrize("objective, bands", [("riesz", [(0.0, 0.85)]),
@@ -516,7 +518,8 @@ def test_select_tight_matches_oracle(monkeypatch):
     # unit vectors in C^12: no stage meets its target, so all three run in full
     rng = np.random.default_rng(6)
     z = rng.normal(size=(12, 32)) + 1j * rng.normal(size=(12, 32))
-    g = VectorSystem(matrix=z / np.linalg.norm(z, axis=0), labels=tuple(range(32))).gram()
+    f = z / np.linalg.norm(z, axis=0)
+    g = f.conj().T @ f
     blocks = BlockSystem.intervals(range(32), 8)
     config = SelectorConfig(master_seed=6, max_trials=200)
     fast = select_tight(g, blocks, 0.05, config)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rieszforge import BlockSystem, BoxSet, LatticeWindow, PointSet, QuadNum, \
-    UnitInterval, VectorSystem, build_gram, certify, generate, \
+    UnitInterval, build_gram, certify, generate, \
     normalize_bands, select_riesz, stabilize
 from rieszforge.quadfield import integers
 
@@ -25,7 +25,6 @@ BOUNDARIES = {
     "generate_window": lambda v: generate(ALPHA6, UnitInterval(0, 1), (0, v)),
     "certify_points": lambda v: certify([0, v, 3, 4], HALF, 0.1, schedule=(2, 4)),
     "certify_schedule": lambda v: certify([0, 1, 3, 4], HALF, 0.1, schedule=(1, v)),
-    "vector_system_labels": lambda v: VectorSystem(matrix=np.eye(2), labels=(0, v)),
     "select_blocks": lambda v: select_riesz(np.eye(2), ((0, v),), 0.1),
     "block_system": lambda v: BlockSystem(blocks=((0, v),)),
     "block_intervals": lambda v: BlockSystem.intervals([0, v, 4, 5], 2),
@@ -64,7 +63,6 @@ def test_boundaries_store_python_ints():
     assert all(type(n) is int for n in (*ps.elements, *ps.window))
     assert LatticeWindow(lo=(0.0, np.int64(0)), hi=(2, 2.0)).hi == (2, 2)
     assert BlockSystem(blocks=[[0.0, np.int64(1)]]).blocks == ((0, 1),)
-    assert VectorSystem(matrix=np.eye(2), labels=(0.0, Fraction(1))).labels == (0, 1)
     assert stabilize([[0.0], (np.int64(0), 1.0)]) == (2, (0, 1))
     assert QuadNum.from_json({"p": "0/1", "q": "1/1", "D": 2.0}) == QuadNum(0, 1, 2)
     with pytest.raises(ValueError, match="2.5"):
