@@ -77,6 +77,7 @@ class BlockSystem:
     @classmethod
     def intervals(cls, labels, r: int) -> "BlockSystem":
         """Chunk sorted labels into consecutive blocks of size r (tail dropped)."""
+        (r,) = integers([r], "block size")
         if r < 1:
             raise ValueError("block size must be positive")
         ordered = sorted(integers(labels, "labels"))
@@ -103,8 +104,11 @@ class SelectorConfig:
     max_trials: int = 10000
 
     def __post_init__(self):
-        if self.max_trials < 1:
-            raise ValueError("max_trials must be positive")
+        for name, least in (("master_seed", 0), ("max_trials", 1)):
+            (value,) = integers([getattr(self, name)], name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+            object.__setattr__(self, name, value)
 
     @property
     def eps0(self) -> float:
@@ -206,6 +210,7 @@ def naimark_complement(vectors) -> np.ndarray:
 def predicted_bessel_bound(r: int, delta: float) -> float:
     """Theory reference bound for a one-per-block selection from blocks of
     size r with squared norms <= delta: (1/sqrt(r) + sqrt(delta))^2."""
+    (r,) = integers([r], "block size")
     if r < 1:
         raise ValueError("block size must be positive")
     if delta < 0:

@@ -110,6 +110,7 @@ def cycling_partition(d: int, r: int, window: LatticeWindow) -> tuple[Segment, .
     j(k) = ((k_1+...+k_d)/r mod d, 0 -> d); the remaining coordinates take all
     r^(d-1) offset combinations in order.
     """
+    d, r = integers([d, r], "dimension and segment length")
     segments = []
     for base in _aligned_bases(d, r, window, "segment length"):
         residue = (sum(base) // r) % d
@@ -126,6 +127,7 @@ def cycling_partition(d: int, r: int, window: LatticeWindow) -> tuple[Segment, .
 
 def cube_partition(d: int, s: int, window: LatticeWindow) -> tuple[Cube, ...]:
     """Partition the window into aligned s-cubes (window must be aligned to s)."""
+    d, s = integers([d, s], "dimension and cube side")
     cubes = []
     for base in _aligned_bases(d, s, window, "cube side"):
         cells = tuple(tuple(k + o for k, o in zip(base, rel))
@@ -171,11 +173,12 @@ def section_gaps(points, axis: int, fixed: tuple[int, ...],
     omitted).  Points outside the window are ignored.
     """
     d = window.dim
+    (axis,), fixed = integers([axis], "axis"), integers(fixed, "fixed coordinates")
     if not 1 <= axis <= d:
         raise ValueError(f"axis must be in 1..{d}")
     if len(fixed) != d - 1:
         raise ValueError(f"need {d - 1} fixed coordinates, got {len(fixed)}")
-    return gap_stats(sorted(_sections(points, axis, window).get(tuple(fixed), ())))
+    return gap_stats(sorted(_sections(points, axis, window).get(fixed, ())))
 
 
 def section_report(points, window: LatticeWindow) -> list[dict]:

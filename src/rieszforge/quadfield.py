@@ -10,6 +10,7 @@ cost grows with the digits of p and q, not with their size.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -115,13 +116,14 @@ def _aligned(op):
     return method
 
 
+@functools.total_ordering
 class QuadNum:
     """An element p + q*sqrt(D) of the real quadratic field Q(sqrt(D)).
 
-    p and q are Fractions; D is a square-free integer >= 2.  Arithmetic
-    between two irrational numbers with different radicands raises; a
+    p and q are Fractions; D is a square-free integer >= 2.  Arithmetic and
+    order between two irrational numbers with different radicands raise; a
     rational operand (q = 0, plain int, or Fraction) adopts the other
-    operand's field.
+    operand's field.  total_ordering derives <=, > and >= from < and ==.
     """
 
     __slots__ = ("p", "q", "D")
@@ -216,18 +218,6 @@ class QuadNum:
     @_aligned
     def __lt__(a, b):
         return quad_sign(a.p - b.p, a.q - b.q, a.D) < 0
-
-    @_aligned
-    def __le__(a, b):
-        return quad_sign(a.p - b.p, a.q - b.q, a.D) <= 0
-
-    @_aligned
-    def __gt__(a, b):
-        return quad_sign(a.p - b.p, a.q - b.q, a.D) > 0
-
-    @_aligned
-    def __ge__(a, b):
-        return quad_sign(a.p - b.p, a.q - b.q, a.D) >= 0
 
     # -- floor / fractional part ---------------------------------------------------
 

@@ -12,8 +12,8 @@ The two construction regimes (after the measure of the target spectrum):
   1-a < s_norm and its complement is uniformly separated with gaps >= n.
 
 Membership is decided by integer brackets built from exact floors in
-Q(sqrt(D)); the rare integers a bracket cannot settle fall back to exact sign
-tests, so generated sets are exactly those of exact arithmetic.
+Q(sqrt(D)); the rare integers a bracket cannot settle are decided by exact
+QuadNum comparison, so generated sets are exactly those of exact arithmetic.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .quadfield import QuadNum, integers, quad_sign
+from .quadfield import QuadNum, integers
 from .torus import MultibandSet
 
 __all__ = [
@@ -58,9 +58,9 @@ class UnitInterval:
         for end, x in (("lo", self.lo), ("hi", self.hi)):
             if not isinstance(x, QuadNum):
                 object.__setattr__(self, end, QuadNum(x))
-        if self.lo.sign() < 0 or (self.hi - 1).sign() > 0:
+        if self.lo < 0 or self.hi > 1:
             raise ValueError("interval must lie inside [0, 1]")
-        if (self.hi - self.lo).sign() <= 0:
+        if self.hi <= self.lo:
             raise ValueError("interval must have positive length")
 
     @property
@@ -115,6 +115,8 @@ class PointSet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PointSet":
+        if missing := sorted({"elements", "window"} - set(obj)):
+            raise ValueError(f"a points object needs 'elements' and 'window', missing {missing}")
         return cls(elements=integers(obj["elements"], "points"), window=obj["window"])
 
 
@@ -181,18 +183,17 @@ def generate(alpha: QuadNum, interval: UnitInterval, window: tuple[int, int]) ->
     s, a, lo and hi of frac(alpha*n0), alpha, interval.lo and interval.hi
     times one = 2**b give each k = n - n0 an integer bracket [u, u + k + 1)
     holding frac(alpha*n) * one.  An integer whose bracket lies inside [lo, hi)
-    or clear of it is decided there, the few others by exact sign tests in
-    Q(sqrt(D)), so the result equals the exact one.
+    or clear of it is decided there, the few others by the exact QuadNum
+    comparison interval.lo <= frac(alpha*n) < interval.hi, so the result
+    equals the exact one.
     """
     if not isinstance(alpha, QuadNum) or alpha.q == 0:
         raise ValueError("alpha must be an irrational QuadNum")
-    if alpha.sign() <= 0 or (alpha - 1).sign() >= 0:
+    if not 0 < alpha < 1:
         raise ValueError("alpha must satisfy 0 < alpha < 1")
     n0, n1 = PointSet(elements=(), window=window).window  # refuses n0 > n1 up front
-
-    d = alpha.D
-    lp, lq = _aligned_pair(interval.lo, d, "interval.lo")
-    hp, hq = _aligned_pair(interval.hi, d, "interval.hi")
+    for end in (interval.lo, interval.hi):
+        end - alpha  # an end from another field raises here, before anything is allocated
 
     # s + a*k <= (frac(alpha*n0) + alpha*k) * one < s + a*k + k + 1, so the
     # bracket holds unless top passes one; b keeps a*k < 2**62, inside int64
@@ -206,23 +207,14 @@ def generate(alpha: QuadNum, interval: UnitInterval, window: tuple[int, int]) ->
     member = (u > lo) & (top <= hi)
     unsure = ~member & (top > lo) & ((u <= hi) | (top > one))
     for i in np.flatnonzero(unsure).tolist():
-        x = (alpha * (n0 + i)).frac_mod1()
-        member[i] = quad_sign(x.p - lp, x.q - lq, d) >= 0 and \
-            quad_sign(x.p - hp, x.q - hq, d) < 0
+        member[i] = interval.lo <= (alpha * (n0 + i)).frac_mod1() < interval.hi
     elements = tuple(n0 + i for i in np.flatnonzero(member).tolist())
     return PointSet(elements=elements, window=(n0, n1))
 
 
-def _aligned_pair(x: QuadNum, d: int, what: str) -> tuple[Fraction, Fraction]:
-    if x.q == 0:
-        return x.p, Fraction(0)
-    if x.D != d:
-        raise ValueError(f"{what} has radicand {x.D}, alpha has {d}")
-    return x.p, x.q
-
-
 def generate_centered(alpha: QuadNum, interval: UnitInterval, count: int) -> PointSet:
     """Grow a symmetric window [-H, H] until it holds at least count elements."""
+    (count,) = integers([count], "count")
     if count < 1:
         raise ValueError("count must be positive")
     half = max(8, int(count / float(interval.length) / 2) + 4)
@@ -272,13 +264,11 @@ def choose_params(s_norm: float, mode: str = "auto") -> QCParams:
 
     a = _pick_irrational(lower, upper)
     alpha = (1 - a) / (n - 1)
-    if mode == "small":
-        if (a - alpha).sign() <= 0:
-            raise RuntimeError("construction invariant alpha < a failed")
-    else:
-        if (alpha - a).sign() <= 0:
-            raise RuntimeError("construction invariant alpha > a failed")
-    if alpha.sign() <= 0 or (alpha - 1).sign() >= 0:
+    if mode == "small" and not alpha < a:
+        raise RuntimeError("construction invariant alpha < a failed")
+    if mode == "large" and not alpha > a:
+        raise RuntimeError("construction invariant alpha > a failed")
+    if not 0 < alpha < 1:
         raise RuntimeError("construction invariant 0 < alpha < 1 failed")
 
     interval = UnitInterval(0, a) if mode == "small" else UnitInterval(a, 1)
@@ -301,7 +291,7 @@ def _pick_irrational(lower: Fraction, upper: Fraction) -> QuadNum:
         power *= 4
         k += 1
     a = QuadNum(mid, Fraction(1, 2**k), 2)
-    if (a - lower).sign() <= 0 or (a - upper).sign() >= 0:
+    if not lower < a < upper:
         raise RuntimeError("perturbed midpoint escaped its interval")
     return a
 
@@ -354,6 +344,7 @@ def kahane_classify(step: int, spectrum: MultibandSet) -> str:
     Returns "riesz" when 1/step < |S|/2pi, "not_riesz" when 1/step > |S|/2pi,
     and "critical" on the boundary, where the dichotomy is silent.
     """
+    (step,) = integers([step], "step")
     if step < 1:
         raise ValueError("step must be a positive integer")
     if not spectrum.is_arc():

@@ -498,6 +498,8 @@ def test_density_needs_source(capsys):
      "bad --window-2d '0,5,0,x'; expected comma-separated integers"),
     (["certify", "--measure", "0.4", "--schedule", "16,x"],
      "bad schedule '16,x'; expected comma-separated integers"),
+    (["certify", "--measure", "0.4", "--points", '{"elements": [0]}'],
+     "a points object needs 'elements' and 'window', missing ['window']"),
 ])
 def test_source_conflicts_exit_1(capsys, argv, message):
     assert main(argv) == 1

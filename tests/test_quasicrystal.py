@@ -9,7 +9,7 @@ import pytest
 from rieszforge import PointSet, QuadNum, UnitInterval, choose_params, \
     construct_riesz_set, density_stats, gap_stats, generate, \
     generate_centered, kahane_classify, landau_check, normalize_bands
-from rieszforge import quasicrystal
+from rieszforge import quadfield, quasicrystal
 from rieszforge.quadfield import quad_sign
 
 SQRT6_OVER6 = QuadNum(0, Fraction(1, 6), 6)
@@ -35,14 +35,15 @@ def _generate_exact(alpha, interval, window):
 
 
 def _count_exact_calls(monkeypatch):
+    # every exact comparison of QuadNum goes through quadfield's quad_sign
     calls = [0]
-    real = quasicrystal.quad_sign
+    real = quadfield.quad_sign
 
     def counting(*args):
         calls[0] += 1
         return real(*args)
 
-    monkeypatch.setattr(quasicrystal, "quad_sign", counting)
+    monkeypatch.setattr(quadfield, "quad_sign", counting)
     return calls
 
 
@@ -231,9 +232,14 @@ def test_generate_validates_inputs():
         generate(QuadNum(1, 1, 2), interval, (0, 10))  # > 1
     with pytest.raises(ValueError, match=r"window \(5, 1\) is reversed"):
         generate(ALPHA6, interval, (5, 1))
-    # interval endpoints must live in alpha's field (or be rational)
+    # interval endpoints must live in alpha's field (or be rational), and an end
+    # from another field is refused before a 10**12-integer window is allocated
     with pytest.raises(ValueError):
         generate(ALPHA6, UnitInterval(0, QuadNum(0, Fraction(1, 2), 2)), (0, 10))
+    sqrt3 = QuadNum(0, Fraction(1, 3), 3)
+    for interval in (UnitInterval(sqrt3, 1), UnitInterval(0, sqrt3)):
+        with pytest.raises(ValueError, match="mixed radicands 3 and 6"):
+            generate(ALPHA6, interval, (0, 10**12))
 
 
 def test_generate_rational_endpoints_ok():
@@ -366,6 +372,8 @@ def test_point_set_validation():
     ps = PointSet(elements=(0, 2, 5), window=(0, 5))
     assert len(ps) == 3 and ps.span == 6
     assert PointSet.from_json(ps.to_json()) == ps
+    with pytest.raises(ValueError, match=r"needs 'elements' and 'window', missing \['window'\]"):
+        PointSet.from_json({"elements": [1]})
 
 
 def test_gap_stats_degenerate():
