@@ -137,7 +137,7 @@ def cmd_construct(spec: argparse.Namespace) -> int:
                                             mode=spec.mode)
     stats = qc.gap_stats(points)
     dens = qc.density_stats(points)
-    landau_ok = qc.landau_check(points, spectrum)
+    landau_ok = dens.within_landau(spectrum)
     payload = {
         "spectrum": spectrum.to_json(),
         "params": params.to_json(),
@@ -309,16 +309,17 @@ def cmd_density(spec: argparse.Namespace) -> int:
         constructed, points = qc.construct_riesz_set(spectrum, _symmetric_window(spec.window),
                                                      mode=spec.mode)
     _check_window(points.span)  # density_stats allocates one entry per integer of the window
+    dens = qc.density_stats(points)
     payload = {
         "points": {"count": len(points), "window": list(points.window)},
         "gap_stats": qc.gap_stats(points).to_json(),
-        "density": qc.density_stats(points).to_json(),
+        "density": dens.to_json(),
     }
     if constructed is not None:
         payload["params"] = constructed.to_json()
     if spectrum is not None:
         payload["spectrum"] = spectrum.to_json()
-        payload["landau"] = "pass" if qc.landau_check(points, spectrum) else "fail"
+        payload["landau"] = "pass" if dens.within_landau(spectrum) else "fail"
         if spec.step is not None and spectrum.is_arc():
             payload["kahane"] = qc.kahane_classify(spec.step, spectrum)
     _emit("density", payload, spec.out)

@@ -30,7 +30,8 @@ __all__ = [
 
 DEFAULT_SCHEDULE = (16, 32, 64, 128, 256)
 DEFAULT_DROP_RATIO = 0.05
-_CHECK_BLOCK = 64  # rows per block of the Hermiticity check
+_ROW_BLOCK = 64  # rows per block of the Hermiticity check and of the table gather
+_TABLE_CHUNK = 8192  # frequencies per coefficient call: bounds the formulas' temporaries
 _HERMITIAN_TOL = 1e-12  # Hermiticity residual allowed, relative to the largest entry
 
 FINITE_SECTION_NOTE = (
@@ -53,24 +54,13 @@ class BoundsEstimate:
     solver: str
 
 
-def _frequency(key: int, radix: list[int], vector: bool):
-    """Decode a key difference into the frequency it codes."""
-    if not vector:
-        return key
-    digits = []
-    for r in reversed(radix):
-        digit = (key + r // 2) % r - r // 2
-        digits.append(digit)
-        key = (key - digit) // r
-    return tuple(reversed(digits))
-
-
 def build_gram(points, spectrum, normalized: bool = False) -> np.ndarray:
     """Hermitian Gram of the exponentials with frequencies `points` on `spectrum`.
 
     points is a sequence of ints (1-D) or of equal-length int tuples
-    (multi-dim); spectrum is any object with fourier_coefficient and
-    total_volume (a MultibandSet, or a BoxSet in higher dimension).  With
+    (multi-dim); spectrum is any object with total_volume and a
+    fourier_coefficient that maps an int array (1-D) or a (k, d) int array
+    (d-D) of frequencies to their values (a MultibandSet, or a BoxSet).  With
     normalized=True the matrix is divided by the ambient volume, so the full
     integer lattice would give the identity.  Raises ValueError when the
     points are not integers, or when they or their key differences do not fit
@@ -98,13 +88,15 @@ def _solved_gram(points, spectrum) -> np.ndarray:
 def _section(points, coefficient, dtype) -> np.ndarray:
     """M[j,k] = coefficient(p_k - p_j), of the given dtype.
 
-    Points are coded to scalar keys by a balanced mixed-radix code (radix
-    2*span+1 per axis, first axis most significant), linear and injective on
-    differences; a key's sign is that of the difference's first nonzero
-    component, so each non-negative key gets one coefficient call and each
-    negative key the conjugate of its mirror: M is Hermitian bit-for-bit.  If
-    the largest key difference K has K+1 <= n^2, each row is one np.take from
-    a table of every key in -K..K; wider spans tabulate unique differences.
+    coefficient maps an int array (1-D points) or a (k, d) int array (d-D) of
+    frequencies to their values.  Points are coded to scalar keys by a balanced
+    mixed-radix code (radix 2*span+1 per axis, first axis most significant),
+    linear and injective on differences; a key's sign is that of the
+    difference's first nonzero component, so the non-negative keys are
+    evaluated, _TABLE_CHUNK per call, and each negative key takes the conjugate
+    of its mirror: M is Hermitian bit-for-bit.  If the largest key difference K
+    has K+1 <= n^2, np.take gathers the rows from a table of every key in
+    -K..K; wider spans tabulate unique differences.
     """
     points = list(points)
     if not points:
@@ -113,15 +105,15 @@ def _section(points, coefficient, dtype) -> np.ndarray:
     points = [integers(p, "point coordinates") for p in points] if vector \
         else integers(points, "points")
     try:
-        arr = np.array(points, dtype=np.int64)
+        arr = np.array(points, dtype=np.int64).reshape(len(points), -1)
     except OverflowError:
         raise ValueError("points do not fit in 64-bit integers") from None
-    arr = arr.reshape(len(arr), -1)
     lo = arr.min(axis=0)
     # spans, radices and strides in Python ints, so the range check cannot wrap
     spans = [int(b) - int(a) for a, b in zip(lo, arr.max(axis=0))]
     radix = [2 * s + 1 for s in spans]
-    strides = [math.prod(radix[i + 1:]) for i in range(len(radix))]
+    # an axis of span 0 adds nothing, and its stride alone may pass int64
+    strides = [math.prod(radix[i + 1:]) if s else 0 for i, s in enumerate(spans)]
     if sum(t * s for t, s in zip(strides, spans)) > np.iinfo(np.int64).max:
         raise ValueError("point differences do not fit in 64-bit integers")
     keys = (arr - lo) @ np.array(strides, dtype=np.int64)
@@ -131,23 +123,40 @@ def _section(points, coefficient, dtype) -> np.ndarray:
         diff, table = None, np.arange(-span, span + 1)
     else:
         diff = keys[None, :] - keys[:, None]
-        table = np.unique(diff)
+        # sort and mask: numpy 2.4's hashing np.unique takes 20-35x longer here
+        table = np.sort(diff, axis=None)
+        table = table[np.concatenate(([True], table[1:] != table[:-1]))]
     # table is symmetric about its middle entry 0
     mid = len(table) // 2
     vals = np.empty(len(table), dtype=dtype)
-    for i in range(mid, len(table)):
-        vals[i] = coefficient(_frequency(int(table[i]), radix, vector))
+    for i in range(mid, len(table), _TABLE_CHUNK):
+        part = table[i:i + _TABLE_CHUNK]
+        vals[i:i + len(part)] = coefficient(_decode(part, strides) if vector else part)
     vals[:mid] = vals[:mid:-1].conj()
     if diff is None:
         out = np.empty((n, n), dtype=dtype)
-        for i, row in enumerate(out):
-            np.take(vals, keys - (keys[i] - span), out=row)
+        for i in range(0, n, _ROW_BLOCK):  # indices are in range; "raise" would buffer out
+            np.take(vals, keys - (keys[i:i + _ROW_BLOCK, None] - span), out=out[i:i + _ROW_BLOCK],
+                    mode="clip")
         return out
     # searchsorted, with diff released before the gather, peaks lower than
     # np.unique(return_inverse=True)
     idx = np.searchsorted(table, diff)
-    del diff
+    del diff, table, part  # part is a view of table
     return vals[idx]
+
+
+def _decode(keys, strides) -> np.ndarray:
+    """The vectors that non-negative key differences code, one row each: from the
+    first axis on, each digit is the quotient by the axis's nonzero stride,
+    rounded so that the rest lies within half a stride of 0."""
+    out = np.zeros((len(keys), len(strides)), dtype=np.int64)
+    for i, t in enumerate(strides):
+        if t:
+            q, r = np.divmod(keys, t)
+            up = r > t // 2
+            out[:, i], keys = q + up, r - up * t
+    return out
 
 
 def _check_hermitian(h: np.ndarray) -> np.ndarray:
@@ -158,13 +167,13 @@ def _check_hermitian(h: np.ndarray) -> np.ndarray:
         raise ValueError("expected a non-empty matrix")
     # row blocks against the matching column blocks, so no temporary is n x n
     scale, resid = 1.0, 0.0
-    for i in range(0, len(h), _CHECK_BLOCK):
-        rows = h[i:i + _CHECK_BLOCK]
+    for i in range(0, len(h), _ROW_BLOCK):
+        rows = h[i:i + _ROW_BLOCK]
         top = float(np.abs(rows).max())  # nan or inf if any entry is non-finite
         if not np.isfinite(top):
             raise ValueError("matrix has non-finite entries")
         scale = max(scale, top)
-        resid = max(resid, float(np.abs(rows - h[:, i:i + _CHECK_BLOCK].conj().T).max()))
+        resid = max(resid, float(np.abs(rows - h[:, i:i + _ROW_BLOCK].conj().T).max()))
     if resid > _HERMITIAN_TOL * scale:
         raise ValueError(f"matrix is not Hermitian: residual {resid:.3e}")
     return h

@@ -240,7 +240,7 @@ class BoxSet:
     def total_volume(self) -> float:
         return TWO_PI ** self.dim
 
-    def fourier_coefficient(self, m) -> complex:
+    def fourier_coefficient(self, m):
         return indicator_fourier_d(self, m)
 
     def to_json(self) -> dict:
@@ -258,19 +258,24 @@ class BoxSet:
         return cls(boxes=boxes)
 
 
-def indicator_fourier_d(s: BoxSet, m: tuple[int, ...]) -> complex:
-    """Fourier coefficient of the box-set indicator at the integer vector m.
+def indicator_fourier_d(s: BoxSet, m):
+    """Fourier coefficient of the box-set indicator at the integer vector m,
+    or at each row of a (k, d) integer array m as a length-k complex array.
 
     Separable per box: the product of one-dimensional interval coefficients,
     each conjugate-symmetric bit-for-bit, so c(-m) == conj(c(m)) is exact.
+    Products are CPython's, in real arithmetic: numpy's varies by SIMD level.
     """
-    m = integers(m, "frequency vector")
-    if len(m) != s.dim:
-        raise ValueError(f"frequency vector of length {len(m)} for a {s.dim}-D set")
-    total = 0j
+    vector = np.ndim(m) < 2
+    f = np.array([integers(m, "frequency vector")] if vector else m, dtype=float)
+    if f.shape[1] != s.dim:
+        raise ValueError(f"frequency vector of length {f.shape[1]} for a {s.dim}-D set")
+    total = np.zeros(len(f), complex)
     for box in s.boxes:
-        term = complex(1.0)
-        for (lo, hi), mi in zip(box, m):
-            term *= interval_coefficient(lo, hi, mi)
-        total += term
-    return total
+        re, im = np.ones(len(f)), np.zeros(len(f))
+        for (lo, hi), fi in zip(box, f.T):
+            c = interval_coefficient(lo, hi, fi)
+            re, im = re * c.real - im * c.imag, re * c.imag + im * c.real
+        total.real += re
+        total.imag += im
+    return total.item() if vector else total

@@ -147,6 +147,10 @@ class DensityStats:
         return {"upper": self.upper, "lower": self.lower,
                 "asymptotic": self.asymptotic, "window_r": self.window_r}
 
+    def within_landau(self, spectrum: MultibandSet) -> bool:
+        """Landau's necessary condition: upper density at most |S|/2pi + 0.02."""
+        return self.upper <= spectrum.fraction_of_torus + 0.02
+
 
 @dataclass(frozen=True)
 class QCParams:
@@ -334,8 +338,8 @@ def density_stats(points: PointSet) -> DensityStats:
 
 def landau_check(points: PointSet, spectrum: MultibandSet) -> bool:
     """Necessary-condition check: the upper density of density_stats is at
-    most |S|/2pi + 0.02."""
-    return density_stats(points).upper <= spectrum.fraction_of_torus + 0.02
+    most |S|/2pi + 0.02 (DensityStats.within_landau)."""
+    return density_stats(points).within_landau(spectrum)
 
 
 def kahane_classify(step: int, spectrum: MultibandSet) -> str:

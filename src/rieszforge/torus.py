@@ -9,9 +9,10 @@ exponential system restricted to the set, via
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "TWO_PI",
@@ -64,7 +65,7 @@ class MultibandSet:
         a = self.arcs
         return len(a) == 1 or (len(a) == 2 and a[0].start + (TWO_PI - a[1].end) <= MIN_ARC)
 
-    def fourier_coefficient(self, m: int) -> complex:
+    def fourier_coefficient(self, m):
         return indicator_fourier(self, m)
 
     @property
@@ -153,29 +154,39 @@ def normalize_bands(bands, unit: str = "rad") -> MultibandSet:
 
 
 # not in __all__: perfbench's tracer wraps every __all__ function in a span,
-# and this one runs once per arc or box side of every coefficient
-def interval_coefficient(lo: float, hi: float, m: int) -> complex:
-    """integral over [lo, hi) of exp(-i*m*t) dt.
+# and this one runs once per arc or box side of every coefficient table
+def interval_coefficient(lo: float, hi: float, m):
+    """integral over [lo, hi) of exp(-i*m*t) dt, elementwise over an integer
+    array m; one integer m runs as a length-1 array and gives a Python complex.
 
-    c(0) is the length; negative m are produced by conjugation so that
+    c(0) is the length; negative m take the conjugate of c(|m|), so that
     c(-m) == conj(c(m)) holds bit-for-bit, keeping Gram matrices exactly
-    Hermitian in every dimension.
+    Hermitian in every dimension.  The quotient by 1j*m is CPython's real Smith
+    division, so each value has the bits of the scalar cmath formula.  m is
+    used only as float(m), so ints beyond int64 work too.
     """
-    if m == 0:
-        return complex(hi - lo)
-    if m < 0:
-        return interval_coefficient(lo, hi, -m).conjugate()
-    return (cmath.exp(-1j * m * lo) - cmath.exp(-1j * m * hi)) / (1j * m)
+    f = np.asarray(m, dtype=float).reshape(-1)
+    a = np.abs(f)
+    d = np.exp(-1j * (a * lo)) - np.exp(-1j * (a * hi))
+    c = np.full(a.shape, complex(hi - lo))
+    np.divide(d.real * 0.0 + d.imag, a, out=c.real, where=a != 0)
+    np.divide(d.imag * 0.0 - d.real, a, out=c.imag, where=a != 0)
+    np.negative(c.imag, out=c.imag, where=f < 0)
+    return c if np.ndim(m) else c.item()
 
 
-def centered_interval_coefficient(length: float, m: int) -> float:
-    """integral over [-length/2, length/2) of exp(-i*m*t) dt = 2*sin(m*length/2)/m:
-    real, even in m, and exp(i*m*mid) times the coefficient of any arc of this
-    length with midpoint mid."""
-    return float(length) if m == 0 else 2.0 * math.sin(m * length / 2.0) / m
+def centered_interval_coefficient(length: float, m):
+    """integral over [-length/2, length/2) of exp(-i*m*t) dt = 2*sin(m*length/2)/m,
+    elementwise as interval_coefficient: real, even in m, and exp(i*m*mid) times
+    the coefficient of any arc of this length with midpoint mid."""
+    f = np.asarray(m, dtype=float).reshape(-1)
+    r = np.full(f.shape, float(length))
+    np.divide(2.0 * np.sin(f * length / 2.0), f, out=r, where=f != 0)
+    return r if np.ndim(m) else r.item()
 
 
-def indicator_fourier(s: MultibandSet, m: int) -> complex:
-    """Fourier coefficient c(m) of the indicator of s: the sum of its arcs'
-    interval coefficients."""
-    return sum(interval_coefficient(a.start, a.end, m) for a in s.arcs)
+def indicator_fourier(s: MultibandSet, m):
+    """Fourier coefficient c(m) of the indicator of s, elementwise as
+    interval_coefficient: the sum of its arcs' interval coefficients."""
+    c = sum(interval_coefficient(a.start, a.end, np.reshape(m, -1)) for a in s.arcs)
+    return c if np.ndim(m) else c.item()

@@ -346,6 +346,27 @@ def test_density_refuses_explicit_windows_over_the_limit(capsys, monkeypatch, po
                                        f"integers is over the limit of {cli.MAX_WINDOW}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "--bands", "[[0.0, 0.45]]", "--window", "300"],
+    ["construct", "--bands", "[[0.1, 0.3], [0.5, 0.9]]", "--mode", "large", "--window", "300"],
+    ["density", "--bands", "[[0.0, 0.45]]", "--window", "300"],
+    ["density", "--measure", "0.4", "--step", "2", "--window", "300"],
+    ["density", "--points", "[0, 3, 4, 9]"],
+])
+def test_density_is_computed_once_per_command(capsys, monkeypatch, argv):
+    from rieszforge import cli
+
+    code = main(argv)
+    want = capsys.readouterr().out
+    calls = []
+    density_stats = cli.qc.density_stats
+    monkeypatch.setattr(cli.qc, "density_stats", lambda points: calls.append(1)
+                        or density_stats(points))
+    assert main(argv) == code
+    assert capsys.readouterr().out == want
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("command", ["construct", "density"])
 def test_window_guard_admits_the_limit(monkeypatch, command):
     from rieszforge import cli

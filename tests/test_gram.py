@@ -1,6 +1,7 @@
 """Gram matrices of exponential systems and finite-section certificates."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 
 from rieszforge import TWO_PI, BoxSet, build_gram, certify, construct_riesz_set, \
     dual_system, extreme_eigs, normalize_bands, select_riesz
-from rieszforge.gram import _section
+from rieszforge.gram import _section, _solved_gram
 from rieszforge.torus import centered_interval_coefficient, interval_coefficient
+
+import coefficient_oracle as oracle
 
 HALF = normalize_bands([(0.0, math.pi)])  # S = [0, pi)
 
@@ -300,24 +303,24 @@ def test_certify_centered_ordering():
 # ------------------------------------------------ table gather and real path --
 
 class CountingSpectrum:
-    """A spectrum that counts its coefficient calls."""
+    """A spectrum that counts the frequencies its coefficient is evaluated at."""
 
     def __init__(self, spectrum):
-        self.spectrum, self.calls = spectrum, 0
+        self.spectrum, self.entries = spectrum, 0
         self.total_volume = spectrum.total_volume
 
     def fourier_coefficient(self, m):
-        self.calls += 1
+        self.entries += len(m)
         return self.spectrum.fourier_coefficient(m)
 
 
 def test_gather_takes_the_table_only_for_narrow_spans():
     narrow = CountingSpectrum(HALF)
-    build_gram([0, 1, 5], narrow)       # K = 5 <= n^2 - 1: one call per d in 0..5,
-    assert narrow.calls == 6            # where unique keys would take 0, 1, 4, 5
+    build_gram([0, 1, 5], narrow)       # K = 5 <= n^2 - 1: one entry per d in 0..5,
+    assert narrow.entries == 6          # where unique keys would take 0, 1, 4, 5
     wide = CountingSpectrum(HALF)
     g = build_gram([0, 10**9], wide)    # K + 1 > n^2: the unique keys 0 and 10**9
-    assert wide.calls == 2
+    assert wide.entries == 2
     assert g[0, 1] == HALF.fourier_coefficient(10**9)
 
 
@@ -335,9 +338,75 @@ TABLE_VS_UNIQUE = [
 def test_table_gather_matches_unique_gather_bitwise(pts, far, spectrum, normalized):
     counter = CountingSpectrum(spectrum)
     wide = build_gram(pts + [far], counter, normalized=normalized)
-    assert counter.calls <= (len(pts) + 1) ** 2 // 2 + 1  # the unique branch ran
+    assert counter.entries <= (len(pts) + 1) ** 2 // 2 + 1  # the unique branch ran
     n = len(pts)
     assert np.array_equal(build_gram(pts, spectrum, normalized=normalized), wide[:n, :n])
+
+
+# 2-D points whose largest key difference is the int64 maximum itself: axis 1
+# spans 2**31 (radix 2**32 + 1) and axis 0 spans 2**31 - 1, so the key of
+# (2**31 - 1, 2**31) plus half a radix would wrap
+_S1 = 2**31
+_CORNERS = [(0, 0), (0, _S1), (_S1 - 1, 0), (_S1 - 1, _S1)]
+assert (_S1 - 1) * (2 * _S1 + 1) + _S1 == 2**63 - 1
+
+SCALAR_ORACLE_CASES = [
+    *ORACLE_CASES,
+    *[(pts + [far], spectrum) for pts, far, spectrum in TABLE_VS_UNIQUE],  # unique branch
+    ([0, 10**9, 5], HALF),
+    ([-2**62, 2**62 - 1], HALF),  # difference 2**63 - 1
+    ([2**63 - 1, 0, 2**63 - 2], normalize_bands([(0.3, 1.9), (3.0, 4.5)])),
+    (_CORNERS, BoxSet(boxes=(((0.1, 1.7), (0.5, 2.9)), ((2.0, 5.0), (3.1, 6.0))))),
+    # axes of span 0 before one whose radix 2**63 + 1 passes int64
+    ([(0, -2**61), (0, 2**61)], BoxSet(boxes=(((0.1, 1.7), (0.5, 2.9)),))),
+    ([(7, 0, -2**61), (7, 0, 2**61), (7, 0, 5)],
+     BoxSet(boxes=(((0.2, 1.1), (0.0, 3.0), (1.5, 4.0)),))),
+    ([(-2**62,), (2**62 - 1,)], BoxSet(boxes=(((0.4, 2.5),),))),
+    ([(5, -3, 0), (-4, 2, 7), (0, 0, 0), (3, 9, -8)] + [(0, 10**5, 0)],
+     BoxSet(boxes=(((0.2, 1.1), (0.0, 3.0), (1.5, 4.0)),))),
+]
+
+
+def _differences(pts):
+    return [[pk - pj if isinstance(pk, int) else tuple(b - a for a, b in zip(pj, pk))
+             for pk in pts] for pj in pts]
+
+
+@pytest.mark.parametrize("pts,spectrum", SCALAR_ORACLE_CASES)
+def test_gram_matches_scalar_oracle_bitwise(pts, spectrum):
+    want = [[oracle.coefficient(spectrum, m) for m in row] for row in _differences(pts)]
+    assert np.array_equal(oracle.bits(build_gram(pts, spectrum)), oracle.bits(want))
+
+
+@pytest.mark.parametrize("pts", [[-7, -3, 0, 2, 9, 40], [-7, -3, 0, 2, 9, 11, 10**9],
+                                 [-2**62, 2**62 - 1]], ids=["table", "unique", "int64"])
+@pytest.mark.parametrize("bands", [[(0.3, 1.9)], [(0.0, TWO_PI)]], ids=["one-arc", "full"])
+def test_real_section_matches_scalar_oracle_bitwise(pts, bands):
+    s = normalize_bands(bands)
+    want = [[oracle.centered(s.measure, m) for m in row] for row in _differences(pts)]
+    assert np.array_equal(oracle.bits(_solved_gram(pts, s)), oracle.bits(want))
+
+
+def test_wide_gram_evaluates_its_table_in_chunks():
+    # the peak may hold the output, one n x n int64 array (the differences, then
+    # their table positions), the unique keys and their values, and one chunk of
+    # the coefficient formulas' temporaries; the whole table at once adds ~20 MB
+    rng = np.random.default_rng(7)
+    pts = rng.choice(np.arange(-10**6, 10**6 + 1), 1024, replace=False).tolist()
+    s = normalize_bands([(0.3, 1.9), (3.0, 4.5)])
+    d = np.sort(np.subtract.outer(pts, pts), axis=None)
+    unique = 1 + int(np.count_nonzero(d[1:] != d[:-1]))
+    del d
+    build_gram(pts[:64], s)  # first-call allocations out of the measurement
+    tracemalloc.start()
+    try:
+        g = build_gram(pts, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = len(pts)
+    assert g.shape == (n, n)
+    assert peak <= n * n * (16 + 8) + unique * (8 + 16) + 2**20
 
 
 def test_centered_interval_coefficient():

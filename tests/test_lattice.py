@@ -11,6 +11,8 @@ from rieszforge import BoxSet, LatticeWindow, TWO_PI, build_gram, \
     covering_radius, cube_partition, cycling_partition, extreme_eigs, \
     indicator_fourier_d, section_gaps, section_report
 
+import coefficient_oracle as oracle
+
 
 def test_window_basics():
     w = LatticeWindow(lo=(0, 0), hi=(5, 11))
@@ -252,6 +254,35 @@ def test_box_fourier_conjugate_symmetry():
         assert neg == got.conjugate(), m
     with pytest.raises(ValueError):
         indicator_fourier_d(b, (1,))
+
+
+ORACLE_BOXES = {
+    "1-D": BoxSet(boxes=(((0.4, 2.5),), ((3.0, 6.0),))),
+    "2-D": BoxSet(boxes=(((0.1, 1.7), (0.5, 2.9)), ((2.0, 5.0), (3.1, 6.0)))),
+    "3-D": BoxSet(boxes=(((0.2, 1.1), (0.0, 3.0), (1.5, 4.0)),
+                         ((1.1, 2.0), (3.0, TWO_PI), (0.0, 1.5)))),
+}
+
+
+@pytest.mark.parametrize("b", ORACLE_BOXES.values(), ids=ORACLE_BOXES.keys())
+def test_box_table_matches_scalar_oracle_bitwise(b):
+    # zero, +-1, small and large components of either sign, in every axis
+    rng = np.random.default_rng(b.dim)
+    ms = np.concatenate([
+        np.array(list(itertools.product([0, 1, -1, 9], repeat=b.dim))),
+        rng.integers(-60, 61, (2000, b.dim)),
+        rng.integers(-10**9, 10**9, (300, b.dim)),
+    ])
+    got = indicator_fourier_d(b, ms)
+    assert got.dtype == complex and got.shape == (len(ms),)
+    want = [oracle.box(b, tuple(int(x) for x in m)) for m in ms]
+    assert np.array_equal(oracle.bits(got), oracle.bits(want))
+    assert np.array_equal(oracle.bits(b.fourier_coefficient(ms)), oracle.bits(got))
+    # one vector runs the same formula and comes back a Python complex
+    one = indicator_fourier_d(b, tuple(int(x) for x in ms[-1]))
+    assert type(one) is complex and oracle.bits([one]).tolist() == oracle.bits(want[-1:]).tolist()
+    with pytest.raises(ValueError, match="length"):
+        indicator_fourier_d(b, np.zeros((3, b.dim + 1), dtype=np.int64))
 
 
 def test_box_gram_2d():

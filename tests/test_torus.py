@@ -8,6 +8,9 @@ import pytest
 from scipy.integrate import quad
 
 from rieszforge import TWO_PI, Arc, MultibandSet, indicator_fourier, normalize_bands
+from rieszforge.torus import centered_interval_coefficient, interval_coefficient
+
+import coefficient_oracle as oracle
 
 
 def test_normalize_basic():
@@ -162,3 +165,57 @@ def test_numpy_float_inputs():
 def test_unknown_units_raise_value_error(unit):
     with pytest.raises(ValueError, match="unit must be 'rad' or '2pi'"):
         normalize_bands([(0.0, 1.0)], unit=unit)
+
+
+# ------------------------------------------ array formulas, bit for bit --
+
+# m = 0, +-1, large m, the int64 extremes' neighbours, and a random spread
+ORACLE_FREQUENCIES = np.concatenate([
+    [0, 1, -1, 2, -7, 40, 10**6 + 3, -(10**9 + 7), 10**15 + 1, 2**53 + 1, 2**62 + 5,
+     2**63 - 1, -(2**63 - 1)],
+    np.random.default_rng(2).integers(-10**6, 10**6, 3000),
+    np.random.default_rng(3).integers(-2**62, 2**62, 300),
+]).astype(np.int64)
+
+ORACLE_BANDS = {
+    "one-arc": [(0.3, 1.9)],
+    "from-zero": [(0.0, math.pi)],
+    "arc-across-zero": [(5.5, 7.0)],
+    "two-arcs": [(0.3, 1.9), (3.0, 4.5)],
+    "three-arcs": [(0.3, 1.1), (2.0, 2.9), (4.0, 5.5)],
+    "full-torus": [(0.0, TWO_PI)],
+}
+
+
+@pytest.mark.parametrize("bands", ORACLE_BANDS.values(), ids=ORACLE_BANDS.keys())
+def test_indicator_table_matches_scalar_oracle_bitwise(bands):
+    s = normalize_bands(bands)
+    ms = [int(m) for m in ORACLE_FREQUENCIES]
+    got = indicator_fourier(s, ORACLE_FREQUENCIES)
+    assert got.dtype == complex and got.shape == (len(ms),)
+    assert np.array_equal(oracle.bits(got), oracle.bits([oracle.multiband(s, m) for m in ms]))
+    assert np.array_equal(oracle.bits(s.fourier_coefficient(ORACLE_FREQUENCIES)), oracle.bits(got))
+    for a in s.arcs:
+        want = [oracle.interval(a.start, a.end, m) for m in ms]
+        got = interval_coefficient(a.start, a.end, ORACLE_FREQUENCIES)
+        assert np.array_equal(oracle.bits(got), oracle.bits(want))
+
+
+@pytest.mark.parametrize("length", [1e-3, 1.3, math.pi, 5.5, TWO_PI])
+def test_centered_table_matches_scalar_oracle_bitwise(length):
+    ms = [int(m) for m in ORACLE_FREQUENCIES]
+    got = centered_interval_coefficient(length, ORACLE_FREQUENCIES)
+    assert got.dtype == float
+    assert np.array_equal(oracle.bits(got), oracle.bits([oracle.centered(length, m) for m in ms]))
+
+
+@pytest.mark.parametrize("m", [0, 1, -1, 7, 2**63 - 1, -(2**63), 2**70, -(3**50), np.int64(-5)])
+def test_scalar_frequency_gives_python_scalar_with_oracle_bits(m):
+    # one frequency runs the array formula on a length-1 array; ints beyond int64 work
+    s = normalize_bands([(0.3, 1.9), (3.0, 4.5)])
+    got = indicator_fourier(s, m)
+    assert type(got) is complex
+    assert oracle.bits([got]).tolist() == oracle.bits([oracle.multiband(s, int(m))]).tolist()
+    r = centered_interval_coefficient(1.3, m)
+    assert type(r) is float
+    assert oracle.bits([r]).tolist() == oracle.bits([oracle.centered(1.3, int(m))]).tolist()
