@@ -24,7 +24,7 @@ def main():
     stats = rf.gap_stats(points)
     print(f"{len(points)} points, gap set {sorted(set(stats.gaps))}, "
           f"density {points.density:.6f} vs a = {float(params.a):.6f}")
-    print(f"max-density check passes: {rf.landau_check(points, s)}")
+    print(f"max-density check passes: {rf.density_stats(points).within_landau(s)}")
 
     cert = rf.certify(points, s, threshold=1e-3 * rf.TWO_PI,
                       schedule=(16, 32, 64, 128, 256))

@@ -59,14 +59,6 @@ def _emit(command: str, payload: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _one_of(spec: argparse.Namespace, *flags: str) -> str | None:
-    """The one of `flags` that was given, or None; giving two is an error."""
-    given = [f for f in flags if getattr(spec, f[2:].replace("-", "_")) is not None]
-    if len(given) > 1:
-        raise ValueError(f"pass only one of {' / '.join(flags)}")
-    return given[0] if given else None
-
-
 def _read_json(inline: str | None, path: str | None):
     if inline is not None:
         return json.loads(inline)
@@ -75,15 +67,14 @@ def _read_json(inline: str | None, path: str | None):
 
 
 def _load_spectrum(spec: argparse.Namespace, required: bool = True) -> MultibandSet | None:
-    given = _one_of(spec, "--bands", "--bands-file", "--measure")
-    if given is None:
-        if required:
-            raise ValueError("a spectrum is required: pass --bands, --bands-file or --measure")
-        return None
-    if given == "--measure":
+    if spec.measure is not None:
         if not 0.0 < spec.measure <= 1.0:
             raise ValueError("--measure is a fraction of 2*pi in (0, 1]")
         return normalize_bands([[0.0, spec.measure]], unit="2pi")
+    if spec.bands is None and spec.bands_file is None:
+        if required:
+            raise ValueError("a spectrum is required: pass --bands, --bands-file or --measure")
+        return None
     return MultibandSet.from_json(_read_json(spec.bands, spec.bands_file))
 
 
@@ -98,15 +89,14 @@ def _symmetric_window(n: int) -> tuple[int, int]:
 
 
 def _load_points(spec: argparse.Namespace) -> qc.PointSet | None:
-    given = _one_of(spec, "--points", "--points-file", "--step")
-    if given is None:
-        return None
-    if given == "--step":
+    if spec.step is not None:
         if spec.step < 1:
             raise ValueError("--step must be a positive integer")
         lo, hi = _symmetric_window(spec.window)
         elems = tuple(range(-(hi // spec.step) * spec.step, hi + 1, spec.step))
         return qc.PointSet(elements=elems, window=(lo, hi))
+    if spec.points is None and spec.points_file is None:
+        return None
     raw = _read_json(spec.points, spec.points_file)
     if isinstance(raw, dict):
         return qc.PointSet.from_json(raw)
@@ -232,7 +222,7 @@ def _partition_window(spec: argparse.Namespace) -> LatticeWindow:
         raise ValueError(f"--dim must be in 1..20, got {d}")
     if spec.r < 1:
         raise ValueError(f"--r must be positive, got {spec.r}")
-    if _one_of(spec, "--window-2d", "--window") == "--window-2d":
+    if spec.window_2d is not None:
         parts = _parse_ints(spec.window_2d, "--window-2d")
         if len(parts) != 2 * d:
             raise ValueError(f"--window-2d needs {2 * d} comma-separated integers for dim {d}")
@@ -357,7 +347,7 @@ def cmd_selftest(spec: argparse.Namespace) -> int:
         values = set(qc.gap_stats(points).gaps)
         if not values <= {1, params.n}:
             raise AssertionError(f"gap set {values} escapes {{1, {params.n}}}")
-        if not qc.landau_check(points, s):
+        if not qc.density_stats(points).within_landau(s):
             raise AssertionError("Landau check failed")
 
     def selector_determinism():
@@ -400,7 +390,8 @@ def cmd_selftest(spec: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ parser --
 
 
-def _add_spectrum_flags(p: argparse.ArgumentParser) -> None:
+def _add_spectrum_flags(parser: argparse.ArgumentParser) -> None:
+    p = parser.add_mutually_exclusive_group()
     p.add_argument("--bands", help="inline JSON: [[a,b],...] in fractions of 2*pi, "
                                    "or an object with bands_2pi / bands_rad")
     p.add_argument("--bands-file", help="path to a JSON file in the same format")
@@ -414,7 +405,8 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _add_points_flags(p: argparse.ArgumentParser) -> None:
+def _add_points_flags(parser: argparse.ArgumentParser) -> None:
+    p = parser.add_mutually_exclusive_group()
     p.add_argument("--points", help="inline JSON list of integers")
     p.add_argument("--points-file", help="path to a JSON list of integers")
     p.add_argument("--step", type=int,
@@ -427,6 +419,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a syndetic Riesz candidate for a spectrum")
+    p.set_defaults(run=cmd_construct)
     _add_spectrum_flags(p)
     p.add_argument("--mode", choices=["auto", "small", "large"], default="auto")
     p.add_argument("--window", type=int, default=5000,
@@ -434,6 +427,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = sub.add_parser("certify", help="finite-section certificate for a point set")
+    p.set_defaults(run=cmd_certify)
     _add_spectrum_flags(p)
     _add_points_flags(p)
     p.add_argument("--mode", choices=["auto", "small", "large"], default="auto",
@@ -448,6 +442,7 @@ def build_parser() -> _Parser:
     p.add_argument("--csv", help="also write window,lambda_min,lambda_max rows here")
 
     p = sub.add_parser("select", help="randomized one-per-block selection")
+    p.set_defaults(run=cmd_select)
     _add_spectrum_flags(p)
     p.add_argument("--mode", choices=["riesz", "bessel", "tight"], default="riesz")
     p.add_argument("--window", type=int, default=64, help="use frequencies 0..N-1 (default 64)")
@@ -459,16 +454,19 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = sub.add_parser("partition", help="cycling/cube lattice partitions and their selectors")
+    p.set_defaults(run=cmd_partition)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--r", type=int, default=3, help="segment length")
-    p.add_argument("--window-2d", help="lo1,hi1,lo2,hi2,... (inclusive, aligned to r)")
-    p.add_argument("--window", type=int, help="per-axis window [0, N-1]")
+    window = p.add_mutually_exclusive_group()
+    window.add_argument("--window-2d", help="lo1,hi1,lo2,hi2,... (inclusive, aligned to r)")
+    window.add_argument("--window", type=int, help="per-axis window [0, N-1]")
     p.add_argument("--cube-side", type=int, help="cube partition side (default r)")
     p.add_argument("--boxes", help="inline JSON box spectrum for a selection quality report")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
 
     p = sub.add_parser("density", help="gap/density statistics and Landau/Kahane verdicts")
+    p.set_defaults(run=cmd_density)
     _add_spectrum_flags(p)
     _add_points_flags(p)
     p.add_argument("--mode", choices=["auto", "small", "large"], default="auto")
@@ -477,19 +475,10 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = sub.add_parser("selftest", help="run the built-in quick checks")
+    p.set_defaults(run=cmd_selftest)
     p.add_argument("--out", help="write a JSON summary here as well")
 
     return parser
-
-
-_COMMANDS = {
-    "construct": cmd_construct,
-    "certify": cmd_certify,
-    "select": cmd_select,
-    "partition": cmd_partition,
-    "density": cmd_density,
-    "selftest": cmd_selftest,
-}
 
 
 def main(argv=None) -> int:
@@ -499,7 +488,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse signals usage errors (and --help)
         return int(exc.code or 0)
     try:
-        return _COMMANDS[ns.command](ns)
+        return ns.run(ns)
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"rieszforge {ns.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

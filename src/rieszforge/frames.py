@@ -22,6 +22,7 @@ index // 64), so results are bit-reproducible and independent of scheduling.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import ClassVar
 
@@ -172,20 +173,14 @@ def complete_to_parseval_small(vectors, delta: float) -> np.ndarray:
         raise ValueError(f"Bessel bound exceeds 1: lambda_max={w[-1]:.6f}")
 
     zero_tol = max(tol, len(w) * np.finfo(float).eps * max(float(w[-1]), 1.0) if w.size else tol)
-    nonzero = [(float(lam), v[:, i]) for i, lam in enumerate(w) if lam > zero_tol]
-    deficits = [(max(0.0, 1.0 - lam), vec) for lam, vec in nonzero]
-    if not any(d > tol for d, _ in deficits):
+    nonzero = w > zero_tol
+    deficits = np.maximum(0.0, 1.0 - w[nonzero])
+    short = deficits > tol
+    if not short.any():
         return np.zeros((f.shape[0], 0), dtype=complex)
 
-    lam_min_nz = min(lam for lam, _ in nonzero)
-    m = math.floor((1.0 - lam_min_nz) / delta) + 1
-    cols = []
-    for deficit, vec in deficits:
-        if deficit <= tol:
-            continue
-        coeff = math.sqrt(deficit / m)
-        cols.extend([coeff * vec] * m)
-    return np.column_stack(cols)
+    m = math.floor((1.0 - float(w[nonzero].min())) / delta) + 1
+    return np.repeat(v[:, nonzero][:, short] * np.sqrt(deficits[short] / m), m, axis=1)
 
 
 def naimark_complement(vectors) -> np.ndarray:
@@ -381,10 +376,7 @@ def stabilize(selectors) -> tuple[int, tuple[int, ...]]:
         alive = [i for i in survivors if len(sels[i]) > j]
         if not alive:
             break
-        counts: dict[int, int] = {}
-        for i in alive:
-            counts[sels[i][j]] = counts.get(sels[i][j], 0) + 1
-        choice = max(counts, key=lambda v: counts[v])  # dict order breaks ties
+        choice = Counter(sels[i][j] for i in alive).most_common(1)[0][0]  # ties: first seen
         survivors = [i for i in alive if sels[i][j] == choice]
         agreed.append(choice)
         j += 1

@@ -63,8 +63,8 @@ def build_gram(points, spectrum, normalized: bool = False) -> np.ndarray:
     (d-D) of frequencies to their values (a MultibandSet, or a BoxSet).  With
     normalized=True the matrix is divided by the ambient volume, so the full
     integer lattice would give the identity.  Raises ValueError when the
-    points are not integers, or when they or their key differences do not fit
-    in 64-bit integers.
+    points are not integers or not all of one length, or when they or their
+    key differences do not fit in 64-bit integers.
     """
     g = _section(points, spectrum.fourier_coefficient, complex)
     if normalized:
@@ -101,11 +101,15 @@ def _section(points, coefficient, dtype) -> np.ndarray:
     points = list(points)
     if not points:
         raise ValueError("empty point set")
-    vector = np.ndim(points[0]) > 0
-    points = [integers(p, "point coordinates") for p in points] if vector \
+    n, vector = len(points), np.ndim(points[0]) > 0
+    try:  # a scalar among tuples raises TypeError, tuples of two lengths ValueError
+        (d,) = {len(p) for p in points} if vector else {1}
+    except (TypeError, ValueError):
+        raise ValueError("points must be all integers or all tuples of one length") from None
+    points = integers([x for p in points for x in p], "point coordinates") if vector \
         else integers(points, "points")
     try:
-        arr = np.array(points, dtype=np.int64).reshape(len(points), -1)
+        arr = np.array(points, dtype=np.int64).reshape(n, d)
     except OverflowError:
         raise ValueError("points do not fit in 64-bit integers") from None
     lo = arr.min(axis=0)
@@ -118,7 +122,7 @@ def _section(points, coefficient, dtype) -> np.ndarray:
         raise ValueError("point differences do not fit in 64-bit integers")
     keys = (arr - lo) @ np.array(strides, dtype=np.int64)
 
-    n, span = len(keys), int(keys.max()) - int(keys.min())
+    span = int(keys.max()) - int(keys.min())
     if span + 1 <= n * n:
         diff, table = None, np.arange(-span, span + 1)
     else:
@@ -203,7 +207,7 @@ def _bounds(parts, n: int, solver: str | None = None) -> BoundsEstimate:
 
 
 def _section_bounds(points, spectrum) -> BoundsEstimate:
-    """extreme_eigs(_solved_gram(points, spectrum)), folded when it can be.
+    """Bounds of _solved_gram(points, spectrum), folded when it can be.
 
     points are sorted.  If p_j + p_{n-1-j} is the same for every j, the
     section G satisfies J G J = conj(G), J the exchange matrix.  With m = n//2,
@@ -219,12 +223,13 @@ def _section_bounds(points, spectrum) -> BoundsEstimate:
     centrosymmetric, the off-diagonal blocks vanish, and the two diagonal
     blocks are solved apart as "centrosymmetric-split" (Cantoni & Butler, LAA
     1976); _bounds solves the folds with tol for the full n.  Other point sets
-    take the public extreme_eigs.
+    are solved whole by _bounds, without extreme_eigs' Hermiticity check:
+    _section builds G Hermitian bit for bit from finite coefficients.
     """
     g = _solved_gram(points, spectrum)
     n, ends = len(points), points[0] + points[-1]
     if n < 2 or any(p + q != ends for p, q in zip(points, reversed(points))):
-        return extreme_eigs(g)
+        return _bounds([g], n)
     m, h = n // 2, n - n // 2  # h = m, plus the middle when n is odd
     a, bj = g[:m, :m], g[:m, ::-1][:, :m]
     plus = np.empty((h, h))

@@ -196,10 +196,6 @@ class QuadNum:
 
     # -- order and identity --------------------------------------------------------
 
-    def sign(self) -> int:
-        """Exact sign as -1, 0 or +1."""
-        return quad_sign(self.p, self.q, self.D)
-
     @_aligned
     def _equal(a, b):
         return a.p == b.p and a.q == b.q

@@ -39,7 +39,6 @@ __all__ = [
     "construct_riesz_set",
     "gap_stats",
     "density_stats",
-    "landau_check",
     "kahane_classify",
 ]
 
@@ -334,12 +333,6 @@ def density_stats(points: PointSet) -> DensityStats:
         asymptotic=len(elems) / span,
         window_r=window_r,
     )
-
-
-def landau_check(points: PointSet, spectrum: MultibandSet) -> bool:
-    """Necessary-condition check: the upper density of density_stats is at
-    most |S|/2pi + 0.02 (DensityStats.within_landau)."""
-    return density_stats(points).within_landau(spectrum)
 
 
 def kahane_classify(step: int, spectrum: MultibandSet) -> str:

@@ -119,7 +119,7 @@ def test_criterion_02_small_mode_construction(small_bundle, capsys):
     verdict_line(capsys, 2, "small-mode set on 45% spectrum", {
         "gap_set{1,3}": set(stats.gaps) == {1, 3},
         "density~a": abs(b["points"].density - float(b["params"].a)) < 0.01,
-        "landau": rf.landau_check(b["points"], b["spectrum"]),
+        "landau": rf.density_stats(b["points"]).within_landau(b["spectrum"]),
         "supported": cert.verdict == "supported",
         "lambda_min>0": cert.lambda_min[-1] > 0.0,
         "drop<=5%": cert.final_drop <= 0.05,

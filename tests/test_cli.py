@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, schema, determinism."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -499,19 +500,19 @@ def test_density_needs_source(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["certify", "--measure", "0.4", "--bands", "[[0, 0.1]]"],
-     "pass only one of --bands / --bands-file / --measure"),
+     "argument --bands: not allowed with argument --measure"),
     (["density", "--bands", "[[0, 0.1]]", "--bands-file", "b.json", "--step", "3"],
-     "pass only one of --bands / --bands-file / --measure"),
+     "argument --bands-file: not allowed with argument --bands"),
     (["certify", "--measure", "0.4", "--points", "[0, 3]", "--step", "3"],
-     "pass only one of --points / --points-file / --step"),
+     "argument --step: not allowed with argument --points"),
     (["density", "--points", "[0, 3]", "--points-file", "p.json"],
-     "pass only one of --points / --points-file / --step"),
+     "argument --points-file: not allowed with argument --points"),
     (["certify", "--step", "3"],
      "a spectrum is required: pass --bands, --bands-file or --measure"),
     (["construct", "--window", "50"],
      "a spectrum is required: pass --bands, --bands-file or --measure"),
     (["partition", "--dim", "2", "--r", "2", "--window", "8", "--window-2d", "0,3,0,3"],
-     "pass only one of --window-2d / --window"),
+     "argument --window-2d: not allowed with argument --window"),
     (["partition", "--dim", "0"], "--dim must be in 1..20, got 0"),
     (["partition", "--r", "0"], "--r must be positive, got 0"),
     (["partition", "--dim", "2", "--r", "2", "--window", "0"], "--window must be positive, got 0"),
@@ -526,7 +527,34 @@ def test_source_conflicts_exit_1(capsys, argv, message):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"rieszforge {argv[0]}: error: {message}\n"
+    if message.startswith("argument "):
+        # argparse's conflicts print a usage block first, wrapped to the terminal width
+        assert captured.err.startswith(f"usage: rieszforge {argv[0]} ")
+        assert captured.err.endswith(f"\nrieszforge {argv[0]}: error: {message}\n")
+    else:
+        assert captured.err == f"rieszforge {argv[0]}: error: {message}\n"
+
+
+_GROUP_FLAGS = {  # each group's flags with a value argparse accepts
+    "spectrum": [("--bands", "[[0, 0.1]]"), ("--bands-file", "b.json"), ("--measure", "0.4")],
+    "points": [("--points", "[0, 3]"), ("--points-file", "p.json"), ("--step", "3")],
+    "window": [("--window-2d", "0,3,0,3"), ("--window", "8")],
+}
+
+
+@pytest.mark.parametrize("command, group", [
+    ("construct", "spectrum"), ("certify", "spectrum"), ("select", "spectrum"),
+    ("density", "spectrum"), ("certify", "points"), ("density", "points"),
+    ("partition", "window"),
+])
+def test_every_pair_in_a_flag_group_exits_1(capsys, command, group):
+    flags = _GROUP_FLAGS[group]
+    for first, second in itertools.permutations(flags, 2):
+        assert main([command, *first, *second]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"rieszforge {command}: error: argument {second[0]}: "
+                                     f"not allowed with argument {first[0]}\n")
 
 
 def test_usage_errors_exit_1(capsys):
@@ -609,3 +637,14 @@ def test_bands_file(tmp_path, capsys):
                          "--window", "150")
     assert code == 0
     assert obj["params"]["mode"] == "small"
+
+
+def test_several_arcs_construction_can_fail_its_own_certificate(capsys):
+    # the single-arc theory backs the construction; on several arcs a set sized
+    # from |S| alone need not be a Riesz sequence, and certify says so
+    bands = "[[0.255,0.278],[0.303,0.445],[0.468,0.505]]"
+    assert main(["construct", "--bands", bands, "--window", "2000"]) == 0
+    capsys.readouterr()
+    code, payload = run_json(capsys, "certify", "--bands", bands, "--schedule", "64,128,256,512")
+    assert code == 2
+    assert payload["certificate"]["verdict"] == "refuted"

@@ -1,8 +1,11 @@
 """Every script under demos/ and the README's python examples run to completion,
-with warnings as errors, against the package under test."""
+with warnings as errors, against the package under test; the README's command
+lines exit 0 and print strict JSON."""
 
+import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import rieszforge
+from rieszforge.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -46,3 +50,24 @@ def test_readme_examples_print_what_they_say():
             assert line.startswith(want[:-3]), (line, want)
         else:
             assert line == want
+
+
+def _no_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+README_COMMANDS = re.search(r"^## Command line\n\n```\n(.*?)^```",
+                            (ROOT / "README.md").read_text(), flags=re.M | re.S).group(1)
+
+
+@pytest.mark.parametrize("line", README_COMMANDS.splitlines(),
+                         ids=lambda line: " ".join(line.split()[1:3]))
+def test_readme_command_lines_exit_0(capsys, line):
+    prog, *argv = shlex.split(line)
+    assert prog == "rieszforge"
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if argv[0] == "selftest":
+        assert out.splitlines()[-1] == "5/5 checks passed"
+    else:
+        assert json.loads(out, parse_constant=_no_constant)["command"] == argv[0]

@@ -95,6 +95,30 @@ def test_completion_random_systems():
             assert np.abs(total @ span - span).max() < 1e-8
 
 
+def completion_by_columns(f, delta):
+    """Reference: the added columns appended one eigenvector copy at a time."""
+    w, v = np.linalg.eigh(f @ f.conj().T)
+    zero_tol = max(1e-10, len(w) * EPS * max(float(w[-1]), 1.0))
+    nonzero = [(float(lam), v[:, i]) for i, lam in enumerate(w) if lam > zero_tol]
+    m = math.floor((1.0 - min(lam for lam, _ in nonzero)) / delta) + 1
+    cols = []
+    for lam, vec in nonzero:
+        if max(0.0, 1.0 - lam) > 1e-10:
+            cols.extend([math.sqrt(max(0.0, 1.0 - lam) / m) * vec] * m)
+    return np.column_stack(cols) if cols else np.zeros((f.shape[0], 0), dtype=complex)
+
+
+def test_completion_matches_the_column_loop_bitwise():
+    rng = np.random.default_rng(22)
+    for delta in (0.1, 0.2, 0.45):
+        for _ in range(40):
+            dim = int(rng.integers(1, 6))
+            vs = random_bessel(rng, dim, int(rng.integers(1, 2 * dim + 1)), delta)
+            want = completion_by_columns(vs, delta)
+            got = complete_to_parseval_small(vs, delta)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_completion_validation():
     vs = np.eye(2)
     with pytest.raises(ValueError):
@@ -303,6 +327,14 @@ def test_stabilize():
         stabilize([])
     with pytest.raises(ValueError):
         stabilize([(1, 2)])  # wrong length
+
+
+def test_stabilize_ties_go_to_the_value_seen_first():
+    # block 0 takes 5 (three votes to one); at block 1 the survivors 2 and 3 tie,
+    # and 2 is seen first
+    sels = [(5,), (4, 1), (5, 2, 0), (5, 1, 1, 1)]
+    assert stabilize(sels) == (3, (5, 2, 0))
+    assert stabilize([(4,), (5, 0)]) == (1, (4,))
 
 
 # ------------------------------------------------- selection search oracle --

@@ -9,6 +9,8 @@ import pytest
 
 from rieszforge import TWO_PI, BoxSet, build_gram, certify, construct_riesz_set, \
     dual_system, extreme_eigs, normalize_bands, select_riesz
+from rieszforge import gram
+from rieszforge.cli import main
 from rieszforge.gram import _section, _solved_gram
 from rieszforge.torus import centered_interval_coefficient, interval_coefficient
 
@@ -189,6 +191,42 @@ def test_gram_rejects_non_integer_points():
     assert np.array_equal(build_gram([(0.0, np.int64(0)), (Fraction(1), 2.0)], box), want)
     assert np.array_equal(build_gram(np.array([[0, 0], [1, 2]]), box), want)
 
+
+@pytest.mark.parametrize("pts", [[(0, 1), (2,)], [(0, 1, 2), (3,)], [(0, 1), 3]],
+                         ids=["ragged-2-1", "ragged-3-1", "mixed"])
+def test_gram_rejects_ragged_and_mixed_points(pts):
+    box = BoxSet(boxes=(((0.0, 1.0), (0.0, 1.0)),))
+    with pytest.raises(ValueError, match="all integers or all tuples of one length") as err:
+        build_gram(pts, box)
+    assert "inhomogeneous" not in str(err.value)
+
+
+def test_tuple_points_refuse_bools_and_fractions():
+    box = BoxSet(boxes=(((0.0, 1.0), (0.0, 1.0)),))
+    with pytest.raises(ValueError, match="True"):
+        build_gram([(0, 0), (True, 1)], box)
+    with pytest.raises(ValueError, match="integers"):
+        build_gram([(0, 0), (Fraction(1, 2), 1)], box)
+    with pytest.raises(ValueError, match="integers"):
+        build_gram([(0, 0), (1, 2.5)], box)
+
+
+@pytest.mark.parametrize("bands", [[(0.0, 0.45)], [(0.05, 0.25), (0.5, 0.7)]],
+                         ids=["one-arc", "two-arcs"])
+def test_certify_does_not_recheck_its_own_grams(monkeypatch, capsys, bands):
+    checked = []
+    real = gram._check_hermitian
+    monkeypatch.setattr(gram, "_check_hermitian", lambda h: checked.append(h.shape) or real(h))
+    s = normalize_bands(bands, unit="2pi")
+    _, points = construct_riesz_set(s, (-200, 200))
+    cert = certify(points, s, threshold=1e-3, schedule=(16, 32))
+    # constructed sets are not point-symmetric, so every section is solved whole
+    assert {b.solver for b in cert.bounds} == {"real-symmetric" if s.is_arc() else "hermitian"}
+    assert main(["certify", "--measure", "0.45", "--schedule", "16,32"]) in (0, 3)
+    capsys.readouterr()
+    assert checked == []
+    extreme_eigs(np.eye(2))  # the public solver still checks what it is given
+    assert checked == [(2, 2)]
 
 def test_interlacing_on_nested_sections():
     s = normalize_bands([(0.0, 0.45)], unit="2pi")

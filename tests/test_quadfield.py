@@ -40,7 +40,7 @@ def test_numpy_integers_become_python_ints():
         (QuadNum(0, 1, np.int64(6)), QuadNum(0, 1, 6)),
     ]
     for got, want in cases:
-        assert got == want and got.sign() == want.sign()
+        assert got == want and quad_sign(got.p, got.q, got.D) == quad_sign(want.p, want.q, want.D)
         assert math.floor(got * 2**70) == math.floor(want * 2**70)
         assert all(type(v) is int for v in (got.p.numerator, got.p.denominator,
                                              got.q.numerator, got.q.denominator, got.D))
@@ -163,7 +163,7 @@ def test_field_axioms_random():
         assert (a + b) * c == a * c + b * c
         assert a + b == b + a
         assert (a - b) + b == a
-        if b.sign() != 0:
+        if b != 0:
             assert (a / b) * b == a
         assert a * b == b * a
         assert float(a + b) == pytest.approx(float(a) + float(b), abs=1e-9)

@@ -8,7 +8,7 @@ import pytest
 
 from rieszforge import PointSet, QuadNum, UnitInterval, choose_params, \
     construct_riesz_set, density_stats, gap_stats, generate, \
-    generate_centered, kahane_classify, landau_check, normalize_bands
+    generate_centered, kahane_classify, normalize_bands
 from rieszforge import quadfield, quasicrystal
 from rieszforge.quadfield import quad_sign
 
@@ -313,7 +313,7 @@ def test_choose_params_small_045():
     assert p.a.q == Fraction(1, 64) and p.a.D == 2
     assert float(p.a) == pytest.approx(47 / 120 + math.sqrt(2) / 64, abs=1e-12)
     assert float(p.alpha) == pytest.approx((1 - float(p.a)) / 2, abs=1e-15)
-    assert (p.a - p.alpha).sign() > 0       # alpha < a
+    assert p.a - p.alpha > 0       # alpha < a
     assert p.riesz_interval == UnitInterval(0, p.a)
 
 
@@ -322,7 +322,7 @@ def test_choose_params_large_08():
     assert p.mode == "large" and p.n == 4
     assert p.a.q == Fraction(1, 128)
     assert float(p.a) == pytest.approx(9 / 40 + math.sqrt(2) / 128, abs=1e-12)
-    assert (p.alpha - p.a).sign() > 0       # alpha > a
+    assert p.alpha - p.a > 0       # alpha > a
     # riesz interval is the complement [a, 1)
     assert p.riesz_interval == UnitInterval(p.a, 1)
 
@@ -404,8 +404,8 @@ def test_landau_check():
     s = normalize_bands([(0.0, 0.5)], unit="2pi")
     thin = PointSet(elements=tuple(range(0, 1000, 3)), window=(0, 999))
     dense = PointSet(elements=tuple(range(1000)), window=(0, 999))
-    assert landau_check(thin, s)          # 1/3 <= 0.5 + tol
-    assert not landau_check(dense, s)     # 1.0 > 0.5 + tol
+    assert density_stats(thin).within_landau(s)          # 1/3 <= 0.5 + tol
+    assert not density_stats(dense).within_landau(s)     # 1.0 > 0.5 + tol
 
 
 def test_kahane_classify():
@@ -429,7 +429,7 @@ def test_construct_riesz_set_end_to_end():
     s = normalize_bands([(0.0, 0.45)], unit="2pi")
     params, points = construct_riesz_set(s, (-1000, 1000))
     assert params.mode == "small"
-    assert landau_check(points, s)
+    assert density_stats(points).within_landau(s)
     assert points.density < s.fraction_of_torus
 
 
