@@ -280,7 +280,7 @@ def cmd_partition(spec: argparse.Namespace) -> int:
             raise ValueError(f"--boxes dimension {box_set.dim} != --dim {d}")
         _check_gram_size(len(selector))
         g = gramlib.build_gram(selector, box_set, normalized=True)
-        be = gramlib.extreme_eigs(g)
+        be = gramlib._bounds([g], len(g))  # _section builds g Hermitian bit for bit
         payload["quality"] = {"lambda_min": be.lambda_min, "lambda_max": be.lambda_max}
 
     _emit("partition", payload, spec.out)

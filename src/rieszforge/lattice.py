@@ -137,21 +137,82 @@ def cube_partition(d: int, s: int, window: LatticeWindow) -> tuple[Cube, ...]:
 
 
 def covering_radius(points, window: LatticeWindow) -> float:
-    """Largest Euclidean distance from a window lattice point to `points`."""
-    pts = np.asarray(list(points), dtype=float)
-    if pts.size == 0:
-        raise ValueError("empty point set")
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.shape[1] != window.dim:
-        raise ValueError(f"points of dimension {pts.shape[1]} in a {window.dim}-D window")
-    targets = np.array(list(window.points()), dtype=float)
-    # imported here: scipy.spatial adds about 37 MB of resident memory and
-    # 0.1 s of start-up that only this function needs
-    from scipy.spatial import cKDTree
+    """Largest Euclidean distance from a window lattice point to `points`.
 
-    dist, _ = cKDTree(pts).query(targets)
-    return float(dist.max())
+    points are integer points inside the window: tuples of length dim, or
+    integers in 1-D.  Exact, as the sqrt of an integer squared distance on a
+    float64 grid shaped like the window.  At most 2B points are measured one
+    at a time.  Otherwise a separable distance transform (Saito & Toriwaki
+    1994) takes the exact distance along the first axis in two scans, then,
+    banded, sets g[x] = min over |o| <= B of g[x + o] + o^2 along each other
+    axis.  That is the squared distance to the nearest point within B along
+    each of those axes, exact wherever it is at most B^2, so a grid maximum
+    above B^2 reruns with a wider band.  B starts at ceil(sqrt(d) *
+    (cells/points)^(1/d)), which settles a one-per-cube selector in one pass;
+    a pass costs O(d * B * cells) time and a few cell-sized grids of memory.
+    """
+    pts = list(points)
+    if not pts:
+        raise ValueError("empty point set")
+    d, n, sides = window.dim, len(pts), window.side_lengths
+    vector = np.ndim(pts[0]) > 0
+    try:  # a scalar among tuples raises TypeError, tuples of two lengths ValueError
+        (k,) = {len(p) for p in pts} if vector else {1}
+    except (TypeError, ValueError):
+        raise ValueError("points must be all integers or all tuples of one length") from None
+    if k != d:
+        raise ValueError(f"points of dimension {k} in a {d}-D window")
+    coords = integers([x for p in pts for x in p] if vector else pts, "point coordinates")
+    try:
+        arr = np.array(coords, dtype=np.int64).reshape(n, d)
+    except OverflowError:
+        raise ValueError("points do not fit in 64-bit integers") from None
+    low, high = arr.min(axis=0), arr.max(axis=0)
+    if any(int(m) < a or int(h) > b for m, h, a, b in zip(low, high, window.lo, window.hi)):
+        p = next(p for p in map(tuple, arr.tolist()) if not window.contains(p))
+        raise ValueError(f"point {p} lies outside the window {window.lo}..{window.hi}")
+    # offsets from the window's corner; no int64 value leaves the points' own range
+    idx = tuple((arr - low + [int(m) - a for m, a in zip(low, window.lo)]).T)
+    # on axes 2..d, a band this wide reaches every point from every cell
+    widest = max(sides[1:], default=1) - 1
+    band = min(math.ceil(math.sqrt(d) * (math.prod(sides) / n) ** (1 / d)), widest)
+    if n <= 2 * band:
+        axes = np.ogrid[tuple(slice(0, s) for s in sides)]
+        sq = np.full(sides, np.inf)
+        for p in zip(*idx):
+            np.minimum(sq, sum((x - c) ** 2 for x, c in zip(axes, p)), out=sq)
+    else:
+        hit = np.zeros(sides, bool)
+        hit[idx] = True
+        at = np.arange(sides[0], dtype=float).reshape(-1, *[1] * (d - 1))
+        before = np.maximum.accumulate(np.where(hit, at, -np.inf), axis=0)
+        after = np.minimum.accumulate(np.where(hit, at, np.inf)[::-1], axis=0)[::-1]
+        lines = np.minimum(at - before, after - at) ** 2
+        del hit, before, after
+        while True:
+            sq = _banded_squares(lines, band)
+            top = sq.max()
+            if top <= band * band or band == widest:  # the nearest point lies in the band
+                break
+            band = min(math.isqrt(int(top) - 1) + 1 if top < np.inf else 2 * band, widest)
+    return math.sqrt(int(sq.max()))
+
+
+def _banded_squares(lines: np.ndarray, band: int) -> np.ndarray:
+    """min over offsets o with |o_k| <= band on axes 2..d of lines[x + o] + |o|^2,
+    one axis at a time: from squared distances along the first axis, the squared
+    distance to the nearest point within `band` on the others (inf if none)."""
+    g, shifted = lines, np.empty_like(lines)
+    for axis in range(1, g.ndim):
+        out = g.copy()
+        for o in range(1, min(band, g.shape[axis] - 1) + 1):
+            ahead = (slice(None),) * axis + (slice(o, None),)
+            behind = (slice(None),) * axis + (slice(None, -o),)
+            for src, dst in ((ahead, behind), (behind, ahead)):
+                np.add(g[src], o * o, out=shifted[dst])
+                np.minimum(out[dst], shifted[dst], out=out[dst])
+        g = out
+    return g
 
 
 def _sections(points, axis: int, window: LatticeWindow) -> dict[tuple, list]:

@@ -1,5 +1,6 @@
 """Gram matrices of exponential systems and finite-section certificates."""
 
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -227,6 +228,18 @@ def test_certify_does_not_recheck_its_own_grams(monkeypatch, capsys, bands):
     assert checked == []
     extreme_eigs(np.eye(2))  # the public solver still checks what it is given
     assert checked == [(2, 2)]
+
+
+def test_partition_does_not_recheck_its_box_gram(monkeypatch, capsys):
+    checked = []
+    real = gram._check_hermitian
+    monkeypatch.setattr(gram, "_check_hermitian", lambda h: checked.append(h.shape) or real(h))
+    assert main(["partition", "--dim", "2", "--r", "2", "--window", "8",
+                 "--boxes", "[[[0.0, 0.5], [0.0, 0.5]]]"]) == 0
+    quality = json.loads(capsys.readouterr().out)["quality"]
+    assert 0 < quality["lambda_min"] <= quality["lambda_max"]
+    assert checked == []
+
 
 def test_interlacing_on_nested_sections():
     s = normalize_bands([(0.0, 0.45)], unit="2pi")

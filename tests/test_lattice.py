@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.integrate import dblquad
 from rieszforge import BoxSet, LatticeWindow, TWO_PI, build_gram, \
     covering_radius, cube_partition, cycling_partition, extreme_eigs, \
     indicator_fourier_d, section_gaps, section_report
+from rieszforge import lattice
 
 import coefficient_oracle as oracle
 
@@ -108,6 +110,104 @@ def test_covering_radius_lattice():
 def test_covering_radius_1d():
     w = LatticeWindow(lo=(0,), hi=(10,))
     assert covering_radius([0, 5, 10], w) == pytest.approx(2.0)
+
+
+def reference_covering_radius(points, window):
+    """The largest over cells of the least squared distance to a point, then sqrt."""
+    pts = [p if isinstance(p, tuple) else (p,) for p in points]
+    return math.sqrt(max(min(sum((a - b) ** 2 for a, b in zip(cell, p)) for p in pts)
+                         for cell in window.points()))
+
+
+def kdtree_covering_radius(points, window):
+    from scipy.spatial import cKDTree
+    pts = np.array(points, dtype=float).reshape(len(points), window.dim)
+    dist, _ = cKDTree(pts).query(np.array(list(window.points()), dtype=float))
+    return float(dist.max())
+
+
+def random_covering_cases():
+    rng = np.random.default_rng(22)
+    for case in range(45):
+        d = case % 3 + 1
+        lo = tuple(int(x) for x in rng.integers(-6, 6, d))
+        hi = tuple(a + int(s) for a, s in zip(lo, rng.integers(0, (13, 11, 7)[d - 1], d)))
+        w = LatticeWindow(lo=lo, hi=hi)
+        cells = list(w.points())
+        k = int(rng.integers(1, len(cells) + 1)) if case % 5 else min(len(cells), 3)
+        pts = [cells[i] for i in rng.choice(len(cells), k, replace=False)]
+        yield pytest.param([p[0] for p in pts] if d == 1 and case % 2 else pts, w,
+                           id=f"d{d}-{case}")
+    w = LatticeWindow(lo=(-4, -7, 2), hi=(1, -3, 6))
+    corners = list(itertools.product(*zip(w.lo, w.hi)))
+    yield pytest.param([(-4, -7, 2)], w, id="single-point")
+    yield pytest.param(list(w.points()), w, id="every-cell")
+    yield pytest.param(corners, w, id="corners")
+    yield pytest.param(corners[:1] + corners[-1:], w, id="two-corners")
+    yield pytest.param([(-5, 5)], LatticeWindow(lo=(-5, -5), hi=(5, 5)), id="negative-lo")
+
+
+@pytest.mark.parametrize("pts, w", random_covering_cases())
+def test_covering_radius_is_exact(pts, w):
+    got = covering_radius(pts, w)
+    assert got == reference_covering_radius(pts, w)
+    assert got == kdtree_covering_radius(pts, w)
+
+
+def test_covering_radius_passes(monkeypatch):
+    bands = []
+    banded = lattice._banded_squares
+    monkeypatch.setattr(lattice, "_banded_squares", lambda g, b: bands.append(b) or banded(g, b))
+
+    def radius(pts, w):
+        bands.clear()
+        got = covering_radius(pts, w)
+        assert got == reference_covering_radius(pts, w)
+        return got
+
+    w = LatticeWindow(lo=(0, 0), hi=(40, 40))
+    # at most 2B points are measured one at a time
+    assert radius([(3, 3), (30, 11)], w) == math.sqrt(3 ** 2 + 37 ** 2) and bands == []
+    # a one-per-cube selector settles in one banded pass
+    sel = [(x + (x * y) % 5, y + (x + y) % 5) for x in range(0, 40, 5) for y in range(0, 40, 5)]
+    radius(sel, LatticeWindow(lo=(0, 0), hi=(39, 39)))
+    assert bands == [math.ceil(5 * math.sqrt(2))]
+    # a dense block makes the first band 5; every cell has a lattice point within
+    # Chebyshev distance 5 but the centres of the spacing-10 squares lie sqrt(50)
+    # away, so a second pass reruns with band ceil(sqrt(50))
+    pts = sorted({(10 * i, 10 * j) for i in range(5) for j in range(5)}
+                 | set(itertools.product(range(10), range(12))))
+    assert radius(pts, w) == math.sqrt(50) and bands == [5, 8]
+    # cells that no point reaches within the band double it, up to the window's side
+    pts = list(itertools.product(range(40), range(4)))
+    assert radius(pts, LatticeWindow(lo=(0, 0), hi=(39, 39))) == 36.0
+    assert bands == [5, 10, 20, 39]
+
+
+@pytest.mark.parametrize("pts, match", [
+    ([], "empty point set"),
+    ([(0, 0), (7, 0)], r"point \(7, 0\) lies outside the window \(0, 0\)..\(6, 6\)"),
+    ([(0, -1)], r"point \(0, -1\) lies outside"),
+    ([(0, 0), (1.5, 0)], "point coordinates must be integers, got 1.5"),
+    ([(0, True)], "point coordinates must be integers, got True"),
+    ([(0, 0, 0)], "points of dimension 3 in a 2-D window"),
+    ([0, 1], "points of dimension 1 in a 2-D window"),
+    ([(0, 0), (1,)], "all tuples of one length"),
+    ([(0, 0), 1], "all tuples of one length"),
+])
+def test_covering_radius_refuses_bad_points(pts, match):
+    with pytest.raises(ValueError, match=match):
+        covering_radius(pts, LatticeWindow(lo=(0, 0), hi=(6, 6)))
+
+
+def test_covering_radius_accepts_integral_values_of_any_type():
+    w = LatticeWindow(lo=(-3,), hi=(9,))
+    want = covering_radius([-1, 4], w)
+    assert covering_radius([(-1,), (4,)], w) == want
+    assert covering_radius(np.array([-1, 4]), w) == want
+    assert covering_radius([-1.0, Fraction(4)], w) == want
+    with pytest.raises(ValueError, match="outside"):
+        covering_radius([10], w)
 
 
 def test_one_per_cube_covering_bound():
