@@ -49,9 +49,41 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+_compact = json.JSONEncoder(separators=(",", ":")).encode  # the stdlib's C encoder
+
+
+def _json(obj, pad: str = "") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) at indent pad, byte for byte, with
+    no pure-Python encoder: lists of numbers, bools and nulls, or of non-empty such
+    lists, rewrite the C encoder's compact text, and other leaves are its text."""
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict) and obj:
+        if not all(isinstance(key, str) for key in obj):  # keys the stdlib converts
+            return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+        body = sep.join(f"{_compact(k)}: {_json(v, inner)}" for k, v in sorted(obj.items()))
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if not isinstance(obj, (list, tuple)) or not obj:
+        return _compact(obj)
+    text = _compact(obj)
+    if '"' not in text and "{" not in text:  # no strings or dicts inside
+        if "[" not in text[1:]:  # numbers, bools and nulls
+            return _flat(text[1:-1], pad)
+        rows = text[2:-2].split("],[")
+        # non-empty lists of them, if the only "[" are the outer one and one per row
+        if text[1] == "[" and text[-2] == "]" and all(rows) and text.count("[") == len(rows) + 1:
+            return "[\n" + inner + sep.join(_flat(r, inner) for r in rows) + "\n" + pad + "]"
+    return "[\n" + inner + sep.join(_json(x, inner) for x in obj) + "\n" + pad + "]"
+
+
+def _flat(items: str, pad: str) -> str:
+    """The indented list at pad whose compact items, without brackets, are items."""
+    return "[\n" + pad + "  " + items.replace(",", ",\n" + pad + "  ") + "\n" + pad + "]"
+
+
 def _emit(command: str, payload: dict, out_path: str | None) -> None:
     obj = {"schema": SCHEMA, "command": command, **payload}
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    text = _json(obj) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -280,7 +312,7 @@ def cmd_partition(spec: argparse.Namespace) -> int:
             raise ValueError(f"--boxes dimension {box_set.dim} != --dim {d}")
         _check_gram_size(len(selector))
         g = gramlib.build_gram(selector, box_set, normalized=True)
-        be = gramlib._bounds([g], len(g))  # _section builds g Hermitian bit for bit
+        be = gramlib._bounds([g], len(g))  # _table builds g Hermitian bit for bit
         payload["quality"] = {"lambda_min": be.lambda_min, "lambda_max": be.lambda_max}
 
     _emit("partition", payload, spec.out)

@@ -30,7 +30,8 @@ __all__ = [
 
 DEFAULT_SCHEDULE = (16, 32, 64, 128, 256)
 DEFAULT_DROP_RATIO = 0.05
-_ROW_BLOCK = 64  # rows per block of the Hermiticity check and of the table gather
+_ROW_BLOCK = 64  # rows per block of the Hermiticity check
+_GATHER_ENTRIES = 2**14  # entries per block of the table gather
 _TABLE_CHUNK = 8192  # frequencies per coefficient call: bounds the formulas' temporaries
 _HERMITIAN_TOL = 1e-12  # Hermiticity residual allowed, relative to the largest entry
 
@@ -66,14 +67,19 @@ def build_gram(points, spectrum, normalized: bool = False) -> np.ndarray:
     points are not integers or not all of one length, or when they or their
     key differences do not fit in 64-bit integers.
     """
-    g = _section(points, spectrum.fourier_coefficient, complex)
+    g = _gather(*_table(points, spectrum.fourier_coefficient, complex))
     if normalized:
         g /= spectrum.total_volume
     return g
 
 
 def _solved_gram(points, spectrum) -> np.ndarray:
-    """The unnormalized Gram that certify and select solve.
+    """The unnormalized Gram that certify and select solve (see _solved_table)."""
+    return _gather(*_solved_table(points, spectrum))
+
+
+def _solved_table(points, spectrum):
+    """_table of the Gram that certify and select solve.
 
     On one arc, the full torus included, the real R[j,k] = r(p_k - p_j) with
     r the centered_interval_coefficient of the arc's length: R is D G D^H for
@@ -81,12 +87,13 @@ def _solved_gram(points, spectrum) -> np.ndarray:
     R has the eigenvalues of G's.  On several arcs, build_gram's G.
     """
     if not spectrum.is_arc():
-        return build_gram(points, spectrum)
-    return _section(points, lambda m: centered_interval_coefficient(spectrum.measure, m), float)
+        return _table(points, spectrum.fourier_coefficient, complex)
+    return _table(points, lambda m: centered_interval_coefficient(spectrum.measure, m), float)
 
 
-def _section(points, coefficient, dtype) -> np.ndarray:
-    """M[j,k] = coefficient(p_k - p_j), of the given dtype.
+def _table(points, coefficient, dtype):
+    """(vals, diffs, keys): the table of M[j,k] = coefficient(p_k - p_j), of the
+    given dtype, and the points' keys; _gather(*_table(...)) builds M.
 
     coefficient maps an int array (1-D points) or a (k, d) int array (d-D) of
     frequencies to their values.  Points are coded to scalar keys by a balanced
@@ -95,8 +102,8 @@ def _section(points, coefficient, dtype) -> np.ndarray:
     difference's first nonzero component, so the non-negative keys are
     evaluated, _TABLE_CHUNK per call, and each negative key takes the conjugate
     of its mirror: M is Hermitian bit-for-bit.  If the largest key difference K
-    has K+1 <= n^2, np.take gathers the rows from a table of every key in
-    -K..K; wider spans tabulate unique differences.
+    has K+1 <= n^2, vals holds every key in -K..K and diffs is None; wider
+    spans tabulate the sorted unique differences, diffs.
     """
     points = list(points)
     if not points:
@@ -124,12 +131,12 @@ def _section(points, coefficient, dtype) -> np.ndarray:
 
     span = int(keys.max()) - int(keys.min())
     if span + 1 <= n * n:
-        diff, table = None, np.arange(-span, span + 1)
+        diffs, table = None, np.arange(-span, span + 1)
     else:
-        diff = keys[None, :] - keys[:, None]
-        # sort and mask: numpy 2.4's hashing np.unique takes 20-35x longer here
-        table = np.sort(diff, axis=None)
-        table = table[np.concatenate(([True], table[1:] != table[:-1]))]
+        table = (keys[None, :] - keys[:, None]).ravel()
+        # sort in place and mask: numpy 2.4's hashing np.unique takes 20-35x longer here
+        table.sort()
+        diffs = table = table[np.concatenate(([True], table[1:] != table[:-1]))]
     # table is symmetric about its middle entry 0
     mid = len(table) // 2
     vals = np.empty(len(table), dtype=dtype)
@@ -137,17 +144,22 @@ def _section(points, coefficient, dtype) -> np.ndarray:
         part = table[i:i + _TABLE_CHUNK]
         vals[i:i + len(part)] = coefficient(_decode(part, strides) if vector else part)
     vals[:mid] = vals[:mid:-1].conj()
-    if diff is None:
-        out = np.empty((n, n), dtype=dtype)
-        for i in range(0, n, _ROW_BLOCK):  # indices are in range; "raise" would buffer out
-            np.take(vals, keys - (keys[i:i + _ROW_BLOCK, None] - span), out=out[i:i + _ROW_BLOCK],
-                    mode="clip")
-        return out
-    # searchsorted, with diff released before the gather, peaks lower than
-    # np.unique(return_inverse=True)
-    idx = np.searchsorted(table, diff)
-    del diff, table, part  # part is a view of table
-    return vals[idx]
+    return vals, diffs, keys
+
+
+def _gather(vals, diffs, rows, cols=None) -> np.ndarray:
+    """The array whose [j,k] entry is the table entry at key difference
+    cols[k] - rows[j] (cols defaults to rows), gathered _GATHER_ENTRIES entries
+    at a time, so the index temporaries stay small; np.take copies the bits."""
+    cols = rows if cols is None else cols
+    out = np.empty((len(rows), len(cols)), dtype=vals.dtype)
+    step = max(1, _GATHER_ENTRIES // len(cols))
+    for i in range(0, len(rows), step):
+        r = rows[i:i + step, None]
+        idx = cols - (r - len(vals) // 2) if diffs is None else np.searchsorted(diffs, cols - r)
+        # indices are in range; "raise" would buffer out
+        np.take(vals, idx, out=out[i:i + step], mode="clip")
+    return out
 
 
 def _decode(keys, strides) -> np.ndarray:
@@ -211,7 +223,7 @@ def _section_bounds(points, spectrum) -> BoundsEstimate:
 
     points are sorted.  If p_j + p_{n-1-j} is the same for every j, the
     section G satisfies J G J = conj(G), J the exchange matrix.  With m = n//2,
-    A = G[:m,:m], BJ = the last m columns of G[:m] reversed, and x = G[:m,m],
+    A[j,k] = G[j,k] and BJ[j,k] = G[j,n-1-k] for j, k < m, and x[j] = G[j,m],
     the unitary Q = [[I, iI], [J, -iJ]]/sqrt(2) (with a unit middle row and
     column when n is odd) takes G to the real symmetric Q^H G Q
 
@@ -222,32 +234,46 @@ def _section_bounds(points, spectrum) -> BoundsEstimate:
     (Lee, LAA 1980), solved as "centrohermitian-real".  A real G is
     centrosymmetric, the off-diagonal blocks vanish, and the two diagonal
     blocks are solved apart as "centrosymmetric-split" (Cantoni & Butler, LAA
-    1976); _bounds solves the folds with tol for the full n.  Other point sets
-    are solved whole by _bounds, without extreme_eigs' Hermiticity check:
-    _section builds G Hermitian bit for bit from finite coefficients.
+    1976); _bounds solves the folds with tol for the full n.  G itself is
+    never built: A and BJ are gathered from _solved_table a row block at a
+    time, each folded entry is the one sum or difference of the same two table
+    values that G's quadrants would give, and the blocks go straight into
+    their places.  Other point sets are solved whole by _bounds, without
+    extreme_eigs' Hermiticity check: _table builds G Hermitian bit for bit
+    from finite coefficients.
     """
-    g = _solved_gram(points, spectrum)
     n, ends = len(points), points[0] + points[-1]
     if n < 2 or any(p + q != ends for p, q in zip(points, reversed(points))):
-        return _bounds([g], n)
+        return _bounds([_solved_gram(points, spectrum)], n)
+    vals, diffs, keys = _solved_table(points, spectrum)
     m, h = n // 2, n - n // 2  # h = m, plus the middle when n is odd
-    a, bj = g[:m, :m], g[:m, ::-1][:, :m]
-    plus = np.empty((h, h))
-    np.add(a.real, bj.real, out=plus[:m, :m])
-    minus = a.real - bj.real
+    real = np.isrealobj(vals)
+    if real:
+        plus, minus = np.empty((h, h)), np.empty((m, m))
+    else:  # [[plus, k], [k^T, minus]]
+        whole = np.empty((n, n))
+        plus, k, minus = whole[:h, :h], whole[:h, h:], whole[h:, h:]
+    cols = np.concatenate((keys[:m], keys[::-1][:m]))  # A's columns, then BJ's
+    step = max(1, _GATHER_ENTRIES // len(cols))
+    for i in range(0, m, step):
+        rows = slice(i, min(i + step, m))
+        a, bj = np.hsplit(_gather(vals, diffs, keys[rows], cols), 2)
+        np.add(a.real, bj.real, out=plus[rows, :m])
+        np.subtract(a.real, bj.real, out=minus[rows])
+        if not real:
+            np.subtract(bj.imag, a.imag, out=k[rows])
+            whole[h:, rows] = k[rows].T
+        del a, bj  # free the block before the next one is gathered
     if h > m:
-        x = math.sqrt(2.0) * g[:m, m]
+        col = _gather(vals, diffs, keys[:h], keys[m:h])[:, 0]  # G[j,m] for j <= m
+        x = math.sqrt(2.0) * col[:m]
         plus[m, :m] = plus[:m, m] = x.real
-        plus[m, m] = g[m, m].real
-    if np.isrealobj(g):
-        del g, a, bj  # free the section before the solves
+        plus[m, m] = col[m].real
+        if not real:
+            k[m] = whole[h:, m] = x.imag
+    if real:
         return _bounds([plus, minus], n, "centrosymmetric-split")
-    k = np.empty((h, m))
-    np.subtract(bj.imag, a.imag, out=k[:m])
-    if h > m:
-        k[m] = x.imag
-    del g, a, bj
-    return _bounds([np.block([[plus, k], [k.T, minus]])], n, "centrohermitian-real")
+    return _bounds([whole], n, "centrohermitian-real")
 
 
 def dual_system(h: np.ndarray) -> np.ndarray:

@@ -195,8 +195,8 @@ def test_select_refuses_a_window_short_of_one_block_before_the_gram(capsys, monk
     def no_gram(*args, **kwargs):
         raise AssertionError("Gram built for a refused window")
 
-    # _section assembles every Gram, the one-arc R that select solves too
-    monkeypatch.setattr(gram, "_section", no_gram)
+    # _table starts every Gram, the one-arc R that select solves too
+    monkeypatch.setattr(gram, "_table", no_gram)
     assert main(["select", "--measure", "0.5", "--window", "3", "--r", "4"]) == 1
     assert "3 labels cannot fill a block of size 4" in capsys.readouterr().err
 
@@ -259,8 +259,8 @@ def test_gram_size_guard_refuses_before_building(capsys, monkeypatch, argv, n):
     def no_gram(*args, **kwargs):
         raise AssertionError("Gram built for a refused size")
 
-    # _section assembles every Gram: build_gram's (select's too) and certify's real sections
-    monkeypatch.setattr(gram, "_section", no_gram)
+    # _table starts every Gram: build_gram's, select's, and certify's sections, folded or not
+    monkeypatch.setattr(gram, "_table", no_gram)
     monkeypatch.setattr(cli.qc, "generate_centered", no_gram)
     assert 2048 < cli.MAX_GRAM_N < n
     assert main(argv) == 1
@@ -281,7 +281,7 @@ def test_gram_size_guard_admits_the_limit(monkeypatch, argv):
     def reached(*args, **kwargs):
         raise Reached
 
-    monkeypatch.setattr(gram, "_section", reached)
+    monkeypatch.setattr(gram, "_table", reached)
     assert cli.MAX_GRAM_N == 4096
     with pytest.raises(Reached):
         main(argv)

@@ -1,5 +1,6 @@
-"""Property test: whatever argv and JSON shapes it gets, the CLI exits with a
-code of its interface and never with a traceback."""
+"""Property tests: whatever argv and JSON shapes it gets, the CLI exits with a
+code of its interface and never with a traceback; and its JSON writer prints
+what the stdlib's indenting encoder prints, byte for byte."""
 
 import contextlib
 import io
@@ -8,10 +9,11 @@ import json
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+import numpy as np  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from rieszforge.cli import main  # noqa: E402
+from rieszforge.cli import _json, main  # noqa: E402
 
 KEYS = ["elements", "window", "bands_2pi", "bands_rad", "boxes_2pi", "boxes_rad"]
 
@@ -117,3 +119,24 @@ def test_cli_never_raises(argv):
     if code != 1:
         # not strict: gap stats can print Infinity until the schema bump
         assert json.loads(out.getvalue())["command"] == argv[0]
+
+
+ints = st.integers() | st.integers(2**63, 2**80) | st.booleans()  # bools are ints to the C encoder
+emit_leaves = (st.none() | ints | st.floats() | st.floats().map(np.float64)
+               | st.sampled_from([-0.0, float("inf"), -float("inf"), float("nan")]) | st.text())
+emit_values = st.recursive(
+    emit_leaves | st.lists(ints) | st.lists(st.lists(ints, min_size=1)),
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(), inner, max_size=4)
+    | st.dictionaries(st.integers(), inner, max_size=2),  # keys the stdlib converts
+    max_leaves=30,
+)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(emit_values)
+@example([[], [[]], {}, [{}], {"a": []}, [[1], []], [[1], 2], [1, [2]], [[[1]]], [[1], [[2]]]])
+@example({"\u00e9t\u00e9": ["\u2028\"\\", [True, 1, False], [[2**64, -0.0], [float("nan")]]],
+          "z": {"": -float("inf")}, "a": (1, (2, 3))})
+def test_json_writer_matches_the_stdlib(value):
+    assert _json(value) == json.dumps(value, indent=2, sort_keys=True)

@@ -12,7 +12,7 @@ from rieszforge import TWO_PI, BoxSet, build_gram, certify, construct_riesz_set,
     dual_system, extreme_eigs, normalize_bands, select_riesz
 from rieszforge import gram
 from rieszforge.cli import main
-from rieszforge.gram import _section, _solved_gram
+from rieszforge.gram import _solved_gram
 from rieszforge.torus import centered_interval_coefficient, interval_coefficient
 
 import coefficient_oracle as oracle
@@ -439,9 +439,9 @@ def test_real_section_matches_scalar_oracle_bitwise(pts, bands):
 
 
 def test_wide_gram_evaluates_its_table_in_chunks():
-    # the peak may hold the output, one n x n int64 array (the differences, then
-    # their table positions), the unique keys and their values, and one chunk of
-    # the coefficient formulas' temporaries; the whole table at once adds ~20 MB
+    # the peak may hold the output, one n x n int64 array (the differences, sorted
+    # in place), the unique keys and their values, and one chunk of the
+    # coefficient formulas' temporaries; the whole table at once adds ~20 MB
     rng = np.random.default_rng(7)
     pts = rng.choice(np.arange(-10**6, 10**6 + 1), 1024, replace=False).tolist()
     s = normalize_bands([(0.3, 1.9), (3.0, 4.5)])
@@ -569,11 +569,7 @@ def test_almost_symmetric_sections_take_the_full_solve(bands, pts):
     s = normalize_bands(bands)
     assert not _point_symmetric(pts)
     cert = certify(pts, s, threshold=1e-3, schedule=(len(pts),))
-    if s.is_arc():
-        g = _section(pts, lambda m: centered_interval_coefficient(s.measure, m), float)
-    else:
-        g = _section(pts, s.fourier_coefficient, complex)
-    assert cert.bounds == (extreme_eigs(g),)
+    assert cert.bounds == (extreme_eigs(_solved_gram(pts, s)),)
     assert cert.bounds[0].solver == ("real-symmetric" if s.is_arc() else "hermitian")
 
 
@@ -586,3 +582,61 @@ def test_folded_tol_uses_the_full_section_size(bands):
     want = 801 * np.finfo(float).eps * max(abs(b.lambda_min), abs(b.lambda_max), 1.0)
     assert want > 1e-12
     assert b.tol == want
+
+
+def _folds_cut_from_the_gram(g):
+    """The folded parts cut from the whole section's quadrants: the oracle for
+    the folds that _section_bounds gathers from the coefficient table."""
+    n = len(g)
+    m, h = n // 2, n - n // 2
+    a, bj = g[:m, :m], g[:m, ::-1][:, :m]
+    plus, k = np.empty((h, h)), np.empty((h, m))
+    np.add(a.real, bj.real, out=plus[:m, :m])
+    np.subtract(bj.imag, a.imag, out=k[:m])
+    minus = a.real - bj.real
+    if h > m:
+        x = math.sqrt(2.0) * g[:m, m]
+        plus[m, :m] = plus[:m, m] = x.real
+        plus[m, m] = g[m, m].real
+        k[m] = x.imag
+    return [plus, minus] if np.isrealobj(g) else [np.block([[plus, k], [k.T, minus]])]
+
+
+# 301 and 300 points span several gather blocks; the far pairs take the unique-difference table
+FOLD_TABLE_SETS = [list(range(-900, 901, 6)), list(range(-7, 1193, 4)),
+                   [-10**6, -3, 0, 3, 10**6], [-10**6, -3, 3, 10**6]]
+
+
+@pytest.mark.parametrize("bands", FOLD_SPECTRA, ids=["one-arc", "arc-across-zero", "two-arcs"])
+@pytest.mark.parametrize("pts", FOLD_TABLE_SETS, ids=["odd", "even", "unique-odd", "unique-even"])
+def test_folds_from_the_table_match_the_folds_cut_from_the_gram(monkeypatch, bands, pts):
+    s = normalize_bands(bands)
+    assert _point_symmetric(pts)
+    assert (gram._solved_table(pts, s)[1] is None) == (len(pts) > 5)  # the table kind covered
+    parts = []
+    monkeypatch.setattr(gram, "_bounds", lambda p, n, solver: parts.extend(p))
+    gram._section_bounds(pts, s)
+    want = _folds_cut_from_the_gram(_solved_gram(pts, s))
+    assert len(parts) == len(want)
+    for got, cut in zip(parts, want):
+        assert np.array_equal(oracle.bits(got), oracle.bits(cut))
+
+
+@pytest.mark.parametrize("bands, bound", [([(0.0, 0.6 * TWO_PI)], 0.6),
+                                          ([(0.3, 1.9), (3.0, 4.5)], 1.2)],
+                         ids=["one-arc", "two-arcs"])
+def test_folded_sections_never_build_the_whole_gram(bands, bound):
+    # the folded parts take 4 n^2 bytes on one arc and 8 n^2 on several, against
+    # 8 n^2 and 16 n^2 for the whole section; the gather blocks add a few percent.
+    # tracemalloc sees numpy's arrays, not the LAPACK workspace inside eigvalsh
+    s, n = normalize_bands(bands), 1024
+    pts = list(range(-n + 1, n, 2))
+    gram._section_bounds(pts[:64], s)  # first-call allocations out of the measurement
+    tracemalloc.start()
+    try:
+        b = gram._section_bounds(pts, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert b.solver == ("centrosymmetric-split" if s.is_arc() else "centrohermitian-real")
+    assert peak <= bound * 8 * n * n
