@@ -9,7 +9,11 @@ so a certificate is evidence, never a proof.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +38,10 @@ _ROW_BLOCK = 64  # rows per block of the Hermiticity check
 _GATHER_ENTRIES = 2**14  # entries per block of the table gather
 _TABLE_CHUNK = 8192  # frequencies per coefficient call: bounds the formulas' temporaries
 _HERMITIAN_TOL = 1e-12  # Hermiticity residual allowed, relative to the largest entry
+# smallest part the two-stage drivers solve: eigvalsh is faster below (tests/two_stage_sweep.py)
+_TWO_STAGE_MIN_N = {np.dtype(np.float64): 896, np.dtype(np.complex128): 384}
+_LAPACK_COL_MAJOR = 102
+_BLAS_PIN = threading.Lock()  # held while the OpenBLAS thread count is pinned
 
 FINITE_SECTION_NOTE = (
     "finite sections bound the infinite system's lower Riesz constant from "
@@ -44,15 +52,17 @@ FINITE_SECTION_NOTE = (
 
 @dataclass(frozen=True)
 class BoundsEstimate:
-    """Extreme eigenvalues of one Hermitian section, their accuracy, and the
+    """Extreme eigenvalues of one Hermitian section, their accuracy, the
     solver (see _bounds): "real-symmetric" or "hermitian" for a full solve,
     "centrosymmetric-split" or "centrohermitian-real" for a folded
-    point-symmetric section (see _section_bounds)."""
+    point-symmetric section (see _section_bounds), and the driver: "two-stage"
+    if any part took it (see _two_stage), else "eigvalsh"."""
 
     lambda_min: float
     lambda_max: float
     tol: float
     solver: str
+    driver: str
 
 
 def build_gram(points, spectrum, normalized: bool = False) -> np.ndarray:
@@ -203,19 +213,85 @@ def extreme_eigs(h: np.ndarray) -> BoundsEstimate:
     eigensolver's achieved accuracy, n*eps*max|lambda|, and is at least 1e-12.
     """
     h = _check_hermitian(h)
-    return _bounds([h], len(h))
+    return _bounds([h.copy()], len(h))
+
+
+@functools.cache
+def _openblas() -> dict:
+    """The two-stage drivers by dtype and the thread count's "get" and "set" of
+    numpy's OpenBLAS, less any symbol the build lacks (MKL, Accelerate, Windows)."""
+    from numpy.linalg import _umath_linalg
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return {}
+    c = ctypes  # LAPACKE(layout, jobz, uplo, n, a, lda, w) with 64-bit lapack_int
+    lapacke = (c.c_int64, c.c_int, c.c_char, c.c_char, c.c_int64, c.c_void_p, c.c_int64, c.c_void_p)
+    found = {}
+    for key, name, (restype, *argtypes) in (
+            (np.dtype(np.float64), "LAPACKE_dsyevd_2stage64_", lapacke),
+            (np.dtype(np.complex128), "LAPACKE_zheevd_2stage64_", lapacke),
+            ("get", "openblas_get_num_threads64_", (c.c_int,)),
+            ("set", "openblas_set_num_threads64_", (None, c.c_int))):
+        if (fn := getattr(lib, "scipy_" + name, None)) is not None:
+            fn.restype, fn.argtypes = restype, argtypes
+            found[key] = fn
+    return found
+
+
+def _two_stage(a):
+    """The two-stage driver for a square, C-ordered, aligned and writable a of
+    at least _TWO_STAGE_MIN_N[a.dtype] rows, or None."""
+    n = len(a)
+    if a.shape != (n, n) or n < _TWO_STAGE_MIN_N.get(a.dtype, math.inf) or not a.flags.carray:
+        return None
+    return _openblas().get(a.dtype)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, one Python thread at a time, and
+    restore the count; where "get" or "set" is missing, leave it alone."""
+    blas = _openblas()
+    get, put = blas.get("get"), blas.get("set")
+    with _BLAS_PIN:
+        threads = get() if get and put else 1
+        if threads != 1:
+            put(1)
+        try:
+            yield
+        finally:
+            if threads != 1:
+                put(threads)
 
 
 def _bounds(parts, n: int, solver: str | None = None) -> BoundsEstimate:
     """Bounds of an n x n section from its Hermitian parts, the package's one
     eigenvalue solve: the extremes over every part, tol = max(n*eps*max|lambda|,
-    1e-12), and solver by the first part's dtype unless given."""
-    w = [np.linalg.eigvalsh(p) for p in parts]
+    1e-12), and solver by the first part's dtype unless given.  The parts are
+    used up: a part that takes the two-stage driver (see _two_stage) is
+    overwritten, so callers pass arrays they own.  Solves run on one BLAS
+    thread, so their bits do not depend on the thread count."""
+    w, routes = [], set()
+    with _one_blas_thread():
+        for a in parts:
+            driver = _two_stage(a)
+            routes.add("eigvalsh" if driver is None else "two-stage")
+            if driver is None:
+                w.append(np.linalg.eigvalsh(a))
+                continue
+            w.append(np.empty(len(a)))
+            # C-ordered a read column-major is conj(a), which has a's eigenvalues
+            info = driver(_LAPACK_COL_MAJOR, b"N", b"L", len(a), a.ctypes.data, len(a),
+                          w[-1].ctypes.data)
+            if info:
+                raise np.linalg.LinAlgError(f"two-stage eigensolve failed: info {info}")
     lo, hi = min(v[0] for v in w), max(v[-1] for v in w)
     solver = solver or ("real-symmetric" if np.isrealobj(parts[0]) else "hermitian")
     achieved = n * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0)
     return BoundsEstimate(lambda_min=float(lo), lambda_max=float(hi),
-                          tol=float(max(achieved, _HERMITIAN_TOL)), solver=solver)
+                          tol=float(max(achieved, _HERMITIAN_TOL)), solver=solver,
+                          driver=max(routes))  # "two-stage" > "eigvalsh"
 
 
 def _section_bounds(points, spectrum) -> BoundsEstimate:
@@ -283,7 +359,7 @@ def dual_system(h: np.ndarray) -> np.ndarray:
     between min and max.  Raises on singular or indefinite input.
     """
     h = _check_hermitian(h)
-    b = _bounds([h], len(h))
+    b = _bounds([h.copy()], len(h))  # inv needs h after the solve
     floor = max(len(h) * np.finfo(float).eps * max(abs(b.lambda_max), 1.0), 0.0)
     if b.lambda_min <= floor:
         raise ValueError(f"matrix is singular or indefinite: lambda_min={b.lambda_min:.3e}")

@@ -202,18 +202,26 @@ def test_select_refuses_a_window_short_of_one_block_before_the_gram(capsys, monk
 
 
 def test_every_eigensolve_runs_in_gram_bounds(capsys, monkeypatch):
+    from rieszforge import gram
+
     callers = set()
-    eigvalsh = np.linalg.eigvalsh
 
-    def traced(a, *args, **kwargs):
-        frame = sys._getframe(1)
-        while frame.f_code.co_name.startswith("<"):  # <listcomp>, <genexpr>
-            frame = frame.f_back
-        callers.add(f"{frame.f_globals['__name__']}.{frame.f_code.co_name}")
-        return eigvalsh(a, *args, **kwargs)
+    def tracer(route, solve):
+        def traced(*args, **kwargs):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):  # <listcomp>, <genexpr>
+                frame = frame.f_back
+            callers.add((route, f"{frame.f_globals['__name__']}.{frame.f_code.co_name}"))
+            return solve(*args, **kwargs)
+        return traced
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", traced)
+    two_stage = gram._two_stage
+    monkeypatch.setattr(np.linalg, "eigvalsh", tracer("eigvalsh", np.linalg.eigvalsh))
+    # the lookup hands back a traced driver, so the caller seen is the one that calls it
+    monkeypatch.setattr(gram, "_two_stage",
+                        lambda a: (driver := two_stage(a)) and tracer("two-stage", driver))
     two_arcs = ["--bands", "[[0.0, 0.2], [0.5, 0.7]]"]
+    box = ["--boxes", "[[[0.0, 0.5], [0.0, 0.5]]]"]
     for argv in (
         ["certify", "--measure", "0.5", "--step", "2", "--window", "100", "--schedule", "16,33"],
         ["certify", *two_arcs, "--step", "1", "--window", "100", "--schedule", "16,33"],
@@ -222,12 +230,14 @@ def test_every_eigensolve_runs_in_gram_bounds(capsys, monkeypatch):
         ["select", *two_arcs, "--mode", "bessel", "--window", "16", "--trials", "50"],
         ["select", "--bands", "[[0.0, 1.0]]", "--mode", "tight", "--r", "4", "--window", "16",
          "--trials", "50"],
-        ["partition", "--dim", "2", "--r", "2", "--window", "8",
-         "--boxes", "[[[0.0, 0.5], [0.0, 0.5]]]"],
+        ["partition", "--dim", "2", "--r", "2", "--window", "8", *box],
+        # a 392-point complex box Gram, above the complex minimum: the two-stage route
+        ["partition", "--dim", "2", "--r", "2", "--window", "28", *box],
     ):
         assert main(argv) in (0, 2, 3), argv
     capsys.readouterr()
-    assert callers == {"rieszforge.gram._bounds"}
+    assert {caller for _, caller in callers} == {"rieszforge.gram._bounds"}
+    assert {route for route, _ in callers} == {"eigvalsh", "two-stage"}
 
 
 @pytest.mark.parametrize("argv, cells", [
@@ -420,6 +430,30 @@ def test_select_stdout_does_not_depend_on_blas_threads():
         assert proc.returncode == 3, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    # a constructed one-arc set: its n = 1024 section is solved whole and real
+    ["certify", "--measure", "0.45", "--schedule", "256,1024"],
+    # a two-arc progression: folded real solves of n = 64, 256 and 1024
+    ["certify", "--bands", "[[0.0, 0.2], [0.5, 0.7]]", "--step", "3", "--window", "3072",
+     "--schedule", "64,256,1024"],
+    # a 648-point complex box Gram
+    ["partition", "--dim", "2", "--r", "2", "--window", "36",
+     "--boxes", "[[[0.0, 0.5], [0.0, 0.5]]]"],
+], ids=["certify-real-1024", "certify-step-two-arcs", "partition-boxes"])
+def test_eigensolve_stdout_does_not_depend_on_blas_threads(argv):
+    # gram._bounds pins every solve to one BLAS thread; unpinned, eigvalsh and
+    # the complex two-stage driver move the extremes' last digits at 2 threads
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=PACKAGE_ROOT)
+        proc = subprocess.run([sys.executable, "-m", "rieszforge.cli", *argv],
+                              capture_output=True, env=env, timeout=120)
+        assert proc.returncode in (0, 2, 3), proc.stderr
+        digests.append(hashlib.sha256(proc.stdout).hexdigest())
+    assert digests[0] == digests[1]
 
 
 SCIPY_PROBE = """

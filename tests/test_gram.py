@@ -2,8 +2,12 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -640,3 +644,143 @@ def test_folded_sections_never_build_the_whole_gram(bands, bound):
         tracemalloc.stop()
     assert b.solver == ("centrosymmetric-split" if s.is_arc() else "centrohermitian-real")
     assert peak <= bound * 8 * n * n
+
+
+# ------------------------------------------------------- two-stage drivers --
+
+REAL, COMPLEX = np.dtype(np.float64), np.dtype(np.complex128)
+# the sizes from which the two-stage drivers beat eigvalsh (tests/two_stage_sweep.py)
+MINIMUM = {REAL: 896, COMPLEX: 384}
+TWO_STAGE = pytest.mark.skipif(not {REAL, COMPLEX} <= set(gram._openblas()),
+                               reason="numpy's LAPACK exports no two-stage drivers")
+
+
+def _random_hermitian(n, dtype, seed=0):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    if dtype == COMPLEX:
+        a = a + 1j * rng.standard_normal((n, n))
+    return a + a.conj().T
+
+
+def _fold_part(n, bands):
+    """The first folded part _section_bounds solves for n points of a progression."""
+    parts = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gram, "_bounds", lambda p, size, solver: parts.extend(p))
+        gram._section_bounds(list(range(-(n - 1), n, 2)), normalize_bands(bands))
+    return parts[0]
+
+
+def _box_gram(n):
+    pts = [(x, y) for x in range(24) for y in range(24)][:n]
+    return build_gram(pts, BoxSet(boxes=(((0.0, 3.0), (0.0, 3.0)), ((3.5, 5.0), (1.0, 6.0)))),
+                      normalized=True)
+
+
+# each builds a matrix of exactly n rows: random, a one-arc fold (plus has
+# (n+1)//2 rows for n points), the two-arc centrohermitian-real fold, a box Gram
+TWO_STAGE_CASES = {
+    "random-real": (REAL, lambda n: _random_hermitian(n, REAL)),
+    "random-complex": (COMPLEX, lambda n: _random_hermitian(n, COMPLEX)),
+    "one-arc-fold": (REAL, lambda n: _fold_part(2 * n - 1, [(0.5, 2.6)])),
+    "two-arc-fold": (REAL, lambda n: _fold_part(n, [(0.3, 1.9), (3.0, 4.5)])),
+    "box-gram": (COMPLEX, _box_gram),
+}
+
+
+@TWO_STAGE
+@pytest.mark.parametrize("below", [True, False], ids=["below-minimum", "at-minimum"])
+@pytest.mark.parametrize("case", TWO_STAGE_CASES)
+def test_two_stage_extremes_match_eigvalsh(monkeypatch, case, below):
+    dtype, build = TWO_STAGE_CASES[case]
+    n = MINIMUM[dtype] - below
+    a = build(n)
+    assert a.shape == (n, n) and a.dtype == dtype
+    w = np.linalg.eigvalsh(a)
+    routed = gram._bounds([a.copy()], n)
+    assert routed.driver == ("eigvalsh" if below else "two-stage")
+    monkeypatch.setattr(gram, "_TWO_STAGE_MIN_N", {REAL: 0, COMPLEX: 0})
+    forced = gram._bounds([a.copy()], n)
+    assert forced.driver == "two-stage"
+    tol = n * np.finfo(float).eps * np.abs(w).max()
+    assert abs(forced.lambda_min - w[0]) <= tol and abs(forced.lambda_max - w[-1]) <= tol
+
+
+@pytest.mark.parametrize("lookup", ["no-driver", "no-symbols"])
+@pytest.mark.parametrize("dtype", [REAL, COMPLEX], ids=["real", "complex"])
+def test_without_the_driver_bounds_are_eigvalsh_bit_for_bit(monkeypatch, lookup, dtype):
+    n = MINIMUM[dtype]
+    a = _random_hermitian(n, dtype, seed=1)
+    if lookup == "no-driver":
+        with gram._one_blas_thread():  # as _bounds runs it
+            w = np.linalg.eigvalsh(a)
+        monkeypatch.setattr(gram, "_two_stage", lambda a: None)
+    else:  # a build without the OpenBLAS symbols: no driver, and no thread pin
+        w = np.linalg.eigvalsh(a)
+        monkeypatch.setattr(gram, "_openblas", dict)
+    b = gram._bounds([a], n)
+    assert b.driver == "eigvalsh"
+    assert np.array_equal([b.lambda_min, b.lambda_max], w[[0, -1]])
+
+
+@TWO_STAGE
+@pytest.mark.parametrize("dtype", [REAL, COMPLEX], ids=["real", "complex"])
+def test_public_solvers_leave_the_callers_matrix_alone(dtype):
+    n = MINIMUM[dtype]
+    x = _random_hermitian(n, dtype, seed=2)
+    h = x @ x.conj().T / n + np.eye(n)  # positive definite
+    kept = h.copy()
+    assert extreme_eigs(h).driver == "two-stage"
+    assert np.array_equal(h, kept)
+    inv = np.linalg.inv(kept)
+    assert np.array_equal(dual_system(h), (inv + inv.conj().T) / 2.0)
+    assert np.array_equal(h, kept)
+
+
+@TWO_STAGE
+def test_a_failed_two_stage_solve_raises(monkeypatch):
+    n = MINIMUM[REAL]
+    a = np.eye(n)
+    a[5, 3] = a[3, 5] = np.nan  # refused by the driver's input check
+    with pytest.raises(np.linalg.LinAlgError, match="info"):
+        gram._bounds([a], n)
+    monkeypatch.setattr(gram, "_two_stage", lambda a: lambda *args: 1)
+    with pytest.raises(np.linalg.LinAlgError, match="info 1"):
+        gram._bounds([np.eye(n)], n)
+
+
+IN_PLACE_PROBE = """
+from rieszforge import gram, normalize_bands
+
+def peak():  # VmHWM, this image's own peak RSS; ru_maxrss keeps the forking parent's
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) * 1024
+
+n, s = 2048, normalize_bands([(0.5, 2.6)])
+gram._bounds([gram._solved_gram(range(1024), s)], 1024)  # first-call buffers
+a = gram._solved_gram(range(n), s)
+before = peak()
+b = gram._bounds([a], n)
+print(b.driver, (peak() - before) / a.nbytes)
+"""
+
+
+@TWO_STAGE
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's VmHWM")
+def test_two_stage_solves_in_place():
+    # eigvalsh, or a row-major driver call, copies the matrix and grows the
+    # peak RSS by about its size; the in-place driver adds only its workspace
+    env = dict(os.environ, PYTHONPATH=str(Path(gram.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", IN_PLACE_PROBE], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    driver, grown = proc.stdout.split()
+    assert driver == "two-stage"
+    assert float(grown) < 0.5
+
+
+def test_scipy_openblas_numpy_resolves_every_symbol():
+    if np.__config__.CONFIG["Build Dependencies"]["lapack"]["name"] != "scipy-openblas":
+        pytest.skip("numpy is not built on scipy-openblas")
+    assert set(gram._openblas()) == {REAL, COMPLEX, "get", "set"}
