@@ -28,7 +28,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .gram import _bounds, _check_hermitian, dual_system
+from .gram import _bounds, _check_hermitian, _cholesky_factors, dual_system
 from .quadfield import integers
 
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
@@ -247,8 +247,8 @@ def _search(gram: np.ndarray, blocks: tuple, config: SelectorConfig,
     lengths = np.array([len(b) for b in blocks])
     table = np.array([list(b) + [0] * (lengths.max() - len(b)) for b in blocks])
     rows, diag = np.arange(n), np.real(np.diagonal(gram))
-    # negation is exact: blocks of signed are sign * A bit for bit
-    signed, goal = (-gram, target) if objective == "bessel" else (gram, -target)
+    # sign * gram^T, C-ordered: the .T of a block of it is sign * A, bit for bit, Fortran-ordered
+    signed, goal = (-gram.T.copy(), target) if objective == "bessel" else (gram.T.copy(), -target)
     best = None
     for t in range(config.max_trials):
         if t % _CHUNK == 0:
@@ -260,9 +260,7 @@ def _search(gram: np.ndarray, blocks: tuple, config: SelectorConfig,
             margin = 4 * n * n * _EPS * (float(diag[idx].sum()) + abs(best_q)) + _TINY
             shifted = signed.take(idx, 0).take(idx, 1)
             shifted.ravel()[::n + 1] += max(best_q - 2 * margin, goal + margin)
-            try:
-                np.linalg.cholesky(shifted)
-            except np.linalg.LinAlgError:
+            if not _cholesky_factors(shifted.T):
                 continue
         b = _bounds([gram.take(idx, 0).take(idx, 1)], n)
         lmin, lmax = b.lambda_min, b.lambda_max

@@ -218,8 +218,8 @@ def extreme_eigs(h: np.ndarray) -> BoundsEstimate:
 
 @functools.cache
 def _openblas() -> dict:
-    """The two-stage drivers by dtype and the thread count's "get" and "set" of
-    numpy's OpenBLAS, less any symbol the build lacks (MKL, Accelerate, Windows)."""
+    """Symbols of numpy's OpenBLAS, less any the build lacks (MKL, Accelerate, Windows):
+    two-stage drivers by dtype, ?potrf by ("potrf", dtype), thread count "get", "set"."""
     from numpy.linalg import _umath_linalg
     try:
         lib = ctypes.CDLL(_umath_linalg.__file__)
@@ -227,10 +227,13 @@ def _openblas() -> dict:
         return {}
     c = ctypes  # LAPACKE(layout, jobz, uplo, n, a, lda, w) with 64-bit lapack_int
     lapacke = (c.c_int64, c.c_int, c.c_char, c.c_char, c.c_int64, c.c_void_p, c.c_int64, c.c_void_p)
+    potrf = lapacke[:3] + lapacke[4:7]  # (layout, uplo, n, a, lda): no jobz, no w
     found = {}
     for key, name, (restype, *argtypes) in (
             (np.dtype(np.float64), "LAPACKE_dsyevd_2stage64_", lapacke),
             (np.dtype(np.complex128), "LAPACKE_zheevd_2stage64_", lapacke),
+            (("potrf", np.dtype(np.float64)), "LAPACKE_dpotrf_work64_", potrf),
+            (("potrf", np.dtype(np.complex128)), "LAPACKE_zpotrf_work64_", potrf),
             ("get", "openblas_get_num_threads64_", (c.c_int,)),
             ("set", "openblas_set_num_threads64_", (None, c.c_int))):
         if (fn := getattr(lib, "scipy_" + name, None)) is not None:
@@ -246,6 +249,19 @@ def _two_stage(a):
     if a.shape != (n, n) or n < _TWO_STAGE_MIN_N.get(a.dtype, math.inf) or not a.flags.carray:
         return None
     return _openblas().get(a.dtype)
+
+
+def _cholesky_factors(a) -> bool:
+    """Whether Cholesky completes on the lower triangle of a: by np.linalg.cholesky, or by
+    its own LAPACK call, ?potrf "L", in place if a is Fortran-ordered, aligned and writable."""
+    potrf = _openblas().get(("potrf", a.dtype)) if a.T.flags.carray else None
+    if potrf is not None:  # a is overwritten
+        return potrf(_LAPACK_COL_MAJOR, b"L", len(a), a.ctypes.data, len(a)) == 0
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @contextlib.contextmanager
@@ -363,7 +379,8 @@ def dual_system(h: np.ndarray) -> np.ndarray:
     floor = max(len(h) * np.finfo(float).eps * max(abs(b.lambda_max), 1.0), 0.0)
     if b.lambda_min <= floor:
         raise ValueError(f"matrix is singular or indefinite: lambda_min={b.lambda_min:.3e}")
-    inv = np.linalg.inv(h)
+    with _one_blas_thread():  # so the bits do not depend on the thread count
+        inv = np.linalg.inv(h)
     return (inv + inv.conj().T) / 2.0
 
 

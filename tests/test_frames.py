@@ -8,7 +8,7 @@ import pytest
 
 import rieszforge
 from rieszforge import BlockSystem, SelectorConfig, build_gram, \
-    complete_to_parseval_small, dual_system, frames, \
+    complete_to_parseval_small, dual_system, frames, gram, \
     naimark_complement, normalize_bands, pair_bessel_bound, predicted_bessel_bound, \
     select_bessel, select_riesz, select_tight, stabilize
 from rieszforge.gram import _solved_gram
@@ -614,9 +614,9 @@ def test_search_matches_oracle_across_chunk_boundaries(monkeypatch, objective, s
 
     def fail(b):
         shifted.append(b.copy())
-        raise np.linalg.LinAlgError
+        return False
 
-    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    monkeypatch.setattr(frames, "_cholesky_factors", fail)
     config = SelectorConfig(master_seed=5, max_trials=130)
     frames._search(g, blocks, config, objective, unmet, stage)
     sign, off = (1.0 if objective == "riesz" else -1.0), ~np.eye(len(blocks), dtype=bool)
@@ -624,6 +624,31 @@ def test_search_matches_oracle_across_chunk_boundaries(monkeypatch, objective, s
     assert len(shifted) == len(picks) == 129
     for b, p in zip(shifted, picks):
         assert np.array_equal(b[off], sign * g[np.ix_(p, p)][off])
+
+
+@pytest.mark.parametrize("stage", [None, 2])
+@pytest.mark.parametrize("objective", ["riesz", "bessel"])
+def test_search_without_potrf_is_bit_identical(monkeypatch, objective, stage):
+    # a build without the ?potrf symbols screens with np.linalg.cholesky; only
+    # which trials reach the eigensolve may differ, never the result
+    g = _random_gram(8, 10, 24, scale=0.3)
+    blocks = BlockSystem.intervals(range(24), 3).blocks
+    config = SelectorConfig(master_seed=5, max_trials=130)
+    unmet = 1e3 if objective == "riesz" else -1.0
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda b: calls.append(1) or cholesky(b))
+    with_potrf = frames._search(g, blocks, config, objective, unmet, stage)
+    target = with_potrf[1] if objective == "riesz" else with_potrf[2]
+    met = frames._search(g, blocks, config, objective, target, stage)
+    potrf = {("potrf", np.dtype(np.float64)), ("potrf", np.dtype(np.complex128))}
+    uses_potrf = potrf <= set(gram._openblas())
+    assert not calls or not uses_potrf
+    openblas = {k: v for k, v in gram._openblas().items() if k not in potrf}
+    monkeypatch.setattr(gram, "_openblas", lambda: openblas)
+    assert frames._search(g, blocks, config, objective, unmet, stage) == with_potrf
+    assert frames._search(g, blocks, config, objective, target, stage) == met
+    assert met[4] and not with_potrf[4] and len(calls) >= 129
 
 
 @pytest.mark.parametrize("bands, window, objective, target, trials", [

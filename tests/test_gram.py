@@ -270,6 +270,31 @@ def test_dual_system_reciprocity_and_involution():
     assert np.abs(dual_system(d) - g).max() < 1e-8
 
 
+DUAL_PROBE = """
+import hashlib
+from rieszforge import build_gram, dual_system, normalize_bands
+
+n = 256
+g = build_gram(range(0, 3 * n, 3), normalize_bands([(0.0, 5.5)]), normalized=True)
+print(hashlib.sha256(dual_system(g).tobytes()).hexdigest())
+"""
+
+
+def test_dual_system_does_not_depend_on_blas_threads():
+    # unpinned, np.linalg.inv gives other bits at 2 threads from n = 256 on;
+    # select --mode tight searches its stage 3 on dual_system's output
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(gram.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", DUAL_PROBE], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
+
+
 def test_dual_system_rejects_singular():
     g = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(ValueError):
@@ -733,7 +758,8 @@ def test_public_solvers_leave_the_callers_matrix_alone(dtype):
     kept = h.copy()
     assert extreme_eigs(h).driver == "two-stage"
     assert np.array_equal(h, kept)
-    inv = np.linalg.inv(kept)
+    with gram._one_blas_thread():  # as dual_system runs it
+        inv = np.linalg.inv(kept)
     assert np.array_equal(dual_system(h), (inv + inv.conj().T) / 2.0)
     assert np.array_equal(h, kept)
 
@@ -783,4 +809,80 @@ def test_two_stage_solves_in_place():
 def test_scipy_openblas_numpy_resolves_every_symbol():
     if np.__config__.CONFIG["Build Dependencies"]["lapack"]["name"] != "scipy-openblas":
         pytest.skip("numpy is not built on scipy-openblas")
-    assert set(gram._openblas()) == {REAL, COMPLEX, "get", "set"}
+    assert set(gram._openblas()) == {REAL, COMPLEX, ("potrf", REAL), ("potrf", COMPLEX),
+                                     "get", "set"}
+
+
+# ---------------------------------------------------------- Cholesky screen --
+
+POTRF = pytest.mark.skipif(not {("potrf", REAL), ("potrf", COMPLEX)} <= set(gram._openblas()),
+                           reason="numpy's LAPACK exports no ?potrf")
+
+
+def _numpy_factors(a):
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 200])
+@pytest.mark.parametrize("dtype", [REAL, COMPLEX], ids=["real", "complex"])
+def test_cholesky_screen_matches_numpy(n, dtype):
+    # README, select, step 4: Cholesky completes once lambda_min exceeds about
+    # 2 n(n+1) u times the largest diagonal entry.  Shifts a hundred times
+    # that past lambda_min on either side must factor or fail; shifts of a few
+    # ulps of the norm either side, where rounding decides, get numpy's
+    # verdict, since the screen makes numpy's own LAPACK call
+    for seed in range(3):
+        a = _random_hermitian(n, dtype, seed)
+        w = np.linalg.eigvalsh(a)
+        norm = float(np.abs(w).max())
+        clear = 100 * 2 * n * (n + 1) * np.finfo(float).eps / 2 * (norm + abs(w[0]))
+        for shift, factors in ((clear, True), (-clear, False), *((k * norm * 1e-16, None)
+                                                               for k in range(-20, 21, 4))):
+            b = a - (w[0] - shift) * np.eye(n)
+            expected = _numpy_factors(b)
+            assert expected == factors or factors is None
+            assert gram._cholesky_factors(np.asfortranarray(b)) == expected
+
+
+@pytest.mark.parametrize("dtype", [REAL, COMPLEX], ids=["real", "complex"])
+def test_cholesky_screen_reads_only_the_lower_triangle(dtype):
+    n = 64
+    a = _random_hermitian(n, dtype, seed=4)
+    w = np.linalg.eigvalsh(a)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    for shift in (w[0] - 1.0, w[0] + 1.0):
+        b = a - shift * np.eye(n)
+        verdict = _numpy_factors(b)
+        for junk in (np.nan, 1e300, 0.0):
+            for order in ("F", "C"):  # the potrf route and the fallback
+                c = np.array(b, order=order)
+                c[upper] = junk
+                assert gram._cholesky_factors(c) == verdict
+
+
+@POTRF
+@pytest.mark.parametrize("dtype", [REAL, COMPLEX], ids=["real", "complex"])
+def test_cholesky_screen_takes_potrf_only_in_fortran_order_and_writable(monkeypatch, dtype):
+    n = 64
+    x = _random_hermitian(n, dtype, seed=5)
+    a = x @ x.conj().T + np.eye(n)  # positive definite
+    lower = np.linalg.cholesky(a)
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(1) or cholesky(m))
+    f = np.asfortranarray(a)
+    assert gram._cholesky_factors(f) and not calls
+    # in place: the lower triangle now holds numpy's factor
+    assert np.allclose(np.tril(f), lower, rtol=0, atol=1e-12 * np.abs(lower).max())
+    read_only = np.asfortranarray(a)
+    read_only.flags.writeable = False
+    strided = np.asfortranarray(np.kron(a, np.ones((2, 2))))[::2, ::2]
+    for m in (np.ascontiguousarray(a), read_only, strided):
+        assert np.array_equal(m, a)
+        calls.clear()
+        assert gram._cholesky_factors(m) and calls == [1]
+    assert np.array_equal(read_only, a)
