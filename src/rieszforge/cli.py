@@ -198,10 +198,10 @@ def cmd_certify(spec: argparse.Namespace) -> int:
     payload = {"certificate": cert.to_json()}
     if params is not None:
         payload["params"] = params.to_json()
-    _emit("certify", payload, spec.out)
-    if spec.csv:
+    if spec.csv:  # before _emit, so a failed write leaves stdout empty
         with open(spec.csv, "w") as fh:
             fh.write(cert.csv_text())
+    _emit("certify", payload, spec.out)
     return {"supported": EXIT_OK, "refuted": EXIT_REFUTED}.get(cert.verdict, EXIT_INCONCLUSIVE)
 
 
@@ -311,9 +311,8 @@ def cmd_partition(spec: argparse.Namespace) -> int:
         if box_set.dim != d:
             raise ValueError(f"--boxes dimension {box_set.dim} != --dim {d}")
         _check_gram_size(len(selector))
-        g = gramlib.build_gram(selector, box_set, normalized=True)
-        be = gramlib._bounds([g], len(g))  # _table builds g Hermitian bit for bit
-        payload["quality"] = {"lambda_min": be.lambda_min, "lambda_max": be.lambda_max}
+        be, vol = gramlib._section_bounds(selector, box_set), box_set.total_volume
+        payload["quality"] = {"lambda_min": be.lambda_min / vol, "lambda_max": be.lambda_max / vol}
 
     _emit("partition", payload, spec.out)
     ok = payload["section_gap_ok"] and payload["covering_ok"]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadfield import integers
+from .quadfield import integer_points, integers
 from .torus import MultibandSet, centered_interval_coefficient
 
 __all__ = [
@@ -70,8 +70,8 @@ def build_gram(points, spectrum, normalized: bool = False) -> np.ndarray:
 
     points is a sequence of ints (1-D) or of equal-length int tuples
     (multi-dim); spectrum is any object with total_volume and a
-    fourier_coefficient that maps an int array (1-D) or a (k, d) int array
-    (d-D) of frequencies to their values (a MultibandSet, or a BoxSet).  With
+    fourier_coefficient that maps a (k, d) int array of frequencies, one per
+    row, to their k values (a MultibandSet at d = 1, or a BoxSet).  With
     normalized=True the matrix is divided by the ambient volume, so the full
     integer lattice would give the identity.  Raises ValueError when the
     points are not integers or not all of one length, or when they or their
@@ -84,19 +84,18 @@ def build_gram(points, spectrum, normalized: bool = False) -> np.ndarray:
 
 
 def _solved_gram(points, spectrum) -> np.ndarray:
-    """The unnormalized Gram that certify and select solve (see _solved_table)."""
+    """The unnormalized Gram that _section_bounds and select solve (see _solved_table)."""
     return _gather(*_solved_table(points, spectrum))
 
 
 def _solved_table(points, spectrum):
-    """_table of the Gram that certify and select solve.
-
-    On one arc, the full torus included, the real R[j,k] = r(p_k - p_j) with
-    r the centered_interval_coefficient of the arc's length: R is D G D^H for
-    build_gram's G and a diagonal unitary D, so every principal submatrix of
-    R has the eigenvalues of G's.  On several arcs, build_gram's G.
+    """_table of the Gram that _section_bounds and select solve.  On one arc, the
+    full torus included, the real R[j,k] = r(p_k - p_j) with r the
+    centered_interval_coefficient of the arc's length: R is D G D^H for
+    build_gram's G and a diagonal unitary D, so every principal submatrix of R
+    has the eigenvalues of G's.  Otherwise (several arcs, a BoxSet), build_gram's G.
     """
-    if not spectrum.is_arc():
+    if not (isinstance(spectrum, MultibandSet) and spectrum.is_arc()):
         return _table(points, spectrum.fourier_coefficient, complex)
     return _table(points, lambda m: centered_interval_coefficient(spectrum.measure, m), float)
 
@@ -105,31 +104,19 @@ def _table(points, coefficient, dtype):
     """(vals, diffs, keys): the table of M[j,k] = coefficient(p_k - p_j), of the
     given dtype, and the points' keys; _gather(*_table(...)) builds M.
 
-    coefficient maps an int array (1-D points) or a (k, d) int array (d-D) of
-    frequencies to their values.  Points are coded to scalar keys by a balanced
-    mixed-radix code (radix 2*span+1 per axis, first axis most significant),
-    linear and injective on differences; a key's sign is that of the
-    difference's first nonzero component, so the non-negative keys are
-    evaluated, _TABLE_CHUNK per call, and each negative key takes the conjugate
-    of its mirror: M is Hermitian bit-for-bit.  If the largest key difference K
-    has K+1 <= n^2, vals holds every key in -K..K and diffs is None; wider
-    spans tabulate the sorted unique differences, diffs.
+    points are ints or d-tuples, read by integer_points, and keyed in their
+    order by a mixed-radix code of p - lo (radix 2*span+1 per axis, first axis
+    most significant): linear, and injective on differences and on sums of two
+    (see _section_bounds).  A key difference's sign is that of the first
+    nonzero component, so the non-negative differences are decoded to a (k, d)
+    array, d = 1 included, and evaluated by coefficient, _TABLE_CHUNK per call;
+    each negative one takes the conjugate of its mirror: M is Hermitian
+    bit-for-bit.  If the largest key difference K has K+1 <= n^2, vals holds
+    every difference in -K..K and diffs is None; wider spans tabulate the
+    sorted unique differences, diffs.
     """
-    points = list(points)
-    if not points:
-        raise ValueError("empty point set")
-    n, vector = len(points), np.ndim(points[0]) > 0
-    try:  # a scalar among tuples raises TypeError, tuples of two lengths ValueError
-        (d,) = {len(p) for p in points} if vector else {1}
-    except (TypeError, ValueError):
-        raise ValueError("points must be all integers or all tuples of one length") from None
-    points = integers([x for p in points for x in p], "point coordinates") if vector \
-        else integers(points, "points")
-    try:
-        arr = np.array(points, dtype=np.int64).reshape(n, d)
-    except OverflowError:
-        raise ValueError("points do not fit in 64-bit integers") from None
-    lo = arr.min(axis=0)
+    arr = integer_points(points)
+    n, lo = len(arr), arr.min(axis=0)
     # spans, radices and strides in Python ints, so the range check cannot wrap
     spans = [int(b) - int(a) for a, b in zip(lo, arr.max(axis=0))]
     radix = [2 * s + 1 for s in spans]
@@ -152,7 +139,7 @@ def _table(points, coefficient, dtype):
     vals = np.empty(len(table), dtype=dtype)
     for i in range(mid, len(table), _TABLE_CHUNK):
         part = table[i:i + _TABLE_CHUNK]
-        vals[i:i + len(part)] = coefficient(_decode(part, strides) if vector else part)
+        vals[i:i + len(part)] = coefficient(_decode(part, strides))
     vals[:mid] = vals[:mid:-1].conj()
     return vals, diffs, keys
 
@@ -173,9 +160,9 @@ def _gather(vals, diffs, rows, cols=None) -> np.ndarray:
 
 
 def _decode(keys, strides) -> np.ndarray:
-    """The vectors that non-negative key differences code, one row each: from the
-    first axis on, each digit is the quotient by the axis's nonzero stride,
-    rounded so that the rest lies within half a stride of 0."""
+    """The vectors that non-negative key differences code, one row each (at d = 1,
+    the keys): from the first axis on, each digit is the quotient by the axis's
+    nonzero stride, rounded so that the rest lies within half a stride of 0."""
     out = np.zeros((len(keys), len(strides)), dtype=np.int64)
     for i, t in enumerate(strides):
         if t:
@@ -311,10 +298,13 @@ def _bounds(parts, n: int, solver: str | None = None) -> BoundsEstimate:
 
 
 def _section_bounds(points, spectrum) -> BoundsEstimate:
-    """Bounds of _solved_gram(points, spectrum), folded when it can be.
-
-    points are sorted.  If p_j + p_{n-1-j} is the same for every j, the
-    section G satisfies J G J = conj(G), J the exchange matrix.  With m = n//2,
+    """Bounds of _solved_gram(points, spectrum) for ints or d-tuples in any
+    order, folded when it can be.  G is taken in sorted key order (see _table),
+    the points' lexicographic order.  Each digit of p - lo lies in [0, span_i],
+    so a digit of the sum of two lies in [0, 2*span_i], below the radix: the
+    code is injective on sums, and keys_j + keys_{n-1-j} is the same for every
+    j exactly when p_j + p_{n-1-j} is, when the set is point-symmetric.  Then
+    G satisfies J G J = conj(G), J the exchange matrix.  With m = n//2,
     A[j,k] = G[j,k] and BJ[j,k] = G[j,n-1-k] for j, k < m, and x[j] = G[j,m],
     the unitary Q = [[I, iI], [J, -iJ]]/sqrt(2) (with a unit middle row and
     column when n is odd) takes G to the real symmetric Q^H G Q
@@ -330,14 +320,15 @@ def _section_bounds(points, spectrum) -> BoundsEstimate:
     never built: A and BJ are gathered from _solved_table a row block at a
     time, each folded entry is the one sum or difference of the same two table
     values that G's quadrants would give, and the blocks go straight into
-    their places.  Other point sets are solved whole by _bounds, without
-    extreme_eigs' Hermiticity check: _table builds G Hermitian bit for bit
-    from finite coefficients.
+    their places.  Other sections are gathered whole from the same table and
+    solved by _bounds, without extreme_eigs' Hermiticity check: _table builds
+    G Hermitian bit for bit from finite coefficients.
     """
-    n, ends = len(points), points[0] + points[-1]
-    if n < 2 or any(p + q != ends for p, q in zip(points, reversed(points))):
-        return _bounds([_solved_gram(points, spectrum)], n)
     vals, diffs, keys = _solved_table(points, spectrum)
+    keys, n = np.sort(keys), len(keys)
+    sums = keys + keys[::-1]  # in [0, 2^64 - 2], where int64's wrap-around is one to one
+    if n < 2 or np.any(sums != sums[0]):
+        return _bounds([_gather(vals, diffs, keys)], n)
     m, h = n // 2, n - n // 2  # h = m, plus the middle when n is odd
     real = np.isrealobj(vals)
     if real:
@@ -443,9 +434,8 @@ def certify(points, spectrum, threshold: float,
     single arc the Gram is a diagonal unitary conjugate of the real symmetric
     R[j,k] = r(p_k - p_j) (see centered_interval_coefficient), so R is solved
     instead ("real-symmetric"; "hermitian" on several arcs).  A point-symmetric
-    section, such as any cut from a progression, is folded into half-size
-    real solves ("centrosymmetric-split") on one arc and into one real solve
-    ("centrohermitian-real") on several; see _section_bounds.  Verdicts:
+    section, such as any cut from a progression, is folded; see _section_bounds.
+    Verdicts:
 
     * refuted      final lambda_min below refute_floor, 1e-6 of the ambient
                    volume -- the lower bound is numerically zero;
@@ -469,7 +459,7 @@ def certify(points, spectrum, threshold: float,
         raise ValueError(f"schedule needs {schedule[-1]} elements, have {len(elems)}")
     order = sorted(elems, key=lambda x: (abs(x), x))
 
-    bounds = [_section_bounds(sorted(order[:n]), spectrum) for n in schedule]
+    bounds = [_section_bounds(order[:n], spectrum) for n in schedule]
 
     if len(bounds) >= 2:
         prev, last = bounds[-2].lambda_min, bounds[-1].lambda_min

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadfield import integers
+from .quadfield import integer_points, integers
 from .quasicrystal import GapStats, gap_stats
 from .torus import MIN_ARC, RADIANS_PER_UNIT, TWO_PI, interval_coefficient, unit_keyed
 
@@ -151,22 +151,10 @@ def covering_radius(points, window: LatticeWindow) -> float:
     (cells/points)^(1/d)), which settles a one-per-cube selector in one pass;
     a pass costs O(d * B * cells) time and a few cell-sized grids of memory.
     """
-    pts = list(points)
-    if not pts:
-        raise ValueError("empty point set")
-    d, n, sides = window.dim, len(pts), window.side_lengths
-    vector = np.ndim(pts[0]) > 0
-    try:  # a scalar among tuples raises TypeError, tuples of two lengths ValueError
-        (k,) = {len(p) for p in pts} if vector else {1}
-    except (TypeError, ValueError):
-        raise ValueError("points must be all integers or all tuples of one length") from None
+    arr = integer_points(points)
+    (n, k), d, sides = arr.shape, window.dim, window.side_lengths
     if k != d:
         raise ValueError(f"points of dimension {k} in a {d}-D window")
-    coords = integers([x for p in pts for x in p] if vector else pts, "point coordinates")
-    try:
-        arr = np.array(coords, dtype=np.int64).reshape(n, d)
-    except OverflowError:
-        raise ValueError("points do not fit in 64-bit integers") from None
     low, high = arr.min(axis=0), arr.max(axis=0)
     if any(int(m) < a or int(h) > b for m, h, a, b in zip(low, high, window.lo, window.hi)):
         p = next(p for p in map(tuple, arr.tolist()) if not window.contains(p))

@@ -15,6 +15,8 @@ import math
 import operator
 from fractions import Fraction
 
+import numpy as np
+
 __all__ = ["QuadNum", "quad_sign"]
 
 _RationalLike = (int, Fraction)
@@ -39,6 +41,25 @@ def integers(values, what: str) -> tuple[int, ...]:
             x = n
         out.append(x)
     return tuple(out)
+
+
+def integer_points(points) -> np.ndarray:
+    """points, integers (1-D) or tuples of one length d, as an (n, d) int64 array;
+    ValueError on an empty, mixed or ragged set, or a bad or too large coordinate."""
+    points = list(points)
+    if not points:
+        raise ValueError("empty point set")
+    vector = np.ndim(points[0]) > 0
+    try:  # a scalar among tuples raises TypeError, tuples of two lengths ValueError
+        (d,) = {len(p) for p in points} if vector else {1}
+    except (TypeError, ValueError):
+        raise ValueError("points must be all integers or all tuples of one length") from None
+    coords = integers([x for p in points for x in p], "point coordinates") if vector \
+        else integers(points, "points")
+    try:
+        return np.array(coords, dtype=np.int64).reshape(len(points), d)
+    except OverflowError:
+        raise ValueError("points do not fit in 64-bit integers") from None
 
 
 def _is_square_free(d: int) -> bool:

@@ -16,6 +16,8 @@ from rieszforge import normalize_bands
 from rieszforge.cli import main
 from rieszforge.gram import _solved_gram
 
+import coefficient_oracle as oracle
+
 PACKAGE_ROOT = str(Path(rieszforge.__file__).resolve().parents[1])
 
 
@@ -75,6 +77,13 @@ def test_certify_csv(tmp_path, capsys):
     assert len(text.strip().split("\n")) == 3
 
 
+def test_certify_csv_write_failure_leaves_stdout_empty(tmp_path, capsys):
+    code, out = run(capsys, "certify", "--measure", "0.45", "--schedule", "16,32",
+                    "--csv", str(tmp_path / "missing" / "trace.csv"))
+    assert code == 1
+    assert out == ""
+
+
 def test_certify_explicit_points(capsys):
     code, obj = run_json(capsys, "certify", "--measure", "0.4",
                          "--points", json.dumps(list(range(0, 120, 3))),
@@ -119,6 +128,24 @@ def test_partition_with_boxes(capsys):
     assert obj["quality"]["lambda_max"] >= obj["quality"]["lambda_min"]
 
 
+@pytest.mark.parametrize("argv, boxes", [
+    (["--dim", "1", "--r", "3", "--window", "60"], [[[0.1, 0.55]], [[0.7, 0.8]]]),
+    (["--dim", "3", "--r", "2", "--window", "6"], [[[0, 0.45], [0.2, 0.7], [0, 0.5]]]),
+], ids=["dim1", "dim3"])
+def test_partition_boxes_quality_matches_an_independent_gram(capsys, argv, boxes):
+    code, obj = run_json(capsys, "partition", *argv, "--boxes", json.dumps(boxes))
+    assert code == 0
+    box_set = rieszforge.BoxSet.from_json(boxes)
+    cells = [tuple(c) for c in obj["selector"]]
+    # the closed-form coefficients, one entry at a time, normalized entrywise
+    g = np.array([[oracle.box(box_set, tuple(b - a for a, b in zip(p, q))) for q in cells]
+                  for p in cells]) / box_set.total_volume
+    w = np.linalg.eigvalsh(g)
+    tol = len(cells) * np.finfo(float).eps * w[-1]
+    assert abs(obj["quality"]["lambda_min"] - w[0]) <= tol
+    assert abs(obj["quality"]["lambda_max"] - w[-1]) <= tol
+
+
 def test_partition_boxes_of_another_dimension_exit_1(capsys):
     assert main(["partition", "--dim", "2", "--r", "3",
                  "--boxes", "[[[0, 0.5], [0, 0.5], [0, 0.5]]]"]) == 1
@@ -136,7 +163,7 @@ PARTITION_PINS = [
      [{"axis": 1, "max_section_gap": 4, "sections_under_two_points": 0}]),
     (["--dim", "2", "--r", "2", "--window", "6", "--seed", "1",
       "--boxes", "[[[0, 0.5], [0, 0.5]]]"],
-     1258, "03087d82e279703087af1fcd73cb69df90d5f30a7959d250c3d04bc68e2c07e6",
+     1258, "a7d06ac6d652ca992c9d403d8e5c723cfd75cfb4fa41b6748351c2c3f9f54e5b",
      [{"axis": 1, "max_section_gap": 5, "sections_under_two_points": 0},
       {"axis": 2, "max_section_gap": 3, "sections_under_two_points": 0}]),
     (["--dim", "3", "--r", "2", "--window", "4", "--seed", "0"],

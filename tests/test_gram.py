@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rieszforge import TWO_PI, BoxSet, build_gram, certify, construct_riesz_set, \
-    dual_system, extreme_eigs, normalize_bands, select_riesz
+from rieszforge import TWO_PI, BoxSet, LatticeWindow, build_gram, certify, \
+    construct_riesz_set, covering_radius, dual_system, extreme_eigs, normalize_bands, \
+    select_riesz
 from rieszforge import gram
 from rieszforge.cli import main
 from rieszforge.gram import _solved_gram
@@ -22,6 +23,8 @@ from rieszforge.torus import centered_interval_coefficient, interval_coefficient
 import coefficient_oracle as oracle
 
 HALF = normalize_bands([(0.0, math.pi)])  # S = [0, pi)
+# build_gram and covering_radius read points through one parser: each bad-point case runs through both
+LINE, PLANE = LatticeWindow(lo=(0,), hi=(6,)), LatticeWindow(lo=(0, 0), hi=(6, 6))
 
 
 def test_two_point_gram_closed_form():
@@ -99,8 +102,11 @@ def test_gram_entrywise_oracle(pts, spectrum):
 
 
 def test_gram_rejects_int64_overflow():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="points do not fit in 64-bit integers"):
         build_gram([0, 2**64], HALF)             # a point beyond int64
+    for bad, window in (([0, 2**64], LINE), ([(0, 0), (-2**63 - 1, 0)], PLANE)):
+        with pytest.raises(ValueError, match="points do not fit in 64-bit integers"):
+            covering_radius(bad, window)
     with pytest.raises(ValueError):
         build_gram([-2**62, 2**62], HALF)        # difference 2**63 would wrap
     with pytest.raises(ValueError):
@@ -132,6 +138,8 @@ def test_normalized_gram_is_the_gram_over_the_volume_bitwise(pts, spectrum):
 def test_gram_of_no_points_raises():
     with pytest.raises(ValueError, match="empty point set"):
         build_gram([], HALF)
+    with pytest.raises(ValueError, match="empty point set"):
+        covering_radius([], LINE)
 
 
 def test_extreme_eigs_rejects_non_hermitian():
@@ -178,14 +186,18 @@ def test_extreme_eigs_rejects_non_finite_entries(bad):
 
 
 def test_gram_rejects_non_integer_points():
-    with pytest.raises(ValueError, match="integers"):
-        build_gram([0, 1.7], HALF)
-    with pytest.raises(ValueError, match="integers"):
-        build_gram([(0, 0), (1, 0.5)], BoxSet(boxes=(((0.0, 1.0), (0.0, 1.0)),)))
-    with pytest.raises(ValueError):
-        build_gram([0, float("nan")], HALF)
-    with pytest.raises(ValueError, match="True"):
-        build_gram([0, True], HALF)
+    box = BoxSet(boxes=(((0.0, 1.0), (0.0, 1.0)),))
+    for parse_line, parse_plane in ((lambda p: build_gram(p, HALF), lambda p: build_gram(p, box)),
+                                    (lambda p: covering_radius(p, LINE),
+                                     lambda p: covering_radius(p, PLANE))):
+        with pytest.raises(ValueError, match="points must be integers, got 1.7"):
+            parse_line([0, 1.7])
+        with pytest.raises(ValueError, match="point coordinates must be integers, got 0.5"):
+            parse_plane([(0, 0), (1, 0.5)])
+        with pytest.raises(ValueError, match="nan"):
+            parse_line([0, float("nan")])
+        with pytest.raises(ValueError, match="True"):
+            parse_line([0, True])
     # integral values of any numeric type keep working
     want = build_gram([0, 1, 5], HALF)
     assert np.array_equal(build_gram([0.0, 1.0, 5.0], HALF), want)
@@ -201,19 +213,21 @@ def test_gram_rejects_non_integer_points():
                          ids=["ragged-2-1", "ragged-3-1", "mixed"])
 def test_gram_rejects_ragged_and_mixed_points(pts):
     box = BoxSet(boxes=(((0.0, 1.0), (0.0, 1.0)),))
-    with pytest.raises(ValueError, match="all integers or all tuples of one length") as err:
-        build_gram(pts, box)
-    assert "inhomogeneous" not in str(err.value)
+    for parse in (lambda p: build_gram(p, box), lambda p: covering_radius(p, PLANE)):
+        with pytest.raises(ValueError, match="all integers or all tuples of one length") as err:
+            parse(pts)
+        assert "inhomogeneous" not in str(err.value)
 
 
 def test_tuple_points_refuse_bools_and_fractions():
     box = BoxSet(boxes=(((0.0, 1.0), (0.0, 1.0)),))
-    with pytest.raises(ValueError, match="True"):
-        build_gram([(0, 0), (True, 1)], box)
-    with pytest.raises(ValueError, match="integers"):
-        build_gram([(0, 0), (Fraction(1, 2), 1)], box)
-    with pytest.raises(ValueError, match="integers"):
-        build_gram([(0, 0), (1, 2.5)], box)
+    for parse in (lambda p: build_gram(p, box), lambda p: covering_radius(p, PLANE)):
+        with pytest.raises(ValueError, match="True"):
+            parse([(0, 0), (True, 1)])
+        with pytest.raises(ValueError, match="integers"):
+            parse([(0, 0), (Fraction(1, 2), 1)])
+        with pytest.raises(ValueError, match="integers"):
+            parse([(0, 0), (1, 2.5)])
 
 
 @pytest.mark.parametrize("bands", [[(0.0, 0.45)], [(0.05, 0.25), (0.5, 0.7)]],
@@ -669,6 +683,93 @@ def test_folded_sections_never_build_the_whole_gram(bands, bound):
         tracemalloc.stop()
     assert b.solver == ("centrosymmetric-split" if s.is_arc() else "centrohermitian-real")
     assert peak <= bound * 8 * n * n
+
+
+# boxes of each dimension, none symmetric about 0: every box Gram is complex
+BOXES = {d: BoxSet(boxes=((((0.3, 2.1), (1.0, 1.8), (0.2, 4.0))[:d]),
+                          (((3.0, 5.5), (2.5, 6.0), (4.5, 6.2))[:d])))
+         for d in (1, 2, 3)}
+
+
+def _mirrored(rng, d, count, side):
+    """count random d-D points and their mirror images through a centre, in
+    random order: a point-symmetric set."""
+    half = rng.integers(-side, side + 1, (count, d))
+    centre = rng.integers(-side, side + 1, d)
+    pts = sorted(set(map(tuple, np.concatenate((half, centre - half)).tolist())))
+    return [pts[i] for i in rng.permutation(len(pts))]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_shuffled_point_symmetric_tuples_fold(d):
+    rng = np.random.default_rng(d)
+    pts = _mirrored(rng, d, 60, 6)
+    b = gram._section_bounds(pts, BOXES[d])
+    assert b.solver == "centrohermitian-real"
+    want = extreme_eigs(build_gram(pts, BOXES[d]))
+    assert abs(b.lambda_min - want.lambda_min) <= b.tol
+    assert abs(b.lambda_max - want.lambda_max) <= b.tol
+    # one point moved: no longer point-symmetric, solved whole
+    pts[0] = tuple(x + 20 for x in pts[0])
+    b = gram._section_bounds(pts, BOXES[d])
+    assert b.solver == "hermitian"
+    assert b == extreme_eigs(build_gram(sorted(pts), BOXES[d]))
+
+
+def test_tuple_folds_never_build_the_complex_gram():
+    # the fold is one real n x n array, 8 n^2 bytes, against 16 n^2 for the
+    # complex Gram; the table and the gather blocks add a few percent
+    pts = _mirrored(np.random.default_rng(5), 2, 600, 24)
+    n = len(pts)
+    gram._section_bounds(pts[:64], BOXES[2])  # first-call allocations out of the measurement
+    tracemalloc.start()
+    try:
+        b = gram._section_bounds(pts, BOXES[2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert b.solver == "centrohermitian-real"
+    assert peak <= 1.2 * 8 * n * n
+
+
+@pytest.mark.parametrize("bands", FOLD_SPECTRA, ids=["one-arc", "arc-across-zero", "two-arcs"])
+@pytest.mark.parametrize("pts", [list(range(-90, 91, 3)), [3, 5, 10, 15, 17, 40, -2, 8]],
+                         ids=["progression", "scattered"])
+def test_sections_in_certify_order_match_the_sorted_sections_bitwise(bands, pts):
+    s = normalize_bands(bands)
+    order = sorted(pts, key=lambda x: (abs(x), x))
+    for n in range(1, len(order) + 1):
+        assert gram._section_bounds(order[:n], s) == gram._section_bounds(sorted(order[:n]), s)
+
+
+def test_fold_test_on_keys_is_the_coordinate_test():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def point_sets(draw):
+        d = draw(st.integers(1, 3))
+        # per axis, coordinates in -4..4, negative ones included, or one fixed value: span 0
+        fixed = draw(st.lists(st.none() | st.integers(-3, 3), min_size=d, max_size=d))
+        axes = [st.integers(-4, 4) if f is None else st.just(f) for f in fixed]
+        pts = draw(st.sets(st.tuples(*axes), min_size=1, max_size=10))
+        if draw(st.booleans()):  # mirrored through a centre that keeps the fixed values
+            centre = [draw(st.integers(-4, 4)) if f is None else 2 * f for f in fixed]
+            pts |= {tuple(c - x for c, x in zip(centre, p)) for p in pts}
+        return d, draw(st.permutations(sorted(pts)))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(point_sets())
+    def check(case):
+        d, pts = case
+        ordered = sorted(pts)
+        ends = tuple(a + b for a, b in zip(ordered[0], ordered[-1]))
+        symmetric = len(pts) > 1 and all(tuple(a + b for a, b in zip(p, q)) == ends
+                                         for p, q in zip(ordered, ordered[::-1]))
+        solver = gram._section_bounds(pts, BOXES[d]).solver
+        assert solver == ("centrohermitian-real" if symmetric else "hermitian")
+
+    check()
 
 
 # ------------------------------------------------------- two-stage drivers --

@@ -198,6 +198,9 @@ def test_covering_radius_passes(monkeypatch):
 def test_covering_radius_refuses_bad_points(pts, match):
     with pytest.raises(ValueError, match=match):
         covering_radius(pts, LatticeWindow(lo=(0, 0), hi=(6, 6)))
+    if "outside" not in match and "window" not in match:  # the point checks are build_gram's too
+        with pytest.raises(ValueError, match=match):
+            build_gram(pts, BoxSet(boxes=(((0.0, 1.0), (0.0, 1.0)),)))
 
 
 def test_covering_radius_accepts_integral_values_of_any_type():
