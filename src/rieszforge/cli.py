@@ -153,30 +153,31 @@ def _check_gram_size(n: int) -> None:
 # ---------------------------------------------------------------- commands --
 
 
-def cmd_construct(spec: argparse.Namespace) -> int:
+def _report(points: qc.PointSet, spectrum: MultibandSet | None) -> dict:
+    """Gap and density statistics of points, and with a spectrum, it and its Landau verdict."""
+    _check_window(points.span)  # density_stats allocates one entry per integer of the window
+    dens = qc.density_stats(points)
+    report = {"gap_stats": qc.gap_stats(points).to_json(), "density": dens.to_json()}
+    if spectrum is not None:
+        report["spectrum"] = spectrum.to_json()
+        report["landau"] = "pass" if dens.within_landau(spectrum) else "fail"
+    return report
+
+
+def cmd_construct(spec: argparse.Namespace) -> tuple[int, dict]:
     spectrum = _load_spectrum(spec)
     params, points = qc.construct_riesz_set(spectrum, _symmetric_window(spec.window),
                                             mode=spec.mode)
-    stats = qc.gap_stats(points)
-    dens = qc.density_stats(points)
-    landau_ok = dens.within_landau(spectrum)
-    payload = {
-        "spectrum": spectrum.to_json(),
-        "params": params.to_json(),
-        "points": points.to_json(),
-        "gap_stats": stats.to_json(),
-        "density": dens.to_json(),
-        "landau": "pass" if landau_ok else "fail",
-    }
+    payload = {"params": params.to_json(), "points": points.to_json(),
+               **_report(points, spectrum)}
     if params.mode == "large":
         removed = points.complement_in_window()
         payload["removed_gap_stats"] = qc.gap_stats(removed).to_json()
         payload["removed_separation_bound"] = params.n
-    _emit("construct", payload, spec.out)
-    return EXIT_OK if landau_ok else EXIT_REFUTED
+    return EXIT_OK if payload["landau"] == "pass" else EXIT_REFUTED, payload
 
 
-def cmd_certify(spec: argparse.Namespace) -> int:
+def cmd_certify(spec: argparse.Namespace) -> tuple[int, dict]:
     spectrum = _load_spectrum(spec)
     schedule = _parse_ints(spec.schedule, "schedule")
     _check_gram_size(max(schedule))
@@ -198,14 +199,14 @@ def cmd_certify(spec: argparse.Namespace) -> int:
     payload = {"certificate": cert.to_json()}
     if params is not None:
         payload["params"] = params.to_json()
-    if spec.csv:  # before _emit, so a failed write leaves stdout empty
+    if spec.csv:  # before main emits the JSON, so a failed write leaves stdout empty
         with open(spec.csv, "w") as fh:
             fh.write(cert.csv_text())
-    _emit("certify", payload, spec.out)
-    return {"supported": EXIT_OK, "refuted": EXIT_REFUTED}.get(cert.verdict, EXIT_INCONCLUSIVE)
+    verdict = {"supported": EXIT_OK, "refuted": EXIT_REFUTED}
+    return verdict.get(cert.verdict, EXIT_INCONCLUSIVE), payload
 
 
-def cmd_select(spec: argparse.Namespace) -> int:
+def cmd_select(spec: argparse.Namespace) -> tuple[int, dict]:
     spectrum = _load_spectrum(spec)
     n = spec.window
     _check_gram_size(n)
@@ -244,8 +245,7 @@ def cmd_select(spec: argparse.Namespace) -> int:
         "result": result.to_json(),
         "theory": theory,
     }
-    _emit("select", payload, spec.out)
-    return EXIT_OK if result.met else EXIT_INCONCLUSIVE
+    return EXIT_OK if result.met else EXIT_INCONCLUSIVE, payload
 
 
 def _partition_window(spec: argparse.Namespace) -> LatticeWindow:
@@ -272,7 +272,7 @@ def _partition_window(spec: argparse.Namespace) -> LatticeWindow:
     return window
 
 
-def cmd_partition(spec: argparse.Namespace) -> int:
+def cmd_partition(spec: argparse.Namespace) -> tuple[int, dict]:
     d, r = spec.dim, spec.r
     window = _partition_window(spec)
 
@@ -314,40 +314,29 @@ def cmd_partition(spec: argparse.Namespace) -> int:
         be, vol = gramlib._section_bounds(selector, box_set), box_set.total_volume
         payload["quality"] = {"lambda_min": be.lambda_min / vol, "lambda_max": be.lambda_max / vol}
 
-    _emit("partition", payload, spec.out)
     ok = payload["section_gap_ok"] and payload["covering_ok"]
-    return EXIT_OK if ok else EXIT_REFUTED
+    return EXIT_OK if ok else EXIT_REFUTED, payload
 
 
-def cmd_density(spec: argparse.Namespace) -> int:
+def cmd_density(spec: argparse.Namespace) -> tuple[int, dict]:
     spectrum = _load_spectrum(spec, required=False)
     points = _load_points(spec)
-    constructed = None
+    payload = {}
     if points is None:
         if spectrum is None:
             raise ValueError("give points (--points/--points-file/--step) "
                              "or a spectrum to construct from")
-        constructed, points = qc.construct_riesz_set(spectrum, _symmetric_window(spec.window),
-                                                     mode=spec.mode)
-    _check_window(points.span)  # density_stats allocates one entry per integer of the window
-    dens = qc.density_stats(points)
-    payload = {
-        "points": {"count": len(points), "window": list(points.window)},
-        "gap_stats": qc.gap_stats(points).to_json(),
-        "density": dens.to_json(),
-    }
-    if constructed is not None:
-        payload["params"] = constructed.to_json()
-    if spectrum is not None:
-        payload["spectrum"] = spectrum.to_json()
-        payload["landau"] = "pass" if dens.within_landau(spectrum) else "fail"
-        if spec.step is not None and spectrum.is_arc():
-            payload["kahane"] = qc.kahane_classify(spec.step, spectrum)
-    _emit("density", payload, spec.out)
-    return EXIT_OK
+        params, points = qc.construct_riesz_set(spectrum, _symmetric_window(spec.window),
+                                                mode=spec.mode)
+        payload["params"] = params.to_json()
+    payload["points"] = {"count": len(points), "window": list(points.window)}
+    payload.update(_report(points, spectrum))
+    if spec.step is not None and spectrum is not None and spectrum.is_arc():
+        payload["kahane"] = qc.kahane_classify(spec.step, spectrum)
+    return EXIT_OK, payload
 
 
-def cmd_selftest(spec: argparse.Namespace) -> int:
+def cmd_selftest(spec: argparse.Namespace) -> tuple[int, dict | None]:
     checks: list[tuple[str, bool, str]] = []
 
     def run(name, fn):
@@ -410,12 +399,11 @@ def cmd_selftest(spec: argparse.Namespace) -> int:
             line += f"  ({detail})"
         print(line)
     print(f"{passed}/{len(checks)} checks passed")
-    if spec.out:
-        _emit("selftest", {
-            "results": [{"name": n, "passed": ok, "detail": d} for n, ok, d in checks],
-            "all_passed": passed == len(checks),
-        }, spec.out)
-    return EXIT_OK if passed == len(checks) else EXIT_REFUTED
+    payload = {  # JSON only to a file: stdout holds the lines above
+        "results": [{"name": n, "passed": ok, "detail": d} for n, ok, d in checks],
+        "all_passed": passed == len(checks),
+    } if spec.out else None
+    return EXIT_OK if passed == len(checks) else EXIT_REFUTED, payload
 
 
 # ------------------------------------------------------------------ parser --
@@ -436,12 +424,22 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _add_points_flags(parser: argparse.ArgumentParser) -> None:
-    p = parser.add_mutually_exclusive_group()
-    p.add_argument("--points", help="inline JSON list of integers")
-    p.add_argument("--points-file", help="path to a JSON list of integers")
-    p.add_argument("--step", type=int,
-                   help="arithmetic progression step*Z inside the window")
+def _add_point_set_flags(parser: argparse.ArgumentParser, window_help: str,
+                         points: bool = True) -> None:
+    """The flags of construct, certify and density, declared once: the spectrum
+    group, the points group unless points is False, --mode, --window and --out."""
+    _add_spectrum_flags(parser)
+    if points:
+        p = parser.add_mutually_exclusive_group()
+        p.add_argument("--points", help="inline JSON list of integers, "
+                                        "or an object with elements and window")
+        p.add_argument("--points-file", help="path to a JSON file in the same format")
+        p.add_argument("--step", type=int,
+                       help="arithmetic progression step*Z inside the window")
+    regime = "construction regime" + (" when no points are given" if points else "")
+    parser.add_argument("--mode", choices=["auto", "small", "large"], default="auto", help=regime)
+    parser.add_argument("--window", type=int, default=5000, help=f"{window_help} (default 5000)")
+    parser.add_argument("--out")
 
 
 def build_parser() -> _Parser:
@@ -451,25 +449,16 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("construct", help="build a syndetic Riesz candidate for a spectrum")
     p.set_defaults(run=cmd_construct)
-    _add_spectrum_flags(p)
-    p.add_argument("--mode", choices=["auto", "small", "large"], default="auto")
-    p.add_argument("--window", type=int, default=5000,
-                   help="inclusive symmetric window [-N, N] (default 5000)")
-    p.add_argument("--out")
+    _add_point_set_flags(p, "inclusive symmetric window [-N, N]", points=False)
 
     p = sub.add_parser("certify", help="finite-section certificate for a point set")
     p.set_defaults(run=cmd_certify)
-    _add_spectrum_flags(p)
-    _add_points_flags(p)
-    p.add_argument("--mode", choices=["auto", "small", "large"], default="auto",
-                   help="construction mode when no explicit points are given")
-    p.add_argument("--window", type=int, default=5000, help="window for --step (default 5000)")
+    _add_point_set_flags(p, "window [-N, N] for --step")
     p.add_argument("--schedule", default=",".join(map(str, gramlib.DEFAULT_SCHEDULE)),
                    help="comma-separated section sizes")
     p.add_argument("--threshold", type=float, default=1e-3 * TWO_PI,
                    help="supported needs final lambda_min >= this (default 1e-3*2*pi)")
     p.add_argument("--drop-ratio", type=float, default=gramlib.DEFAULT_DROP_RATIO)
-    p.add_argument("--out")
     p.add_argument("--csv", help="also write window,lambda_min,lambda_max rows here")
 
     p = sub.add_parser("select", help="randomized one-per-block selection")
@@ -498,12 +487,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("density", help="gap/density statistics and Landau/Kahane verdicts")
     p.set_defaults(run=cmd_density)
-    _add_spectrum_flags(p)
-    _add_points_flags(p)
-    p.add_argument("--mode", choices=["auto", "small", "large"], default="auto")
-    p.add_argument("--window", type=int, default=5000,
-                   help="window for --step or construction (default 5000)")
-    p.add_argument("--out")
+    _add_point_set_flags(p, "window [-N, N] for --step or construction")
 
     p = sub.add_parser("selftest", help="run the built-in quick checks")
     p.set_defaults(run=cmd_selftest)
@@ -519,7 +503,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse signals usage errors (and --help)
         return int(exc.code or 0)
     try:
-        return ns.run(ns)
+        code, payload = ns.run(ns)
+        if payload is not None:
+            _emit(ns.command, payload, ns.out)
+        return code
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"rieszforge {ns.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -20,7 +20,7 @@ import numpy as np
 
 from .quadfield import integer_points, integers
 from .quasicrystal import GapStats, gap_stats
-from .torus import MIN_ARC, RADIANS_PER_UNIT, TWO_PI, interval_coefficient, unit_keyed
+from .torus import MIN_ARC, RADIANS_PER_UNIT, TWO_PI, _endpoint, interval_coefficient, unit_keyed
 
 __all__ = [
     "LatticeWindow",
@@ -256,7 +256,7 @@ class BoxSet:
     boxes: tuple[tuple[tuple[float, float], ...], ...]
 
     def __post_init__(self):
-        boxes = tuple(tuple((float(lo), float(hi)) for lo, hi in box) for box in self.boxes)
+        boxes = tuple(tuple((_endpoint(lo), _endpoint(hi)) for lo, hi in box) for box in self.boxes)
         if not boxes:
             raise ValueError("empty box list")
         d = len(boxes[0])
@@ -301,7 +301,8 @@ class BoxSet:
         unit, raw = unit_keyed(obj, "boxes")
         scale = RADIANS_PER_UNIT[unit]
         try:
-            boxes = tuple(tuple((lo * scale, hi * scale) for lo, hi in box) for box in raw)
+            boxes = tuple(tuple((_endpoint(lo) * scale, _endpoint(hi) * scale) for lo, hi in box)
+                          for box in raw)
         except (TypeError, ValueError, OverflowError):
             raise ValueError("boxes must be lists of [lo, hi] number pairs") from None
         return cls(boxes=boxes)

@@ -322,8 +322,11 @@ def density_stats(points: PointSet) -> DensityStats:
     n0, n1 = points.window
     span = n1 - n0 + 1
     window_r = min(1000, span)
-    elems = np.asarray(points.elements, dtype=np.int64)
-    starts = np.arange(n0, n1 - window_r + 2, dtype=np.int64)
+    # offsets from the window start fit in int64 wherever the window lies; an empty
+    # set stays a tuple, as numpy's empty float array cannot take n0 past float range
+    offsets = np.asarray(points.elements) - n0 if len(points) else ()
+    elems = np.asarray(offsets, dtype=np.int64)
+    starts = np.arange(span - window_r + 1, dtype=np.int64)
     hi_counts = np.searchsorted(elems, starts + window_r, side="left")
     lo_counts = np.searchsorted(elems, starts, side="left")
     counts = hi_counts - lo_counts

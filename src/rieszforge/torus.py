@@ -98,6 +98,14 @@ def unit_keyed(obj, stem: str) -> tuple[str, object]:
     return given[0], obj[f"{stem}_{given[0]}"]
 
 
+def _endpoint(x) -> float:
+    """A band or box endpoint as a float.  It must be a number (int, float, numpy
+    number, Fraction): float() also takes bools and numeric strings, refused here."""
+    if isinstance(x, (str, bytes)) or type(x).__name__ == "bool":  # also numpy.bool
+        raise ValueError(f"endpoints must be numbers, got {x!r}")
+    return float(x)
+
+
 def normalize_bands(bands, unit: str = "rad") -> MultibandSet:
     """Canonicalize raw (start, end) pairs into a MultibandSet.
 
@@ -111,7 +119,7 @@ def normalize_bands(bands, unit: str = "rad") -> MultibandSet:
     except (KeyError, TypeError):
         raise ValueError(f"unit must be 'rad' or '2pi', got {unit!r}") from None
     try:
-        pairs = [(float(lo) * scale, float(hi) * scale) for lo, hi in bands]
+        pairs = [(_endpoint(lo) * scale, _endpoint(hi) * scale) for lo, hi in bands]
     except (TypeError, ValueError, OverflowError):
         raise ValueError("bands must be a list of [start, end] number pairs") from None
     if not pairs:

@@ -216,6 +216,54 @@ def test_select_stdout_pinned(capsys, argv, exit_code, size, digest, theory):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# exact stdout of the point-set commands: construct in both regimes, density on
+# explicit points, a progression with its Kahane verdict and a constructed set,
+# and certify on a progression and a constructed set
+POINT_SET_PINS = [
+    (["construct", "--measure", "0.45", "--window", "60"],
+     0, 1394, "6d4f5f5f0755d5baaa9e944e5feb94f0cbaae9a7739fe8d4490ed34cccef6ae9"),
+    (["construct", "--bands", "[[0, 0.5], [0.6, 0.9]]", "--window", "60"],
+     0, 2003, "37ab20cca3544875b62c58b7b428824a18752ce5f3700d2d1a9d47f01a2caa4a"),
+    (["density", "--points", "[-7, 0, 3, 4, 9, 12]", "--measure", "0.4"],
+     0, 485, "dd7291fcaedb3ba108c3253c63db3c84c0704af54f645aa86107f77497e470d9"),
+    (["density", "--measure", "0.45", "--step", "3", "--window", "60"],
+     0, 530, "574e3db21c59fdcf9e4652ca9d2a5b9b4645e4dce80d473f3bdac6427ef19227"),
+    (["density", "--bands", "[[0.1, 0.3], [0.5, 0.9]]", "--window", "60"],
+     0, 949, "d2555c3ffab211ddcf01cfe2640865b643c49d46e2540fb518485b34a35689f9"),
+    (["certify", "--measure", "0.5", "--step", "2", "--window", "100", "--schedule", "8,16,32"],
+     0, 1100, "07ec306dd7e2283ac554793123a21e998115bd64a28c4db62606ea09bb69fc1b"),
+    (["certify", "--measure", "0.45", "--schedule", "8,16,32"],
+     3, 1475, "31d495b22ce9dacf43521bdccbdcad433377adec77faf7472d8bbb184eb1f26d"),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, size, digest", POINT_SET_PINS,
+                         ids=["construct-small", "construct-large", "density-points",
+                              "density-step-kahane", "density-constructed", "certify-step",
+                              "certify-constructed"])
+def test_point_set_stdout_pinned(capsys, argv, exit_code, size, digest):
+    code, out = run(capsys, *argv)
+    assert code == exit_code
+    assert json.loads(out)["command"] == argv[0]
+    assert len(out.encode()) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--measure", "0.45", "--window", "60"],
+    ["certify", "--measure", "0.45", "--schedule", "8,16"],
+    ["select", "--measure", "0.9", "--window", "16", "--trials", "5"],
+    ["partition", "--dim", "2", "--r", "2", "--window", "6"],
+    ["density", "--measure", "0.45", "--step", "3", "--window", "60"],
+], ids=["construct", "certify", "select", "partition", "density"])
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, argv):
+    code, want = run(capsys, *argv)
+    path = tmp_path / "out.json"
+    assert main([*argv, "--out", str(path)]) == code
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == want.encode()
+
+
 def test_select_refuses_a_window_short_of_one_block_before_the_gram(capsys, monkeypatch):
     from rieszforge import gram
 
@@ -645,6 +693,10 @@ def test_usage_errors_exit_1(capsys):
     ["density", "--measure", "0.45", "--window", "-1"],
     ["select", "--measure", "0.9", "--window", "8", "--seed", "-1"],
     ["partition", "--seed", "-1"],
+    # bool and string endpoints, which float() would take
+    ["density", "--bands", "[[0, true]]", "--step", "2", "--window", "10"],
+    ["density", "--bands", '[["0.1", "0.5"]]', "--step", "2", "--window", "10"],
+    ["partition", "--dim", "1", "--boxes", "[[[false, 0.5]]]"],
 ])
 def test_bad_numbers_exit_1(capsys, argv):
     assert main(argv) == 1

@@ -30,6 +30,8 @@ unit_pairs = st.lists(pairs, min_size=1, max_size=3)
 boxes = st.integers(1, 3).flatmap(
     lambda d: st.lists(st.lists(pairs, min_size=d, max_size=d), min_size=1, max_size=2))
 point_lists = st.lists(st.integers(-40, 40), max_size=12, unique=True)
+far = 10 ** 22  # past int64 and uint64
+far_point_lists = point_lists.map(lambda xs: [far + x for x in xs])
 
 
 def as_json(values):
@@ -61,7 +63,7 @@ FLAGS = {
                               json_values)),
     "--measure": mostly(st.floats(0.05, 1.0).map(repr),
                         st.sampled_from(["1e-9", "0.9999999", "0", "2", "nan", "x"])),
-    "--points": as_json(mostly(point_lists | st.fixed_dictionaries(
+    "--points": as_json(mostly(point_lists | far_point_lists | st.fixed_dictionaries(
         {"elements": point_lists, "window": st.just([-40, 40])}), json_values)),
     "--step": ints(-1, 9),
     "--window": ints(-3, 40),
@@ -110,6 +112,7 @@ def argvs(draw):
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(argvs())
+@example(["density", "--points", json.dumps([far, far + 3])])
 def test_cli_never_raises(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -329,6 +329,13 @@ def test_box_set_basics():
         BoxSet(boxes=(((0.0, 7.0),),))  # outside [0, 2*pi]
     with pytest.raises(ValueError):
         BoxSet(boxes=(((0.0, 2.0), (0.0, 2.0)), ((1.0, 3.0), (1.0, 3.0))))  # overlap
+    # endpoints are numbers, as for bands: float() would take these
+    for bad in (("0.1", "0.5"), (False, True), (0.1, np.True_)):
+        with pytest.raises(ValueError, match="^endpoints must be numbers, got "):
+            BoxSet(boxes=[[bad]])
+        with pytest.raises(ValueError, match=r"^boxes must be lists of \[lo, hi\] number pairs$"):
+            BoxSet.from_json({"boxes_2pi": [[list(bad)]]})
+    assert BoxSet(boxes=[[(Fraction(1, 2), np.float32(1.5))]]).measure == 1.0
 
 
 def test_box_fourier_against_quadrature():

@@ -115,8 +115,12 @@ def test_generate_ends_a_hair_off_the_orbit(alpha, nudge):
 @pytest.mark.parametrize("s_norm", [0.45, 0.78])
 def test_generate_far_windows_match_oracle(window, s_norm):
     p = choose_params(s_norm)
-    assert generate(p.alpha, p.riesz_interval, window) == \
-        _generate_exact(p.alpha, p.riesz_interval, window)
+    points = generate(p.alpha, p.riesz_interval, window)
+    assert points == _generate_exact(p.alpha, p.riesz_interval, window)
+    # density statistics see only offsets in the window, wherever it lies
+    n0, n1 = window
+    shifted = PointSet(elements=tuple(x - n0 for x in points), window=(0, n1 - n0))
+    assert density_stats(points) == density_stats(shifted)
 
 
 # a handful of integers land within a bracket of an endpoint, 0 or 1
@@ -398,6 +402,10 @@ def test_density_window_defaults_to_min_1000_span():
     assert st.upper == st.lower == st.asymptotic == 100 / 300
     one = density_stats(PointSet(elements=(5,), window=(5, 5)))
     assert one.window_r == 1 and one.upper == one.lower == 1.0
+    # an empty set counts zero wherever its window lies, past float range too
+    for n0 in (0, 10**30, 10**400):
+        none = density_stats(PointSet(elements=(), window=(n0, n0 + 5)))
+        assert none.window_r == 6 and none.upper == none.lower == none.asymptotic == 0.0
 
 
 def test_landau_check():

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -59,6 +60,13 @@ def test_normalize_units_and_errors():
     for bad in ([math.nan, 0.5], [0.5, 0.2], [0, 5]):
         with pytest.raises(ValueError):
             normalize_bands([[0, 1], bad], unit="2pi")
+    # endpoints are numbers: float() would take a bool or a numeric string
+    for bad in ([0, True], [np.False_, 0.5], ["0.1", "0.5"], [0.1, b"0.5"]):
+        with pytest.raises(ValueError, match=r"^bands must be a list of \[start, end\] number"):
+            normalize_bands([bad], unit="2pi")
+    for good in ([0, 1], [np.int64(0), np.float32(0.5)], [Fraction(1, 10), 0.5]):
+        assert normalize_bands([good], unit="2pi").measure == \
+            pytest.approx((float(good[1]) - float(good[0])) * TWO_PI)
 
 
 @pytest.mark.parametrize("band", [(0.1, math.nan), (math.nan, 0.5),
