@@ -23,10 +23,10 @@ from . import gram as gramlib
 from . import quasicrystal as qc
 from .frames import BlockSystem, SelectorConfig, pair_bessel_bound, predicted_bessel_bound, \
     select_bessel, select_riesz, select_tight
-from .lattice import BoxSet, LatticeWindow, covering_radius, cube_partition, \
+from .lattice import LatticeWindow, covering_radius, cube_partition, \
     cycling_partition, section_report
 from .quadfield import integers
-from .torus import TWO_PI, MultibandSet, normalize_bands
+from .torus import TWO_PI, BoxSet, MultibandSet, normalize_bands
 
 SCHEMA = "riesz-forge/1"
 
@@ -135,6 +135,8 @@ def _load_points(spec: argparse.Namespace) -> qc.PointSet | None:
     elems = tuple(sorted(integers(raw, "points")))
     if not elems:
         raise ValueError("empty point list")
+    if repeated := [a for a, b in zip(elems, elems[1:]) if a == b]:
+        raise ValueError(f"point {repeated[0]} appears more than once")
     return qc.PointSet(elements=elems, window=(elems[0], elems[-1]))
 
 

@@ -97,7 +97,8 @@ def _solved_table(points, spectrum):
     """
     if not (isinstance(spectrum, MultibandSet) and spectrum.is_arc()):
         return _table(points, spectrum.fourier_coefficient, complex)
-    return _table(points, lambda m: centered_interval_coefficient(spectrum.measure, m), float)
+    length = spectrum.measure
+    return _table(points, lambda m: centered_interval_coefficient(length, m.ravel()), float)
 
 
 def _table(points, coefficient, dtype):

@@ -1,4 +1,4 @@
-"""Lattice partitions for d-dimensional selection, and box spectra on the d-torus.
+"""Lattice partitions for d-dimensional selection, and their section and covering checks.
 
 The cycling partition splits each aligned r-cube of Z^d into r^(d-1) axis
 segments of length r; the segment axis j cycles with the cube through
@@ -20,19 +20,16 @@ import numpy as np
 
 from .quadfield import integer_points, integers
 from .quasicrystal import GapStats, gap_stats
-from .torus import MIN_ARC, RADIANS_PER_UNIT, TWO_PI, _endpoint, interval_coefficient, unit_keyed
 
 __all__ = [
     "LatticeWindow",
     "Segment",
     "Cube",
-    "BoxSet",
     "cycling_partition",
     "cube_partition",
     "covering_radius",
     "section_gaps",
     "section_report",
-    "indicator_fourier_d",
 ]
 
 
@@ -242,90 +239,3 @@ def section_report(points, window: LatticeWindow) -> list[dict]:
         sparse = math.prod(sides) // sides[axis - 1] - len(full)
         report.append({"axis": axis, "max_section_gap": gap, "sections_under_two_points": sparse})
     return report
-
-
-@dataclass(frozen=True)
-class BoxSet:
-    """Disjoint union of axis-aligned boxes inside the d-torus [0, 2*pi)^d.
-
-    boxes is a tuple of per-box tuples of (lo, hi) pairs, one pair per axis.
-    Boxes must have positive volume and pairwise disjoint interiors; no
-    wrap-around reduction is applied in higher dimension.
-    """
-
-    boxes: tuple[tuple[tuple[float, float], ...], ...]
-
-    def __post_init__(self):
-        boxes = tuple(tuple((_endpoint(lo), _endpoint(hi)) for lo, hi in box) for box in self.boxes)
-        if not boxes:
-            raise ValueError("empty box list")
-        d = len(boxes[0])
-        for box in boxes:
-            if len(box) != d:
-                raise ValueError("boxes must share one dimension")
-            for lo, hi in box:
-                if not (0.0 <= lo < hi <= TWO_PI + MIN_ARC):
-                    raise ValueError(f"box side ({lo}, {hi}) outside [0, 2*pi]")
-        for i in range(len(boxes)):
-            for j in range(i + 1, len(boxes)):
-                if all(lo1 < hi2 - MIN_ARC and lo2 < hi1 - MIN_ARC
-                       for (lo1, hi1), (lo2, hi2) in zip(boxes[i], boxes[j])):
-                    raise ValueError(f"boxes {i} and {j} overlap")
-        object.__setattr__(self, "boxes", boxes)
-
-    @property
-    def dim(self) -> int:
-        return len(self.boxes[0])
-
-    @property
-    def measure(self) -> float:
-        return sum(math.prod(hi - lo for lo, hi in box) for box in self.boxes)
-
-    @property
-    def fraction_of_torus(self) -> float:
-        return self.measure / self.total_volume
-
-    @property
-    def total_volume(self) -> float:
-        return TWO_PI ** self.dim
-
-    def fourier_coefficient(self, m):
-        return indicator_fourier_d(self, m)
-
-    def to_json(self) -> dict:
-        return {"boxes_rad": [[[lo, hi] for lo, hi in box] for box in self.boxes]}
-
-    @classmethod
-    def from_json(cls, obj) -> "BoxSet":
-        """Parse {"boxes_rad": ...}, {"boxes_2pi": ...} or a bare list of boxes."""
-        unit, raw = unit_keyed(obj, "boxes")
-        scale = RADIANS_PER_UNIT[unit]
-        try:
-            boxes = tuple(tuple((_endpoint(lo) * scale, _endpoint(hi) * scale) for lo, hi in box)
-                          for box in raw)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError("boxes must be lists of [lo, hi] number pairs") from None
-        return cls(boxes=boxes)
-
-
-def indicator_fourier_d(s: BoxSet, m):
-    """Fourier coefficient of the box-set indicator at the integer vector m,
-    or at each row of a (k, d) integer array m as a length-k complex array.
-
-    Separable per box: the product of one-dimensional interval coefficients,
-    each conjugate-symmetric bit-for-bit, so c(-m) == conj(c(m)) is exact.
-    Products are CPython's, in real arithmetic: numpy's varies by SIMD level.
-    """
-    vector = np.ndim(m) < 2
-    f = np.array([integers(m, "frequency vector")] if vector else m, dtype=float)
-    if f.shape[1] != s.dim:
-        raise ValueError(f"frequency vector of length {f.shape[1]} for a {s.dim}-D set")
-    total = np.zeros(len(f), complex)
-    for box in s.boxes:
-        re, im = np.ones(len(f)), np.zeros(len(f))
-        for (lo, hi), fi in zip(box, f.T):
-            c = interval_coefficient(lo, hi, fi)
-            re, im = re * c.real - im * c.imag, re * c.imag + im * c.real
-        total.real += re
-        total.imag += im
-    return total.item() if vector else total

@@ -75,7 +75,9 @@ class PointSet:
     window: tuple[int, int]
 
     def __post_init__(self):
-        n0, n1 = window = integers(self.window, "window")
+        if len(window := integers(self.window, "window")) != 2:
+            raise ValueError(f"window must be two integers, got {self.window!r}")
+        n0, n1 = window
         if n0 > n1:
             raise ValueError(f"window {window} is reversed")
         object.__setattr__(self, "window", window)

@@ -1,10 +1,9 @@
-"""Multiband subsets of the torus [0, 2*pi) and their indicator Fourier coefficients.
+"""Spectra on the torus: multiband sets, finite unions of half-open arcs
+[start, end) of [0, 2*pi), and box sets in [0, 2*pi)^d.  The Fourier
+coefficients of their indicators, which populate every Gram matrix of an
+exponential system on the set, all come from one box kernel (an arc is a 1-D box):
 
-A multiband set is a finite union of half-open arcs [start, end).  The Fourier
-coefficients of its indicator are what populate every Gram matrix of an
-exponential system restricted to the set, via
-
-    c(m) = integral_S exp(-i*m*t) dt.
+    c(m) = integral_S exp(-i*<m, t>) dt.
 """
 
 from __future__ import annotations
@@ -14,12 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quadfield import integers
+
 __all__ = [
     "TWO_PI",
     "Arc",
     "MultibandSet",
+    "BoxSet",
     "normalize_bands",
-    "indicator_fourier",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -66,7 +67,7 @@ class MultibandSet:
         return len(a) == 1 or (len(a) == 2 and a[0].start + (TWO_PI - a[1].end) <= MIN_ARC)
 
     def fourier_coefficient(self, m):
-        return indicator_fourier(self, m)
+        return _box_coefficients(tuple(((a.start, a.end),) for a in self.arcs), m)
 
     @property
     def total_volume(self) -> float:
@@ -85,6 +86,70 @@ class MultibandSet:
         """Parse {"bands_rad": [[a,b],...]}, {"bands_2pi": ...} or a bare pair list."""
         unit, bands = unit_keyed(obj, "bands")
         return normalize_bands(bands, unit=unit)
+
+
+@dataclass(frozen=True)
+class BoxSet:
+    """Disjoint union of axis-aligned boxes inside the d-torus [0, 2*pi)^d.
+
+    boxes is a tuple of per-box tuples of (lo, hi) pairs, one pair per axis.
+    Boxes must have positive volume and pairwise disjoint interiors; no
+    wrap-around reduction is applied in higher dimension.
+    """
+
+    boxes: tuple[tuple[tuple[float, float], ...], ...]
+
+    def __post_init__(self):
+        boxes = tuple(tuple((_endpoint(lo), _endpoint(hi)) for lo, hi in box) for box in self.boxes)
+        if not boxes:
+            raise ValueError("empty box list")
+        d = len(boxes[0])
+        for box in boxes:
+            if len(box) != d:
+                raise ValueError("boxes must share one dimension")
+            for lo, hi in box:
+                if not (0.0 <= lo < hi <= TWO_PI + MIN_ARC):
+                    raise ValueError(f"box side ({lo}, {hi}) outside [0, 2*pi]")
+        for i in range(len(boxes)):
+            for j in range(i + 1, len(boxes)):
+                if all(lo1 < hi2 - MIN_ARC and lo2 < hi1 - MIN_ARC
+                       for (lo1, hi1), (lo2, hi2) in zip(boxes[i], boxes[j])):
+                    raise ValueError(f"boxes {i} and {j} overlap")
+        object.__setattr__(self, "boxes", boxes)
+
+    @property
+    def dim(self) -> int:
+        return len(self.boxes[0])
+
+    @property
+    def measure(self) -> float:
+        return sum(math.prod(hi - lo for lo, hi in box) for box in self.boxes)
+
+    @property
+    def fraction_of_torus(self) -> float:
+        return self.measure / self.total_volume
+
+    @property
+    def total_volume(self) -> float:
+        return TWO_PI ** self.dim
+
+    def fourier_coefficient(self, m):
+        return _box_coefficients(self.boxes, m)
+
+    def to_json(self) -> dict:
+        return {"boxes_rad": [[[lo, hi] for lo, hi in box] for box in self.boxes]}
+
+    @classmethod
+    def from_json(cls, obj) -> "BoxSet":
+        """Parse {"boxes_rad": ...}, {"boxes_2pi": ...} or a bare list of boxes."""
+        unit, raw = unit_keyed(obj, "boxes")
+        scale = RADIANS_PER_UNIT[unit]
+        try:
+            boxes = tuple(tuple((_endpoint(lo) * scale, _endpoint(hi) * scale) for lo, hi in box)
+                          for box in raw)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError("boxes must be lists of [lo, hi] number pairs") from None
+        return cls(boxes=boxes)
 
 
 def unit_keyed(obj, stem: str) -> tuple[str, object]:
@@ -161,11 +226,31 @@ def normalize_bands(bands, unit: str = "rad") -> MultibandSet:
     return MultibandSet(arcs=arcs, measure=measure)
 
 
-# not in __all__: perfbench's tracer wraps every __all__ function in a span,
-# and this one runs once per arc or box side of every coefficient table
+# not in __all__: perfbench's tracer wraps every __all__ function in a span, and
+# these run once per coefficient table chunk, or per arc or box side of a chunk
+def _box_coefficients(boxes, m) -> np.ndarray:
+    """Indicator coefficients of a union of boxes, each one (lo, hi) pair per axis,
+    at each row of a (k, d) integer array m: the sum over boxes of the product of
+    the sides' interval coefficients, in CPython's real arithmetic (numpy's complex
+    product varies by SIMD level), so c(-m) == conj(c(m)) bit-for-bit, as per side."""
+    if not (isinstance(m, np.ndarray) and m.dtype.kind in "iu"):  # np.array takes bools, "3"
+        integers(np.asarray(m, dtype=object).ravel(), "frequencies")
+    f, d = np.array(m, dtype=float), len(boxes[0])
+    if f.ndim != 2 or f.shape[1] != d:
+        raise ValueError(f"frequencies of shape {f.shape} for a {d}-D set: need (k, {d})")
+    total = np.zeros(len(f), complex)
+    for box in boxes:
+        re, im = np.ones(len(f)), np.zeros(len(f))
+        for (lo, hi), fi in zip(box, f.T):
+            c = interval_coefficient(lo, hi, fi)
+            re, im = re * c.real - im * c.imag, re * c.imag + im * c.real
+        total.real += re
+        total.imag += im
+    return total
+
+
 def interval_coefficient(lo: float, hi: float, m):
-    """integral over [lo, hi) of exp(-i*m*t) dt, elementwise over an integer
-    array m; one integer m runs as a length-1 array and gives a Python complex.
+    """integral over [lo, hi) of exp(-i*m*t) dt, elementwise over an integer array m.
 
     c(0) is the length; negative m take the conjugate of c(|m|), so that
     c(-m) == conj(c(m)) holds bit-for-bit, keeping Gram matrices exactly
@@ -173,28 +258,21 @@ def interval_coefficient(lo: float, hi: float, m):
     division, so each value has the bits of the scalar cmath formula.  m is
     used only as float(m), so ints beyond int64 work too.
     """
-    f = np.asarray(m, dtype=float).reshape(-1)
+    f = np.asarray(m, dtype=float)
     a = np.abs(f)
     d = np.exp(-1j * (a * lo)) - np.exp(-1j * (a * hi))
     c = np.full(a.shape, complex(hi - lo))
     np.divide(d.real * 0.0 + d.imag, a, out=c.real, where=a != 0)
     np.divide(d.imag * 0.0 - d.real, a, out=c.imag, where=a != 0)
     np.negative(c.imag, out=c.imag, where=f < 0)
-    return c if np.ndim(m) else c.item()
+    return c
 
 
 def centered_interval_coefficient(length: float, m):
     """integral over [-length/2, length/2) of exp(-i*m*t) dt = 2*sin(m*length/2)/m,
     elementwise as interval_coefficient: real, even in m, and exp(i*m*mid) times
     the coefficient of any arc of this length with midpoint mid."""
-    f = np.asarray(m, dtype=float).reshape(-1)
+    f = np.asarray(m, dtype=float)
     r = np.full(f.shape, float(length))
     np.divide(2.0 * np.sin(f * length / 2.0), f, out=r, where=f != 0)
-    return r if np.ndim(m) else r.item()
-
-
-def indicator_fourier(s: MultibandSet, m):
-    """Fourier coefficient c(m) of the indicator of s, elementwise as
-    interval_coefficient: the sum of its arcs' interval coefficients."""
-    c = sum(interval_coefficient(a.start, a.end, np.reshape(m, -1)) for a in s.arcs)
-    return c if np.ndim(m) else c.item()
+    return r

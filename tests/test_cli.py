@@ -710,6 +710,18 @@ def test_reversed_window_is_named(capsys):
     assert capsys.readouterr().err == "rieszforge construct: error: window (3, -3) is reversed\n"
 
 
+def test_short_window_is_named(capsys):
+    assert main(["certify", "--measure", "0.5",
+                 "--points", '{"elements": [1, 2], "window": [0]}']) == 1
+    assert capsys.readouterr().err == "rieszforge certify: error: window must be two integers, got [0]\n"
+
+
+def test_repeated_point_is_named(capsys):
+    # the list form is sorted for the user, so the repeat, not the order, is the fault
+    assert main(["certify", "--measure", "0.5", "--points", "[2, 1, 2]"]) == 1
+    assert capsys.readouterr().err == "rieszforge certify: error: point 2 appears more than once\n"
+
+
 def test_selftest(capsys):
     code, out = run(capsys, "selftest")
     assert code == 0

@@ -95,7 +95,7 @@ def test_gram_entrywise_oracle(pts, spectrum):
     for j, pj in enumerate(pts):
         for k, pk in enumerate(pts):
             m = pk - pj if isinstance(pk, int) else tuple(b - a for a, b in zip(pj, pk))
-            assert g[j, k] == spectrum.fourier_coefficient(m), (j, k)
+            assert g[j, k] == spectrum.fourier_coefficient(np.reshape(m, (1, -1)))[0], (j, k)
     assert np.array_equal(g, g.conj().T)
     gn = build_gram(pts, spectrum, normalized=True)
     assert np.array_equal(gn, g / spectrum.total_volume)
@@ -113,7 +113,7 @@ def test_gram_rejects_int64_overflow():
         build_gram([(0, 0), (2**40, -2**40)], BoxSet(boxes=(((0.0, 1.0), (0.0, 1.0)),)))
     # the widest 1-D span whose differences fit int64 stays accepted
     g = build_gram([-2**62, 2**62 - 1], HALF)
-    assert g[0, 1] == HALF.fourier_coefficient(2**63 - 1)
+    assert g[0, 1] == HALF.fourier_coefficient(np.array([[2**63 - 1]]))[0]
 
 
 def test_normalized_gram():
@@ -415,7 +415,7 @@ def test_gather_takes_the_table_only_for_narrow_spans():
     wide = CountingSpectrum(HALF)
     g = build_gram([0, 10**9], wide)    # K + 1 > n^2: the unique keys 0 and 10**9
     assert wide.entries == 2
-    assert g[0, 1] == HALF.fourier_coefficient(10**9)
+    assert g[0, 1] == HALF.fourier_coefficient(np.array([[10**9]]))[0]
 
 
 # a far point widens the span past n^2, so the leading block of the widened
@@ -504,14 +504,13 @@ def test_wide_gram_evaluates_its_table_in_chunks():
 
 
 def test_centered_interval_coefficient():
-    length = 1.3
-    assert centered_interval_coefficient(length, 0) == length
-    for m in (1, 2, 7, 40):
-        r = centered_interval_coefficient(length, m)
-        assert r == centered_interval_coefficient(length, -m)
-        for lo in (0.0, 0.4, 4.0):
-            c = interval_coefficient(lo, lo + length, m)
-            assert abs(c - np.exp(-1j * m * (lo + length / 2)) * r) < 1e-14
+    length, ms = 1.3, np.array([1, 2, 7, 40])
+    assert centered_interval_coefficient(length, np.array([0])).tolist() == [length]
+    r = centered_interval_coefficient(length, ms)
+    assert np.array_equal(r, centered_interval_coefficient(length, -ms))
+    for lo in (0.0, 0.4, 4.0):
+        c = interval_coefficient(lo, lo + length, ms)
+        assert np.all(np.abs(c - np.exp(-1j * ms * (lo + length / 2)) * r) < 1e-14)
 
 
 def _point_symmetric(section):

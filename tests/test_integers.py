@@ -50,6 +50,7 @@ BOUNDARIES = {
     "point_set_window": lambda v: PointSet(elements=(0, 2), window=(0, v)),
     "point_set_json": lambda v: PointSet.from_json({"elements": [0, v], "window": [0, 3]}),
     "box_frequency": lambda v: SQUARE.fourier_coefficient((0, v)),
+    "band_frequencies": lambda v: HALF.fourier_coefficient([[0], [v]]),
 }
 
 

@@ -10,7 +10,7 @@ from scipy.integrate import dblquad
 
 from rieszforge import BoxSet, LatticeWindow, TWO_PI, build_gram, \
     covering_radius, cube_partition, cycling_partition, extreme_eigs, \
-    indicator_fourier_d, section_gaps, section_report
+    section_gaps, section_report
 from rieszforge import lattice
 
 import coefficient_oracle as oracle
@@ -340,7 +340,8 @@ def test_box_set_basics():
 
 def test_box_fourier_against_quadrature():
     b = BoxSet(boxes=(((0.2, 1.4), (0.5, 2.0)), ((3.0, 4.0), (2.5, 3.1))))
-    for m in [(0, 0), (1, 0), (0, 2), (3, -1), (-2, -2), (5, 4)]:
+    ms = [(0, 0), (1, 0), (0, 2), (3, -1), (-2, -2), (5, 4)]
+    for m, got in zip(ms, b.fourier_coefficient(np.array(ms))):
         def integrand_re(y, x, mx=m[0], my=m[1]):
             return math.cos(mx * x + my * y)
 
@@ -352,18 +353,15 @@ def test_box_fourier_against_quadrature():
             re, _ = dblquad(integrand_re, x0, x1, y0, y1)
             im, _ = dblquad(integrand_im, x0, x1, y0, y1)
             want += re + 1j * im
-        got = indicator_fourier_d(b, m)
         assert abs(got - want) < 1e-9, m
 
 
 def test_box_fourier_conjugate_symmetry():
     b = BoxSet(boxes=(((0.2, 1.4), (0.5, 2.0)),))
-    for m in itertools.product(range(-3, 4), repeat=2):
-        got = indicator_fourier_d(b, m)
-        neg = indicator_fourier_d(b, tuple(-x for x in m))
-        assert neg == got.conjugate(), m
+    ms = np.array(list(itertools.product(range(-3, 4), repeat=2)))
+    assert np.array_equal(b.fourier_coefficient(-ms), b.fourier_coefficient(ms).conj())
     with pytest.raises(ValueError):
-        indicator_fourier_d(b, (1,))
+        b.fourier_coefficient(np.array([[1]]))
 
 
 ORACLE_BOXES = {
@@ -383,16 +381,15 @@ def test_box_table_matches_scalar_oracle_bitwise(b):
         rng.integers(-60, 61, (2000, b.dim)),
         rng.integers(-10**9, 10**9, (300, b.dim)),
     ])
-    got = indicator_fourier_d(b, ms)
+    got = b.fourier_coefficient(ms)
     assert got.dtype == complex and got.shape == (len(ms),)
     want = [oracle.box(b, tuple(int(x) for x in m)) for m in ms]
     assert np.array_equal(oracle.bits(got), oracle.bits(want))
-    assert np.array_equal(oracle.bits(b.fourier_coefficient(ms)), oracle.bits(got))
-    # one vector runs the same formula and comes back a Python complex
-    one = indicator_fourier_d(b, tuple(int(x) for x in ms[-1]))
-    assert type(one) is complex and oracle.bits([one]).tolist() == oracle.bits(want[-1:]).tolist()
-    with pytest.raises(ValueError, match="length"):
-        indicator_fourier_d(b, np.zeros((3, b.dim + 1), dtype=np.int64))
+    # one row, as a list of Python ints, runs the same formula
+    one = b.fourier_coefficient([ms[-1].tolist()])
+    assert one.shape == (1,) and oracle.bits(one).tolist() == oracle.bits(want[-1:]).tolist()
+    with pytest.raises(ValueError, match=fr"^frequencies of shape \(3, {b.dim + 1}\) for a {b.dim}-D set"):
+        b.fourier_coefficient(np.zeros((3, b.dim + 1), dtype=np.int64))
 
 
 def test_box_gram_2d():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from rieszforge import TWO_PI, Arc, MultibandSet, indicator_fourier, normalize_bands
+from rieszforge import TWO_PI, Arc, BoxSet, MultibandSet, build_gram, normalize_bands
 from rieszforge.torus import centered_interval_coefficient, interval_coefficient
 
 import coefficient_oracle as oracle
@@ -86,28 +86,28 @@ def test_full_torus_collapse():
 
 def test_indicator_fourier_against_quadrature():
     s = normalize_bands([(0.3, 1.1), (2.0, 2.9), (4.0, 5.5)])
-    for m in [0, 1, 2, 3, 7, 15, -1, -4]:
+    ms = [0, 1, 2, 3, 7, 15, -1, -4]
+    for m, got in zip(ms, s.fourier_coefficient(np.array(ms)[:, None])):
         want = 0j
         for a in s.arcs:
             re, _ = quad(lambda t: math.cos(m * t), a.start, a.end)
             im, _ = quad(lambda t: -math.sin(m * t), a.start, a.end)
             want += re + 1j * im
-        got = indicator_fourier(s, m)
         assert abs(got - want) < 1e-10, m
 
 
 def test_indicator_fourier_zero_mode_and_bound():
     s = normalize_bands([(0.0, 0.9 * math.pi)])
-    assert indicator_fourier(s, 0) == complex(s.measure)
+    c = s.fourier_coefficient(np.arange(40)[:, None])
+    assert c[0] == complex(s.measure)
     # |c(m)| <= measure for all m
-    for m in range(1, 40):
-        assert abs(indicator_fourier(s, m)) <= s.measure + 1e-12
+    assert np.all(np.abs(c[1:]) <= s.measure + 1e-12)
 
 
 def test_conjugate_symmetry_bit_exact():
     s = normalize_bands([(0.2, 1.7), (3.0, 3.3)])
-    for m in range(1, 30):
-        assert indicator_fourier(s, -m) == indicator_fourier(s, m).conjugate()
+    ms = np.arange(1, 30)[:, None]
+    assert np.array_equal(s.fourier_coefficient(-ms), s.fourier_coefficient(ms).conj())
 
 
 def test_translation_covariance():
@@ -116,17 +116,17 @@ def test_translation_covariance():
     t0 = 0.7
     shifted = s.translate(t0)
     assert shifted.measure == pytest.approx(s.measure, abs=1e-12)
-    for m in range(1, 20):
-        want = cmath.exp(-1j * m * t0) * indicator_fourier(s, m)
-        got = indicator_fourier(shifted, m)
+    ms = np.arange(1, 20)[:, None]
+    for m, c, got in zip(ms[:, 0].tolist(), s.fourier_coefficient(ms), shifted.fourier_coefficient(ms)):
+        want = cmath.exp(-1j * m * t0) * c
         assert abs(got - want) < 1e-12, m
 
 
 def test_full_torus_coefficients_vanish():
     s = normalize_bands([(0.0, TWO_PI)])
-    assert indicator_fourier(s, 0) == complex(TWO_PI)
-    for m in range(1, 10):
-        assert abs(indicator_fourier(s, m)) < 1e-12
+    c = s.fourier_coefficient(np.arange(10)[:, None])
+    assert c[0] == complex(TWO_PI)
+    assert np.all(np.abs(c[1:]) < 1e-12)
 
 
 def test_json_round_trip():
@@ -199,10 +199,9 @@ ORACLE_BANDS = {
 def test_indicator_table_matches_scalar_oracle_bitwise(bands):
     s = normalize_bands(bands)
     ms = [int(m) for m in ORACLE_FREQUENCIES]
-    got = indicator_fourier(s, ORACLE_FREQUENCIES)
+    got = s.fourier_coefficient(ORACLE_FREQUENCIES[:, None])
     assert got.dtype == complex and got.shape == (len(ms),)
     assert np.array_equal(oracle.bits(got), oracle.bits([oracle.multiband(s, m) for m in ms]))
-    assert np.array_equal(oracle.bits(s.fourier_coefficient(ORACLE_FREQUENCIES)), oracle.bits(got))
     for a in s.arcs:
         want = [oracle.interval(a.start, a.end, m) for m in ms]
         got = interval_coefficient(a.start, a.end, ORACLE_FREQUENCIES)
@@ -217,13 +216,39 @@ def test_centered_table_matches_scalar_oracle_bitwise(length):
     assert np.array_equal(oracle.bits(got), oracle.bits([oracle.centered(length, m) for m in ms]))
 
 
-@pytest.mark.parametrize("m", [0, 1, -1, 7, 2**63 - 1, -(2**63), 2**70, -(3**50), np.int64(-5)])
-def test_scalar_frequency_gives_python_scalar_with_oracle_bits(m):
-    # one frequency runs the array formula on a length-1 array; ints beyond int64 work
+@pytest.mark.parametrize("bands", ORACLE_BANDS.values(), ids=ORACLE_BANDS.keys())
+def test_multiband_set_and_one_dim_box_set_share_bits(bands):
+    # an arc is a 1-D box: both spectra run the one box kernel
+    s = normalize_bands(bands)
+    box = BoxSet(boxes=[[(a.start, a.end)] for a in s.arcs])
+    ms = ORACLE_FREQUENCIES[:, None]
+    assert np.array_equal(oracle.bits(box.fourier_coefficient(ms)), oracle.bits(s.fourier_coefficient(ms)))
+
+
+def test_frequencies_beyond_int64_match_oracle_bits():
+    # Python ints of any size, in an object array, are used as float(m)
+    ms = [0, 1, -1, 7, 2**63 - 1, -(2**63), 2**70, -(3**50), np.int64(-5)]
+    column = np.array(ms, dtype=object)[:, None]
     s = normalize_bands([(0.3, 1.9), (3.0, 4.5)])
-    got = indicator_fourier(s, m)
-    assert type(got) is complex
-    assert oracle.bits([got]).tolist() == oracle.bits([oracle.multiband(s, int(m))]).tolist()
-    r = centered_interval_coefficient(1.3, m)
-    assert type(r) is float
-    assert oracle.bits([r]).tolist() == oracle.bits([oracle.centered(1.3, int(m))]).tolist()
+    got = s.fourier_coefficient(column)
+    assert np.array_equal(oracle.bits(got), oracle.bits([oracle.multiband(s, int(m)) for m in ms]))
+    r = centered_interval_coefficient(1.3, column[:, 0])
+    assert np.array_equal(oracle.bits(r), oracle.bits([oracle.centered(1.3, int(m)) for m in ms]))
+
+
+WRONG_WIDTH = [np.zeros((3, 2), np.int64), np.zeros((3, 2), object), np.zeros(3, np.int64),
+               np.zeros((1, 1, 1), np.int64), [[0, 1]], [0, 1], 5]
+
+
+@pytest.mark.parametrize("spectrum", [normalize_bands([(0.0, 1.0)]),
+                                      BoxSet(boxes=(((0.0, 1.0), (0.5, 2.0), (0.0, 3.0)),))],
+                         ids=["multiband", "box"])
+def test_wrong_frequency_width_is_refused(spectrum):
+    d = getattr(spectrum, "dim", 1)
+    for m in WRONG_WIDTH:
+        with pytest.raises(ValueError, match=fr"^frequencies of shape .* for a {d}-D set: need \(k, {d}\)$"):
+            spectrum.fourier_coefficient(m)
+    # points of the wrong length reach the kernel through build_gram
+    pts, width = ([(0, 0), (1, 1)], 2) if d == 1 else ([0, 1, 2], 1)
+    with pytest.raises(ValueError, match=fr"^frequencies of shape \(\d+, {width}\) for a {d}-D set"):
+        build_gram(pts, spectrum)
