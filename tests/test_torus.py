@@ -225,15 +225,17 @@ def test_multiband_set_and_one_dim_box_set_share_bits(bands):
     assert np.array_equal(oracle.bits(box.fourier_coefficient(ms)), oracle.bits(s.fourier_coefficient(ms)))
 
 
-def test_frequencies_beyond_int64_match_oracle_bits():
-    # Python ints of any size, in an object array, are used as float(m)
-    ms = [0, 1, -1, 7, 2**63 - 1, -(2**63), 2**70, -(3**50), np.int64(-5)]
-    column = np.array(ms, dtype=object)[:, None]
+@pytest.mark.parametrize("m", [0, 1, -1, 7, 2**63 - 1, -(2**63), 2**70, -(3**50), np.int64(-5)])
+def test_scalar_frequency_gives_python_scalar_with_oracle_bits(m):
+    # one frequency, a Python int of any size or a numpy integer, goes in as a
+    # one-row list and comes out as a length-1 array; m is used only as float(m)
     s = normalize_bands([(0.3, 1.9), (3.0, 4.5)])
-    got = s.fourier_coefficient(column)
-    assert np.array_equal(oracle.bits(got), oracle.bits([oracle.multiband(s, int(m)) for m in ms]))
-    r = centered_interval_coefficient(1.3, column[:, 0])
-    assert np.array_equal(oracle.bits(r), oracle.bits([oracle.centered(1.3, int(m)) for m in ms]))
+    got = s.fourier_coefficient([[m]])
+    assert got.dtype == complex and got.shape == (1,)
+    assert oracle.bits(got).tolist() == oracle.bits([oracle.multiband(s, int(m))]).tolist()
+    r = centered_interval_coefficient(1.3, np.array([m], dtype=object))
+    assert r.dtype == float and r.shape == (1,)
+    assert oracle.bits(r).tolist() == oracle.bits([oracle.centered(1.3, int(m))]).tolist()
 
 
 WRONG_WIDTH = [np.zeros((3, 2), np.int64), np.zeros((3, 2), object), np.zeros(3, np.int64),
