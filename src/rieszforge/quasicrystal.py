@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import lt
 
 import numpy as np
 
@@ -69,7 +71,8 @@ class UnitInterval:
 
 @dataclass(frozen=True)
 class PointSet:
-    """Strictly increasing integers observed inside an inclusive window."""
+    """Strictly increasing integers in an inclusive window, from any integral iterable,
+    kept as a tuple of Python ints; cached offsets stay out of ==, hash and repr."""
 
     elements: tuple[int, ...]
     window: tuple[int, int]
@@ -80,17 +83,31 @@ class PointSet:
         n0, n1 = window
         if n0 > n1:
             raise ValueError(f"window {window} is reversed")
-        object.__setattr__(self, "window", window)
-        prev = n0 - 1
-        for x in self.elements:
-            if type(x) is not int:  # convert every element once, then check the ints
-                object.__setattr__(self, "elements", integers(self.elements, "points"))
-                return self.__post_init__()
-            if not n0 <= x <= n1:
-                raise ValueError(f"element {x} outside window {window}")
-            if x <= prev:
-                raise ValueError("elements must be strictly increasing")
-            prev = x
+        if type(elements := self.elements) is not tuple or {*map(type, elements)} - {int}:
+            elements = integers(elements, "points")
+        if elements and not (n0 <= elements[0] and elements[-1] <= n1
+                             and all(map(lt, elements, elements[1:]))):
+            values = np.array(elements, dtype=object)  # name the first offender in order
+            outside = (values < n0) | (values > n1)
+            i = np.flatnonzero(outside | np.r_[False, values[1:] <= values[:-1]])[0]
+            raise ValueError(f"element {elements[i]} outside window {window}" if outside[i]
+                             else "elements must be strictly increasing")
+        self.__dict__.update(elements=elements, window=window)
+
+    @classmethod
+    def _from_offsets(cls, offsets: np.ndarray, window: tuple[int, int]) -> "PointSet":
+        """window[0] + offsets, unchecked: for strictly increasing int64 offsets in it."""
+        n0, n1 = window
+        shifted = (offsets if -2**63 <= n0 and n1 < 2**63 else offsets.astype(object)) + n0
+        points = object.__new__(cls)
+        points.__dict__.update(elements=tuple(shifted.tolist()), window=window, _offsets=offsets)
+        return points
+
+    @cached_property
+    def _offsets(self) -> np.ndarray:
+        """elements - window[0]: int64, or Python ints if the window spans over 2**63."""
+        offsets = np.array(self.elements, dtype=object) - self.window[0]
+        return offsets.astype(np.int64) if self.span <= 2**63 else offsets
 
     def __len__(self):
         return len(self.elements)
@@ -107,9 +124,9 @@ class PointSet:
         return len(self.elements) / self.span
 
     def complement_in_window(self) -> "PointSet":
-        inside = set(self.elements)
-        rest = tuple(n for n in range(self.window[0], self.window[1] + 1) if n not in inside)
-        return PointSet(elements=rest, window=self.window)
+        keep = np.ones(self.span, dtype=bool)
+        keep[self._offsets] = False
+        return PointSet._from_offsets(np.flatnonzero(keep), self.window)
 
     def to_json(self) -> dict:
         return {"elements": list(self.elements), "window": list(self.window)}
@@ -118,7 +135,7 @@ class PointSet:
     def from_json(cls, obj: dict) -> "PointSet":
         if missing := sorted({"elements", "window"} - set(obj)):
             raise ValueError(f"a points object needs 'elements' and 'window', missing {missing}")
-        return cls(elements=integers(obj["elements"], "points"), window=obj["window"])
+        return cls(elements=obj["elements"], window=obj["window"])
 
 
 @dataclass(frozen=True)
@@ -190,7 +207,7 @@ def generate(alpha: QuadNum, interval: UnitInterval, window: tuple[int, int]) ->
     holding frac(alpha*n) * one.  An integer whose bracket lies inside [lo, hi)
     or clear of it is decided there, the few others by the exact QuadNum
     comparison interval.lo <= frac(alpha*n) < interval.hi, so the result
-    equals the exact one.
+    equals the exact one.  The member offsets k become the set unchecked.
     """
     if not isinstance(alpha, QuadNum) or alpha.q == 0:
         raise ValueError("alpha must be an irrational QuadNum")
@@ -213,8 +230,8 @@ def generate(alpha: QuadNum, interval: UnitInterval, window: tuple[int, int]) ->
     unsure = ~member & (top > lo) & ((u <= hi) | (top > one))
     for i in np.flatnonzero(unsure).tolist():
         member[i] = interval.lo <= (alpha * (n0 + i)).frac_mod1() < interval.hi
-    elements = tuple(n0 + i for i in np.flatnonzero(member).tolist())
-    return PointSet(elements=elements, window=(n0, n1))
+    del k, u, top, unsure  # freed before the elements are built: 30-60 MB at the window limit
+    return PointSet._from_offsets(np.flatnonzero(member), (n0, n1))
 
 
 def generate_centered(alpha: QuadNum, interval: UnitInterval, count: int) -> PointSet:
@@ -311,31 +328,24 @@ def construct_riesz_set(spectrum: MultibandSet, window: tuple[int, int],
 
 def gap_stats(points) -> GapStats:
     """Gap statistics of a PointSet or sorted integer sequence."""
-    elems = tuple(points)
-    if len(elems) < 2:
-        return GapStats(gaps=(), gamma=math.inf, min_gap=math.inf)
-    gaps = tuple(b - a for a, b in zip(elems, elems[1:]))
-    return GapStats(gaps=gaps, gamma=max(gaps), min_gap=min(gaps))
+    values = points._offsets if isinstance(points, PointSet) else np.array([*points], dtype=object)
+    gaps = np.diff(values).tolist()
+    return GapStats(gaps=tuple(gaps), gamma=max(gaps, default=math.inf),
+                    min_gap=min(gaps, default=math.inf))
 
 
 def density_stats(points: PointSet) -> DensityStats:
-    """Extreme densities over all sub-windows of window_r = min(1000,
-    points.span) integers, plus the global rate."""
-    n0, n1 = points.window
-    span = n1 - n0 + 1
+    """Extreme densities over all sub-windows of window_r = min(1000, points.span)
+    integers, counted by one prefix sum over the offsets, plus the global rate."""
+    span = points.span
     window_r = min(1000, span)
-    # offsets from the window start fit in int64 wherever the window lies; an empty
-    # set stays a tuple, as numpy's empty float array cannot take n0 past float range
-    offsets = np.asarray(points.elements) - n0 if len(points) else ()
-    elems = np.asarray(offsets, dtype=np.int64)
-    starts = np.arange(span - window_r + 1, dtype=np.int64)
-    hi_counts = np.searchsorted(elems, starts + window_r, side="left")
-    lo_counts = np.searchsorted(elems, starts, side="left")
-    counts = hi_counts - lo_counts
+    prefix = np.bincount(points._offsets + 1, minlength=span + 1)
+    np.cumsum(prefix, out=prefix)
+    counts = prefix[window_r:] - prefix[:-window_r]
     return DensityStats(
         upper=float(counts.max()) / window_r,
         lower=float(counts.min()) / window_r,
-        asymptotic=len(elems) / span,
+        asymptotic=len(points) / span,
         window_r=window_r,
     )
 

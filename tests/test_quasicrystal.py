@@ -1,6 +1,9 @@
 """Cut-and-project generation, parameter choice, gap/density statistics."""
 
+import json
 import math
+import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
@@ -406,6 +409,112 @@ def test_density_window_defaults_to_min_1000_span():
     for n0 in (0, 10**30, 10**400):
         none = density_stats(PointSet(elements=(), window=(n0, n0 + 5)))
         assert none.window_r == 6 and none.upper == none.lower == none.asymptotic == 0.0
+
+
+def test_point_set_stores_a_tuple_of_ints_whatever_it_is_given():
+    want = PointSet(elements=(1, 2, 4), window=(0, 5))
+    given = [[1, 2, 4], (x for x in (1, 2, 4)), np.array([1, 2, 4]),
+             np.array([1, 2, 4], dtype=np.uint8), (np.int64(1), 2.0, Fraction(4))]
+    for elements in given:
+        ps = PointSet(elements=elements, window=(0, 5))
+        assert type(ps.elements) is tuple and all(type(x) is int for x in ps.elements)
+        assert ps == want and hash(ps) == hash(want) and repr(ps) == repr(want)
+        assert len(ps) == 3 and ps.to_json() == want.to_json()
+    big = PointSet(elements=[10**400, 10**400 + 3], window=(10**400, 10**400 + 3))
+    assert big.elements == (10**400, 10**400 + 3) and hash(big) == hash(
+        PointSet(elements=big.elements, window=big.window))
+    for bad in ([1, True], np.array([True, False]), [1.5], ["1"], 3):
+        with pytest.raises(ValueError, match="points must be"):
+            PointSet(elements=bad, window=(0, 5))
+
+
+@pytest.mark.parametrize("elements, window, message", [
+    ((5, 3), (0, 4), r"element 5 outside window \(0, 4\)"),
+    ((3, 2, 9), (0, 5), "strictly increasing"),
+    ((1, 9, 2), (0, 5), r"element 9 outside"),
+    ((2, -1), (0, 5), r"element -1 outside"),   # a drop and outside: outside is named
+    ((1, 1), (0, 5), "strictly increasing"),
+    ((-1, 0), (0, 5), r"element -1 outside"),
+    ((0, 6, 7), (0, 5), r"element 6 outside"),
+    ((10**400 + 1, 10**400), (10**400, 10**400 + 1), "strictly increasing"),
+    ((10**400, 10**400 + 2), (10**400, 10**400 + 1), r"element 10{399}2 outside"),
+    ([4, 2, 9], (0, 5), "strictly increasing"),
+], ids=["outside-first", "drop", "outside-before-drop", "drop-and-outside", "repeat",
+        "below", "above", "far-drop", "far-above", "list"])
+def test_point_set_names_the_first_offending_element(elements, window, message):
+    with pytest.raises(ValueError, match=message):
+        PointSet(elements=elements, window=window)
+
+
+# window starts: near zero, negative, either side of int64's ends, past them and past float range
+FAR_STARTS = (0, 3, -7, -10**6, 2**63 - 40, -2**63 - 5, 10**20, -10**20, 10**400, -10**400)
+FAR_IDS = ["0", "3", "-7", "-1e6", "2^63-40", "-2^63-5", "1e20", "-1e20", "1e400", "-1e400"]
+
+
+def _oracle_gaps(elements):
+    gaps = tuple(b - a for a, b in zip(elements, elements[1:]))
+    return gaps, (max(gaps) if gaps else math.inf), (min(gaps) if gaps else math.inf)
+
+
+def test_array_statistics_match_their_python_formulas():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def point_sets(draw):
+        n0 = draw(st.sampled_from(FAR_STARTS) | st.integers(-50, 50))
+        span = draw(st.sampled_from([1, 2, 999, 1000, 1001]) | st.integers(1, 2500))
+        count = draw(st.sampled_from([0, 1, 2, span - 1, span]) | st.integers(0, span))
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        offsets = sorted(rng.sample(range(span), max(0, count)))
+        return PointSet(elements=tuple(n0 + k for k in offsets), window=(n0, n0 + span - 1))
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(point_sets())
+    def check(points):
+        elems, (n0, n1) = points.elements, points.window
+        for source in (points, list(elems)):  # the cached offsets, and a plain sequence
+            st_ = gap_stats(source)
+            assert (st_.gaps, st_.gamma, st_.min_gap) == _oracle_gaps(elems)
+            assert all(type(g) is int for g in st_.gaps)
+        # every sub-window of r integers, counted by bisection on the elements
+        r = min(1000, points.span)
+        counts = [bisect_left(elems, n0 + s + r) - bisect_left(elems, n0 + s)
+                  for s in range(points.span - r + 1)]
+        dens = density_stats(points)
+        assert (dens.upper, dens.lower, dens.window_r) == (max(counts) / r, min(counts) / r, r)
+        assert dens.asymptotic == len(elems) / points.span
+        rest = points.complement_in_window()
+        inside = set(elems)
+        assert rest.elements == tuple(n for n in range(n0, n1 + 1) if n not in inside)
+        assert rest.window == points.window and all(type(x) is int for x in rest.elements)
+        assert rest == PointSet(elements=list(rest.elements), window=rest.window)
+        assert rest.complement_in_window() == points
+        json.JSONEncoder().encode(rest.to_json())  # the C encoder refuses numpy ints
+
+    check()
+
+
+@pytest.mark.parametrize("n0", FAR_STARTS, ids=FAR_IDS)
+@pytest.mark.parametrize("s_norm", [0.45, 0.78])
+def test_generated_sets_are_the_validated_sets(n0, s_norm):
+    # generate builds its set unchecked from member offsets; it is one value with
+    # the set validated from the same ints, whatever either has cached
+    p = choose_params(s_norm)
+    got = generate(p.alpha, p.riesz_interval, (n0, n0 + 300))
+    rest = got.complement_in_window()
+    for ps in (got, rest):
+        assert type(ps.elements) is tuple and all(type(x) is int for x in ps.elements)
+        json.JSONEncoder().encode(ps.to_json())
+        same = PointSet(elements=list(ps.elements), window=ps.window)
+        fresh = PointSet(elements=list(ps.elements), window=ps.window)
+        density_stats(same)  # caches its offsets; fresh caches none
+        for other in (same, fresh):
+            assert ps == other and hash(ps) == hash(other)
+            assert repr(ps) == repr(other) and ps.to_json() == other.to_json()
+        assert gap_stats(ps) == gap_stats(same) == gap_stats(list(ps.elements))
+        assert density_stats(ps) == density_stats(fresh)
+    assert "offsets" not in repr(got) and len({got, PointSet(got.elements, got.window)}) == 1
 
 
 def test_landau_check():
