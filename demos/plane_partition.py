@@ -16,11 +16,13 @@ import rieszforge as rf
 
 def main():
     window = rf.LatticeWindow(lo=(0, 0), hi=(17, 17))
+    # an int64 array of shape (segments, 3, 2): each segment's cells in order
     segments = rf.cycling_partition(2, 3, window)
     print(f"{len(segments)} segments of length 3 tile the 18x18 window")
 
+    # one cell per segment, drawn in one call, as a list of [x, y] points
     rng = np.random.default_rng(0)
-    selector = [seg.cells[int(rng.integers(3))] for seg in segments]
+    selector = segments[np.arange(len(segments)), rng.integers(3, size=len(segments))].tolist()
 
     worst = 0
     for axis in (1, 2):
@@ -30,8 +32,8 @@ def main():
     print(f"worst 1-D section gap of a random selector: {worst} "
           f"(guarantee: <= {2 * 2 * 3})")
 
-    cubes = rf.cube_partition(2, 3, window)
-    cube_sel = [cube.cells[int(rng.integers(9))] for cube in cubes]
+    cubes = rf.cube_partition(2, 3, window)  # shape (cubes, 9, 2)
+    cube_sel = cubes[np.arange(len(cubes)), rng.integers(9, size=len(cubes))].tolist()
     radius = rf.covering_radius(cube_sel, window)
     print(f"covering radius of a one-per-cube selector: {radius:.4f} "
           f"(guarantee: <= {3 * math.sqrt(2):.4f})")

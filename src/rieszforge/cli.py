@@ -278,31 +278,31 @@ def cmd_partition(spec: argparse.Namespace) -> tuple[int, dict]:
     d, r = spec.dim, spec.r
     window = _partition_window(spec)
 
-    def one_cell_each(groups, key: int) -> list:
+    def one_cell_each(parts: np.ndarray, key: int) -> list:
+        """One cell of each part, drawn by one call, as a list of coordinate lists."""
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(key,)))
-        return [g.cells[int(rng.integers(len(g.cells)))] for g in groups]
+        n, size = parts.shape[:2]
+        return parts[np.arange(n), rng.integers(size, size=n)].tolist()
 
-    segments = cycling_partition(d, r, window)
-    selector = one_cell_each(segments, 0)
+    selector = one_cell_each(cycling_partition(d, r, window), 0)
     gap_bound = 2 * d * r
     axis_report = section_report(selector, window)
 
     s = spec.cube_side if spec.cube_side is not None else r
-    cubes = cube_partition(d, s, window)
-    cube_selector = one_cell_each(cubes, 1)
+    cube_selector = one_cell_each(cube_partition(d, s, window), 1)
     radius = covering_radius(cube_selector, window)
 
     payload = {
         "dim": d,
         "r": r,
         "window": {"lo": list(window.lo), "hi": list(window.hi)},
-        "segment_count": len(segments),
-        "selector": [list(c) for c in selector],
+        "segment_count": len(selector),
+        "selector": selector,
         "section_gaps": axis_report,
         "section_gap_bound": gap_bound,
         "section_gap_ok": max(a["max_section_gap"] for a in axis_report) <= gap_bound,
         "cube_side": s,
-        "cube_count": len(cubes),
+        "cube_count": len(cube_selector),
         "covering_radius": radius,
         "covering_bound": s * math.sqrt(d),
         "covering_ok": radius <= s * math.sqrt(d),
@@ -383,9 +383,8 @@ def cmd_selftest(spec: argparse.Namespace) -> tuple[int, dict | None]:
 
     def partition_counts():
         window = LatticeWindow(lo=(0, 0), hi=(17, 17))
-        segments = cycling_partition(2, 3, window)
-        cells = [c for seg in segments for c in seg.cells]
-        if len(segments) != 108 or len(set(cells)) != 324:
+        cells = cycling_partition(2, 3, window)
+        if cells.shape != (108, 3, 2) or len(np.unique(cells.reshape(-1, 2), axis=0)) != 324:
             raise AssertionError("cycling partition is not an exact 108-segment cover")
 
     run("full_torus_identity", full_torus_identity)

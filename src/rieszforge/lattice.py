@@ -7,7 +7,9 @@ segments of length r; the segment axis j cycles with the cube through
 
 so a one-per-segment selector stays syndetic along every one-dimensional
 section, with gaps at most 2*d*r.  The plain cube partition gives selectors
-with covering radius at most s*sqrt(d).
+with covering radius at most s*sqrt(d).  A partition is an int64 array of
+shape (parts, cells per part, d), and the checks read points as the (n, d)
+int64 array of quadfield.integer_points.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from .quasicrystal import GapStats, gap_stats
 
 __all__ = [
     "LatticeWindow",
-    "Segment",
-    "Cube",
     "cycling_partition",
     "cube_partition",
     "covering_radius",
@@ -70,25 +70,10 @@ class LatticeWindow:
         return itertools.product(*(range(a, b + 1) for a, b in zip(self.lo, self.hi)))
 
 
-@dataclass(frozen=True)
-class Segment:
-    """Axis-aligned run of r lattice cells inside one cube of the partition."""
-
-    base: tuple[int, ...]
-    axis: int  # 1-based
-    cells: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class Cube:
-    """One aligned s-cube of the plain cube partition."""
-
-    base: tuple[int, ...]
-    cells: tuple[tuple[int, ...], ...]
-
-
-def _aligned_bases(d: int, step: int, window: LatticeWindow, what: str):
-    """Validate a partition request; iterate the bases of its aligned cubes."""
+def _aligned_cubes(d: int, step: int, window: LatticeWindow, what: str):
+    """Validate a partition request: the bases of its aligned step-cubes, a
+    (cubes, d) int64 array in lexicographic order, and the offsets of a cube's
+    cells, indexed [o_1, ..., o_d, coordinate].  Allocates nothing on failure."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if step < 1:
@@ -96,41 +81,42 @@ def _aligned_bases(d: int, step: int, window: LatticeWindow, what: str):
     if window.dim != d:
         raise ValueError(f"window dimension {window.dim} != {d}")
     window.require_aligned(step)
-    return itertools.product(*(range(a, b + 1, step) for a, b in zip(window.lo, window.hi)))
+    integer_points([window.lo, window.hi])  # every cell fits in int64
+    axes = [a + np.arange(0, n, step, dtype=np.int64)
+            for a, n in zip(window.lo, window.side_lengths)]
+    bases = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    return bases, np.moveaxis(np.indices((step,) * d, dtype=np.min_scalar_type(step - 1)), 0, -1)
 
 
-def cycling_partition(d: int, r: int, window: LatticeWindow) -> tuple[Segment, ...]:
-    """Partition the window into axis segments of length r with cycling axes.
+def cycling_partition(d: int, r: int, window: LatticeWindow) -> np.ndarray:
+    """Partition the window into axis segments of length r with cycling axes:
+    an int64 array of shape (segments, r, d), each segment's cells in order
+    along its axis, the one coordinate that varies along it.
 
     The window must be aligned: every lo coordinate and every side length a
-    multiple of r.  Within the cube at base k the segments run along axis
-    j(k) = ((k_1+...+k_d)/r mod d, 0 -> d); the remaining coordinates take all
-    r^(d-1) offset combinations in order.
+    multiple of r.  The cubes run in lexicographic order of their bases k; the
+    segments of the cube at k run along axis j(k) = ((k_1+...+k_d)/r mod d,
+    0 -> d), and the remaining coordinates take all r^(d-1) offset combinations
+    in lexicographic order.
     """
     d, r = integers([d, r], "dimension and segment length")
-    segments = []
-    for base in _aligned_bases(d, r, window, "segment length"):
-        residue = (sum(base) // r) % d
-        axis = d if residue == 0 else residue
-        before = axis - 1
-        for offsets in itertools.product(range(r), repeat=d - 1):
-            cells = []
-            for t in range(r):
-                rel = offsets[:before] + (t,) + offsets[before:]
-                cells.append(tuple(k + o for k, o in zip(base, rel)))
-            segments.append(Segment(base=base, axis=axis, cells=tuple(cells)))
-    return tuple(segments)
+    bases, rel = _aligned_cubes(d, r, window, "segment length")
+    # the axis rule, each k_i/r reduced mod d so that the sum cannot wrap
+    turn = (bases // r % d).sum(axis=1) % d  # 0-based axis (turn - 1) mod d
+    cells = np.empty((len(bases), r ** (d - 1), r, d), np.int64)
+    for i in range(d):  # the cubes whose segments run along axis i + 1: that offset last
+        along = turn == (i + 1) % d
+        cells[along] = bases[along][:, None, None] + np.moveaxis(rel, i, -2).reshape(-1, r, d)
+    return cells.reshape(-1, r, d)
 
 
-def cube_partition(d: int, s: int, window: LatticeWindow) -> tuple[Cube, ...]:
-    """Partition the window into aligned s-cubes (window must be aligned to s)."""
+def cube_partition(d: int, s: int, window: LatticeWindow) -> np.ndarray:
+    """Partition the window into aligned s-cubes (window must be aligned to s):
+    an int64 array of shape (cubes, s**d, d), cubes in lexicographic order of
+    their bases, each cube's cells in lexicographic order."""
     d, s = integers([d, s], "dimension and cube side")
-    cubes = []
-    for base in _aligned_bases(d, s, window, "cube side"):
-        cells = tuple(tuple(k + o for k, o in zip(base, rel))
-                      for rel in itertools.product(range(s), repeat=d))
-        cubes.append(Cube(base=base, cells=cells))
-    return tuple(cubes)
+    bases, rel = _aligned_cubes(d, s, window, "cube side")
+    return bases[:, None, :] + rel.reshape(-1, d)
 
 
 def covering_radius(points, window: LatticeWindow) -> float:
@@ -148,14 +134,14 @@ def covering_radius(points, window: LatticeWindow) -> float:
     (cells/points)^(1/d)), which settles a one-per-cube selector in one pass;
     a pass costs O(d * B * cells) time and a few cell-sized grids of memory.
     """
-    arr = integer_points(points)
-    (n, k), d, sides = arr.shape, window.dim, window.side_lengths
-    if k != d:
-        raise ValueError(f"points of dimension {k} in a {d}-D window")
-    low, high = arr.min(axis=0), arr.max(axis=0)
-    if any(int(m) < a or int(h) > b for m, h, a, b in zip(low, high, window.lo, window.hi)):
-        p = next(p for p in map(tuple, arr.tolist()) if not window.contains(p))
+    arr, inside = _window_points(points, window)
+    (n, d), sides = arr.shape, window.side_lengths
+    if not n:
+        raise ValueError("empty point set")
+    if not inside.all():
+        p = tuple(arr[~inside][0].tolist())
         raise ValueError(f"point {p} lies outside the window {window.lo}..{window.hi}")
+    low = arr.min(axis=0)
     # offsets from the window's corner; no int64 value leaves the points' own range
     idx = tuple((arr - low + [int(m) - a for m, a in zip(low, window.lo)]).T)
     # on axes 2..d, a band this wide reaches every point from every cell
@@ -200,15 +186,15 @@ def _banded_squares(lines: np.ndarray, band: int) -> np.ndarray:
     return g
 
 
-def _sections(points, axis: int, window: LatticeWindow) -> dict[tuple, list]:
-    """Axis coordinates (1-based axis) of the window's points, grouped by
-    their d-1 frozen coordinates; points of the wrong length are skipped."""
-    d, i = window.dim, axis - 1
-    groups: dict[tuple, list] = {}
-    for pt in points:
-        if len(pt) == d and window.contains(pt):
-            groups.setdefault((*pt[:i], *pt[i + 1:]), []).append(pt[i])
-    return groups
+def _window_points(points, window: LatticeWindow) -> tuple[np.ndarray, np.ndarray]:
+    """points, read by integer_points ([] as no points), as an (n, d) int64
+    array, and the mask of those inside the window; ValueError on points of
+    another dimension."""
+    points = list(points)
+    arr = integer_points(points) if points else np.empty((0, window.dim), np.int64)
+    if arr.shape[1] != window.dim:
+        raise ValueError(f"points of dimension {arr.shape[1]} in a {window.dim}-D window")
+    return arr, np.all([(a <= x) & (x <= b) for x, a, b in zip(arr.T, window.lo, window.hi)], 0)
 
 
 def section_gaps(points, axis: int, fixed: tuple[int, ...],
@@ -216,7 +202,8 @@ def section_gaps(points, axis: int, fixed: tuple[int, ...],
     """Gap statistics of the 1-D section of `points` along `axis` (1-based).
 
     fixed supplies the d-1 frozen coordinates in order (axis coordinate
-    omitted).  Points outside the window are ignored.
+    omitted).  points are read as in section_report; those outside the window
+    are ignored.
     """
     d = window.dim
     (axis,), fixed = integers([axis], "axis"), integers(fixed, "fixed coordinates")
@@ -224,18 +211,30 @@ def section_gaps(points, axis: int, fixed: tuple[int, ...],
         raise ValueError(f"axis must be in 1..{d}")
     if len(fixed) != d - 1:
         raise ValueError(f"need {d - 1} fixed coordinates, got {len(fixed)}")
-    return gap_stats(sorted(_sections(points, axis, window).get(fixed, ())))
+    arr, on = _window_points(points, window)
+    for x, c in zip(np.delete(arr, axis - 1, axis=1).T, fixed):
+        on &= x == c
+    return gap_stats(np.sort(arr[on, axis - 1]).tolist())
 
 
 def section_report(points, window: LatticeWindow) -> list[dict]:
     """Per axis, the largest gap over the window's 1-D sections of `points`
-    (0 if none has two points) and how many sections hold fewer than two;
-    one grouping pass per axis, O(d*(|points| + W^(d-1)))."""
-    report, sides = [], window.side_lengths
-    for axis in range(1, window.dim + 1):
-        full = [gap_stats(sorted(c)) for c in _sections(points, axis, window).values()
-                if len(c) >= 2]
-        gap = max((int(st.gamma) for st in full), default=0)
-        sparse = math.prod(sides) // sides[axis - 1] - len(full)
-        report.append({"axis": axis, "max_section_gap": gap, "sections_under_two_points": sparse})
+    (0 if none has two points) and how many sections hold fewer than two.
+
+    points are integers (1-D) or d-tuples, read by integer_points; those
+    outside the window are ignored, and [] leaves every section sparse.  Per
+    axis, one lexsort by (frozen coordinates, axis coordinate) lines the
+    sections up, and one np.diff of the sorted points gives every gap.
+    """
+    arr, inside = _window_points(points, window)
+    arr, report, sides = arr[inside], [], window.side_lengths
+    for i in range(window.dim):
+        # int64 differences wrap, but a wrapped one is 0 only between equal
+        # coordinates, and a gap, ascending, is exact as uint64
+        delta = np.diff(arr[np.lexsort((arr[:, i], *np.delete(arr, i, axis=1).T))], axis=0)
+        same = ~np.delete(delta, i, axis=1).any(axis=1)  # consecutive points of one section
+        gap = int(delta[same, i].view(np.uint64).max(initial=0))
+        full = int(np.count_nonzero(np.diff(same, prepend=False) & same))  # runs of same
+        sparse = math.prod(sides) // sides[i] - full
+        report.append({"axis": i + 1, "max_section_gap": gap, "sections_under_two_points": sparse})
     return report

@@ -264,16 +264,16 @@ def test_criterion_08_pair_selector(capsys):
 def test_criterion_09_cycling_partition(capsys):
     window = rf.LatticeWindow(lo=(0, 0), hi=(17, 17))
     segments = rf.cycling_partition(2, 3, window)
-    cells = [c for seg in segments for c in seg.cells]
+    cells = [tuple(c) for c in segments.reshape(-1, 2).tolist()]
     exact = (len(segments) == 108
-             and all(len(seg.cells) == 3 for seg in segments)
+             and all(len(seg) == 3 for seg in segments)
              and sorted(cells) == sorted(window.points()))
 
     rng = np.random.default_rng(9)
-    selectors = [[seg.cells[0] for seg in segments],
-                 [seg.cells[1] for seg in segments],
-                 [seg.cells[2] for seg in segments]]
-    selectors += [[seg.cells[int(rng.integers(3))] for seg in segments]
+    selectors = [segments[:, 0].tolist(),
+                 segments[:, 1].tolist(),
+                 segments[:, 2].tolist()]
+    selectors += [[seg[int(rng.integers(3))].tolist() for seg in segments]
                   for _ in range(25)]
     gap_ok = True
     for sel in selectors:
@@ -285,7 +285,7 @@ def test_criterion_09_cycling_partition(capsys):
     cubes = rf.cube_partition(2, 3, window)
     cover_ok = True
     for _ in range(10):
-        sel = [cube.cells[int(rng.integers(9))] for cube in cubes]
+        sel = [cube[int(rng.integers(9))].tolist() for cube in cubes]
         cover_ok &= rf.covering_radius(sel, window) <= 3 * math.sqrt(2) + 1e-12
 
     verdict_line(capsys, 9, "cycling partition syndetic in every section", {

@@ -17,6 +17,7 @@ from rieszforge.cli import main
 from rieszforge.gram import _solved_gram
 
 import coefficient_oracle as oracle
+import partition_oracle
 
 PACKAGE_ROOT = str(Path(rieszforge.__file__).resolve().parents[1])
 
@@ -182,6 +183,51 @@ def test_partition_stdout_pinned(capsys, argv, size, digest, sections):
     assert json.loads(out)["section_gaps"] == sections
     assert len(out.encode()) == size
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# windows at the ends of int64, against the stdout and exit codes of the
+# per-cell tuple partitions: from 2^62 in three dimensions, where an int64 sum
+# of a cube's base wraps, and one past int64, refused with exit 1
+EDGE = "4611686018427387904,4611686018427387907"
+
+
+@pytest.mark.parametrize("window, code, size, digest, err", [
+    (",".join([EDGE] * 3), 0, 3818,
+     "4e855cc64022c150544a7f4190cfb70c96d041ffa78f94893ba4eef5d084d9c8", ""),
+    ("9223372036854775806,9223372036854775809,0,3", 1, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "rieszforge partition: error: points do not fit in 64-bit integers\n"),
+], ids=["2^62", "past-int64"])
+def test_partition_at_the_ends_of_int64_pinned(capsys, window, code, size, digest, err):
+    d = str(window.count(",") // 2 + 1)
+    assert main(["partition", "--dim", d, "--r", "2", f"--window-2d={window}"]) == code
+    captured = capsys.readouterr()
+    assert len(captured.out.encode()) == size and captured.err == err
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("d, r", [(1, 2), (1, 3), (1, 9), (1, 27), (2, 2), (2, 3),
+                                  (2, 9), (2, 27), (3, 2)])
+@pytest.mark.parametrize("seed", range(5))
+def test_partition_draws_equal_the_scalar_loop(capsys, d, r, seed):
+    # one rng.integers call per selector draws what one call per part drew
+    side = 2 * r if d > 1 else 4 * r
+    code, obj = run_json(capsys, "partition", "--dim", str(d), "--r", str(r),
+                         "--window", str(side), "--seed", str(seed))
+    assert code == 0
+    lo, hi = (0,) * d, (side - 1,) * d
+
+    def rng(key):
+        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
+
+    segments = [cells for _, _, cells in partition_oracle.cycling_partition(d, r, lo, hi)]
+    selector = partition_oracle.draw(segments, rng(0))
+    assert obj["selector"] == [list(c) for c in selector]
+    assert obj["section_gaps"] == partition_oracle.section_report(selector, lo, hi)
+    cubes = [cells for _, cells in partition_oracle.cube_partition(d, r, lo, hi)]
+    window = rieszforge.LatticeWindow(lo=lo, hi=hi)
+    assert obj["covering_radius"] == \
+        rieszforge.covering_radius(partition_oracle.draw(cubes, rng(1)), window)
 
 
 # one op per selection mode, each on one arc, so searched on the real Gram;

@@ -81,8 +81,9 @@ def test_boundaries_store_python_ints():
     assert BlockSystem(blocks=[[0.0, np.int64(1)]]).blocks == ((0, 1),)
     assert stabilize([[0.0], (np.int64(0), 1.0)]) == (2, (0, 1))
     assert BlockSystem.intervals(range(8), 2.0) == BlockSystem.intervals(range(8), 2)
-    assert cycling_partition(2.0, np.int64(2), PLANE) == cycling_partition(2, 2, PLANE)
-    assert cube_partition(np.int64(2), 2.0, PLANE) == cube_partition(2, 2, PLANE)
+    assert np.array_equal(cycling_partition(2.0, np.int64(2), PLANE),
+                          cycling_partition(2, 2, PLANE))
+    assert np.array_equal(cube_partition(np.int64(2), 2.0, PLANE), cube_partition(2, 2, PLANE))
     assert section_gaps([(0, 0), (2, 0)], 1.0, (np.int64(0),), PLANE).gaps == (2,)
     assert kahane_classify(4.0, HALF) == kahane_classify(4, HALF)
     config = SelectorConfig(master_seed=np.int64(3), max_trials=5.0)

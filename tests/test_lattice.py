@@ -14,6 +14,19 @@ from rieszforge import BoxSet, LatticeWindow, TWO_PI, build_gram, \
 from rieszforge import lattice
 
 import coefficient_oracle as oracle
+import partition_oracle
+
+
+def _cells(parts):
+    """The cells of a partition array, part by part, as tuples."""
+    return [tuple(c) for c in parts.reshape(-1, parts.shape[-1]).tolist()]
+
+
+def _base_axis(segment, r):
+    """The cube base of a segment, and its 1-based axis: the one coordinate
+    that varies along it (r >= 2)."""
+    first, last = segment[0], segment[-1]
+    return tuple((first // r * r).tolist()), 1 + int(np.flatnonzero(first != last)[0])
 
 
 def test_window_basics():
@@ -35,11 +48,12 @@ def test_cycling_partition_small_square():
     w = LatticeWindow(lo=(0, 0), hi=(3, 3))
     segs = cycling_partition(2, 2, w)
     assert len(segs) == 8
-    cells = [c for s in segs for c in s.cells]
+    assert segs.shape == (8, 2, 2) and segs.dtype == np.int64
+    cells = _cells(segs)
     assert sorted(cells) == sorted(w.points())        # exact cover
     assert len(set(cells)) == 16                      # disjoint
     # axis cycles with (k1+k2)/r mod 2: base (0,0) -> residue 0 -> axis 2
-    by_base = {s.base: s.axis for s in segs}
+    by_base = dict(_base_axis(s, 2) for s in segs)
     assert by_base[(0, 0)] == 2
     assert by_base[(2, 0)] == 1
     assert by_base[(0, 2)] == 1
@@ -50,8 +64,8 @@ def test_cycling_partition_criterion_size():
     w = LatticeWindow(lo=(0, 0), hi=(17, 17))
     segs = cycling_partition(2, 3, w)
     assert len(segs) == 108
-    assert all(len(s.cells) == 3 for s in segs)
-    cells = [c for s in segs for c in s.cells]
+    assert all(len(s) == 3 for s in segs)
+    cells = _cells(segs)
     assert len(set(cells)) == 324 == 18 * 18
 
 
@@ -59,8 +73,8 @@ def test_cycling_partition_1d():
     w = LatticeWindow(lo=(0,), hi=(8,))
     segs = cycling_partition(1, 3, w)
     assert len(segs) == 3
-    assert all(s.axis == 1 for s in segs)
-    assert segs[0].cells == ((0,), (1,), (2,))
+    assert all(_base_axis(s, 3)[1] == 1 for s in segs)
+    assert segs[0].tolist() == [[0], [1], [2]]
 
 
 def test_cycling_partition_validation():
@@ -80,7 +94,8 @@ def test_segment_axis_period():
     segs = cycling_partition(2, 3, w)
     axis_at = {}
     for s in segs:
-        axis_at[s.base] = s.axis
+        base, axis = _base_axis(s, 3)
+        axis_at[base] = axis
     for k2 in range(0, 18, 3):
         row = [axis_at[(k1, k2)] for k1 in range(0, 18, 3)]
         assert all(row[i] != row[i + 1] for i in range(5)), row
@@ -90,8 +105,9 @@ def test_cube_partition():
     w = LatticeWindow(lo=(0, 0), hi=(5, 5))
     cubes = cube_partition(2, 3, w)
     assert len(cubes) == 4
-    assert all(len(c.cells) == 9 for c in cubes)
-    cells = [c for cube in cubes for c in cube.cells]
+    assert cubes.shape == (4, 9, 2) and cubes.dtype == np.int64
+    assert all(len(c) == 9 for c in cubes)
+    cells = _cells(cubes)
     assert sorted(cells) == sorted(w.points())
 
 
@@ -219,7 +235,7 @@ def test_one_per_cube_covering_bound():
     cubes = cube_partition(2, 3, w)
     rng = np.random.default_rng(4)
     for _ in range(10):
-        sel = [cube.cells[int(rng.integers(9))] for cube in cubes]
+        sel = [cube[int(rng.integers(9))].tolist() for cube in cubes]
         assert covering_radius(sel, w) <= 3 * math.sqrt(2) + 1e-12
 
 
@@ -241,8 +257,8 @@ def test_selector_section_gap_bound():
     w = LatticeWindow(lo=(0, 0), hi=(17, 17))
     segs = cycling_partition(2, 3, w)
     rng = np.random.default_rng(12)
-    selectors = [[s.cells[0] for s in segs], [s.cells[-1] for s in segs]]
-    selectors += [[s.cells[int(rng.integers(3))] for s in segs] for _ in range(10)]
+    selectors = [segs[:, 0].tolist(), segs[:, -1].tolist()]
+    selectors += [[s[int(rng.integers(3))].tolist() for s in segs] for _ in range(10)]
     for sel in selectors:
         for axis in (1, 2):
             for fixed in range(18):
@@ -272,7 +288,7 @@ def _report_by_sections(points, window):
 
 def _one_per_segment(d, r, window, seed):
     rng = np.random.default_rng(seed)
-    return [s.cells[int(rng.integers(r))] for s in cycling_partition(d, r, window)]
+    return [tuple(s[int(rng.integers(r))].tolist()) for s in cycling_partition(d, r, window)]
 
 
 @pytest.mark.parametrize("d, r, lo, hi", [
@@ -288,7 +304,8 @@ def test_section_report_matches_per_section_loop(d, r, lo, hi):
     w = LatticeWindow(lo=lo, hi=hi)
     for seed in range(3):
         sel = _one_per_segment(d, r, w, seed)
-        assert section_report(sel, w) == _report_by_sections(sel, w)
+        assert section_report(sel, w) == _report_by_sections(sel, w) \
+            == partition_oracle.section_report(sel, lo, hi)
 
 
 def test_section_report_sparse_and_ignored_points():
@@ -296,9 +313,15 @@ def test_section_report_sparse_and_ignored_points():
     sel = _one_per_segment(3, 2, w, 0)
     report = section_report(sel, w)
     assert sum(a["sections_under_two_points"] for a in report) > 0
-    # points outside the window and points of the wrong length are ignored
-    noisy = sel + [(4, 0, 0), (0, -1, 2), (1, 1, 9), (1, 2), (0, 0, 0, 0)]
+    # points outside the window are ignored
+    noisy = sel + [(4, 0, 0), (0, -1, 2), (1, 1, 9)]
     assert section_report(noisy, w) == report == _report_by_sections(noisy, w)
+    # points of the wrong length are refused, among others or all of them
+    for wrong in ((1, 2), (0, 0, 0, 0)):
+        with pytest.raises(ValueError, match="one length"):
+            section_report(sel + [wrong], w)
+        with pytest.raises(ValueError, match=f"points of dimension {len(wrong)} in a 3-D"):
+            section_report([wrong], w)
     # no points: every section is sparse and the largest gap reads 0
     assert section_report([], w) == [
         {"axis": a, "max_section_gap": 0, "sections_under_two_points": 16}
@@ -314,6 +337,103 @@ def test_section_report_rows_and_columns():
         # columns x=-2 (gap 2) and x=4 (gap 2)
         {"axis": 2, "max_section_gap": 2, "sections_under_two_points": 8},
     ]
+
+
+def _windows(d, step):
+    """Aligned windows of unequal sides step*(1 + i%2): from negative corners,
+    from 2^62, where an int64 sum of the corner's coordinates wraps, and at
+    either end of int64."""
+    sides = [step * (1 + i % 2) for i in range(d)]
+    corners = {
+        "negative": [-step * (1 + i % 2) for i in range(d)],
+        "2^62": [2 ** 62 // step * step] * d,
+        "int64-top": [(2 ** 63 - s) // step * step for s in sides],
+        "int64-bottom": [-(2 ** 63 // step) * step] * d,
+    }
+    return {name: (tuple(lo), tuple(a + s - 1 for a, s in zip(lo, sides)))
+            for name, lo in corners.items()}
+
+
+PARTITION_CASES = [(d, step, name, *window) for d in range(1, 5) for step in range(1, 4)
+                   for name, window in _windows(d, step).items()]
+
+
+@pytest.mark.parametrize("d, step, name, lo, hi", PARTITION_CASES,
+                         ids=[f"d{d}-step{k}-{n}" for d, k, n, *_ in PARTITION_CASES])
+def test_partitions_match_the_nested_loop_oracle(d, step, name, lo, hi):
+    w = LatticeWindow(lo=lo, hi=hi)
+    segs = cycling_partition(d, step, w)
+    want = partition_oracle.cycling_partition(d, step, lo, hi)
+    assert segs.dtype == np.int64 and segs.shape == (len(want), step, d)
+    assert [tuple(map(tuple, s)) for s in segs.tolist()] == [cells for _, _, cells in want]
+    if step >= 2:
+        assert [_base_axis(s, step) for s in segs] == [(base, axis) for base, axis, _ in want]
+    cubes = cube_partition(d, step, w)
+    want = partition_oracle.cube_partition(d, step, lo, hi)
+    assert cubes.dtype == np.int64 and cubes.shape == (len(want), step ** d, d)
+    assert [tuple(map(tuple, c)) for c in cubes.tolist()] == [cells for _, cells in want]
+    assert [tuple((c[0] // step * step).tolist()) for c in cubes] == [b for b, _ in want]
+
+
+@pytest.mark.parametrize("lo, hi", [((2 ** 63 - 2, 0), (2 ** 63 + 1, 3)),
+                                    ((0, -2 ** 63 - 2), (3, -2 ** 63 + 1)),
+                                    ((2 ** 100,), (2 ** 100 + 2 ** 40 - 1,))])
+def test_partitions_refuse_windows_past_int64(lo, hi):
+    w = LatticeWindow(lo=lo, hi=hi)
+    for partition in (cycling_partition, cube_partition):
+        with pytest.raises(ValueError, match="do not fit in 64-bit integers"):
+            partition(len(lo), 2, w)
+
+
+def test_section_functions_read_points_as_integer_points():
+    plane = LatticeWindow(lo=(0, 0), hi=(3, 3))
+    for bad in ([(0.5, 0), (2, 0)], [(True, 0), (2, 0)], [(0, 0), (2, 0), (1, "2")]):
+        with pytest.raises(ValueError, match="must be integers"):
+            section_report(bad, plane)
+        with pytest.raises(ValueError, match="must be integers"):
+            section_gaps(bad, 1, (0,), plane)
+    with pytest.raises(ValueError, match="points of dimension 3 in a 2-D window"):
+        section_gaps([(0, 0, 0), (2, 0, 0)], 1, (0,), plane)
+    with pytest.raises(ValueError, match="64-bit"):
+        section_report([(0, 0), (2 ** 63, 0)], plane)
+    # integral values of any type, and 1-D integers
+    assert section_report([(0.0, 0), (np.int64(2), Fraction(0))], plane) \
+        == section_report([(0, 0), (2, 0)], plane)
+    line = LatticeWindow(lo=(0,), hi=(9,))
+    want = [{"axis": 1, "max_section_gap": 2, "sections_under_two_points": 0}]
+    assert section_report([1, 3, 5], line) == section_report([(1,), (3,), (5,)], line) == want
+    assert section_gaps([1, 3, 5, 12], 1, (), line).gaps == (2, 2)
+    assert section_gaps(np.array([[1], [3]]), 1, (), line).gaps == (2,)
+    assert section_gaps([], 1, (), line).gaps == ()
+
+
+def test_section_report_at_the_ends_of_int64():
+    # a gap of 2^64 - 1 passes int64, and frozen coordinates 2^64 - 1 apart wrap
+    # to -1 as int64 differences: neither may be misread
+    ends = (-2 ** 63, 2 ** 63 - 1)
+    w = LatticeWindow(lo=(ends[0],) * 2, hi=(ends[1],) * 2)
+    pts = [(x, y) for x in ends for y in ends] + [(0, ends[1])]
+    report = section_report(pts, w)
+    assert report == partition_oracle.section_report(pts, w.lo, w.hi)
+    assert [a["max_section_gap"] for a in report] == [2 ** 64 - 1] * 2
+    assert section_gaps(pts, 1, (ends[1],), w).gaps == (2 ** 63, 2 ** 63 - 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", range(4))
+def test_section_report_of_random_points_matches_the_oracle(d, seed):
+    # any points, not one per segment: sparse, repeated, or outside the window
+    rng = np.random.default_rng(seed)
+    lo = tuple(int(a) for a in rng.integers(-3, 3, size=d))
+    hi = tuple(a + int(s) for a, s in zip(lo, rng.integers(0, 5, size=d)))
+    w = LatticeWindow(lo=lo, hi=hi)
+    for count in (1, 2, 5, 40):
+        pts = [tuple(p) for p in rng.integers(-4, 8, size=(count, d)).tolist()]
+        assert section_report(pts, w) == partition_oracle.section_report(pts, lo, hi)
+    # two sections equal in all frozen coordinates but the last
+    if d == 3:
+        pts = [(lo[0], lo[1], lo[2]), (hi[0], lo[1], hi[2])]
+        assert section_report(pts, w) == partition_oracle.section_report(pts, lo, hi)
 
 
 def test_box_set_basics():
