@@ -53,11 +53,17 @@ _compact = json.JSONEncoder(separators=(",", ":")).encode  # the stdlib's C enco
 
 
 def _json(obj, pad: str = "") -> str:
-    """json.dumps(obj, indent=2, sort_keys=True) at indent pad, byte for byte, with
-    no pure-Python encoder: lists of numbers, bools and nulls, or of non-empty such
-    lists, rewrite the C encoder's compact text, and other leaves are its text."""
+    """json.dumps(obj, indent=2, sort_keys=True) at indent pad, byte for byte, with no
+    pure-Python encoder: lists of numbers, bools and nulls, and each row of an (n, d)
+    integer array with n >= 1, rewrite the C encoder's compact text; other leaves are its text."""
     inner = pad + "  "
     sep = ",\n" + inner
+    if isinstance(obj, np.ndarray):  # .tolist() 4096 rows at a time: no list of all n rows
+        item = "\n" + inner + "  "
+        rows = ",".join(_compact(obj[i:i + 4096].tolist())[1:-1] for i in range(0, len(obj), 4096))
+        rows = rows[1:-1].replace(",", "," + item)
+        rows = rows.replace("]," + item + "[", "\n" + inner + "]" + sep + "[" + item)
+        return "[\n" + inner + "[" + item + rows + "\n" + inner + "]\n" + pad + "]"
     if isinstance(obj, dict) and obj:
         if not all(isinstance(key, str) for key in obj):  # keys the stdlib converts
             return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
@@ -66,19 +72,9 @@ def _json(obj, pad: str = "") -> str:
     if not isinstance(obj, (list, tuple)) or not obj:
         return _compact(obj)
     text = _compact(obj)
-    if '"' not in text and "{" not in text:  # no strings or dicts inside
-        if "[" not in text[1:]:  # numbers, bools and nulls
-            return _flat(text[1:-1], pad)
-        rows = text[2:-2].split("],[")
-        # non-empty lists of them, if the only "[" are the outer one and one per row
-        if text[1] == "[" and text[-2] == "]" and all(rows) and text.count("[") == len(rows) + 1:
-            return "[\n" + inner + sep.join(_flat(r, inner) for r in rows) + "\n" + pad + "]"
+    if '"' not in text and "{" not in text and "[" not in text[1:]:  # numbers, bools, nulls
+        return "[\n" + inner + text[1:-1].replace(",", sep) + "\n" + pad + "]"
     return "[\n" + inner + sep.join(_json(x, inner) for x in obj) + "\n" + pad + "]"
-
-
-def _flat(items: str, pad: str) -> str:
-    """The indented list at pad whose compact items, without brackets, are items."""
-    return "[\n" + pad + "  " + items.replace(",", ",\n" + pad + "  ") + "\n" + pad + "]"
 
 
 def _emit(command: str, payload: dict, out_path: str | None) -> None:
@@ -278,11 +274,11 @@ def cmd_partition(spec: argparse.Namespace) -> tuple[int, dict]:
     d, r = spec.dim, spec.r
     window = _partition_window(spec)
 
-    def one_cell_each(parts: np.ndarray, key: int) -> list:
-        """One cell of each part, drawn by one call, as a list of coordinate lists."""
+    def one_cell_each(parts: np.ndarray, key: int) -> np.ndarray:
+        """One cell of each part, drawn by one call: an (n, d) int64 array."""
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(key,)))
         n, size = parts.shape[:2]
-        return parts[np.arange(n), rng.integers(size, size=n)].tolist()
+        return parts[np.arange(n), rng.integers(size, size=n)]
 
     selector = one_cell_each(cycling_partition(d, r, window), 0)
     gap_bound = 2 * d * r

@@ -122,8 +122,8 @@ def cube_partition(d: int, s: int, window: LatticeWindow) -> np.ndarray:
 def covering_radius(points, window: LatticeWindow) -> float:
     """Largest Euclidean distance from a window lattice point to `points`.
 
-    points are integer points inside the window: tuples of length dim, or
-    integers in 1-D.  Exact, as the sqrt of an integer squared distance on a
+    points are integer points inside the window: d-tuples, integers in 1-D or
+    an (n, d) integer array.  Exact, as the sqrt of an integer squared distance on a
     float64 grid shaped like the window.  At most 2B points are measured one
     at a time.  Otherwise a separable distance transform (Saito & Toriwaki
     1994) takes the exact distance along the first axis in two scans, then,
@@ -187,11 +187,11 @@ def _banded_squares(lines: np.ndarray, band: int) -> np.ndarray:
 
 
 def _window_points(points, window: LatticeWindow) -> tuple[np.ndarray, np.ndarray]:
-    """points, read by integer_points ([] as no points), as an (n, d) int64
-    array, and the mask of those inside the window; ValueError on points of
-    another dimension."""
-    points = list(points)
-    arr = integer_points(points) if points else np.empty((0, window.dim), np.int64)
+    """points, read by integer_points (an empty set as no points), as an (n, d)
+    int64 array, and the mask of those inside the window; ValueError on points
+    of another dimension.  An array is read as it is, any other iterable once."""
+    points = points if isinstance(points, np.ndarray) else list(points)
+    arr = integer_points(points) if len(points) else np.empty((0, window.dim), np.int64)
     if arr.shape[1] != window.dim:
         raise ValueError(f"points of dimension {arr.shape[1]} in a {window.dim}-D window")
     return arr, np.all([(a <= x) & (x <= b) for x, a, b in zip(arr.T, window.lo, window.hi)], 0)
@@ -221,7 +221,7 @@ def section_report(points, window: LatticeWindow) -> list[dict]:
     """Per axis, the largest gap over the window's 1-D sections of `points`
     (0 if none has two points) and how many sections hold fewer than two.
 
-    points are integers (1-D) or d-tuples, read by integer_points; those
+    points are integers (1-D), d-tuples or an (n, d) integer array; those
     outside the window are ignored, and [] leaves every section sparse.  Per
     axis, one lexsort by (frozen coordinates, axis coordinate) lines the
     sections up, and one np.diff of the sorted points gives every gap.

@@ -44,8 +44,12 @@ def integers(values, what: str) -> tuple[int, ...]:
 
 
 def integer_points(points) -> np.ndarray:
-    """points, integers (1-D) or tuples of one length d, as an (n, d) int64 array;
+    """points, integers (1-D), tuples of one length d or a signed-integer array of
+    shape (n,) or (n, d), as an (n, d) int64 array (an int64 array is not copied);
     ValueError on an empty, mixed or ragged set, or a bad or too large coordinate."""
+    if isinstance(points, np.ndarray) and points.dtype.kind == "i" \
+            and points.ndim in (1, 2) and points.size:
+        return points.astype(np.int64, copy=False).reshape(len(points), -1)
     points = list(points)
     if not points:
         raise ValueError("empty point set")

@@ -12,6 +12,7 @@ pytest.importorskip("hypothesis")
 import numpy as np  # noqa: E402
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from rieszforge.cli import _json, main  # noqa: E402
 
@@ -143,3 +144,33 @@ emit_values = st.recursive(
           "z": {"": -float("inf")}, "a": (1, (2, 3))})
 def test_json_writer_matches_the_stdlib(value):
     assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+INT64 = st.integers(-2 ** 63, 2 ** 63 - 1) | st.sampled_from([-2 ** 63, 2 ** 63 - 1, -1, 0])
+int64_matrices = st.integers(1, 4).flatmap(
+    lambda d: hnp.arrays(np.int64, st.tuples(st.integers(1, 8), st.just(d)), elements=INT64))
+
+
+def _nested(leaf, depth):
+    """leaf under depth levels of dicts, beside a sibling key on each level."""
+    for level in range(depth):
+        leaf = {"selector": leaf, "dim": level}
+    return leaf
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(int64_matrices, st.integers(1, 3))
+@example(np.array([[-2 ** 63, 2 ** 63 - 1, 0, -1]]), 1)
+@example(np.array([[7]]), 2)
+def test_json_writer_matches_the_stdlib_on_int64_matrices(arr, depth):
+    # a partition selector is written from its array, never from a list of rows
+    want = json.dumps(_nested(arr.tolist(), depth), indent=2, sort_keys=True)
+    assert _json(_nested(arr, depth)) == want
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_json_writer_matches_the_stdlib_on_matrices_of_many_chunks(d):
+    # rows are encoded a block at a time: a matrix of several blocks, and a last partial one
+    arr = np.random.default_rng(d).integers(-2 ** 63, 2 ** 63 - 1, size=(2 * 4096 + 3, d))
+    arr[::1000] = 0
+    assert _json({"selector": arr}) == json.dumps({"selector": arr.tolist()}, indent=2)

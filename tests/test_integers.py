@@ -14,7 +14,7 @@ from rieszforge import BlockSystem, BoxSet, LatticeWindow, PointSet, QuadNum, \
     SelectorConfig, UnitInterval, build_gram, certify, cube_partition, \
     cycling_partition, generate, generate_centered, kahane_classify, \
     normalize_bands, predicted_bessel_bound, section_gaps, select_riesz, stabilize
-from rieszforge.quadfield import integers
+from rieszforge.quadfield import integer_points, integers
 
 HALF = normalize_bands([(0.0, 0.5)], unit="2pi")
 SQUARE = BoxSet(boxes=(((0.0, 1.0), (0.0, 1.0)),))
@@ -94,3 +94,40 @@ def test_boundaries_store_python_ints():
     assert QuadNum.from_json({"p": "0/1", "q": "1/1", "D": 2.0}) == QuadNum(0, 1, 2)
     with pytest.raises(ValueError, match="2.5"):
         QuadNum.from_json({"p": "0/1", "q": "1/1", "D": 2.5})
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64])
+@pytest.mark.parametrize("points", [[-3, 0, 7], [[0, -1], [5, 2], [0, -1]], [[1, 2, 3]]],
+                         ids=["1-D", "2-D", "one-row"])
+def test_integer_points_takes_signed_integer_arrays_as_they_are(points, dtype):
+    arr = np.array(points, dtype=dtype)
+    got = integer_points(arr)
+    assert got.dtype == np.int64 and np.array_equal(got, integer_points(arr.tolist()))
+    if dtype is np.int64:  # no copy, and no per-coordinate walk
+        assert np.shares_memory(got, arr)
+
+
+@pytest.mark.parametrize("arr, want", [
+    (np.array([True, False]), "points must be integers, got np.True_"),
+    (np.array([[0, 1]], bool), "point coordinates must be integers, got np.False_"),
+    (np.array([1.0, -2.0]), [[1], [-2]]),
+    (np.array([[1.5, 2.0]]), re.escape("must be integers, got np.float64(1.5)")),
+    (np.array([2 ** 63, 1], np.uint64), "points do not fit in 64-bit integers"),
+    (np.array([[3, 1]], np.uint64), [[3, 1]]),
+    (np.array([[1, 2]], object), [[1, 2]]),
+    (np.array([1, 1.5], object), "points must be integers, got 1.5"),
+    (np.empty((0, 2), np.int64), "empty point set"),
+    (np.empty((0,), np.int8), "empty point set"),
+    (np.empty((0, 3)), "empty point set"),
+], ids=["bool", "bool-2d", "integral-float", "float", "uint64-past-int64", "uint64",
+        "object", "object-fraction", "empty-int64", "empty-int8", "empty-float"])
+def test_integer_points_reads_other_arrays_as_lists_of_rows(arr, want):
+    # each has the outcome of list(arr), its rows read through the integer rule
+    if isinstance(want, str):
+        for points in (arr, list(arr)):
+            with pytest.raises(ValueError, match=want):
+                integer_points(points)
+    else:
+        got = integer_points(arr)
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert np.array_equal(got, integer_points(list(arr)))

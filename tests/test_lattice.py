@@ -130,7 +130,7 @@ def test_covering_radius_1d():
 
 def reference_covering_radius(points, window):
     """The largest over cells of the least squared distance to a point, then sqrt."""
-    pts = [p if isinstance(p, tuple) else (p,) for p in points]
+    pts = [tuple(p) if np.ndim(p) else (p,) for p in points]
     return math.sqrt(max(min(sum((a - b) ** 2 for a, b in zip(cell, p)) for p in pts)
                          for cell in window.points()))
 
@@ -160,6 +160,9 @@ def random_covering_cases():
     yield pytest.param(list(w.points()), w, id="every-cell")
     yield pytest.param(corners, w, id="corners")
     yield pytest.param(corners[:1] + corners[-1:], w, id="two-corners")
+    yield pytest.param(np.array(corners), w, id="corners-int64-array")
+    yield pytest.param(np.array([-3, 0, 4], np.int32), LatticeWindow(lo=(-3,), hi=(6,)),
+                       id="int32-array-1d")
     yield pytest.param([(-5, 5)], LatticeWindow(lo=(-5, -5), hi=(5, 5)), id="negative-lo")
 
 
@@ -210,6 +213,11 @@ def test_covering_radius_passes(monkeypatch):
     ([0, 1], "points of dimension 1 in a 2-D window"),
     ([(0, 0), (1,)], "all tuples of one length"),
     ([(0, 0), 1], "all tuples of one length"),
+    pytest.param(np.empty((0, 2), np.int64), "empty point set", id="array-empty"),
+    pytest.param(np.array([[0, 0], [7, 0]]), r"point \(7, 0\) lies outside", id="array-outside"),
+    pytest.param(np.array([[0, 0, 0]]), "points of dimension 3 in a 2-D window", id="array-3d"),
+    pytest.param(np.array([0, 1], np.int8), "points of dimension 1 in a 2-D window",
+                 id="array-1d"),
 ])
 def test_covering_radius_refuses_bad_points(pts, match):
     with pytest.raises(ValueError, match=match):
@@ -407,16 +415,37 @@ def test_section_functions_read_points_as_integer_points():
     assert section_gaps([], 1, (), line).gaps == ()
 
 
-def test_section_report_at_the_ends_of_int64():
+def test_section_functions_read_any_iterable_once():
+    # a generator is read once, and an int64 array as its .tolist()
+    plane = LatticeWindow(lo=(0, 0), hi=(3, 3))
+    pts = [(0, 0), (2, 0), (3, 1), (0, 3), (3, 0), (9, 9)]
+    arr = np.array(pts)
+    for f in (lambda p: section_report(p, plane), lambda p: section_gaps(p, 1, (0,), plane),
+              lambda p: section_gaps(p, 2, (3,), plane)):
+        assert f(p for p in pts) == f(arr) == f(arr.tolist()) == f(pts)
+    inside = pts[:-1]
+    assert covering_radius((p for p in inside), plane) == covering_radius(np.array(inside), plane) \
+        == covering_radius(inside, plane) == 2.0  # at (2, 3)
+    for bad, match in ((iter([]), "empty point set"), ((p for p in pts), r"point \(9, 9\) lies")):
+        with pytest.raises(ValueError, match=match):
+            covering_radius(bad, plane)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_section_report_at_the_ends_of_int64(d):
     # a gap of 2^64 - 1 passes int64, and frozen coordinates 2^64 - 1 apart wrap
-    # to -1 as int64 differences: neither may be misread
+    # to -1 as int64 differences: neither may be misread.  The window has 2^(64 d)
+    # cells, so no key that packs a point into one int64 can serve it
     ends = (-2 ** 63, 2 ** 63 - 1)
-    w = LatticeWindow(lo=(ends[0],) * 2, hi=(ends[1],) * 2)
-    pts = [(x, y) for x in ends for y in ends] + [(0, ends[1])]
+    w = LatticeWindow(lo=(ends[0],) * d, hi=(ends[1],) * d)
+    pts = list(itertools.product(ends, repeat=d)) + [(0,) + (ends[1],) * (d - 1)]
     report = section_report(pts, w)
     assert report == partition_oracle.section_report(pts, w.lo, w.hi)
-    assert [a["max_section_gap"] for a in report] == [2 ** 64 - 1] * 2
-    assert section_gaps(pts, 1, (ends[1],), w).gaps == (2 ** 63, 2 ** 63 - 1)
+    assert report == section_report(np.array(pts, dtype=np.int64), w)
+    assert [a["max_section_gap"] for a in report] == [2 ** 64 - 1] * d
+    sparse = 2 ** (64 * (d - 1)) - 2 ** (d - 1)  # every section but the corners' pairs
+    assert [a["sections_under_two_points"] for a in report] == [sparse] * d
+    assert section_gaps(pts, 1, (ends[1],) * (d - 1), w).gaps == (2 ** 63, 2 ** 63 - 1)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -428,8 +457,10 @@ def test_section_report_of_random_points_matches_the_oracle(d, seed):
     hi = tuple(a + int(s) for a, s in zip(lo, rng.integers(0, 5, size=d)))
     w = LatticeWindow(lo=lo, hi=hi)
     for count in (1, 2, 5, 40):
-        pts = [tuple(p) for p in rng.integers(-4, 8, size=(count, d)).tolist()]
-        assert section_report(pts, w) == partition_oracle.section_report(pts, lo, hi)
+        arr = rng.integers(-4, 8, size=(count, d))
+        pts = [tuple(p) for p in arr.tolist()]
+        assert section_report(pts, w) == partition_oracle.section_report(pts, lo, hi) \
+            == section_report(arr, w)
     # two sections equal in all frozen coordinates but the last
     if d == 3:
         pts = [(lo[0], lo[1], lo[2]), (hi[0], lo[1], hi[2])]
