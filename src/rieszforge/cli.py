@@ -13,6 +13,7 @@ command instead uses frequencies {0, ..., N-1}.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -52,39 +53,45 @@ class _Parser(argparse.ArgumentParser):
 _compact = json.JSONEncoder(separators=(",", ":")).encode  # the stdlib's C encoder
 
 
-def _json(obj, pad: str = "") -> str:
-    """json.dumps(obj, indent=2, sort_keys=True) at indent pad, byte for byte, with no
-    pure-Python encoder: lists of numbers, bools and nulls, and each row of an (n, d)
-    integer array with n >= 1, rewrite the C encoder's compact text; other leaves are its text."""
+def _json_pieces(obj, pad: str = ""):
+    """The text of json.dumps(obj, indent=2, sort_keys=True) at indent pad, byte for byte,
+    in pieces, with no pure-Python encoder: lists of numbers, bools and nulls, and each row
+    of an (n, d) integer array with n >= 1, rewrite the C encoder's compact text; other
+    leaves are its text.  An array comes 4096 rows to a piece, so no piece holds it whole."""
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(obj, np.ndarray):  # .tolist() 4096 rows at a time: no list of all n rows
         item = "\n" + inner + "  "
-        rows = ",".join(_compact(obj[i:i + 4096].tolist())[1:-1] for i in range(0, len(obj), 4096))
-        rows = rows[1:-1].replace(",", "," + item)
-        rows = rows.replace("]," + item + "[", "\n" + inner + "]" + sep + "[" + item)
-        return "[\n" + inner + "[" + item + rows + "\n" + inner + "]\n" + pad + "]"
-    if isinstance(obj, dict) and obj:
+        yield "[\n" + inner
+        for i in range(0, len(obj), 4096):
+            rows = _compact(obj[i:i + 4096].tolist())[2:-2].replace(",", "," + item)
+            rows = rows.replace("]," + item + "[", "\n" + inner + "]" + sep + "[" + item)
+            yield (sep if i else "") + "[" + item + rows + "\n" + inner + "]"
+        yield "\n" + pad + "]"
+    elif isinstance(obj, dict) and obj:
         if not all(isinstance(key, str) for key in obj):  # keys the stdlib converts
-            return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
-        body = sep.join(f"{_compact(k)}: {_json(v, inner)}" for k, v in sorted(obj.items()))
-        return "{\n" + inner + body + "\n" + pad + "}"
-    if not isinstance(obj, (list, tuple)) or not obj:
-        return _compact(obj)
-    text = _compact(obj)
-    if '"' not in text and "{" not in text and "[" not in text[1:]:  # numbers, bools, nulls
-        return "[\n" + inner + text[1:-1].replace(",", sep) + "\n" + pad + "]"
-    return "[\n" + inner + sep.join(_json(x, inner) for x in obj) + "\n" + pad + "]"
+            yield json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+            return
+        for i, (k, v) in enumerate(sorted(obj.items())):
+            yield (sep if i else "{\n" + inner) + _compact(k) + ": "
+            yield from _json_pieces(v, inner)
+        yield "\n" + pad + "}"
+    elif not isinstance(obj, (list, tuple)) or not obj:
+        yield _compact(obj)
+    elif '"' not in (text := _compact(obj)) and "{" not in text and "[" not in text[1:]:
+        yield "[\n" + inner + text[1:-1].replace(",", sep) + "\n" + pad + "]"  # scalars only
+    else:
+        for i, x in enumerate(obj):
+            yield (sep if i else "[\n" + inner)
+            yield from _json_pieces(x, inner)
+        yield "\n" + pad + "]"
 
 
 def _emit(command: str, payload: dict, out_path: str | None) -> None:
     obj = {"schema": SCHEMA, "command": command, **payload}
-    text = _json(obj) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines(_json_pieces(obj))  # no copy of the whole text
+        fh.write("\n")
 
 
 def _read_json(inline: str | None, path: str | None):
@@ -270,17 +277,34 @@ def _partition_window(spec: argparse.Namespace) -> LatticeWindow:
     return window
 
 
+def _mirror_invariant(window: LatticeWindow, r: int) -> bool:
+    """Whether lo + hi - parts == parts[::-1, ::-1] for the window's cycling partition (r >= 2).
+    The mirror x -> lo + hi - x reverses the order of the cubes and of a cube's cells, and
+    takes the axis residue s to C - s mod d for one C: s again for every cube in d = 1, and
+    in d = 2 when sum(side_i / r) is even.  In d >= 3 adjacent cubes would need 2s = C =
+    2s + 2 mod d, so only a one-cube window is invariant, and it is drawn plain."""
+    return window.dim == 1 or window.dim == 2 and sum(window.side_lengths) // r % 2 == 0
+
+
 def cmd_partition(spec: argparse.Namespace) -> tuple[int, dict]:
     d, r = spec.dim, spec.r
     window = _partition_window(spec)
 
-    def one_cell_each(parts: np.ndarray, key: int) -> np.ndarray:
-        """One cell of each part, drawn by one call: an (n, d) int64 array."""
+    def one_cell_each(parts: np.ndarray, key: int, mirrored: bool = False) -> np.ndarray:
+        """One cell of each part, drawn by one call: an (n, d) int64 array.  If mirrored
+        (see _mirror_invariant), the draw's second half mirrors its first, so the selector
+        is point-symmetric and its Gram folds (see gram._section_bounds), unless the middle
+        part is its own mirror and has no middle cell."""
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(key,)))
         n, size = parts.shape[:2]
-        return parts[np.arange(n), rng.integers(size, size=n)]
+        t = rng.integers(size, size=n)
+        if mirrored:
+            t[n - n // 2:] = size - 1 - t[:n // 2][::-1]
+            if n % 2 and size % 2:  # the middle part's middle cell is its own mirror
+                t[n // 2] = size // 2
+        return parts[np.arange(n), t]
 
-    selector = one_cell_each(cycling_partition(d, r, window), 0)
+    selector = one_cell_each(cycling_partition(d, r, window), 0, _mirror_invariant(window, r))
     gap_bound = 2 * d * r
     axis_report = section_report(selector, window)
 

@@ -34,9 +34,43 @@ def cube_partition(d, s, lo, hi):
             for base in _bases(lo, hi, s)]
 
 
-def draw(parts, rng):
-    """One cell of each part (a sequence of cells), one scalar draw per part."""
-    return [part[int(rng.integers(len(part)))] for part in parts]
+def draw(parts, rng, mirror=None):
+    """One cell of each part (a sequence of cells), one scalar draw per part.
+
+    With mirror = (lo, hi) in one or two dimensions, where the image of every
+    part under x -> lo + hi - x is a part, the picks are made point-symmetric:
+    a part after its image takes the image of its image's pick, and a part that
+    is its own image takes the cell that is its own image, if it has one.  The
+    image part is found by looking its cells up, whatever its index."""
+    picks = [part[int(rng.integers(len(part)))] for part in parts]
+    if mirror is None or len(mirror[0]) > 2:
+        return picks
+    lo, hi = mirror
+
+    def image(cell):
+        return tuple(a + b - x for a, b, x in zip(lo, hi, cell))
+
+    home = {}
+    for i, part in enumerate(parts):
+        for cell in part:
+            home[cell] = i
+    images = []
+    for part in parts:
+        owners = {home.get(image(cell)) for cell in part}
+        if len(owners) != 1 or None in owners:
+            return picks  # this part's image is no part: no mirrored draw
+        (i,) = owners
+        if len(parts[i]) != len(part):
+            return picks
+        images.append(i)
+    for s, i in enumerate(images):
+        if i < s:
+            picks[s] = image(picks[i])
+        elif i == s:
+            for cell in parts[s]:
+                if image(cell) == cell:
+                    picks[s] = cell
+    return picks
 
 
 def section_report(points, lo, hi):

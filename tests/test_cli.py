@@ -13,7 +13,7 @@ import pytest
 
 import rieszforge
 from rieszforge import normalize_bands
-from rieszforge.cli import main
+from rieszforge.cli import _mirror_invariant, main
 from rieszforge.gram import _solved_gram
 
 import coefficient_oracle as oracle
@@ -157,15 +157,16 @@ def test_partition_boxes_of_another_dimension_exit_1(capsys):
 
 
 # exact stdout of three partition runs, pinned by sha256 and byte length:
-# any change to the report, the selectors or the JSON layout shows here
+# any change to the report, the selectors or the JSON layout shows here.  The
+# first two draw mirrored selectors, the third (three dimensions) a plain one
 PARTITION_PINS = [
     (["--dim", "1", "--r", "3", "--window", "12", "--seed", "5"],
-     562, "0f1073c4c74340bc29e73cd37eb0c03dc47d15787490e5d25ca3b5034459c49b",
+     562, "dac15059dd3a306cac3a5201826f8d30f3c5039c6d21330a4ab777dba1638e0b",
      [{"axis": 1, "max_section_gap": 4, "sections_under_two_points": 0}]),
     (["--dim", "2", "--r", "2", "--window", "6", "--seed", "1",
       "--boxes", "[[[0, 0.5], [0, 0.5]]]"],
-     1258, "a7d06ac6d652ca992c9d403d8e5c723cfd75cfb4fa41b6748351c2c3f9f54e5b",
-     [{"axis": 1, "max_section_gap": 5, "sections_under_two_points": 0},
+     1259, "39600f2dbb9258123ee8352ced5b119e51577cbef1fbfa19e35a86e123ac0a97",
+     [{"axis": 1, "max_section_gap": 3, "sections_under_two_points": 0},
       {"axis": 2, "max_section_gap": 3, "sections_under_two_points": 0}]),
     (["--dim", "3", "--r", "2", "--window", "4", "--seed", "0"],
      1982, "81e1f0401142d4239a608c554d686bdf6086efdddf3df93fe154e1b666cf4846",
@@ -210,7 +211,8 @@ def test_partition_at_the_ends_of_int64_pinned(capsys, window, code, size, diges
                                   (2, 9), (2, 27), (3, 2)])
 @pytest.mark.parametrize("seed", range(5))
 def test_partition_draws_equal_the_scalar_loop(capsys, d, r, seed):
-    # one rng.integers call per selector draws what one call per part drew
+    # one rng.integers call per selector draws what one call per part drew, and in one and
+    # two dimensions mirrors it as the oracle's cell lookups do
     side = 2 * r if d > 1 else 4 * r
     code, obj = run_json(capsys, "partition", "--dim", str(d), "--r", str(r),
                          "--window", str(side), "--seed", str(seed))
@@ -221,13 +223,74 @@ def test_partition_draws_equal_the_scalar_loop(capsys, d, r, seed):
         return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
 
     segments = [cells for _, _, cells in partition_oracle.cycling_partition(d, r, lo, hi)]
-    selector = partition_oracle.draw(segments, rng(0))
+    selector = partition_oracle.draw(segments, rng(0), (lo, hi))
     assert obj["selector"] == [list(c) for c in selector]
     assert obj["section_gaps"] == partition_oracle.section_report(selector, lo, hi)
     cubes = [cells for _, cells in partition_oracle.cube_partition(d, r, lo, hi)]
     window = rieszforge.LatticeWindow(lo=lo, hi=hi)
     assert obj["covering_radius"] == \
         rieszforge.covering_radius(partition_oracle.draw(cubes, rng(1)), window)
+
+
+# windows beyond the square ones above: an odd number of segments whose middle one has a
+# middle cell (r odd) or none (r even, so that segment keeps its draw), nonzero and negative
+# lo with unequal sides, an odd sum of side/r (no mirrored draw), and a one-cube window in
+# three dimensions, mirror-invariant but drawn plain
+@pytest.mark.parametrize("d, r, window", [
+    (1, 3, "0,14"), (1, 2, "-4,5"), (2, 3, "0,8,0,8"), (2, 2, "-4,7,2,9"),
+    (2, 3, "3,11,-6,14"), (2, 2, "0,5,0,3"), (2, 3, "0,8,0,5"), (3, 2, "0,1,2,3,-2,-1"),
+])
+@pytest.mark.parametrize("seed", range(3))
+def test_partition_draws_equal_the_scalar_loop_on_any_window(capsys, d, r, window, seed):
+    code, obj = run_json(capsys, "partition", "--dim", str(d), "--r", str(r),
+                         f"--window-2d={window}", "--seed", str(seed))
+    assert code == 0
+    bounds = [int(x) for x in window.split(",")]
+    lo, hi = tuple(bounds[0::2]), tuple(bounds[1::2])
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    segments = [cells for _, _, cells in partition_oracle.cycling_partition(d, r, lo, hi)]
+    selector = partition_oracle.draw(segments, rng, (lo, hi))
+    assert obj["selector"] == [list(c) for c in selector]
+
+
+# mirror-invariant in one dimension, and in two when sum(side/r) is even; never in
+# three or more on a window of several cubes
+@pytest.mark.parametrize("lo, hi, r, invariant", [
+    ((0,), (0,), 1, True), ((0,), (14,), 3, True), ((-6,), (3,), 2, True),
+    ((0, 0), (5, 5), 2, True), ((3, -6), (11, 14), 3, True), ((-4, 2), (7, 9), 2, True),
+    ((0, 0), (5, 3), 2, False), ((-3, 0), (5, 5), 3, False), ((0, 0, 0), (3, 3, 3), 2, False),
+    ((2, 0, -2), (5, 5, 1), 2, False), ((0, 0, 0), (5, 2, 2), 3, False),
+    ((0,) * 4, (3,) * 4, 2, False),
+])
+def test_mirror_invariance_is_decided_from_the_sides(lo, hi, r, invariant):
+    window = rieszforge.LatticeWindow(lo=lo, hi=hi)
+    parts = rieszforge.cycling_partition(len(lo), r, window)
+    assert np.array_equal(np.add(lo, hi) - parts, parts[::-1, ::-1]) == invariant
+    assert _mirror_invariant(window, r) == invariant
+
+
+def test_mirrored_box_gram_folds_to_the_whole_complex_solve(capsys):
+    # a mirrored selector, even and odd in size, is point-symmetric: its box Gram is
+    # solved as one real matrix, with the extremes of the whole complex Gram
+    from rieszforge import gram
+
+    boxes = [[[0.02, 0.4], [0.1, 0.55]], [[0.42, 0.9], [0.3, 0.7]]]
+    box_set = rieszforge.BoxSet.from_json(boxes)
+    for argv in (["--r", "2", "--window", "20"], ["--r", "3", "--window-2d=0,8,-3,11"]):
+        code, obj = run_json(capsys, "partition", "--dim", "2", *argv,
+                             "--boxes", json.dumps(boxes))
+        assert code == 0
+        selector = np.array(obj["selector"])
+        n = len(selector)
+        folded = gram._section_bounds(selector, box_set)
+        whole = gram._bounds([rieszforge.build_gram(selector, box_set)], n)
+        assert folded.solver == "centrohermitian-real" and whole.solver == "hermitian"
+        tol = n * np.finfo(float).eps * whole.lambda_max
+        assert abs(folded.lambda_min - whole.lambda_min) <= tol
+        assert abs(folded.lambda_max - whole.lambda_max) <= tol
+        vol = box_set.total_volume
+        assert obj["quality"] == {"lambda_min": folded.lambda_min / vol,
+                                  "lambda_max": folded.lambda_max / vol}
 
 
 # one op per selection mode, each on one arc, so searched on the real Gram;
@@ -336,11 +399,17 @@ def test_every_eigensolve_runs_in_gram_bounds(capsys, monkeypatch):
             return solve(*args, **kwargs)
         return traced
 
-    two_stage = gram._two_stage
+    two_stage, staged = gram._two_stage, set()
+
+    def traced_two_stage(a):
+        # the lookup hands back a traced driver, so the caller seen is the one that calls it
+        if (driver := two_stage(a)) is None:
+            return None
+        staged.add(a.dtype)
+        return tracer("two-stage", driver)
+
     monkeypatch.setattr(np.linalg, "eigvalsh", tracer("eigvalsh", np.linalg.eigvalsh))
-    # the lookup hands back a traced driver, so the caller seen is the one that calls it
-    monkeypatch.setattr(gram, "_two_stage",
-                        lambda a: (driver := two_stage(a)) and tracer("two-stage", driver))
+    monkeypatch.setattr(gram, "_two_stage", traced_two_stage)
     two_arcs = ["--bands", "[[0.0, 0.2], [0.5, 0.7]]"]
     box = ["--boxes", "[[[0.0, 0.5], [0.0, 0.5]]]"]
     for argv in (
@@ -352,12 +421,16 @@ def test_every_eigensolve_runs_in_gram_bounds(capsys, monkeypatch):
         ["select", "--bands", "[[0.0, 1.0]]", "--mode", "tight", "--r", "4", "--window", "16",
          "--trials", "50"],
         ["partition", "--dim", "2", "--r", "2", "--window", "8", *box],
-        # a 392-point complex box Gram, above the complex minimum: the two-stage route
+        # a mirrored 392-point selector: its box Gram folds to one real eigvalsh solve
         ["partition", "--dim", "2", "--r", "2", "--window", "28", *box],
+        # sides 28 and 30, 14 + 15 cubes across, odd: no mirrored draw, so a 420-point
+        # complex box Gram, above the complex minimum: the two-stage route
+        ["partition", "--dim", "2", "--r", "2", "--window-2d=0,27,0,29", *box],
     ):
         assert main(argv) in (0, 2, 3), argv
     capsys.readouterr()
     assert {caller for _, caller in callers} == {"rieszforge.gram._bounds"}
+    assert np.dtype(complex) in staged
     assert {route for route, _ in callers} == {"eigvalsh", "two-stage"}
 
 
@@ -559,10 +632,14 @@ def test_select_stdout_does_not_depend_on_blas_threads():
     # a two-arc progression: folded real solves of n = 64, 256 and 1024
     ["certify", "--bands", "[[0.0, 0.2], [0.5, 0.7]]", "--step", "3", "--window", "3072",
      "--schedule", "64,256,1024"],
-    # a 648-point complex box Gram
-    ["partition", "--dim", "2", "--r", "2", "--window", "36",
+    # a 684-point complex box Gram: sides 36 and 38, 18 + 19 cubes across, no mirrored draw
+    ["partition", "--dim", "2", "--r", "2", "--window-2d=0,35,0,37",
      "--boxes", "[[[0.0, 0.5], [0.0, 0.5]]]"],
-], ids=["certify-real-1024", "certify-step-two-arcs", "partition-boxes"])
+    # a mirrored 968-point selector: its box Gram folds to one real two-stage solve
+    ["partition", "--dim", "2", "--r", "2", "--window", "44",
+     "--boxes", "[[[0.0, 0.5], [0.0, 0.5]]]"],
+], ids=["certify-real-1024", "certify-step-two-arcs", "partition-boxes",
+        "partition-boxes-folded"])
 def test_eigensolve_stdout_does_not_depend_on_blas_threads(argv):
     # gram._bounds pins every solve to one BLAS thread; unpinned, eigvalsh and
     # the complex two-stage driver move the extremes' last digits at 2 threads

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from rieszforge.cli import _json, main  # noqa: E402
+from rieszforge.cli import _json_pieces, main  # noqa: E402
 
 KEYS = ["elements", "window", "bands_2pi", "bands_rad", "boxes_2pi", "boxes_rad"]
 
@@ -33,6 +33,10 @@ boxes = st.integers(1, 3).flatmap(
 point_lists = st.lists(st.integers(-40, 40), max_size=12, unique=True)
 far = 10 ** 22  # past int64 and uint64
 far_point_lists = point_lists.map(lambda xs: [far + x for x in xs])
+
+
+def _json(value):
+    return "".join(_json_pieces(value))
 
 
 def as_json(values):
@@ -174,3 +178,6 @@ def test_json_writer_matches_the_stdlib_on_matrices_of_many_chunks(d):
     arr = np.random.default_rng(d).integers(-2 ** 63, 2 ** 63 - 1, size=(2 * 4096 + 3, d))
     arr[::1000] = 0
     assert _json({"selector": arr}) == json.dumps({"selector": arr.tolist()}, indent=2)
+    # and written a block at a time: no piece holds more than one block of rows
+    longest = max(map(len, _json_pieces({"selector": arr})))
+    assert longest <= len(_json({"selector": arr[:4096]}))
