@@ -247,8 +247,11 @@ def _search(gram: np.ndarray, blocks: tuple, config: SelectorConfig,
     lengths = np.array([len(b) for b in blocks])
     table = np.array([list(b) + [0] * (lengths.max() - len(b)) for b in blocks])
     rows, diag = np.arange(n), np.real(np.diagonal(gram))
-    # sign * gram^T, C-ordered: the .T of a block of it is sign * A, bit for bit, Fortran-ordered
-    signed, goal = (-gram.T.copy(), target) if objective == "bessel" else (gram.T.copy(), -target)
+    # gram^T, C-ordered: a block of it read column-major, as LAPACK reads it, is the block A
+    # of gram bit for bit, so the screen's ?potrf "L" on sign * A + cI and _bounds on A both
+    # read A's lower triangle
+    flipped = gram.T.copy()
+    signed, goal = (-flipped, target) if objective == "bessel" else (flipped, -target)
     best = None
     for t in range(config.max_trials):
         if t % _CHUNK == 0:
@@ -262,7 +265,7 @@ def _search(gram: np.ndarray, blocks: tuple, config: SelectorConfig,
             shifted.ravel()[::n + 1] += max(best_q - 2 * margin, goal + margin)
             if not _cholesky_factors(shifted.T):
                 continue
-        b = _bounds([gram.take(idx, 0).take(idx, 1)], n)
+        b = _bounds([flipped.take(idx, 0).take(idx, 1)], n)
         lmin, lmax = b.lambda_min, b.lambda_max
         q = lmax if objective == "bessel" else -lmin
         if q <= goal:

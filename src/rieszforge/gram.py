@@ -38,8 +38,9 @@ _ROW_BLOCK = 64  # rows per block of the Hermiticity check
 _GATHER_ENTRIES = 2**14  # entries per block of the table gather
 _TABLE_CHUNK = 8192  # frequencies per coefficient call: bounds the formulas' temporaries
 _HERMITIAN_TOL = 1e-12  # Hermiticity residual allowed, relative to the largest entry
-# smallest part the two-stage drivers solve: eigvalsh is faster below (tests/two_stage_sweep.py)
-_TWO_STAGE_MIN_N = {np.dtype(np.float64): 896, np.dtype(np.complex128): 384}
+_REAL, _COMPLEX = np.dtype(np.float64), np.dtype(np.complex128)
+# smallest part the two-stage reductions take: one-stage is faster below (tests/two_stage_sweep.py)
+_TWO_STAGE_MIN_N = {_REAL: 896, _COMPLEX: 512}
 _LAPACK_COL_MAJOR = 102
 _BLAS_PIN = threading.Lock()  # held while the OpenBLAS thread count is pinned
 
@@ -56,7 +57,8 @@ class BoundsEstimate:
     solver (see _bounds): "real-symmetric" or "hermitian" for a full solve,
     "centrosymmetric-split" or "centrohermitian-real" for a folded
     point-symmetric section (see _section_bounds), and the driver: "two-stage"
-    if any part took it (see _two_stage), else "eigvalsh"."""
+    if any part took the two-stage reduction, else "one-stage" (see _extremes),
+    or "eigvalsh" where numpy's LAPACK lacks the symbols."""
 
     lambda_min: float
     lambda_max: float
@@ -206,22 +208,24 @@ def extreme_eigs(h: np.ndarray) -> BoundsEstimate:
 
 @functools.cache
 def _openblas() -> dict:
-    """Symbols of numpy's OpenBLAS, less any the build lacks (MKL, Accelerate, Windows):
-    two-stage drivers by dtype, ?potrf by ("potrf", dtype), thread count "get", "set"."""
+    """Symbols of numpy's OpenBLAS, less any the build lacks (MKL, Accelerate, Windows): the
+    reductions by (two_stage, dtype), "stemr", ?potrf by ("potrf", dtype), threads "get", "set"."""
     from numpy.linalg import _umath_linalg
     try:
         lib = ctypes.CDLL(_umath_linalg.__file__)
     except OSError:
         return {}
-    c = ctypes  # LAPACKE(layout, jobz, uplo, n, a, lda, w) with 64-bit lapack_int
-    lapacke = (c.c_int64, c.c_int, c.c_char, c.c_char, c.c_int64, c.c_void_p, c.c_int64, c.c_void_p)
-    potrf = lapacke[:3] + lapacke[4:7]  # (layout, uplo, n, a, lda): no jobz, no w
+    c = ctypes  # Fortran takes every argument by address, then each character's length
+    one, two, stemr = ((None, *[c.c_void_p] * k, *[c.c_size_t] * chars)
+                       for k, chars in ((10, 1), (13, 2), (21, 2)))
+    potrf = (c.c_int64, c.c_int, c.c_char, c.c_int64, c.c_void_p, c.c_int64)  # LAPACKE, int64
     found = {}
     for key, name, (restype, *argtypes) in (
-            (np.dtype(np.float64), "LAPACKE_dsyevd_2stage64_", lapacke),
-            (np.dtype(np.complex128), "LAPACKE_zheevd_2stage64_", lapacke),
-            (("potrf", np.dtype(np.float64)), "LAPACKE_dpotrf_work64_", potrf),
-            (("potrf", np.dtype(np.complex128)), "LAPACKE_zpotrf_work64_", potrf),
+            ((False, _REAL), "dsytrd_64_", one), ((False, _COMPLEX), "zhetrd_64_", one),
+            ((True, _REAL), "dsytrd_2stage_64_", two), ((True, _COMPLEX), "zhetrd_2stage_64_", two),
+            ("stemr", "dstemr_64_", stemr),
+            (("potrf", _REAL), "LAPACKE_dpotrf_work64_", potrf),
+            (("potrf", _COMPLEX), "LAPACKE_zpotrf_work64_", potrf),
             ("get", "openblas_get_num_threads64_", (c.c_int,)),
             ("set", "openblas_set_num_threads64_", (None, c.c_int))):
         if (fn := getattr(lib, "scipy_" + name, None)) is not None:
@@ -230,13 +234,64 @@ def _openblas() -> dict:
     return found
 
 
-def _two_stage(a):
-    """The two-stage driver for a square, C-ordered, aligned and writable a of
-    at least _TWO_STAGE_MIN_N[a.dtype] rows, or None."""
-    n = len(a)
-    if a.shape != (n, n) or n < _TWO_STAGE_MIN_N.get(a.dtype, math.inf) or not a.flags.carray:
-        return None
-    return _openblas().get(a.dtype)
+def _int(value):  # a Fortran INTEGER, by address: byref keeps the c_int64 alive for the call
+    return ctypes.byref(ctypes.c_int64(value))
+
+
+def _reduce(two_stage, a, de, ws, lwork, lhous) -> None:
+    """?sytrd or ?hetrd, or with two_stage ?sytrd_2stage or ?hetrd_2stage, vect "N" (Bischof,
+    Lang & Sun, TOMS 2000): uplo "L" on the C-ordered n x n a, read column-major as conj(a),
+    with a's eigenvalues, reduced in place to the real tridiagonal (de[:n], de[n:2n-1]).
+    ws holds tau, hous2, work in turn; lwork = lhous = -1 queries sizes into ws[n:n+2]."""
+    n, size, info = len(de) // 2, ws.itemsize, ctypes.c_int64()
+    d, tau = de.ctypes.data, ws.ctypes.data
+    work = tau + (n + max(lhous, 1)) * size
+    vect, hous = ((b"N",), (tau + n * size, _int(lhous))) if two_stage else ((), ())
+    _openblas()[two_stage, ws.dtype](*vect, b"L", _int(n), a.ctypes.data, _int(n), d, d + 8 * n,
+                                     tau, *hous, work, _int(lwork), ctypes.byref(info),
+                                     *[1] * (len(vect) + 1))
+    if info.value:
+        raise np.linalg.LinAlgError(f"tridiagonal reduction failed: info {info.value}")
+
+
+@functools.cache
+def _workspace(two_stage, dtype, n) -> tuple[int, int]:
+    """(lwork, lhous) of _reduce at n rows, by LAPACK's query, once per size."""
+    ws = np.zeros(n + 2, dtype)  # the query reads no matrix and writes ws[n], ws[n+1]
+    _reduce(two_stage, ws, np.zeros(2 * n), ws, -1, -1)
+    return int(ws[n + 1].real), max(int(ws[n].real), 1)
+
+
+def _extremes(a) -> tuple[float, float, str]:
+    """(lambda_min, lambda_max, route) of the Hermitian a, which is overwritten:
+    _reduce, "one-stage" below _TWO_STAGE_MIN_N[dtype] rows, else "two-stage",
+    then dstemr (MRRR; Dhillon, Parlett & Vomel, TOMS 2006), jobz "N", range "I",
+    for eigenvalue 1 alone, then n alone, each on a fresh copy of (d, e), which it
+    overwrites.  Buffers share one array per dtype (an address lookup costs about
+    1 us), named through every call; where numpy's LAPACK lacks a symbol, eigvalsh."""
+    n, dtype, blas = len(a), (_COMPLEX if np.iscomplexobj(a) else _REAL), _openblas()
+    two_stage = n >= _TWO_STAGE_MIN_N[dtype]
+    if not {(two_stage, dtype), "stemr"} <= blas.keys():
+        w = np.linalg.eigvalsh(a)
+        return float(w[0]), float(w[-1]), "eigvalsh"
+    a = np.require(a, dtype, "CAW")  # copies only another dtype or layout, or a read-only a
+    lwork, lhous = _workspace(two_stage, dtype, n)
+    de = np.empty(2 * n)
+    _reduce(two_stage, a, de, np.empty(n + lhous + lwork, dtype), lwork, lhous)
+    # (d, e), w, z, work; iwork, isuppz: the minimums for jobz "N"; vl, vu and z go unread
+    f, i = np.empty(15 * n + 1), np.empty(8 * n + 2, np.int64)
+    p, q = f.ctypes.data, i.ctypes.data
+    picks = []
+    for k in (1, n):
+        f[:2 * n] = de
+        m, info = ctypes.c_int64(), ctypes.c_int64()
+        blas["stemr"](b"N", b"I", _int(n), p, p + 8 * n, p, p, _int(k), _int(k), ctypes.byref(m),
+                      p + 16 * n, p + 24 * n, _int(1), _int(0), q + 64 * n, _int(0),
+                      p + 24 * n + 8, _int(12 * n), q, _int(8 * n), ctypes.byref(info), 1, 1)
+        if info.value or m.value != 1:
+            raise np.linalg.LinAlgError(f"dstemr failed: info {info.value}, {m.value} eigenvalues")
+        picks.append(float(f[2 * n]))
+    return *picks, ("two-stage" if two_stage else "one-stage")
 
 
 def _cholesky_factors(a) -> bool:
@@ -271,31 +326,19 @@ def _one_blas_thread():
 
 def _bounds(parts, n: int, solver: str | None = None) -> BoundsEstimate:
     """Bounds of an n x n section from its Hermitian parts, the package's one
-    eigenvalue solve: the extremes over every part, tol = max(n*eps*max|lambda|,
-    1e-12), and solver by the first part's dtype unless given.  The parts are
-    used up: a part that takes the two-stage driver (see _two_stage) is
-    overwritten, so callers pass arrays they own.  Solves run on one BLAS
-    thread, so their bits do not depend on the thread count."""
-    w, routes = [], set()
+    eigenvalue solve: the extremes over every part (see _extremes), tol =
+    max(n*eps*max|lambda|, 1e-12), and solver by the first part's dtype unless
+    given.  The parts are used up: each is overwritten in place, so callers
+    pass arrays they own.  Solves run on one BLAS thread, so their bits do not
+    depend on the thread count."""
     with _one_blas_thread():
-        for a in parts:
-            driver = _two_stage(a)
-            routes.add("eigvalsh" if driver is None else "two-stage")
-            if driver is None:
-                w.append(np.linalg.eigvalsh(a))
-                continue
-            w.append(np.empty(len(a)))
-            # C-ordered a read column-major is conj(a), which has a's eigenvalues
-            info = driver(_LAPACK_COL_MAJOR, b"N", b"L", len(a), a.ctypes.data, len(a),
-                          w[-1].ctypes.data)
-            if info:
-                raise np.linalg.LinAlgError(f"two-stage eigensolve failed: info {info}")
-    lo, hi = min(v[0] for v in w), max(v[-1] for v in w)
+        lows, highs, routes = zip(*map(_extremes, parts))
+    lo, hi = min(lows), max(highs)
     solver = solver or ("real-symmetric" if np.isrealobj(parts[0]) else "hermitian")
     achieved = n * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0)
-    return BoundsEstimate(lambda_min=float(lo), lambda_max=float(hi),
+    return BoundsEstimate(lambda_min=lo, lambda_max=hi,
                           tol=float(max(achieved, _HERMITIAN_TOL)), solver=solver,
-                          driver=max(routes))  # "two-stage" > "eigvalsh"
+                          driver=max(routes))  # "two-stage" > "one-stage" > "eigvalsh"
 
 
 def _section_bounds(points, spectrum) -> BoundsEstimate:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rieszforge
-from rieszforge import normalize_bands
+from rieszforge import gram, normalize_bands
 from rieszforge.cli import _mirror_invariant, main
 from rieszforge.gram import _solved_gram
 
@@ -165,7 +165,7 @@ PARTITION_PINS = [
      [{"axis": 1, "max_section_gap": 4, "sections_under_two_points": 0}]),
     (["--dim", "2", "--r", "2", "--window", "6", "--seed", "1",
       "--boxes", "[[[0, 0.5], [0, 0.5]]]"],
-     1259, "39600f2dbb9258123ee8352ced5b119e51577cbef1fbfa19e35a86e123ac0a97",
+     1258, "579546daa3a578c932a21289c0401909bdeecba40b630139c28f056d5df700d4",
      [{"axis": 1, "max_section_gap": 3, "sections_under_two_points": 0},
       {"axis": 2, "max_section_gap": 3, "sections_under_two_points": 0}]),
     (["--dim", "3", "--r", "2", "--window", "4", "--seed", "0"],
@@ -298,18 +298,18 @@ def test_mirrored_box_gram_folds_to_the_whole_complex_solve(capsys):
 SELECT_PINS = [
     (["--measure", "0.2", "--window", "32", "--r", "4", "--mode", "riesz", "--seed", "3",
       "--trials", "50"],
-     3, 714, "844580614ec10aa14a8aae64c2119dd59563a162a4e0bae47342069b998aac83",
+     3, 714, "9a809a7b3f6a41951652a33d68a8b146d174d285d586ae83ce272fbe4ea4a410",
      {"big_constant": 729.0, "block_bessel_bound": 0.8972135954999578, "delta0": 0.1,
       "eps0": 0.09999999999999998, "pair_bessel_bound": 0.9898979485566356,
       "vector_norm_squared": 0.2}),
     (["--measure", "0.66", "--window", "64", "--r", "4", "--mode", "bessel", "--seed", "1",
       "--trials", "40"],
-     0, 792, "33424bd0f98b9ca5edc6ab0f49b1db59408a436a479927ea654bda2251536680",
+     0, 793, "7d8bb4e20677e88e3a65a95754bb8b32c61d3fef809ff42025795cae4b85ba45",
      {"big_constant": 729.0, "block_bessel_bound": 1.722403840463596, "delta0": 0.1,
       "eps0": 0.09999999999999998, "pair_bessel_bound": None, "vector_norm_squared": 0.66}),
     (["--measure", "0.1", "--window", "32", "--r", "4", "--mode", "tight", "--seed", "2",
       "--trials", "20"],
-     3, 699, "29e6c7014e91a85ed1d8f1aada51061881e7a0b549c472a54233a6e27aecc829",
+     3, 698, "126c271fbe6694316ec52634931310fc730a2c42f4667ac34f5b8ab6c72eec71",
      {"big_constant": 729.0, "block_bessel_bound": 0.6662277660168381, "delta0": 0.1,
       "eps0": 0.09999999999999998, "pair_bessel_bound": 0.9, "vector_norm_squared": 0.1}),
 ]
@@ -340,9 +340,9 @@ POINT_SET_PINS = [
     (["density", "--bands", "[[0.1, 0.3], [0.5, 0.9]]", "--window", "60"],
      0, 949, "d2555c3ffab211ddcf01cfe2640865b643c49d46e2540fb518485b34a35689f9"),
     (["certify", "--measure", "0.5", "--step", "2", "--window", "100", "--schedule", "8,16,32"],
-     0, 1100, "07ec306dd7e2283ac554793123a21e998115bd64a28c4db62606ea09bb69fc1b"),
+     0, 1100, "65745d5a56666971362a28dd0d74638aaa53e8ce1cff9d848401959ccb35b5dd"),
     (["certify", "--measure", "0.45", "--schedule", "8,16,32"],
-     3, 1475, "31d495b22ce9dacf43521bdccbdcad433377adec77faf7472d8bbb184eb1f26d"),
+     3, 1476, "1aeeadf2ee28568b4a6039886f6c6edfed0be95eca57e779166396f495d66cc1"),
 ]
 
 
@@ -386,30 +386,27 @@ def test_select_refuses_a_window_short_of_one_block_before_the_gram(capsys, monk
 
 
 def test_every_eigensolve_runs_in_gram_bounds(capsys, monkeypatch):
-    from rieszforge import gram
-
-    callers = set()
+    calls = set()
 
     def tracer(route, solve):
         def traced(*args, **kwargs):
-            frame = sys._getframe(1)
-            while frame.f_code.co_name.startswith("<"):  # <listcomp>, <genexpr>
+            frame, stack = sys._getframe(1), []
+            while frame is not None:
+                if not frame.f_code.co_name.startswith("<"):  # <listcomp>, <genexpr>
+                    stack.append(f"{frame.f_globals['__name__']}.{frame.f_code.co_name}")
                 frame = frame.f_back
-            callers.add((route, f"{frame.f_globals['__name__']}.{frame.f_code.co_name}"))
+            calls.add((route, stack[0], "rieszforge.gram._bounds" in stack))
             return solve(*args, **kwargs)
         return traced
 
-    two_stage, staged = gram._two_stage, set()
-
-    def traced_two_stage(a):
-        # the lookup hands back a traced driver, so the caller seen is the one that calls it
-        if (driver := two_stage(a)) is None:
-            return None
-        staged.add(a.dtype)
-        return tracer("two-stage", driver)
-
+    # each LAPACK routine of the solve, traced; ?potrf and the thread count are not solves
+    real, cplx = np.dtype(float), np.dtype(complex)
+    routes = {(False, real): "one-stage real", (False, cplx): "one-stage complex",
+              (True, real): "two-stage real", (True, cplx): "two-stage complex", "stemr": "dstemr"}
+    symbols = {key: tracer(routes[key], fn) if key in routes else fn
+               for key, fn in gram._openblas().items()}
+    monkeypatch.setattr(gram, "_openblas", lambda: symbols)
     monkeypatch.setattr(np.linalg, "eigvalsh", tracer("eigvalsh", np.linalg.eigvalsh))
-    monkeypatch.setattr(gram, "_two_stage", traced_two_stage)
     two_arcs = ["--bands", "[[0.0, 0.2], [0.5, 0.7]]"]
     box = ["--boxes", "[[[0.0, 0.5], [0.0, 0.5]]]"]
     for argv in (
@@ -421,17 +418,20 @@ def test_every_eigensolve_runs_in_gram_bounds(capsys, monkeypatch):
         ["select", "--bands", "[[0.0, 1.0]]", "--mode", "tight", "--r", "4", "--window", "16",
          "--trials", "50"],
         ["partition", "--dim", "2", "--r", "2", "--window", "8", *box],
-        # a mirrored 392-point selector: its box Gram folds to one real eigvalsh solve
+        # a mirrored 392-point selector: its box Gram folds to one real one-stage solve
         ["partition", "--dim", "2", "--r", "2", "--window", "28", *box],
-        # sides 28 and 30, 14 + 15 cubes across, odd: no mirrored draw, so a 420-point
-        # complex box Gram, above the complex minimum: the two-stage route
-        ["partition", "--dim", "2", "--r", "2", "--window-2d=0,27,0,29", *box],
+        # sides 36 and 38, 18 + 19 cubes across, odd: no mirrored draw, so a 684-point
+        # complex box Gram, above the complex minimum: the two-stage reduction
+        ["partition", "--dim", "2", "--r", "2", "--window-2d=0,35,0,37", *box],
     ):
         assert main(argv) in (0, 2, 3), argv
     capsys.readouterr()
-    assert {caller for _, caller in callers} == {"rieszforge.gram._bounds"}
-    assert np.dtype(complex) in staged
-    assert {route for route, _ in callers} == {"eigvalsh", "two-stage"}
+    # every solve is a reduction and two dstemr picks, under _bounds, and none is eigvalsh
+    assert {caller for _, caller, _ in calls} == {"rieszforge.gram._reduce",
+                                                  "rieszforge.gram._extremes"}
+    assert all(under for *_, under in calls)
+    assert {route for route, *_ in calls} == {"one-stage real", "one-stage complex",
+                                              "two-stage complex", "dstemr"}
 
 
 @pytest.mark.parametrize("argv, cells", [
@@ -599,10 +599,11 @@ def test_select_tight_off_the_full_torus(capsys, measure):
     assert result["objective"] == "tight"
     spectrum = normalize_bands([(0.0, float(measure))], unit="2pi")
     g = _solved_gram(range(32), spectrum) / spectrum.total_volume / spectrum.fraction_of_torus
-    w = np.linalg.eigvalsh(g[np.ix_(result["labels"], result["labels"])])
-    assert (result["lambda_min"], result["lambda_max"]) == (w[0], w[-1])
+    # the search's own solve, which tests/test_gram.py checks against eigvalsh
+    b = gram._bounds([g[np.ix_(result["labels"], result["labels"])]], len(result["labels"]))
+    assert (result["lambda_min"], result["lambda_max"]) == (b.lambda_min, b.lambda_max)
     eps = result["target"]
-    assert result["met"] == (1.0 - eps <= w[0] and w[-1] <= 1.0 + eps)
+    assert result["met"] == (1.0 - eps <= b.lambda_min and b.lambda_max <= 1.0 + eps)
     assert code == (0 if result["met"] else 3)
     if measure != "0.3":
         assert code == 0 and result["met"] is True
@@ -641,8 +642,8 @@ def test_select_stdout_does_not_depend_on_blas_threads():
 ], ids=["certify-real-1024", "certify-step-two-arcs", "partition-boxes",
         "partition-boxes-folded"])
 def test_eigensolve_stdout_does_not_depend_on_blas_threads(argv):
-    # gram._bounds pins every solve to one BLAS thread; unpinned, eigvalsh and
-    # the complex two-stage driver move the extremes' last digits at 2 threads
+    # gram._bounds pins every solve to one BLAS thread; unpinned, the real one-stage
+    # and the complex two-stage reductions move the extremes' last digits at 2 threads
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,

@@ -11,7 +11,7 @@ from rieszforge import BlockSystem, SelectorConfig, build_gram, \
     complete_to_parseval_small, dual_system, frames, gram, \
     naimark_complement, normalize_bands, pair_bessel_bound, predicted_bessel_bound, \
     select_bessel, select_riesz, select_tight, stabilize
-from rieszforge.gram import _solved_gram
+from rieszforge.gram import _bounds, _solved_gram
 
 EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny
 
@@ -361,8 +361,16 @@ def _draws(blocks, config, stage=None):
         yield tuple(b[int(rng.integers(len(b)))] for b in blocks)
 
 
+def _extremes(g):
+    """lambda_min and lambda_max of g by gram._bounds, the package's one eigensolve,
+    which tests/test_gram.py checks against eigvalsh: a search and its oracle
+    then agree bit for bit."""
+    b = _bounds([np.array(g)], len(g))
+    return b.lambda_min, b.lambda_max
+
+
 def _search_oracle(gram, blocks, config, objective, target, stage=None, certified=True):
-    """The search without fast rejection: _draws, np.ix_, eigvalsh every trial.
+    """The search without fast rejection: _draws, np.ix_, _extremes every trial.
 
     A trial replaces the best quality q_b (lambda_max for bessel, -lambda_min
     for riesz) only when its own is below q_b - 3m.  certified=False is the
@@ -371,8 +379,8 @@ def _search_oracle(gram, blocks, config, objective, target, stage=None, certifie
     """
     best = None
     for t, picks in enumerate(_draws(blocks, config, stage)):
-        w = np.linalg.eigvalsh(gram[np.ix_(picks, picks)])
-        lmin, lmax = float(w[0]), float(w[-1])
+        # the transposed block, read column-major: A's lower triangle, as the search solves it
+        lmin, lmax = _extremes(gram.T[np.ix_(picks, picks)])
         quality = _quality(objective, (picks, lmin, lmax))
         if (lmax <= target) if objective == "bessel" else (lmin >= target):
             return picks, lmin, lmax, t + 1, True
@@ -408,8 +416,7 @@ def _search_both(gram, blocks, objective, target, trials, seed=0, stage=None):
 
 def _count_eigensolves(monkeypatch):
     calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+    monkeypatch.setattr(frames, "_bounds", lambda *args: calls.append(1) or _bounds(*args))
     return calls
 
 
@@ -558,8 +565,7 @@ def test_select_tight_matches_oracle(monkeypatch):
     assert fast.trials == 600 and not fast.met
     # stage 3 searches by position; its picks come back as rows of g, one per block
     assert all(lab in block for lab, block in zip(fast.labels, blocks.blocks))
-    w = np.linalg.eigvalsh(g[np.ix_(fast.labels, fast.labels)])
-    assert (fast.lambda_min, fast.lambda_max) == (w[0], w[-1])
+    assert (fast.lambda_min, fast.lambda_max) == _extremes(g[np.ix_(fast.labels, fast.labels)])
     monkeypatch.setattr(frames, "_search", _search_oracle)
     assert fast == select_tight(g, blocks, 0.05, config)
 
@@ -624,6 +630,21 @@ def test_search_matches_oracle_across_chunk_boundaries(monkeypatch, objective, s
     assert len(shifted) == len(picks) == 129
     for b, p in zip(shifted, picks):
         assert np.array_equal(b[off], sign * g[np.ix_(p, p)][off])
+
+
+@pytest.mark.parametrize("objective", ["riesz", "bessel"])
+def test_search_screens_and_solves_the_lower_triangle(objective):
+    # the Cholesky screen and the eigensolve of each trial read one triangle, the
+    # lower one, so the screen decides on the matrix that is solved: junk above the
+    # diagonal of a Gram whose blocks keep their order changes nothing
+    g = _random_gram(8, 10, 24, scale=0.3)
+    blocks = BlockSystem.intervals(range(24), 3).blocks
+    config = SelectorConfig(master_seed=5, max_trials=130)
+    unmet = 1e3 if objective == "riesz" else -1.0
+    junk = g.copy()
+    junk[np.triu_indices(24, 1)] = np.nan
+    assert frames._search(junk, blocks, config, objective, unmet) == \
+        frames._search(g, blocks, config, objective, unmet)
 
 
 @pytest.mark.parametrize("stage", [None, 2])

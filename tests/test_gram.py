@@ -1,5 +1,6 @@
 """Gram matrices of exponential systems and finite-section certificates."""
 
+import ctypes.util
 import json
 import math
 import os
@@ -771,13 +772,14 @@ def test_fold_test_on_keys_is_the_coordinate_test():
     check()
 
 
-# ------------------------------------------------------- two-stage drivers --
+# ------------------------------------------- reductions and dstemr picks --
 
 REAL, COMPLEX = np.dtype(np.float64), np.dtype(np.complex128)
-# the sizes from which the two-stage drivers beat eigvalsh (tests/two_stage_sweep.py)
-MINIMUM = {REAL: 896, COMPLEX: 384}
-TWO_STAGE = pytest.mark.skipif(not {REAL, COMPLEX} <= set(gram._openblas()),
-                               reason="numpy's LAPACK exports no two-stage drivers")
+# the sizes from which the two-stage reductions beat the one-stage ones (tests/two_stage_sweep.py)
+MINIMUM = {REAL: 896, COMPLEX: 512}
+SOLVE = {(False, REAL), (True, REAL), (False, COMPLEX), (True, COMPLEX), "stemr"}
+REDUCTIONS = pytest.mark.skipif(not SOLVE <= set(gram._openblas()),
+                                reason="numpy's LAPACK exports no tridiagonal reductions or dstemr")
 
 
 def _random_hermitian(n, dtype, seed=0):
@@ -788,13 +790,18 @@ def _random_hermitian(n, dtype, seed=0):
     return a + a.conj().T
 
 
-def _fold_part(n, bands):
-    """The first folded part _section_bounds solves for n points of a progression."""
+def _fold_parts(points, bands):
+    """The folded parts _section_bounds solves for these points of a progression."""
     parts = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gram, "_bounds", lambda p, size, solver: parts.extend(p))
-        gram._section_bounds(list(range(-(n - 1), n, 2)), normalize_bands(bands))
-    return parts[0]
+        gram._section_bounds(points, normalize_bands(bands))
+    return parts
+
+
+def _fold_part(n, bands):
+    """The first folded part _section_bounds solves for n points of a progression."""
+    return _fold_parts(list(range(-(n - 1), n, 2)), bands)[0]
 
 
 def _box_gram(n):
@@ -814,7 +821,7 @@ TWO_STAGE_CASES = {
 }
 
 
-@TWO_STAGE
+@REDUCTIONS
 @pytest.mark.parametrize("below", [True, False], ids=["below-minimum", "at-minimum"])
 @pytest.mark.parametrize("case", TWO_STAGE_CASES)
 def test_two_stage_extremes_match_eigvalsh(monkeypatch, case, below):
@@ -824,32 +831,93 @@ def test_two_stage_extremes_match_eigvalsh(monkeypatch, case, below):
     assert a.shape == (n, n) and a.dtype == dtype
     w = np.linalg.eigvalsh(a)
     routed = gram._bounds([a.copy()], n)
-    assert routed.driver == ("eigvalsh" if below else "two-stage")
-    monkeypatch.setattr(gram, "_TWO_STAGE_MIN_N", {REAL: 0, COMPLEX: 0})
-    forced = gram._bounds([a.copy()], n)
-    assert forced.driver == "two-stage"
+    assert routed.driver == ("one-stage" if below else "two-stage")
     tol = n * np.finfo(float).eps * np.abs(w).max()
-    assert abs(forced.lambda_min - w[0]) <= tol and abs(forced.lambda_max - w[-1]) <= tol
+    for minimum, route in ((0, "two-stage"), (math.inf, "one-stage")):
+        monkeypatch.setattr(gram, "_TWO_STAGE_MIN_N", {REAL: minimum, COMPLEX: minimum})
+        forced = gram._bounds([a.copy()], n)
+        assert forced.driver == route
+        assert abs(forced.lambda_min - w[0]) <= tol and abs(forced.lambda_max - w[-1]) <= tol
 
 
-@pytest.mark.parametrize("lookup", ["no-driver", "no-symbols"])
+def _degenerate_parts():
+    """(name, matrix) pairs whose extremes are zero, repeated or clustered."""
+    for dtype in (REAL, COMPLEX):
+        for n in (1, 2, 3):
+            v = np.arange(1.0, n + 1) * (1 - 2j if dtype == COMPLEX else 1)
+            yield f"zero-{dtype}-{n}", np.zeros((n, n), dtype)
+            yield f"identity-{dtype}-{n}", np.eye(n, dtype=dtype)
+            yield f"rank-one-{dtype}-{n}", np.outer(v, v.conj())
+            yield f"random-{dtype}-{n}", _random_hermitian(n, dtype, seed=n)
+    # a progression of step q on an arc shorter than 2 pi / q: a projection Gram,
+    # its spectrum clustered at 0 and at 2 pi / q.  The 3Z section of 61 points
+    # on (5.5, 7.0) folds to a 31 x 31 part with lambda_max repeated, where
+    # dstebz with range "I" failed with info 2 and wrote past its workspace
+    for step, arc in ((3, (5.5, 7.0)), (2, (0.5, 2.6)), (4, (1.0, 2.5))):
+        for half in (1, 2, 30, 31):
+            points = list(range(-step * half, step * half + 1, step))
+            for i, part in enumerate(_fold_parts(points, [arc])):
+                yield f"fold-{step}Z-{arc}-{len(points)}-{i}", part
+            yield f"gram-{step}Z-{arc}-{len(points)}", build_gram(points, normalize_bands([arc]))
+    rank = _random_hermitian(40, COMPLEX, seed=7)[:, :5]
+    yield "rank-five-complex-40", rank @ rank.conj().T
+
+
+def check_degenerate_spectra():
+    """_bounds against eigvalsh, within its reported tol, on every part of
+    _degenerate_parts through both reductions."""
+    saved = gram._TWO_STAGE_MIN_N
+    try:
+        for minimum, route in ((math.inf, "one-stage"), (0, "two-stage")):
+            gram._TWO_STAGE_MIN_N = {REAL: minimum, COMPLEX: minimum}
+            for name, a in _degenerate_parts():
+                w = np.linalg.eigvalsh(a)
+                b = gram._bounds([a.copy()], len(a))
+                assert b.driver == route, (name, b)
+                assert abs(b.lambda_min - w[0]) <= b.tol, (name, route, b, w[0])
+                assert abs(b.lambda_max - w[-1]) <= b.tol, (name, route, b, w[-1])
+    finally:
+        gram._TWO_STAGE_MIN_N = saved
+
+
+@REDUCTIONS
+def test_bounds_match_eigvalsh_on_degenerate_spectra():
+    # in a child with glibc's MALLOC_CHECK_=3, so a LAPACK write past its
+    # workspace aborts the child instead of passing unseen; from glibc 2.34 the
+    # checks live in libc_malloc_debug, preloaded where it is found
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, MALLOC_CHECK_="3",
+               PYTHONPATH=os.pathsep.join([str(Path(gram.__file__).resolve().parents[1]),
+                                           str(tests)]))
+    if debug := ctypes.util.find_library("c_malloc_debug"):
+        env["LD_PRELOAD"] = " ".join(filter(None, [env.get("LD_PRELOAD"), debug]))
+    proc = subprocess.run([sys.executable, "-c",
+                           "import test_gram; test_gram.check_degenerate_spectra()"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("lookup", ["no-driver", "no-dstemr", "no-symbols"])
 @pytest.mark.parametrize("dtype", [REAL, COMPLEX], ids=["real", "complex"])
 def test_without_the_driver_bounds_are_eigvalsh_bit_for_bit(monkeypatch, lookup, dtype):
+    # "no-driver": the reduction the part would take is missing
     n = MINIMUM[dtype]
     a = _random_hermitian(n, dtype, seed=1)
-    if lookup == "no-driver":
-        with gram._one_blas_thread():  # as _bounds runs it
-            w = np.linalg.eigvalsh(a)
-        monkeypatch.setattr(gram, "_two_stage", lambda a: None)
-    else:  # a build without the OpenBLAS symbols: no driver, and no thread pin
+    if lookup == "no-symbols":  # a build without the OpenBLAS symbols: no thread pin either
         w = np.linalg.eigvalsh(a)
         monkeypatch.setattr(gram, "_openblas", dict)
+    else:
+        with gram._one_blas_thread():  # as _bounds runs it
+            w = np.linalg.eigvalsh(a)
+        missing = (True, dtype) if lookup == "no-driver" else "stemr"
+        symbols = {k: v for k, v in gram._openblas().items() if k != missing}
+        monkeypatch.setattr(gram, "_openblas", lambda: symbols)
     b = gram._bounds([a], n)
     assert b.driver == "eigvalsh"
     assert np.array_equal([b.lambda_min, b.lambda_max], w[[0, -1]])
 
 
-@TWO_STAGE
+@REDUCTIONS
 @pytest.mark.parametrize("dtype", [REAL, COMPLEX], ids=["real", "complex"])
 def test_public_solvers_leave_the_callers_matrix_alone(dtype):
     n = MINIMUM[dtype]
@@ -864,27 +932,42 @@ def test_public_solvers_leave_the_callers_matrix_alone(dtype):
     assert np.array_equal(h, kept)
 
 
-@TWO_STAGE
+def _failing(fn):
+    """fn, but reporting info 1: info is the last argument passed by reference."""
+    def fail(*args):
+        fn(*args)
+        next(x for x in reversed(args) if hasattr(x, "_obj"))._obj.value = 1
+    return fail
+
+
+@REDUCTIONS
 def test_a_failed_two_stage_solve_raises(monkeypatch):
-    n = MINIMUM[REAL]
-    a = np.eye(n)
-    a[5, 3] = a[3, 5] = np.nan  # refused by the driver's input check
-    with pytest.raises(np.linalg.LinAlgError, match="info"):
-        gram._bounds([a], n)
-    monkeypatch.setattr(gram, "_two_stage", lambda a: lambda *args: 1)
-    with pytest.raises(np.linalg.LinAlgError, match="info 1"):
-        gram._bounds([np.eye(n)], n)
+    # a failed reduction, one-stage or two-stage, or a failed dstemr pick
+    symbols = gram._openblas()
+    for n in (MINIMUM[REAL] - 1, MINIMUM[REAL]):
+        a = np.eye(n)
+        a[5, 3] = a[3, 5] = np.nan  # dstemr refuses a non-finite tridiagonal
+        with pytest.raises(np.linalg.LinAlgError, match="dstemr failed: info"):
+            gram._bounds([a], n)
+        for key, match in (((n >= MINIMUM[REAL], REAL), "reduction failed: info 1"),
+                           ("stemr", "dstemr failed: info 1")):
+            failing = {**symbols, key: _failing(symbols[key])}
+            monkeypatch.setattr(gram, "_openblas", lambda: failing)
+            with pytest.raises(np.linalg.LinAlgError, match=match):
+                gram._bounds([np.eye(n)], n)
+        monkeypatch.setattr(gram, "_openblas", lambda: symbols)
 
 
 IN_PLACE_PROBE = """
+import sys
 from rieszforge import gram, normalize_bands
 
 def peak():  # VmHWM, this image's own peak RSS; ru_maxrss keeps the forking parent's
     with open("/proc/self/status") as status:
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) * 1024
 
-n, s = 2048, normalize_bands([(0.5, 2.6)])
-gram._bounds([gram._solved_gram(range(1024), s)], 1024)  # first-call buffers
+n, s = int(sys.argv[1]), normalize_bands([(0.5, 2.6)])
+gram._bounds([gram._solved_gram(range(n // 2), s)], n // 2)  # first-call buffers
 a = gram._solved_gram(range(n), s)
 before = peak()
 b = gram._bounds([a], n)
@@ -892,25 +975,25 @@ print(b.driver, (peak() - before) / a.nbytes)
 """
 
 
-@TWO_STAGE
+@REDUCTIONS
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's VmHWM")
 def test_two_stage_solves_in_place():
-    # eigvalsh, or a row-major driver call, copies the matrix and grows the
-    # peak RSS by about its size; the in-place driver adds only its workspace
+    # eigvalsh, or a row-major LAPACK call, copies the matrix and grows the peak
+    # RSS by about its size; either reduction in place adds only its workspace
     env = dict(os.environ, PYTHONPATH=str(Path(gram.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", IN_PLACE_PROBE], capture_output=True,
-                          text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    driver, grown = proc.stdout.split()
-    assert driver == "two-stage"
-    assert float(grown) < 0.5
+    for n, route in ((860, "one-stage"), (2048, "two-stage")):
+        proc = subprocess.run([sys.executable, "-c", IN_PLACE_PROBE, str(n)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        driver, grown = proc.stdout.split()
+        assert driver == route
+        assert float(grown) < 0.5, (n, grown)
 
 
 def test_scipy_openblas_numpy_resolves_every_symbol():
     if np.__config__.CONFIG["Build Dependencies"]["lapack"]["name"] != "scipy-openblas":
         pytest.skip("numpy is not built on scipy-openblas")
-    assert set(gram._openblas()) == {REAL, COMPLEX, ("potrf", REAL), ("potrf", COMPLEX),
-                                     "get", "set"}
+    assert set(gram._openblas()) == SOLVE | {("potrf", REAL), ("potrf", COMPLEX), "get", "set"}
 
 
 # ---------------------------------------------------------- Cholesky screen --
