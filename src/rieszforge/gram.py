@@ -56,9 +56,10 @@ class BoundsEstimate:
     """Extreme eigenvalues of one Hermitian section, their accuracy, the
     solver (see _bounds): "real-symmetric" or "hermitian" for a full solve,
     "centrosymmetric-split" or "centrohermitian-real" for a folded
-    point-symmetric section (see _section_bounds), and the driver: "two-stage"
+    point-symmetric section (see _section_bounds), "prolate-tridiagonal" for a
+    progression on one arc (see _prolate_bounds), and the driver: "two-stage"
     if any part took the two-stage reduction, else "one-stage" (see _extremes),
-    or "eigvalsh" where numpy's LAPACK lacks the symbols."""
+    "eigvalsh" where numpy's LAPACK lacks the symbols, or "stemr-vectors"."""
 
     lambda_min: float
     lambda_max: float
@@ -333,17 +334,59 @@ def _bounds(parts, n: int, solver: str | None = None) -> BoundsEstimate:
     depend on the thread count."""
     with _one_blas_thread():
         lows, highs, routes = zip(*map(_extremes, parts))
-    lo, hi = min(lows), max(highs)
     solver = solver or ("real-symmetric" if np.isrealobj(parts[0]) else "hermitian")
+    # max(routes): "two-stage" > "one-stage" > "eigvalsh"
+    return _estimate(min(lows), max(highs), n, solver, max(routes))
+
+
+def _estimate(lo, hi, n, solver, driver) -> BoundsEstimate:
     achieved = n * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0)
-    return BoundsEstimate(lambda_min=lo, lambda_max=hi,
-                          tol=float(max(achieved, _HERMITIAN_TOL)), solver=solver,
-                          driver=max(routes))  # "two-stage" > "one-stage" > "eigvalsh"
+    return BoundsEstimate(lambda_min=lo, lambda_max=hi, tol=float(max(achieved, _HERMITIAN_TOL)),
+                          solver=solver, driver=driver)
+
+
+def _prolate_bounds(step, n, length) -> BoundsEstimate:
+    """Bounds of the section of n >= 3 points of a progression of `step` on one arc
+    of `length`: R[j,k] = r(step (k-j)) is (2 pi/step) P(w), w = step length/2, with P
+    the prolate matrix sin(w (j-k))/(pi (j-k)).  Slepian's tridiagonal T, d_j =
+    ((n-1-2j)/2)^2 cos w and e_j = (j+1)(n-1-j)/2, commutes with P (Slepian 1978,
+    Grunbaum 1981) and has a simple spectrum, so its two extreme eigenvectors, by
+    dstemr (jobz "V"), are R's: in R's order, or reversed where w mod 2 pi passes pi.
+    Their Rayleigh quotients, Rv by an FFT correlation with r(step m) for |m| < n,
+    are R's extremes, in O(n log n) time and O(n) memory (README, Gram assembly)."""
+    j, stemr = np.arange(n), _openblas()["stemr"]
+    d = ((n - 1 - 2 * j) / 2) ** 2 * math.cos(step * length / 2)
+    e = j[1:] * (n - j[1:]) / 2
+    # each LAPACK argument stays named through the calls
+    de, w, z = np.empty(2 * n), np.empty(n), np.empty((2, n))
+    work, iwork, isuppz = np.empty(18 * n), np.empty(10 * n, np.int64), np.empty(2, np.int64)
+    p = de.ctypes.data
+    with _one_blas_thread():
+        for row, k in enumerate((1, n)):
+            de[:n], de[n:2 * n - 1] = d, e  # dstemr overwrites both
+            m, info = ctypes.c_int64(), ctypes.c_int64()
+            stemr(b"V", b"I", _int(n), p, p + 8 * n, p, p, _int(k), _int(k), ctypes.byref(m),
+                  w.ctypes.data, z[row].ctypes.data, _int(n), _int(1), isuppz.ctypes.data,
+                  _int(0), work.ctypes.data, _int(18 * n), iwork.ctypes.data, _int(10 * n),
+                  ctypes.byref(info), 1, 1)
+            if info.value or m.value != 1:
+                raise np.linalg.LinAlgError(f"dstemr failed: info {info.value}, {m.value} vectors")
+        del work, iwork  # before the correlation's buffers
+        r = centered_interval_coefficient(length, step * j)  # the entries _table would give
+        coefficients = np.concatenate((r[:0:-1], r))  # m = -(n-1)..n-1, mirrored as _table does
+        size = 2 * n  # (coefficients * v)[n-1:2n-1] is Rv, and no wrap-around reaches it
+        rz = np.fft.irfft(np.fft.rfft(coefficients, size) * np.fft.rfft(z, size), size)
+    q = np.sum(rz[:, n - 1:2 * n - 1] * z, axis=1) / np.sum(z * z, axis=1)
+    return _estimate(float(q.min()), float(q.max()), n, "prolate-tridiagonal", "stemr-vectors")
 
 
 def _section_bounds(points, spectrum) -> BoundsEstimate:
     """Bounds of _solved_gram(points, spectrum) for ints or d-tuples in any
-    order, folded when it can be.  G is taken in sorted key order (see _table),
+    order, parsed once.  On one arc (the full torus and an arc across 0
+    included), n >= 3 ints whose sorted steps are one s > 0 go to
+    _prolate_bounds, with no Gram, where numpy's LAPACK has dstemr; a span past
+    int64 goes on to _table, which refuses it.  Any other section is folded
+    when it can be.  G is taken in sorted key order (see _table),
     the points' lexicographic order.  Each digit of p - lo lies in [0, span_i],
     so a digit of the sum of two lies in [0, 2*span_i], below the radix: the
     code is injective on sums, and keys_j + keys_{n-1-j} is the same for every
@@ -368,7 +411,15 @@ def _section_bounds(points, spectrum) -> BoundsEstimate:
     solved by _bounds, without extreme_eigs' Hermiticity check: _table builds
     G Hermitian bit for bit from finite coefficients.
     """
-    vals, diffs, keys = _solved_table(points, spectrum)
+    arr = integer_points(points)
+    if len(arr) >= 3 and arr.shape[1] == 1 and isinstance(spectrum, MultibandSet) \
+            and spectrum.is_arc() and "stemr" in _openblas():
+        x = np.sort(arr[:, 0])
+        step, span = int(x[1]) - int(x[0]), int(x[-1]) - int(x[0])
+        # a span past int64 goes on to _table, which refuses it
+        if step > 0 and span <= np.iinfo(np.int64).max and np.all(np.diff(x) == step):
+            return _prolate_bounds(step, len(x), spectrum.measure)
+    vals, diffs, keys = _solved_table(arr, spectrum)
     keys, n = np.sort(keys), len(keys)
     sums = keys + keys[::-1]  # in [0, 2^64 - 2], where int64's wrap-around is one to one
     if n < 2 or np.any(sums != sums[0]):
@@ -477,8 +528,11 @@ def certify(points, spectrum, threshold: float,
     extreme eigenvalues move monotonically.  Grams are unnormalized.  On a
     single arc the Gram is a diagonal unitary conjugate of the real symmetric
     R[j,k] = r(p_k - p_j) (see centered_interval_coefficient), so R is solved
-    instead ("real-symmetric"; "hermitian" on several arcs).  A point-symmetric
-    section, such as any cut from a progression, is folded; see _section_bounds.
+    instead ("real-symmetric"; "hermitian" on several arcs).  A section cut from
+    a progression on one arc is solved through Slepian's commuting tridiagonal
+    in O(n log n) time ("prolate-tridiagonal"); any other point-symmetric
+    section, such as a progression's on several arcs, is folded; see
+    _section_bounds.
     Verdicts:
 
     * refuted      final lambda_min below refute_floor, 1e-6 of the ambient

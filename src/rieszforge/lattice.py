@@ -224,16 +224,19 @@ def section_report(points, window: LatticeWindow) -> list[dict]:
     points are integers (1-D), d-tuples or an (n, d) integer array; those
     outside the window are ignored, and [] leaves every section sparse.  Per
     axis, one lexsort by (frozen coordinates, axis coordinate) lines the
-    sections up, and one np.diff of the sorted points gives every gap.
+    sections up, and one np.diff of the sorted axis coordinates gives every gap.
     """
     arr, inside = _window_points(points, window)
-    arr, report, sides = arr[inside], [], window.side_lengths
-    for i in range(window.dim):
-        # int64 differences wrap, but a wrapped one is 0 only between equal
-        # coordinates, and a gap, ascending, is exact as uint64
-        delta = np.diff(arr[np.lexsort((arr[:, i], *np.delete(arr, i, axis=1).T))], axis=0)
-        same = ~np.delete(delta, i, axis=1).any(axis=1)  # consecutive points of one section
-        gap = int(delta[same, i].view(np.uint64).max(initial=0))
+    arr, report, sides, d = arr[inside], [], window.side_lengths, window.dim
+    for i in range(d):
+        frozen = [*range(i), *range(i + 1, d)]
+        srt = arr[np.lexsort([arr[:, j] for j in (i, *frozen)])]
+        same = np.ones(max(len(srt) - 1, 0), bool)  # consecutive points of one section
+        for j in frozen:
+            same &= srt[1:, j] == srt[:-1, j]
+        # int64 differences wrap, but a gap, ascending, is exact as uint64
+        gap = int(np.diff(srt[:, i])[same].view(np.uint64).max(initial=0))
+        del srt
         full = int(np.count_nonzero(np.diff(same, prepend=False) & same))  # runs of same
         sparse = math.prod(sides) // sides[i] - full
         report.append({"axis": i + 1, "max_section_gap": gap, "sections_under_two_points": sparse})

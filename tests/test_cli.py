@@ -340,7 +340,7 @@ POINT_SET_PINS = [
     (["density", "--bands", "[[0.1, 0.3], [0.5, 0.9]]", "--window", "60"],
      0, 949, "d2555c3ffab211ddcf01cfe2640865b643c49d46e2540fb518485b34a35689f9"),
     (["certify", "--measure", "0.5", "--step", "2", "--window", "100", "--schedule", "8,16,32"],
-     0, 1100, "65745d5a56666971362a28dd0d74638aaa53e8ce1cff9d848401959ccb35b5dd"),
+     0, 1083, "a4259dfb15d0667921db8553434dd8c15e684e4f8aae96c2387fb0ccf5bf5799"),
     (["certify", "--measure", "0.45", "--schedule", "8,16,32"],
      3, 1476, "1aeeadf2ee28568b4a6039886f6c6edfed0be95eca57e779166396f495d66cc1"),
 ]
@@ -426,10 +426,14 @@ def test_every_eigensolve_runs_in_gram_bounds(capsys, monkeypatch):
     ):
         assert main(argv) in (0, 2, 3), argv
     capsys.readouterr()
-    # every solve is a reduction and two dstemr picks, under _bounds, and none is eigvalsh
+    # every solve is a reduction and two dstemr picks under _bounds, or, for the
+    # sections of the one-arc progression, two dstemr vectors in _prolate_bounds;
+    # none is eigvalsh
     assert {caller for _, caller, _ in calls} == {"rieszforge.gram._reduce",
-                                                  "rieszforge.gram._extremes"}
-    assert all(under for *_, under in calls)
+                                                  "rieszforge.gram._extremes",
+                                                  "rieszforge.gram._prolate_bounds"}
+    assert all(under or caller == "rieszforge.gram._prolate_bounds"
+               for _, caller, under in calls)
     assert {route for route, *_ in calls} == {"one-stage real", "one-stage complex",
                                               "two-stage complex", "dstemr"}
 
@@ -463,8 +467,10 @@ def test_gram_size_guard_refuses_before_building(capsys, monkeypatch, argv, n):
     def no_gram(*args, **kwargs):
         raise AssertionError("Gram built for a refused size")
 
-    # _table starts every Gram: build_gram's, select's, and certify's sections, folded or not
+    # _table starts every Gram: build_gram's, select's, and certify's sections, folded or
+    # not; _prolate_bounds solves a one-arc progression's section without one
     monkeypatch.setattr(gram, "_table", no_gram)
+    monkeypatch.setattr(gram, "_prolate_bounds", no_gram)
     monkeypatch.setattr(cli.qc, "generate_centered", no_gram)
     assert 2048 < cli.MAX_GRAM_N < n
     assert main(argv) == 1
@@ -486,6 +492,7 @@ def test_gram_size_guard_admits_the_limit(monkeypatch, argv):
         raise Reached
 
     monkeypatch.setattr(gram, "_table", reached)
+    monkeypatch.setattr(gram, "_prolate_bounds", reached)  # a one-arc progression's section
     assert cli.MAX_GRAM_N == 4096
     with pytest.raises(Reached):
         main(argv)

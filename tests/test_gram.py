@@ -17,7 +17,7 @@ from rieszforge import TWO_PI, BoxSet, LatticeWindow, build_gram, certify, \
     construct_riesz_set, covering_radius, dual_system, extreme_eigs, normalize_bands, \
     select_riesz
 from rieszforge import gram
-from rieszforge.cli import main
+from rieszforge.cli import MAX_GRAM_N, main
 from rieszforge.gram import _solved_gram
 from rieszforge.torus import centered_interval_coefficient, interval_coefficient
 
@@ -519,6 +519,10 @@ def _point_symmetric(section):
                                     for p, q in zip(section, section[::-1]))
 
 
+def _progression(section):
+    return len(section) >= 3 and len({q - p for p, q in zip(section, section[1:])}) == 1
+
+
 def _assert_matches_complex_oracle(pts, s, schedule):
     cert = certify(pts, s, threshold=1e-3, schedule=schedule)
     order = sorted(pts, key=lambda x: (abs(x), x))
@@ -526,7 +530,10 @@ def _assert_matches_complex_oracle(pts, s, schedule):
         section = sorted(order[:n])
         folded, full = ("centrosymmetric-split", "real-symmetric") if s.is_arc() \
             else ("centrohermitian-real", "hermitian")
-        assert b.solver == (folded if _point_symmetric(section) else full)
+        if s.is_arc() and _progression(section):
+            assert b.solver == "prolate-tridiagonal"
+        else:
+            assert b.solver == (folded if _point_symmetric(section) else full)
         w = np.linalg.eigvalsh(build_gram(section, s))
         # a backward-stable solver errs by eps * ||G||, so relative to lambda_max
         scale = max(abs(w[-1]), 1.0)
@@ -590,20 +597,36 @@ def test_multiband_certify_uses_the_hermitian_solver(bands, real):
 # ---------------------------------------------------- point-symmetric folds --
 
 FOLD_SPECTRA = [[(0.35 * TWO_PI, 0.9 * TWO_PI)], [(5.5, 7.0)], [(0.3, 1.9), (3.0, 4.5)]]
-FOLD_SETS = [
-    (list(range(-90, 91, 3)), (2, 3, 16, 17, 40, 41)),  # a progression, even and odd n
-    (list(range(-7, 200, 4)), (20, 21)),                 # a progression not centred on 0
-    ([3, 5, 10, 15, 17], (5,)),                          # symmetric about 10, not a progression
-    ([3, 5, 9, 11, 15, 17], (6,)),
-]
+FOLD_SETS = {
+    "progression": (list(range(-90, 91, 3)), (2, 3, 16, 17, 40, 41)),  # even and odd n
+    "off-centre": (list(range(-7, 200, 4)), (20, 21)),  # a progression not centred on 0
+    "odd": ([3, 5, 10, 15, 17], (5,)),  # symmetric about 10, not a progression
+    "even": ([3, 5, 9, 11, 15, 17], (6,)),
+}
+# on one arc a progression's sections take the commuting tridiagonal, so there
+# each progression, less one pair, keeps the folds covered: its sections at
+# these sizes are point-symmetric and, past 3 points, not progressions
+ARC_FOLD_SETS = {
+    "progression": ([p for p in range(-90, 91, 3) if abs(p) != 3], (2, 3, 5, 17, 41)),  # odd n
+    "off-centre": ([p for p in range(-7, 200, 4) if p not in (13, 41)], (10, 16)),  # even n
+}
+
+
+def _less_a_pair(pts, i):
+    """pts sorted, less the i-th point from each end: point symmetry is kept."""
+    pts = sorted(pts)
+    return pts[:i] + pts[i + 1:len(pts) - 1 - i] + pts[len(pts) - i:]
 
 
 @pytest.mark.parametrize("bands", FOLD_SPECTRA, ids=["one-arc", "arc-across-zero", "two-arcs"])
-@pytest.mark.parametrize("pts, schedule", FOLD_SETS, ids=["progression", "off-centre", "odd", "even"])
-def test_point_symmetric_sections_match_the_full_solve(bands, pts, schedule):
+@pytest.mark.parametrize("case", FOLD_SETS)
+def test_point_symmetric_sections_match_the_full_solve(bands, case):
+    s = normalize_bands(bands)
+    pts, schedule = ARC_FOLD_SETS[case] if s.is_arc() and case in ARC_FOLD_SETS \
+        else FOLD_SETS[case]
     order = sorted(pts, key=lambda x: (abs(x), x))
     assert all(_point_symmetric(sorted(order[:n])) for n in schedule)
-    _assert_matches_complex_oracle(pts, normalize_bands(bands), schedule)
+    _assert_matches_complex_oracle(pts, s, schedule)
 
 
 @pytest.mark.parametrize("bands", [[(0.5, 2.0)], [(0.3, 1.9), (3.0, 4.5)]], ids=["one-arc", "two-arcs"])
@@ -618,9 +641,11 @@ def test_almost_symmetric_sections_take_the_full_solve(bands, pts):
 
 @pytest.mark.parametrize("bands", [[(0.5, 2.0)], [(0.3, 1.9), (3.0, 4.5)]], ids=["one-arc", "two-arcs"])
 def test_folded_tol_uses_the_full_section_size(bands):
-    # at n = 801 the achieved-accuracy estimate n*eps*max|lambda| passes the 1e-12 floor
+    # at n = 801 the achieved-accuracy estimate n*eps*max|lambda| passes the 1e-12 floor;
+    # less a pair, the points are no progression, so one arc folds them too
     s = normalize_bands(bands)
-    b = certify(list(range(-400, 401)), s, threshold=1e-3, schedule=(801,)).bounds[0]
+    pts = _less_a_pair(range(-401, 402), 201)
+    b = certify(pts, s, threshold=1e-3, schedule=(801,)).bounds[0]
     assert b.solver in ("centrosymmetric-split", "centrohermitian-real")
     want = 801 * np.finfo(float).eps * max(abs(b.lambda_min), abs(b.lambda_max), 1.0)
     assert want > 1e-12
@@ -645,8 +670,9 @@ def _folds_cut_from_the_gram(g):
     return [plus, minus] if np.isrealobj(g) else [np.block([[plus, k], [k.T, minus]])]
 
 
-# 301 and 300 points span several gather blocks; the far pairs take the unique-difference table
-FOLD_TABLE_SETS = [list(range(-900, 901, 6)), list(range(-7, 1193, 4)),
+# 301 and 300 points span several gather blocks, progressions less a pair, so one
+# arc folds them; the far pairs take the unique-difference table
+FOLD_TABLE_SETS = [_less_a_pair(range(-906, 907, 6), 76), _less_a_pair(range(-11, 1197, 4), 150),
                    [-10**6, -3, 0, 3, 10**6], [-10**6, -3, 3, 10**6]]
 
 
@@ -672,9 +698,10 @@ def test_folded_sections_never_build_the_whole_gram(bands, bound):
     # the folded parts take 4 n^2 bytes on one arc and 8 n^2 on several, against
     # 8 n^2 and 16 n^2 for the whole section; the gather blocks add a few percent.
     # tracemalloc sees numpy's arrays, not the LAPACK workspace inside eigvalsh
+    # a progression less a pair, so one arc folds it too
     s, n = normalize_bands(bands), 1024
-    pts = list(range(-n + 1, n, 2))
-    gram._section_bounds(pts[:64], s)  # first-call allocations out of the measurement
+    pts = _less_a_pair(range(-n - 1, n + 2, 2), n // 2)
+    gram._section_bounds(pts[480:-480], s)  # first-call allocations out of the measurement
     tracemalloc.start()
     try:
         b = gram._section_bounds(pts, s)
@@ -733,7 +760,8 @@ def test_tuple_folds_never_build_the_complex_gram():
 
 
 @pytest.mark.parametrize("bands", FOLD_SPECTRA, ids=["one-arc", "arc-across-zero", "two-arcs"])
-@pytest.mark.parametrize("pts", [list(range(-90, 91, 3)), [3, 5, 10, 15, 17, 40, -2, 8]],
+# a progression less a pair, so on one arc its point-symmetric sections fold
+@pytest.mark.parametrize("pts", [_less_a_pair(range(-90, 91, 3), 29), [3, 5, 10, 15, 17, 40, -2, 8]],
                          ids=["progression", "scattered"])
 def test_sections_in_certify_order_match_the_sorted_sections_bitwise(bands, pts):
     s = normalize_bands(bands)
@@ -772,6 +800,113 @@ def test_fold_test_on_keys_is_the_coordinate_test():
     check()
 
 
+# ------------------------------------------------ progressions on one arc --
+
+STEMR = pytest.mark.skipif("stemr" not in gram._openblas(), reason="numpy's LAPACK exports no dstemr")
+ONE_ARC, TWO_ARCS = normalize_bands([(0.3, 2.0)]), normalize_bands([(0.3, 1.9), (3.0, 4.5)])
+
+
+def _progression_arcs(step, rng):
+    """Arcs for progressions of this step: random and tiny lengths, omega =
+    step * length / 2 on and near each multiple of pi below step * pi (past 2 pi
+    aliased), arcs across 0, and the full torus."""
+    lengths = [*rng.uniform(0, TWO_PI, 3), 1e-6, 1e-3, 0.5, TWO_PI / 3, 0.999999 * TWO_PI]
+    lengths += [TWO_PI * k / step * f for k in range(1, step) for f in (1 - 1e-9, 1.0, 1 + 1e-9)]
+    arcs = [(lo, lo + length) for lo, length in zip(rng.uniform(0, 3.0, len(lengths)), lengths)]
+    return arcs + [(5.5, 7.0), (TWO_PI - 1e-3, TWO_PI + 2e-3), (0.0, TWO_PI)]
+
+
+def _within_tol(b, lo, hi):
+    return abs(b.lambda_min - lo) <= b.tol and abs(b.lambda_max - hi) <= b.tol
+
+
+@STEMR
+@pytest.mark.parametrize("step", [1, 2, 3, 7])
+def test_progression_sections_match_eigvalsh_and_the_fold(step):
+    rng = np.random.default_rng(step)
+    for arc in _progression_arcs(step, rng):
+        s = normalize_bands([arc])
+        assert s.is_arc()
+        for n in (3, 4, 8, 33, 200, 513):
+            pts = (int(rng.integers(-500, 500)) + step * np.arange(n)).tolist()
+            # shuffled, or in certify's (|x|, x) order
+            given = rng.permutation(pts).tolist() if n % 2 else sorted(pts, key=lambda x: (abs(x), x))
+            b = gram._section_bounds(given, s)
+            assert (b.solver, b.driver) == ("prolate-tridiagonal", "stemr-vectors")
+            achieved = n * np.finfo(float).eps * max(abs(b.lambda_min), abs(b.lambda_max), 1.0)
+            assert b.tol == max(achieved, 1e-12)
+            w = np.linalg.eigvalsh(_solved_gram(pts, s))
+            assert _within_tol(b, w[0], w[-1]), (arc, n, b, w[[0, -1]])
+            fold = gram._bounds(_fold_parts(pts, [arc]), n)
+            assert _within_tol(b, fold.lambda_min, fold.lambda_max), (arc, n, b, fold)
+
+
+@STEMR
+@pytest.mark.parametrize("step, arc", [(3, (0.3, 2.0)), (7, (5.5, 7.0))], ids=["one-arc", "aliased"])
+def test_progression_sections_at_the_size_limit_match_the_fold(step, arc):
+    n = MAX_GRAM_N
+    pts = (step * np.arange(-n // 2, n // 2)).tolist()
+    b = gram._section_bounds(pts, normalize_bands([arc]))
+    assert b.solver == "prolate-tridiagonal"
+    fold = gram._bounds(_fold_parts(pts, [arc]), n)
+    assert _within_tol(b, fold.lambda_min, fold.lambda_max), (b, fold)
+
+
+@pytest.mark.parametrize("pts, spectrum, solver", [
+    ([5], ONE_ARC, "real-symmetric"),
+    ([2, 5], ONE_ARC, "centrosymmetric-split"),
+    (list(range(-9, 10, 3)), TWO_ARCS, "centrohermitian-real"),
+    ([p for p in range(-9, 10, 3) if p != 6], ONE_ARC, "real-symmetric"),
+    ([(k, 2 * k) for k in range(-3, 4)], BOXES[2], "centrohermitian-real"),
+    (list(range(-9, 10, 3)), BOXES[1], "centrohermitian-real"),
+], ids=["one-point", "two-points", "two-arcs", "one-missing", "2-d", "1-d-box"])
+def test_other_sections_keep_their_solver(monkeypatch, pts, spectrum, solver):
+    def no_prolate(*args):
+        raise AssertionError("a section off the progression route took it")
+
+    monkeypatch.setattr(gram, "_prolate_bounds", no_prolate)
+    assert gram._section_bounds(pts, spectrum).solver == solver
+
+
+def test_without_dstemr_progression_sections_take_the_fold(monkeypatch):
+    symbols = {k: v for k, v in gram._openblas().items() if k != "stemr"}
+    monkeypatch.setattr(gram, "_openblas", lambda: symbols)
+    for pts in (list(range(-30, 31, 3)), list(range(-30, 28, 3))):  # odd and even n
+        b = gram._section_bounds(pts, ONE_ARC)
+        assert (b.solver, b.driver) == ("centrosymmetric-split", "eigvalsh")
+
+
+def test_progression_sections_refuse_differences_past_int64():
+    step = 3 * 2**61  # fits in int64, but twice it does not
+    with pytest.raises(ValueError, match="64-bit"):
+        gram._section_bounds([-step, 0, step], ONE_ARC)
+    step = 2**62 - 1  # the widest progression of 3 points whose differences fit
+    route = "prolate-tridiagonal" if "stemr" in gram._openblas() else "centrosymmetric-split"
+    assert gram._section_bounds([-step, 0, step], ONE_ARC).solver == route
+
+
+@STEMR
+def test_progression_sections_take_linear_memory(monkeypatch):
+    def no_gather(*args):
+        raise AssertionError("a progression section gathered its Gram")
+
+    monkeypatch.setattr(gram, "_gather", no_gather)
+    n = MAX_GRAM_N
+    pts = np.arange(-n + 1, n, 2)
+    gram._section_bounds(pts[:64], ONE_ARC)  # first-call allocations out of the measurement
+    tracemalloc.start()
+    try:
+        b = gram._section_bounds(pts, ONE_ARC)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert b.solver == "prolate-tridiagonal"
+    # dstemr's minimum workspaces for vectors, 18 n doubles and 10 n integers, T,
+    # the two vectors and the sorted points: about 37 words a point, 1.2 MB at
+    # n = 4096, where the fold of the same section takes 64 MB
+    assert peak <= 40 * 8 * n
+
+
 # ------------------------------------------- reductions and dstemr picks --
 
 REAL, COMPLEX = np.dtype(np.float64), np.dtype(np.complex128)
@@ -791,17 +926,21 @@ def _random_hermitian(n, dtype, seed=0):
 
 
 def _fold_parts(points, bands):
-    """The folded parts _section_bounds solves for these points of a progression."""
+    """The folded parts _section_bounds solves for these point-symmetric points; a
+    progression on one arc takes the fold only without dstemr, so it is left out."""
     parts = []
+    symbols = {k: v for k, v in gram._openblas().items() if k != "stemr"}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gram, "_bounds", lambda p, size, solver: parts.extend(p))
+        patch.setattr(gram, "_openblas", lambda: symbols)
         gram._section_bounds(points, normalize_bands(bands))
     return parts
 
 
 def _fold_part(n, bands):
-    """The first folded part _section_bounds solves for n points of a progression."""
-    return _fold_parts(list(range(-(n - 1), n, 2)), bands)[0]
+    """The first folded part _section_bounds solves for n >= 3 points: a
+    progression less its pair next to the middle, so not a progression."""
+    return _fold_parts([p for p in range(-(n + 1), n + 2, 2) if abs(p) > 2 or p == 0], bands)[0]
 
 
 def _box_gram(n):
@@ -840,6 +979,14 @@ def test_two_stage_extremes_match_eigvalsh(monkeypatch, case, below):
         assert abs(forced.lambda_min - w[0]) <= tol and abs(forced.lambda_max - w[-1]) <= tol
 
 
+def _projection_progressions():
+    """(step, arc, points): a progression of step q on an arc shorter than
+    2 pi / q has a projection Gram, its spectrum clustered at 0 and at 2 pi / q."""
+    for step, arc in ((3, (5.5, 7.0)), (2, (0.5, 2.6)), (4, (1.0, 2.5))):
+        for half in (1, 2, 30, 31):
+            yield step, arc, list(range(-step * half, step * half + 1, step))
+
+
 def _degenerate_parts():
     """(name, matrix) pairs whose extremes are zero, repeated or clustered."""
     for dtype in (REAL, COMPLEX):
@@ -849,23 +996,21 @@ def _degenerate_parts():
             yield f"identity-{dtype}-{n}", np.eye(n, dtype=dtype)
             yield f"rank-one-{dtype}-{n}", np.outer(v, v.conj())
             yield f"random-{dtype}-{n}", _random_hermitian(n, dtype, seed=n)
-    # a progression of step q on an arc shorter than 2 pi / q: a projection Gram,
-    # its spectrum clustered at 0 and at 2 pi / q.  The 3Z section of 61 points
-    # on (5.5, 7.0) folds to a 31 x 31 part with lambda_max repeated, where
-    # dstebz with range "I" failed with info 2 and wrote past its workspace
-    for step, arc in ((3, (5.5, 7.0)), (2, (0.5, 2.6)), (4, (1.0, 2.5))):
-        for half in (1, 2, 30, 31):
-            points = list(range(-step * half, step * half + 1, step))
-            for i, part in enumerate(_fold_parts(points, [arc])):
-                yield f"fold-{step}Z-{arc}-{len(points)}-{i}", part
-            yield f"gram-{step}Z-{arc}-{len(points)}", build_gram(points, normalize_bands([arc]))
+    # the 3Z section of 61 points on (5.5, 7.0) folds to a 31 x 31 part with
+    # lambda_max repeated, where dstebz with range "I" failed with info 2 and
+    # wrote past its workspace
+    for step, arc, points in _projection_progressions():
+        for i, part in enumerate(_fold_parts(points, [arc])):
+            yield f"fold-{step}Z-{arc}-{len(points)}-{i}", part
+        yield f"gram-{step}Z-{arc}-{len(points)}", build_gram(points, normalize_bands([arc]))
     rank = _random_hermitian(40, COMPLEX, seed=7)[:, :5]
     yield "rank-five-complex-40", rank @ rank.conj().T
 
 
 def check_degenerate_spectra():
     """_bounds against eigvalsh, within its reported tol, on every part of
-    _degenerate_parts through both reductions."""
+    _degenerate_parts through both reductions, and _section_bounds on the
+    sections of _projection_progressions."""
     saved = gram._TWO_STAGE_MIN_N
     try:
         for minimum, route in ((math.inf, "one-stage"), (0, "two-stage")):
@@ -878,6 +1023,13 @@ def check_degenerate_spectra():
                 assert abs(b.lambda_max - w[-1]) <= b.tol, (name, route, b, w[-1])
     finally:
         gram._TWO_STAGE_MIN_N = saved
+    for step, arc, points in _projection_progressions():  # and dstemr's vectors on them
+        s = normalize_bands([arc])
+        w = np.linalg.eigvalsh(_solved_gram(points, s))
+        b = gram._section_bounds(points, s)
+        assert b.solver == "prolate-tridiagonal", (step, arc, len(points), b)
+        assert abs(b.lambda_min - w[0]) <= b.tol, (step, arc, len(points), b, w[0])
+        assert abs(b.lambda_max - w[-1]) <= b.tol, (step, arc, len(points), b, w[-1])
 
 
 @REDUCTIONS
