@@ -152,7 +152,7 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 
 def _check_gram_size(n: int) -> None:
     if n > MAX_GRAM_N:
-        raise ValueError(f"an n={n} Gram needs {16 * n * n} bytes; the limit is n={MAX_GRAM_N}")
+        raise ValueError(f"an n={n} Gram is refused; the limit is n={MAX_GRAM_N}")
 
 
 # ---------------------------------------------------------------- commands --
@@ -184,7 +184,7 @@ def cmd_construct(spec: argparse.Namespace) -> tuple[int, dict]:
 
 def cmd_certify(spec: argparse.Namespace) -> tuple[int, dict]:
     spectrum = _load_spectrum(spec)
-    schedule = _parse_ints(spec.schedule, "schedule")
+    schedule = gramlib._check_schedule(_parse_ints(spec.schedule, "schedule"))
     _check_gram_size(max(schedule))
     explicit = _load_points(spec)
     if explicit is not None:

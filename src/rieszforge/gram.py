@@ -59,7 +59,7 @@ class BoundsEstimate:
     point-symmetric section (see _section_bounds), "prolate-tridiagonal" for a
     progression on one arc (see _prolate_bounds), and the driver: "two-stage"
     if any part took the two-stage reduction, else "one-stage" (see _extremes),
-    "eigvalsh" where numpy's LAPACK lacks the symbols, or "stemr-vectors"."""
+    "eigvalsh" where _openblas() is empty, or "stemr-vectors"."""
 
     lambda_min: float
     lambda_max: float
@@ -209,8 +209,8 @@ def extreme_eigs(h: np.ndarray) -> BoundsEstimate:
 
 @functools.cache
 def _openblas() -> dict:
-    """Symbols of numpy's OpenBLAS, less any the build lacks (MKL, Accelerate, Windows): the
-    reductions by (two_stage, dtype), "stemr", ?potrf by ("potrf", dtype), threads "get", "set"."""
+    """numpy's OpenBLAS symbols, all nine or {} where the build lacks any (MKL, Accelerate,
+    Windows): reductions by (two_stage, dtype), "stemr", ("potrf", dtype), threads "get", "set"."""
     from numpy.linalg import _umath_linalg
     try:
         lib = ctypes.CDLL(_umath_linalg.__file__)
@@ -229,9 +229,10 @@ def _openblas() -> dict:
             (("potrf", _COMPLEX), "LAPACKE_zpotrf_work64_", potrf),
             ("get", "openblas_get_num_threads64_", (c.c_int,)),
             ("set", "openblas_set_num_threads64_", (None, c.c_int))):
-        if (fn := getattr(lib, "scipy_" + name, None)) is not None:
-            fn.restype, fn.argtypes = restype, argtypes
-            found[key] = fn
+        if (fn := getattr(lib, "scipy_" + name, None)) is None:
+            return {}
+        fn.restype, fn.argtypes = restype, argtypes
+        found[key] = fn
     return found
 
 
@@ -264,43 +265,50 @@ def _workspace(two_stage, dtype, n) -> tuple[int, int]:
 
 
 def _extremes(a) -> tuple[float, float, str]:
-    """(lambda_min, lambda_max, route) of the Hermitian a, which is overwritten:
-    _reduce, "one-stage" below _TWO_STAGE_MIN_N[dtype] rows, else "two-stage",
-    then dstemr (MRRR; Dhillon, Parlett & Vomel, TOMS 2006), jobz "N", range "I",
-    for eigenvalue 1 alone, then n alone, each on a fresh copy of (d, e), which it
-    overwrites.  Buffers share one array per dtype (an address lookup costs about
-    1 us), named through every call; where numpy's LAPACK lacks a symbol, eigvalsh."""
-    n, dtype, blas = len(a), (_COMPLEX if np.iscomplexobj(a) else _REAL), _openblas()
-    two_stage = n >= _TWO_STAGE_MIN_N[dtype]
-    if not {(two_stage, dtype), "stemr"} <= blas.keys():
+    """(lambda_min, lambda_max, route) of the Hermitian a, which is overwritten: _reduce,
+    "one-stage" below _TWO_STAGE_MIN_N[dtype] rows, else "two-stage", then _stemr, jobz "N";
+    eigvalsh where _openblas() is empty."""
+    n, dtype = len(a), (_COMPLEX if np.iscomplexobj(a) else _REAL)
+    if not _openblas():
         w = np.linalg.eigvalsh(a)
         return float(w[0]), float(w[-1]), "eigvalsh"
+    two_stage = n >= _TWO_STAGE_MIN_N[dtype]
     a = np.require(a, dtype, "CAW")  # copies only another dtype or layout, or a read-only a
     lwork, lhous = _workspace(two_stage, dtype, n)
     de = np.empty(2 * n)
     _reduce(two_stage, a, de, np.empty(n + lhous + lwork, dtype), lwork, lhous)
-    # (d, e), w, z, work; iwork, isuppz: the minimums for jobz "N"; vl, vu and z go unread
-    f, i = np.empty(15 * n + 1), np.empty(8 * n + 2, np.int64)
+    return *_stemr(de, b"N")[:2], ("two-stage" if two_stage else "one-stage")
+
+
+def _stemr(de, jobz) -> tuple[float, float, np.ndarray | None]:
+    """(lambda_1, lambda_n, z) of the real symmetric tridiagonal (de[:n], de[n:2n-1]) by
+    dstemr (MRRR; Dhillon, Parlett & Vomel, TOMS 2006), range "I", for eigenvalue 1, then n,
+    each on a fresh copy of de, which dstemr overwrites; z's rows are their unit eigenvectors
+    for jobz b"V", else z is None.  The buffers share one array of doubles, (d, e), w, z,
+    work, and one of integers, iwork, isuppz (an address lookup costs about 1 us), named
+    through every call; the workspaces are the jobz "V" minimums, 18n doubles, 10n integers."""
+    n, stemr = len(de) // 2, _openblas()["stemr"]
+    f, i = np.empty(23 * n), np.empty(10 * n + 2, np.int64)
     p, q = f.ctypes.data, i.ctypes.data
     picks = []
-    for k in (1, n):
+    for row, k in enumerate((1, n)):
         f[:2 * n] = de
         m, info = ctypes.c_int64(), ctypes.c_int64()
-        blas["stemr"](b"N", b"I", _int(n), p, p + 8 * n, p, p, _int(k), _int(k), ctypes.byref(m),
-                      p + 16 * n, p + 24 * n, _int(1), _int(0), q + 64 * n, _int(0),
-                      p + 24 * n + 8, _int(12 * n), q, _int(8 * n), ctypes.byref(info), 1, 1)
+        stemr(jobz, b"I", _int(n), p, p + 8 * n, p, p, _int(k), _int(k), ctypes.byref(m),
+              p + 16 * n, p + 8 * (3 + row) * n, _int(n), _int(1), q + 80 * n, _int(0),
+              p + 40 * n, _int(18 * n), q, _int(10 * n), ctypes.byref(info), 1, 1)
         if info.value or m.value != 1:
             raise np.linalg.LinAlgError(f"dstemr failed: info {info.value}, {m.value} eigenvalues")
         picks.append(float(f[2 * n]))
-    return *picks, ("two-stage" if two_stage else "one-stage")
+    return *picks, (f[3 * n:5 * n].reshape(2, n).copy() if jobz == b"V" else None)
 
 
 def _cholesky_factors(a) -> bool:
-    """Whether Cholesky completes on the lower triangle of a: by np.linalg.cholesky, or by
-    its own LAPACK call, ?potrf "L", in place if a is Fortran-ordered, aligned and writable."""
-    potrf = _openblas().get(("potrf", a.dtype)) if a.T.flags.carray else None
-    if potrf is not None:  # a is overwritten
-        return potrf(_LAPACK_COL_MAJOR, b"L", len(a), a.ctypes.data, len(a)) == 0
+    """Whether Cholesky completes on the lower triangle of a: by np.linalg.cholesky, or by its
+    own LAPACK call, ?potrf "L", in place where _openblas() is full and a is float64 or
+    complex128, Fortran-ordered, aligned and writable."""
+    if (blas := _openblas()) and a.dtype in (_REAL, _COMPLEX) and a.T.flags.carray:
+        return blas["potrf", a.dtype](_LAPACK_COL_MAJOR, b"L", len(a), a.ctypes.data, len(a)) == 0
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -311,18 +319,17 @@ def _cholesky_factors(a) -> bool:
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the block on one OpenBLAS thread, one Python thread at a time, and
-    restore the count; where "get" or "set" is missing, leave it alone."""
+    restore the count; where _openblas() is empty, leave it alone."""
     blas = _openblas()
-    get, put = blas.get("get"), blas.get("set")
     with _BLAS_PIN:
-        threads = get() if get and put else 1
+        threads = blas["get"]() if blas else 1
         if threads != 1:
-            put(1)
+            blas["set"](1)
         try:
             yield
         finally:
             if threads != 1:
-                put(threads)
+                blas["set"](threads)
 
 
 def _bounds(parts, n: int, solver: str | None = None) -> BoundsEstimate:
@@ -351,27 +358,14 @@ def _prolate_bounds(step, n, length) -> BoundsEstimate:
     the prolate matrix sin(w (j-k))/(pi (j-k)).  Slepian's tridiagonal T, d_j =
     ((n-1-2j)/2)^2 cos w and e_j = (j+1)(n-1-j)/2, commutes with P (Slepian 1978,
     Grunbaum 1981) and has a simple spectrum, so its two extreme eigenvectors, by
-    dstemr (jobz "V"), are R's: in R's order, or reversed where w mod 2 pi passes pi.
+    _stemr (jobz "V"), are R's: in R's order, or reversed where w mod 2 pi passes pi.
     Their Rayleigh quotients, Rv by an FFT correlation with r(step m) for |m| < n,
     are R's extremes, in O(n log n) time and O(n) memory (README, Gram assembly)."""
-    j, stemr = np.arange(n), _openblas()["stemr"]
-    d = ((n - 1 - 2 * j) / 2) ** 2 * math.cos(step * length / 2)
-    e = j[1:] * (n - j[1:]) / 2
-    # each LAPACK argument stays named through the calls
-    de, w, z = np.empty(2 * n), np.empty(n), np.empty((2, n))
-    work, iwork, isuppz = np.empty(18 * n), np.empty(10 * n, np.int64), np.empty(2, np.int64)
-    p = de.ctypes.data
+    j, de = np.arange(n), np.empty(2 * n)
+    de[:n] = ((n - 1 - 2 * j) / 2) ** 2 * math.cos(step * length / 2)
+    de[n:2 * n - 1] = j[1:] * (n - j[1:]) / 2
     with _one_blas_thread():
-        for row, k in enumerate((1, n)):
-            de[:n], de[n:2 * n - 1] = d, e  # dstemr overwrites both
-            m, info = ctypes.c_int64(), ctypes.c_int64()
-            stemr(b"V", b"I", _int(n), p, p + 8 * n, p, p, _int(k), _int(k), ctypes.byref(m),
-                  w.ctypes.data, z[row].ctypes.data, _int(n), _int(1), isuppz.ctypes.data,
-                  _int(0), work.ctypes.data, _int(18 * n), iwork.ctypes.data, _int(10 * n),
-                  ctypes.byref(info), 1, 1)
-            if info.value or m.value != 1:
-                raise np.linalg.LinAlgError(f"dstemr failed: info {info.value}, {m.value} vectors")
-        del work, iwork  # before the correlation's buffers
+        *_, z = _stemr(de, b"V")  # its workspaces are freed before the correlation's buffers
         r = centered_interval_coefficient(length, step * j)  # the entries _table would give
         coefficients = np.concatenate((r[:0:-1], r))  # m = -(n-1)..n-1, mirrored as _table does
         size = 2 * n  # (coefficients * v)[n-1:2n-1] is Rv, and no wrap-around reaches it
@@ -384,7 +378,7 @@ def _section_bounds(points, spectrum) -> BoundsEstimate:
     """Bounds of _solved_gram(points, spectrum) for ints or d-tuples in any
     order, parsed once.  On one arc (the full torus and an arc across 0
     included), n >= 3 ints whose sorted steps are one s > 0 go to
-    _prolate_bounds, with no Gram, where numpy's LAPACK has dstemr; a span past
+    _prolate_bounds, with no Gram, where _openblas() is full; a span past
     int64 goes on to _table, which refuses it.  Any other section is folded
     when it can be.  G is taken in sorted key order (see _table),
     the points' lexicographic order.  Each digit of p - lo lies in [0, span_i],
@@ -413,10 +407,9 @@ def _section_bounds(points, spectrum) -> BoundsEstimate:
     """
     arr = integer_points(points)
     if len(arr) >= 3 and arr.shape[1] == 1 and isinstance(spectrum, MultibandSet) \
-            and spectrum.is_arc() and "stemr" in _openblas():
+            and spectrum.is_arc() and _openblas():
         x = np.sort(arr[:, 0])
         step, span = int(x[1]) - int(x[0]), int(x[-1]) - int(x[0])
-        # a span past int64 goes on to _table, which refuses it
         if step > 0 and span <= np.iinfo(np.int64).max and np.all(np.diff(x) == step):
             return _prolate_bounds(step, len(x), spectrum.measure)
     vals, diffs, keys = _solved_table(arr, spectrum)
@@ -519,6 +512,14 @@ class GramCertificate:
         return "\n".join(lines) + "\n"
 
 
+def _check_schedule(schedule) -> tuple[int, ...]:
+    """certify's schedule as ints: non-empty, strictly increasing and positive, or ValueError."""
+    schedule = integers(schedule, "schedule")
+    if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])) or schedule[0] < 1:
+        raise ValueError(f"schedule must be strictly increasing and positive, got {schedule}")
+    return schedule
+
+
 def certify(points, spectrum, threshold: float,
             schedule=DEFAULT_SCHEDULE, drop_ratio: float = DEFAULT_DROP_RATIO,
             source: str = "") -> GramCertificate:
@@ -543,9 +544,7 @@ def certify(points, spectrum, threshold: float,
     """
     if not (math.isfinite(threshold) and threshold > 0):
         raise ValueError(f"threshold must be positive and finite, got {threshold}")
-    schedule = integers(schedule, "schedule")
-    if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])) or schedule[0] < 1:
-        raise ValueError(f"schedule must be strictly increasing and positive, got {schedule}")
+    schedule = _check_schedule(schedule)
     if not 0.0 <= drop_ratio < 1.0:
         raise ValueError("drop_ratio must be in [0, 1)")
     refute_floor = 1e-6 * spectrum.total_volume

@@ -387,6 +387,7 @@ def test_select_refuses_a_window_short_of_one_block_before_the_gram(capsys, monk
 
 def test_every_eigensolve_runs_in_gram_bounds(capsys, monkeypatch):
     calls = set()
+    bounds, prolate = "rieszforge.gram._bounds", "rieszforge.gram._prolate_bounds"
 
     def tracer(route, solve):
         def traced(*args, **kwargs):
@@ -395,7 +396,8 @@ def test_every_eigensolve_runs_in_gram_bounds(capsys, monkeypatch):
                 if not frame.f_code.co_name.startswith("<"):  # <listcomp>, <genexpr>
                     stack.append(f"{frame.f_globals['__name__']}.{frame.f_code.co_name}")
                 frame = frame.f_back
-            calls.add((route, stack[0], "rieszforge.gram._bounds" in stack))
+            owner = next((f for f in stack if f in (bounds, prolate)), None)
+            calls.add((route, stack[0], owner))
             return solve(*args, **kwargs)
         return traced
 
@@ -427,15 +429,13 @@ def test_every_eigensolve_runs_in_gram_bounds(capsys, monkeypatch):
         assert main(argv) in (0, 2, 3), argv
     capsys.readouterr()
     # every solve is a reduction and two dstemr picks under _bounds, or, for the
-    # sections of the one-arc progression, two dstemr vectors in _prolate_bounds;
-    # none is eigvalsh
+    # sections of the one-arc progression, two dstemr vectors under _prolate_bounds;
+    # _stemr makes every dstemr call, and none is eigvalsh
     assert {caller for _, caller, _ in calls} == {"rieszforge.gram._reduce",
-                                                  "rieszforge.gram._extremes",
-                                                  "rieszforge.gram._prolate_bounds"}
-    assert all(under or caller == "rieszforge.gram._prolate_bounds"
-               for _, caller, under in calls)
-    assert {route for route, *_ in calls} == {"one-stage real", "one-stage complex",
-                                              "two-stage complex", "dstemr"}
+                                                  "rieszforge.gram._stemr"}
+    assert {(route, owner) for route, _, owner in calls} == {
+        ("one-stage real", bounds), ("one-stage complex", bounds), ("two-stage complex", bounds),
+        ("dstemr", bounds), ("dstemr", prolate)}
 
 
 @pytest.mark.parametrize("argv, cells", [
@@ -475,7 +475,23 @@ def test_gram_size_guard_refuses_before_building(capsys, monkeypatch, argv, n):
     assert 2048 < cli.MAX_GRAM_N < n
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert f"n={n}" in err and str(16 * n * n) in err
+    # no byte count: a one-arc progression and a fold take far less than a whole Gram
+    assert f"n={n}" in err and f"limit is n={cli.MAX_GRAM_N}" in err and "bytes" not in err
+
+
+@pytest.mark.parametrize("schedule", ["0", "-4,0"])
+def test_certify_checks_the_schedule_before_generating(capsys, monkeypatch, schedule):
+    # with no points given, a schedule whose largest entry is below 1 used to reach
+    # generate_centered, which refused a count the user never gave
+    from rieszforge import cli
+
+    def no_points(*args, **kwargs):
+        raise AssertionError("points generated for a refused schedule")
+
+    monkeypatch.setattr(cli.qc, "generate_centered", no_points)
+    assert main(["certify", "--measure", "0.5", f"--schedule={schedule}"]) == 1
+    err = capsys.readouterr().err
+    assert "schedule must be strictly increasing and positive" in err and "count" not in err
 
 
 @pytest.mark.parametrize("argv", [

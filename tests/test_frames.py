@@ -650,8 +650,10 @@ def test_search_screens_and_solves_the_lower_triangle(objective):
 @pytest.mark.parametrize("stage", [None, 2])
 @pytest.mark.parametrize("objective", ["riesz", "bessel"])
 def test_search_without_potrf_is_bit_identical(monkeypatch, objective, stage):
-    # a build without the ?potrf symbols screens with np.linalg.cholesky; only
-    # which trials reach the eigensolve may differ, never the result
+    # where ?potrf is not taken, np.linalg.cholesky screens: in a build without the
+    # OpenBLAS symbols, or on a block that is not Fortran-ordered, as here, so the
+    # solves stay the same; only which trials reach the eigensolve may differ, never
+    # the result
     g = _random_gram(8, 10, 24, scale=0.3)
     blocks = BlockSystem.intervals(range(24), 3).blocks
     config = SelectorConfig(master_seed=5, max_trials=130)
@@ -662,11 +664,9 @@ def test_search_without_potrf_is_bit_identical(monkeypatch, objective, stage):
     with_potrf = frames._search(g, blocks, config, objective, unmet, stage)
     target = with_potrf[1] if objective == "riesz" else with_potrf[2]
     met = frames._search(g, blocks, config, objective, target, stage)
-    potrf = {("potrf", np.dtype(np.float64)), ("potrf", np.dtype(np.complex128))}
-    uses_potrf = potrf <= set(gram._openblas())
-    assert not calls or not uses_potrf
-    openblas = {k: v for k, v in gram._openblas().items() if k not in potrf}
-    monkeypatch.setattr(gram, "_openblas", lambda: openblas)
+    assert not calls or not gram._openblas()
+    monkeypatch.setattr(frames, "_cholesky_factors",
+                        lambda a: gram._cholesky_factors(np.ascontiguousarray(a)))
     assert frames._search(g, blocks, config, objective, unmet, stage) == with_potrf
     assert frames._search(g, blocks, config, objective, target, stage) == met
     assert met[4] and not with_potrf[4] and len(calls) >= 129

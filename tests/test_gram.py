@@ -869,8 +869,8 @@ def test_other_sections_keep_their_solver(monkeypatch, pts, spectrum, solver):
 
 
 def test_without_dstemr_progression_sections_take_the_fold(monkeypatch):
-    symbols = {k: v for k, v in gram._openblas().items() if k != "stemr"}
-    monkeypatch.setattr(gram, "_openblas", lambda: symbols)
+    # a build without dstemr has no OpenBLAS symbols at all (see _openblas)
+    monkeypatch.setattr(gram, "_openblas", dict)
     for pts in (list(range(-30, 31, 3)), list(range(-30, 28, 3))):  # odd and even n
         b = gram._section_bounds(pts, ONE_ARC)
         assert (b.solver, b.driver) == ("centrosymmetric-split", "eigvalsh")
@@ -927,12 +927,12 @@ def _random_hermitian(n, dtype, seed=0):
 
 def _fold_parts(points, bands):
     """The folded parts _section_bounds solves for these point-symmetric points; a
-    progression on one arc takes the fold only without dstemr, so it is left out."""
+    progression on one arc takes the fold only where the OpenBLAS table is empty, so
+    it is emptied here."""
     parts = []
-    symbols = {k: v for k, v in gram._openblas().items() if k != "stemr"}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gram, "_bounds", lambda p, size, solver: parts.extend(p))
-        patch.setattr(gram, "_openblas", lambda: symbols)
+        patch.setattr(gram, "_openblas", dict)
         gram._section_bounds(points, normalize_bands(bands))
     return parts
 
@@ -1049,21 +1049,14 @@ def test_bounds_match_eigvalsh_on_degenerate_spectra():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("lookup", ["no-driver", "no-dstemr", "no-symbols"])
+@pytest.mark.parametrize("lookup", ["no-symbols"])
 @pytest.mark.parametrize("dtype", [REAL, COMPLEX], ids=["real", "complex"])
 def test_without_the_driver_bounds_are_eigvalsh_bit_for_bit(monkeypatch, lookup, dtype):
-    # "no-driver": the reduction the part would take is missing
+    # a build without the OpenBLAS symbols: no thread pin either
     n = MINIMUM[dtype]
     a = _random_hermitian(n, dtype, seed=1)
-    if lookup == "no-symbols":  # a build without the OpenBLAS symbols: no thread pin either
-        w = np.linalg.eigvalsh(a)
-        monkeypatch.setattr(gram, "_openblas", dict)
-    else:
-        with gram._one_blas_thread():  # as _bounds runs it
-            w = np.linalg.eigvalsh(a)
-        missing = (True, dtype) if lookup == "no-driver" else "stemr"
-        symbols = {k: v for k, v in gram._openblas().items() if k != missing}
-        monkeypatch.setattr(gram, "_openblas", lambda: symbols)
+    w = np.linalg.eigvalsh(a)
+    monkeypatch.setattr(gram, "_openblas", dict)
     b = gram._bounds([a], n)
     assert b.driver == "eigvalsh"
     assert np.array_equal([b.lambda_min, b.lambda_max], w[[0, -1]])
@@ -1110,6 +1103,56 @@ def test_a_failed_two_stage_solve_raises(monkeypatch):
         monkeypatch.setattr(gram, "_openblas", lambda: symbols)
 
 
+@STEMR
+def test_a_failed_dstemr_pick_on_a_progression_raises(monkeypatch):
+    symbols = gram._openblas()
+    failing = {**symbols, "stemr": _failing(symbols["stemr"])}
+    monkeypatch.setattr(gram, "_openblas", lambda: failing)
+    with pytest.raises(np.linalg.LinAlgError, match="dstemr failed: info 1"):
+        gram._section_bounds(list(range(-30, 31, 3)), ONE_ARC)
+
+
+def _tridiagonals():
+    """(name, de): random tridiagonals and Slepian's T of _prolate_bounds, w on and
+    beside multiples of pi and one generic w, n = 1 and 2 included, packed as _stemr
+    reads them."""
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 4, 8, 17, 64, 300):
+        for seed in range(3):
+            yield f"random-{n}-{seed}", np.concatenate((rng.standard_normal(2 * n - 1), [0.0]))
+    for n in (1, 2, 3, 8, 33, 200):
+        j = np.arange(n)
+        for w in (0.0, math.pi, 2 * math.pi, 3 * math.pi, math.pi * (1 - 1e-9),
+                  math.pi * (1 + 1e-9), 2 * math.pi * (1 + 1e-9), 1.3):
+            d = ((n - 1 - 2 * j) / 2) ** 2 * math.cos(w)
+            yield f"slepian-{n}-{w}", np.concatenate((d, j[1:] * (n - j[1:]) / 2, [0.0]))
+
+
+@STEMR
+@pytest.mark.parametrize("jobz", [b"N", b"V"], ids=["values", "vectors"])
+def test_stemr_picks_match_eigvalsh(jobz):
+    # within n eps max|lambda|, but no less than 16 eps max|lambda|: below n = 16, a
+    # jobz "N" pick measured up to 12 eps max|lambda| from eigvalsh on 3000 random
+    # tridiagonals of each size
+    eps = np.finfo(float).eps
+    for name, de in _tridiagonals():
+        n = len(de) // 2
+        t = np.diag(de[:n]) + np.diag(de[n:2 * n - 1], 1) + np.diag(de[n:2 * n - 1], -1)
+        w = np.linalg.eigvalsh(t)
+        tol = max(n, 16) * eps * np.abs(w).max()
+        kept = de.copy()
+        lo, hi, z = gram._stemr(de, jobz)
+        assert np.array_equal(de, kept), name
+        assert abs(lo - w[0]) <= tol and abs(hi - w[-1]) <= tol, (name, lo, hi, w[[0, -1]])
+        if jobz == b"N":
+            assert z is None
+            continue
+        assert z.shape == (2, n)
+        for lam, v in zip((lo, hi), z):
+            assert abs(np.linalg.norm(v) - 1) <= n * eps, name
+            assert np.linalg.norm(t @ v - lam * v) <= tol, name
+
+
 IN_PLACE_PROBE = """
 import sys
 from rieszforge import gram, normalize_bands
@@ -1146,6 +1189,48 @@ def test_scipy_openblas_numpy_resolves_every_symbol():
     if np.__config__.CONFIG["Build Dependencies"]["lapack"]["name"] != "scipy-openblas":
         pytest.skip("numpy is not built on scipy-openblas")
     assert set(gram._openblas()) == SOLVE | {("potrf", REAL), ("potrf", COMPLEX), "get", "set"}
+
+
+SYMBOLS = ("dsytrd_64_", "zhetrd_64_", "dsytrd_2stage_64_", "zhetrd_2stage_64_", "dstemr_64_",
+           "LAPACKE_dpotrf_work64_", "LAPACKE_zpotrf_work64_", "openblas_get_num_threads64_",
+           "openblas_set_num_threads64_")
+
+
+@REDUCTIONS
+@pytest.mark.parametrize("missing", SYMBOLS)
+def test_a_library_lacking_any_symbol_gives_no_symbols(monkeypatch, missing):
+    real, cdll = gram._openblas(), ctypes.CDLL
+
+    class Lacking:  # numpy's linalg extension, less one symbol
+        def __init__(self, path):
+            self.lib = cdll(path)
+
+        def __getattr__(self, name):
+            if name == "scipy_" + missing:
+                raise AttributeError(name)
+            return getattr(self.lib, name)
+
+    monkeypatch.setattr(ctypes, "CDLL", Lacking)
+    gram._openblas.cache_clear()
+    try:
+        assert gram._openblas() == {}
+        # every route takes its fallback: eigvalsh, the fold for a one-arc progression,
+        # np.linalg.cholesky for the screen, and no thread pin
+        a = _random_hermitian(MINIMUM[REAL], REAL, seed=3)
+        assert gram._bounds([a], len(a)).driver == "eigvalsh"
+        b = gram._section_bounds(list(range(-30, 31, 3)), ONE_ARC)
+        assert (b.solver, b.driver) == ("centrosymmetric-split", "eigvalsh")
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(1) or cholesky(m))
+        assert gram._cholesky_factors(np.asfortranarray(np.eye(4))) and calls == [1]
+        threads = real["get"]()
+        with gram._one_blas_thread():
+            assert real["get"]() == threads
+    finally:
+        monkeypatch.undo()
+        gram._openblas.cache_clear()
+    assert gram._openblas().keys() == real.keys()
 
 
 # ---------------------------------------------------------- Cholesky screen --
@@ -1197,6 +1282,17 @@ def test_cholesky_screen_reads_only_the_lower_triangle(dtype):
                 c = np.array(b, order=order)
                 c[upper] = junk
                 assert gram._cholesky_factors(c) == verdict
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.complex64], ids=["float32", "complex64"])
+def test_cholesky_screen_leaves_other_dtypes_to_numpy(monkeypatch, dtype):
+    # ?potrf is bound for float64 and complex128 only
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(1) or cholesky(m))
+    a = np.asfortranarray(np.eye(8, dtype=dtype) * 2 + 1)  # positive definite
+    assert gram._cholesky_factors(a) and calls == [1]
+    assert not gram._cholesky_factors(-a) and calls == [1, 1]
 
 
 @POTRF
