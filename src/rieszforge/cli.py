@@ -230,9 +230,9 @@ def cmd_select(spec: argparse.Namespace) -> tuple[int, dict]:
         result = select_bessel(gram, blocks, target, config)
     else:
         eps = spec.threshold if spec.threshold is not None else 0.5
-        # normalized exponentials have squared norm delta = |S|/2pi; scale the Gram to a
-        # unit diagonal (by exactly 1.0 on the full torus)
-        result = select_tight(gram / delta, blocks, eps, config)
+        # normalized exponentials have squared norm delta = |S|/2pi; scale the Gram, in
+        # place, to a unit diagonal (by exactly 1.0 on the full torus)
+        result = select_tight(np.divide(gram, delta, out=gram), blocks, eps, config)
 
     theory = {
         "delta0": config.delta0,
@@ -289,6 +289,11 @@ def _mirror_invariant(window: LatticeWindow, r: int) -> bool:
 def cmd_partition(spec: argparse.Namespace) -> tuple[int, dict]:
     d, r = spec.dim, spec.r
     window = _partition_window(spec)
+    if spec.boxes is not None:  # checked before the partitions: the selector has cells // r rows
+        box_set = BoxSet.from_json(json.loads(spec.boxes))
+        if box_set.dim != d:
+            raise ValueError(f"--boxes dimension {box_set.dim} != --dim {d}")
+        _check_gram_size(math.prod(window.side_lengths) // r)
 
     def one_cell_each(parts: np.ndarray, key: int, mirrored: bool = False) -> np.ndarray:
         """One cell of each part, drawn by one call: an (n, d) int64 array.  If mirrored
@@ -329,10 +334,6 @@ def cmd_partition(spec: argparse.Namespace) -> tuple[int, dict]:
     }
 
     if spec.boxes is not None:
-        box_set = BoxSet.from_json(json.loads(spec.boxes))
-        if box_set.dim != d:
-            raise ValueError(f"--boxes dimension {box_set.dim} != --dim {d}")
-        _check_gram_size(len(selector))
         be, vol = gramlib._section_bounds(selector, box_set), box_set.total_volume
         payload["quality"] = {"lambda_min": be.lambda_min / vol, "lambda_max": be.lambda_max / vol}
 

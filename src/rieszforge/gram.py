@@ -177,7 +177,9 @@ def _decode(keys, strides) -> np.ndarray:
 
 
 def _check_hermitian(h: np.ndarray) -> np.ndarray:
-    h = np.asarray(h)
+    if (h := np.asarray(h)).dtype.kind not in "biufc":  # bool, int, float, complex: cast below
+        raise ValueError(f"expected a numeric matrix, got dtype {h.dtype}")
+    h = h.astype(_COMPLEX if h.dtype.kind == "c" else _REAL, copy=False)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     if not h.size:
@@ -265,12 +267,12 @@ def _workspace(two_stage, dtype, n) -> tuple[int, int]:
 
 
 def _extremes(a) -> tuple[float, float, str]:
-    """(lambda_min, lambda_max, route) of the Hermitian a, which is overwritten: _reduce,
-    "one-stage" below _TWO_STAGE_MIN_N[dtype] rows, else "two-stage", then _stemr, jobz "N";
-    eigvalsh where _openblas() is empty."""
+    """(lambda_min, lambda_max, route) of the Hermitian a, from its upper triangle, and a is
+    overwritten: _reduce, "one-stage" below _TWO_STAGE_MIN_N[dtype] rows, else "two-stage",
+    then _stemr, jobz "N"; eigvalsh, UPLO "U", where _openblas() is empty."""
     n, dtype = len(a), (_COMPLEX if np.iscomplexobj(a) else _REAL)
     if not _openblas():
-        w = np.linalg.eigvalsh(a)
+        w = np.linalg.eigvalsh(a, UPLO="U")
         return float(w[0]), float(w[-1]), "eigvalsh"
     two_stage = n >= _TWO_STAGE_MIN_N[dtype]
     a = np.require(a, dtype, "CAW")  # copies only another dtype or layout, or a read-only a

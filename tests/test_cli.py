@@ -455,11 +455,30 @@ def test_partition_refuses_huge_windows(capsys, monkeypatch, argv, cells):
     assert str(cells) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("boxes, message", [
+    ("[[[0,0.5],[0,0.5]]", "Expecting"),
+    ("[[[0,0.5]]]", "--boxes dimension 1 != --dim 2"),
+], ids=["malformed", "wrong-dimension"])
+def test_partition_checks_boxes_before_partitioning(capsys, monkeypatch, boxes, message):
+    from rieszforge import cli
+
+    def no_partition(*args):
+        raise AssertionError("partition built for refused --boxes")
+
+    monkeypatch.setattr(cli, "cycling_partition", no_partition)
+    monkeypatch.setattr(cli, "cube_partition", no_partition)
+    argv = ["partition", "--dim", "2", "--r", "2", "--window", "1024", "--boxes", boxes]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, n", [
     (["certify", "--measure", "0.5", "--step", "1", "--window", "3000",
       "--schedule", "16,5000"], 5000),
     (["certify", "--measure", "0.4", "--schedule", "64,4097"], 4097),
     (["select", "--measure", "0.5", "--window", "100000"], 100000),
+    (["partition", "--dim", "2", "--r", "2", "--window", "1024",
+      "--boxes", "[[[0,0.5],[0,0.5]]]"], 1024 ** 2 // 2),
 ])
 def test_gram_size_guard_refuses_before_building(capsys, monkeypatch, argv, n):
     from rieszforge import cli, gram
@@ -472,6 +491,7 @@ def test_gram_size_guard_refuses_before_building(capsys, monkeypatch, argv, n):
     monkeypatch.setattr(gram, "_table", no_gram)
     monkeypatch.setattr(gram, "_prolate_bounds", no_gram)
     monkeypatch.setattr(cli.qc, "generate_centered", no_gram)
+    monkeypatch.setattr(cli, "cycling_partition", no_gram)  # a --boxes selector's partition
     assert 2048 < cli.MAX_GRAM_N < n
     assert main(argv) == 1
     err = capsys.readouterr().err

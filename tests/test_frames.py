@@ -274,6 +274,48 @@ def test_select_rejects_a_gram_that_is_not_hermitian(gram, message):
             select(gram, blocks, 0.5)
 
 
+def _unit_gram(dtype):
+    """An 8x8 Gram of unit vectors, Hermitian bit for bit, exact in dtype: the identity
+    for bool and integers, else a random one rounded to dtype."""
+    if np.dtype(dtype).kind in "bi":
+        return np.eye(8, dtype=dtype)
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=(12, 8)) + (1j * rng.normal(size=(12, 8)) if dtype == np.complex64 else 0)
+    g = z.conj().T @ z
+    g = (g + g.conj().T) / 2
+    s = np.sqrt(np.real(np.diagonal(g)))
+    return (g / (s[:, None] * s[None, :])).astype(dtype)
+
+
+_QUADS, _TWENTY = BlockSystem.intervals(range(8), 4), SelectorConfig(max_trials=20)
+SOLVERS = {  # riesz and bessel targets out of reach, so every trial after the first is screened
+    "select_riesz": lambda g: select_riesz(g, _QUADS, 2.0, _TWENTY),
+    "select_bessel": lambda g: select_bessel(g, _QUADS, 0.5, _TWENTY),
+    "select_tight": lambda g: select_tight(g, _QUADS, 0.5, _TWENTY),
+    "extreme_eigs": rieszforge.extreme_eigs,
+    "dual_system": lambda g: dual_system(g).tolist(),
+}
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("dtype", [np.int64, np.bool_, np.float32, np.complex64])
+def test_solvers_cast_integer_and_lower_precision_grams(solver, dtype):
+    # _check_hermitian is the one dtype decision: bool, integer and float32 input is
+    # solved as float64, complex64 as complex128, so the search's screen, which adds a
+    # float shift to each block in place, never meets an integer block
+    g = _unit_gram(dtype)
+    wide = g.astype(np.complex128 if np.dtype(dtype).kind == "c" else np.float64)
+    assert SOLVERS[solver](g) == SOLVERS[solver](wide)
+    if solver == "dual_system":
+        assert dual_system(g).dtype == wide.dtype
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_solvers_refuse_non_numeric_grams(solver):
+    with pytest.raises(ValueError, match="expected a numeric matrix, got dtype <U3"):
+        SOLVERS[solver](np.eye(8).astype(str))
+
+
 @pytest.mark.parametrize("target", [math.nan, math.inf])
 def test_select_rejects_non_finite_target(target):
     with pytest.raises(ValueError):
@@ -379,8 +421,8 @@ def _search_oracle(gram, blocks, config, objective, target, stage=None, certifie
     """
     best = None
     for t, picks in enumerate(_draws(blocks, config, stage)):
-        # the transposed block, read column-major: A's lower triangle, as the search solves it
-        lmin, lmax = _extremes(gram.T[np.ix_(picks, picks)])
+        # the C-ordered block, read column-major: A's upper triangle, as the search solves it
+        lmin, lmax = _extremes(gram[np.ix_(picks, picks)])
         quality = _quality(objective, (picks, lmin, lmax))
         if (lmax <= target) if objective == "bessel" else (lmin >= target):
             return picks, lmin, lmax, t + 1, True
@@ -613,9 +655,10 @@ def test_search_matches_oracle_across_chunk_boundaries(monkeypatch, objective, s
     target = fast[1] if objective == "riesz" else fast[2]
     fast, slow = _search_both(g, blocks, objective, target, 130, seed=5, stage=stage)
     assert fast == slow and fast[4]
-    # every trial after the first reaches the Cholesky gate, whose block is
-    # sign * A + cI: failing each factorization shows every trial's picks in
-    # the block's off-diagonal entries, which are distinct in this Gram
+    # every trial after the first reaches the Cholesky gate, whose block is the
+    # transpose of sign * A + cI, Fortran-ordered as ?potrf reads it: failing each
+    # factorization shows every trial's picks in the block's off-diagonal
+    # entries, which are distinct in this Gram
     shifted = []
 
     def fail(b):
@@ -629,20 +672,24 @@ def test_search_matches_oracle_across_chunk_boundaries(monkeypatch, objective, s
     picks = list(_draws(blocks, config, stage))[1:]
     assert len(shifted) == len(picks) == 129
     for b, p in zip(shifted, picks):
-        assert np.array_equal(b[off], sign * g[np.ix_(p, p)][off])
+        assert np.array_equal(b[off], sign * g[np.ix_(p, p)].T[off])
 
 
 @pytest.mark.parametrize("objective", ["riesz", "bessel"])
-def test_search_screens_and_solves_the_lower_triangle(objective):
+@pytest.mark.parametrize("lapack", ["openblas", "no-symbols"])
+def test_search_screens_and_solves_the_upper_triangle(monkeypatch, lapack, objective):
     # the Cholesky screen and the eigensolve of each trial read one triangle, the
-    # lower one, so the screen decides on the matrix that is solved: junk above the
+    # upper one, through numpy's OpenBLAS or through np.linalg where its symbols are
+    # missing, so the screen decides on the matrix that is solved: junk below the
     # diagonal of a Gram whose blocks keep their order changes nothing
+    if lapack == "no-symbols":
+        monkeypatch.setattr(gram, "_openblas", dict)
     g = _random_gram(8, 10, 24, scale=0.3)
     blocks = BlockSystem.intervals(range(24), 3).blocks
     config = SelectorConfig(master_seed=5, max_trials=130)
     unmet = 1e3 if objective == "riesz" else -1.0
     junk = g.copy()
-    junk[np.triu_indices(24, 1)] = np.nan
+    junk[np.tril_indices(24, -1)] = np.nan
     assert frames._search(junk, blocks, config, objective, unmet) == \
         frames._search(g, blocks, config, objective, unmet)
 

@@ -1055,7 +1055,7 @@ def test_without_the_driver_bounds_are_eigvalsh_bit_for_bit(monkeypatch, lookup,
     # a build without the OpenBLAS symbols: no thread pin either
     n = MINIMUM[dtype]
     a = _random_hermitian(n, dtype, seed=1)
-    w = np.linalg.eigvalsh(a)
+    w = np.linalg.eigvalsh(a, UPLO="U")  # the triangle the LAPACK route reads
     monkeypatch.setattr(gram, "_openblas", dict)
     b = gram._bounds([a], n)
     assert b.driver == "eigvalsh"
