@@ -242,25 +242,29 @@ def _search(gram: np.ndarray, blocks: tuple, config: SelectorConfig,
     failed Cholesky factorization of it proves the trial cannot matter.  The
     first trial and those that factor are solved by gram._bounds: results have
     the bits of a search solving every trial, at any BLAS thread count.  Both
-    the screen and _bounds read the upper triangle of A, gathered from gram.
+    the screen and _bounds read the upper triangle of A, gathered from gram with no
+    copy of it (bessel negates A in place, through its float64 view); traces sum per chunk.
     """
     n = len(blocks)
     lengths = np.array([len(b) for b in blocks])
     table = np.array([list(b) + [0] * (lengths.max() - len(b)) for b in blocks])
     rows, diag = np.arange(n), np.real(np.diagonal(gram))
-    signed, goal = (-gram, target) if objective == "bessel" else (gram, -target)
+    goal = target if objective == "bessel" else -target
     best = None
     for t in range(config.max_trials):
         if t % _CHUNK == 0:
             key = (t // _CHUNK,) if stage is None else (stage, t // _CHUNK)
             rng = np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=key))
             chunk = table[rows, rng.integers(lengths, size=(_CHUNK, n))]
+            traces = diag[chunk].sum(axis=1).tolist()
         idx = chunk[t % _CHUNK]
         if best is not None:
-            margin = 4 * n * n * _EPS * (float(diag[idx].sum()) + abs(best_q)) + _TINY
-            shifted = signed.take(idx, 0).take(idx, 1)
+            margin = 4 * n * n * _EPS * (traces[t % _CHUNK] + abs(best_q)) + _TINY
+            shifted = gram.take(idx, 0).take(idx, 1)
+            if objective == "bessel":
+                np.negative(v := shifted.view(np.float64), out=v)
             shifted.ravel()[::n + 1] += max(best_q - 2 * margin, goal + margin)
-            if not _cholesky_factors(shifted.T):
+            if not _cholesky_factors(shifted):
                 continue
         b = _bounds([gram.take(idx, 0).take(idx, 1)], n)
         lmin, lmax = b.lambda_min, b.lambda_max

@@ -203,7 +203,7 @@ def extreme_eigs(h: np.ndarray) -> BoundsEstimate:
 
     Raises if the input fails the Hermiticity residual check at 1e-12
     (relative to the largest entry).  The reported tol field estimates the
-    eigensolver's achieved accuracy, n*eps*max|lambda|, and is at least 1e-12.
+    eigensolver's achieved accuracy, max(n, 16)*eps*max|lambda|, and is at least 1e-12.
     """
     h = _check_hermitian(h)
     return _bounds([h.copy()], len(h))
@@ -306,13 +306,13 @@ def _stemr(de, jobz) -> tuple[float, float, np.ndarray | None]:
 
 
 def _cholesky_factors(a) -> bool:
-    """Whether Cholesky completes on the lower triangle of a: by np.linalg.cholesky, or by its
-    own LAPACK call, ?potrf "L", in place where _openblas() is full and a is float64 or
-    complex128, Fortran-ordered, aligned and writable."""
-    if (blas := _openblas()) and a.dtype in (_REAL, _COMPLEX) and a.T.flags.carray:
+    """Whether Cholesky completes on the upper triangle of a, as _extremes reads it: by ?potrf
+    "L" on a read column-major, in place where _openblas() is full and a is float64 or
+    complex128, C-ordered, aligned and writable, else by np.linalg.cholesky(a.T)."""
+    if (blas := _openblas()) and a.dtype in (_REAL, _COMPLEX) and a.flags.carray:
         return blas["potrf", a.dtype](_LAPACK_COL_MAJOR, b"L", len(a), a.ctypes.data, len(a)) == 0
     try:
-        np.linalg.cholesky(a)
+        np.linalg.cholesky(a.T)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -337,10 +337,9 @@ def _one_blas_thread():
 def _bounds(parts, n: int, solver: str | None = None) -> BoundsEstimate:
     """Bounds of an n x n section from its Hermitian parts, the package's one
     eigenvalue solve: the extremes over every part (see _extremes), tol =
-    max(n*eps*max|lambda|, 1e-12), and solver by the first part's dtype unless
-    given.  The parts are used up: each is overwritten in place, so callers
-    pass arrays they own.  Solves run on one BLAS thread, so their bits do not
-    depend on the thread count."""
+    max(max(n, 16)*eps*max|lambda|, 1e-12), and solver by the first part's dtype unless
+    given.  The parts are used up: each is overwritten in place, so callers pass arrays
+    they own.  Solves run on one BLAS thread, so their bits do not depend on the thread count."""
     with _one_blas_thread():
         lows, highs, routes = zip(*map(_extremes, parts))
     solver = solver or ("real-symmetric" if np.isrealobj(parts[0]) else "hermitian")
@@ -349,7 +348,7 @@ def _bounds(parts, n: int, solver: str | None = None) -> BoundsEstimate:
 
 
 def _estimate(lo, hi, n, solver, driver) -> BoundsEstimate:
-    achieved = n * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0)
+    achieved = max(n, 16) * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0)
     return BoundsEstimate(lambda_min=lo, lambda_max=hi, tol=float(max(achieved, _HERMITIAN_TOL)),
                           solver=solver, driver=driver)
 
@@ -453,12 +452,11 @@ def dual_system(h: np.ndarray) -> np.ndarray:
     """Inverse of a positive-definite Gram: the Gram of the biorthogonal system.
 
     Eigenvalues of the result are the reciprocals of the input's, swapped
-    between min and max.  Raises on singular or indefinite input.
+    between min and max.  Raises on singular or indefinite input, lambda_min <= tol.
     """
     h = _check_hermitian(h)
     b = _bounds([h.copy()], len(h))  # inv needs h after the solve
-    floor = max(len(h) * np.finfo(float).eps * max(abs(b.lambda_max), 1.0), 0.0)
-    if b.lambda_min <= floor:
+    if b.lambda_min <= b.tol:
         raise ValueError(f"matrix is singular or indefinite: lambda_min={b.lambda_min:.3e}")
     with _one_blas_thread():  # so the bits do not depend on the thread count
         inv = np.linalg.inv(h)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -655,10 +656,12 @@ def test_search_matches_oracle_across_chunk_boundaries(monkeypatch, objective, s
     target = fast[1] if objective == "riesz" else fast[2]
     fast, slow = _search_both(g, blocks, objective, target, 130, seed=5, stage=stage)
     assert fast == slow and fast[4]
-    # every trial after the first reaches the Cholesky gate, whose block is the
-    # transpose of sign * A + cI, Fortran-ordered as ?potrf reads it: failing each
+    # every trial after the first reaches the Cholesky gate, whose block is
+    # sign * A + cI itself, C-ordered as _bounds takes it: failing each
     # factorization shows every trial's picks in the block's off-diagonal
-    # entries, which are distinct in this Gram
+    # entries, which are distinct in this Gram, and keeps the first trial's
+    # quality q_b, so the shift c = max(q_b - 2m, q_goal + m) of each trial's own
+    # margin m, and so its trace, are pinned bit for bit
     shifted = []
 
     def fail(b):
@@ -668,11 +671,15 @@ def test_search_matches_oracle_across_chunk_boundaries(monkeypatch, objective, s
     monkeypatch.setattr(frames, "_cholesky_factors", fail)
     config = SelectorConfig(master_seed=5, max_trials=130)
     frames._search(g, blocks, config, objective, unmet, stage)
-    sign, off = (1.0 if objective == "riesz" else -1.0), ~np.eye(len(blocks), dtype=bool)
-    picks = list(_draws(blocks, config, stage))[1:]
+    sign, goal = (1.0, -unmet) if objective == "riesz" else (-1.0, unmet)
+    first, *picks = _draws(blocks, config, stage)
+    best_q = _quality(objective, (first, *_extremes(g[np.ix_(first, first)])))
     assert len(shifted) == len(picks) == 129
     for b, p in zip(shifted, picks):
-        assert np.array_equal(b[off], sign * g[np.ix_(p, p)].T[off])
+        m = _margin(g, p, best_q)
+        want = sign * g[np.ix_(p, p)]
+        want.ravel()[::len(p) + 1] += max(best_q - 2 * m, goal + m)
+        assert b.flags.c_contiguous and np.array_equal(b, want)
 
 
 @pytest.mark.parametrize("objective", ["riesz", "bessel"])
@@ -698,9 +705,9 @@ def test_search_screens_and_solves_the_upper_triangle(monkeypatch, lapack, objec
 @pytest.mark.parametrize("objective", ["riesz", "bessel"])
 def test_search_without_potrf_is_bit_identical(monkeypatch, objective, stage):
     # where ?potrf is not taken, np.linalg.cholesky screens: in a build without the
-    # OpenBLAS symbols, or on a block that is not Fortran-ordered, as here, so the
-    # solves stay the same; only which trials reach the eigensolve may differ, never
-    # the result
+    # OpenBLAS symbols, or on a block that is not C-ordered, as on the Fortran-ordered
+    # copy here, so the solves stay the same; only which trials reach the eigensolve
+    # may differ, never the result
     g = _random_gram(8, 10, 24, scale=0.3)
     blocks = BlockSystem.intervals(range(24), 3).blocks
     config = SelectorConfig(master_seed=5, max_trials=130)
@@ -713,10 +720,37 @@ def test_search_without_potrf_is_bit_identical(monkeypatch, objective, stage):
     met = frames._search(g, blocks, config, objective, target, stage)
     assert not calls or not gram._openblas()
     monkeypatch.setattr(frames, "_cholesky_factors",
-                        lambda a: gram._cholesky_factors(np.ascontiguousarray(a)))
+                        lambda a: gram._cholesky_factors(np.asfortranarray(a)))
     assert frames._search(g, blocks, config, objective, unmet, stage) == with_potrf
     assert frames._search(g, blocks, config, objective, target, stage) == met
     assert met[4] and not with_potrf[4] and len(calls) >= 129
+
+
+@pytest.mark.parametrize("mode", ["bessel", "tight"])
+def test_select_holds_no_copy_of_the_gram(mode):
+    # every screened block is gathered from the caller's Gram, and a bessel search's,
+    # tight's stage 2 included, is negated in place.  On this 4 MiB Gram, with first-call
+    # allocations out of the measurement, the traced peaks read 4.2 MiB for both; a
+    # negated copy of the Gram took them to 8.2 (bessel) and 5.4 MiB (tight)
+    s = normalize_bands([(0, 0.3), (0.45, 0.75), (0.8, 0.9)], unit="2pi")
+    g = build_gram(range(512), s, normalized=True)
+    config = SelectorConfig(max_trials=3)
+    # bessel's target is below the diagonal, the share 0.7, so every trial runs
+    select, r = (select_bessel, 2) if mode == "bessel" else (select_tight, 8)
+    if mode == "tight":
+        g /= s.fraction_of_torus  # a unit diagonal, as select --mode tight scales it
+
+    def run(h):
+        return select(h, BlockSystem.intervals(range(len(h)), r), 0.5, config)
+
+    run(g[:64, :64])
+    tracemalloc.start()
+    try:
+        run(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * g.nbytes, (peak, g.nbytes)
 
 
 @pytest.mark.parametrize("bands, window, objective, target, trials", [

@@ -1233,6 +1233,53 @@ def test_a_library_lacking_any_symbol_gives_no_symbols(monkeypatch, missing):
     assert gram._openblas().keys() == real.keys()
 
 
+def test_dual_system_refuses_lambda_min_within_tol():
+    # the refusal uses the solve's own error estimate, tol, 1e-12 here
+    with pytest.raises(ValueError, match="singular or indefinite"):
+        dual_system(np.diag([1.0, 1e-13]))
+    assert np.array_equal(dual_system(np.diag([1.0, 0.5])), np.diag([1.0, 2.0]))
+    assert extreme_eigs(np.diag([1.0, 1e-13])).tol == 1e-12
+
+
+def _eigenvalues_below(a, x) -> int:
+    """How many eigenvalues of the real symmetric a lie below the rational x, exactly:
+    the negative pivots of an LDL^T of a - xI in Fractions, by Sylvester's law of
+    inertia.  No pivot may vanish, so x is no eigenvalue either."""
+    m = [[Fraction(v) for v in row] for row in a.tolist()]
+    below = 0
+    for k in range(len(m)):
+        m[k][k] -= x
+    for k in range(len(m)):
+        pivot = m[k][k]
+        assert pivot != 0
+        below += pivot < 0
+        for i in range(k + 1, len(m)):  # the upper triangle of the trailing block
+            f = m[k][i] / pivot
+            for j in range(i, len(m)):
+                m[i][j] -= f * m[k][j]
+    return below
+
+
+def test_extreme_eigs_tol_holds_on_small_matrices():
+    # a dstemr pick's error does not shrink with n below 16, so neither does tol: with
+    # n eps in place of max(n, 16) eps, 13 of these 200 matrices, whose eigenvalues pass
+    # the 1e-12 floor, had a bound outside tol, by up to 1.9 tol (0.47 tol now, against
+    # 50-digit mpmath, which CI does not install).  Each bound's interval
+    # [bound - tol, bound + tol] is checked exactly, by counting eigenvalues below its
+    # ends; a Hermitian matrix through its real 2n embedding, which doubles each one
+    for seed in range(100):
+        n = 3 + seed % 6
+        for dtype in (REAL, COMPLEX):
+            a = 1e6 * _random_hermitian(n, dtype, seed)
+            b = extreme_eigs(a)
+            assert b.tol > 1e-12
+            if dtype == COMPLEX:
+                a = np.block([[a.real, -a.imag], [a.imag, a.real]])
+            lo, hi, tol = (Fraction(v) for v in (b.lambda_min, b.lambda_max, b.tol))
+            assert _eigenvalues_below(a, lo - tol) == 0 < _eigenvalues_below(a, lo + tol)
+            assert _eigenvalues_below(a, hi - tol) < len(a) == _eigenvalues_below(a, hi + tol)
+
+
 # ---------------------------------------------------------- Cholesky screen --
 
 POTRF = pytest.mark.skipif(not {("potrf", REAL), ("potrf", COMPLEX)} <= set(gram._openblas()),
@@ -1268,19 +1315,38 @@ def test_cholesky_screen_matches_numpy(n, dtype):
             assert gram._cholesky_factors(np.asfortranarray(b)) == expected
 
 
+@POTRF
+@pytest.mark.parametrize("n", [1, 2, 64, 200])
 @pytest.mark.parametrize("dtype", [REAL, COMPLEX], ids=["real", "complex"])
-def test_cholesky_screen_reads_only_the_lower_triangle(dtype):
+def test_potrf_screen_gives_numpys_verdict_where_rounding_decides(monkeypatch, n, dtype):
+    # the shifts of a few ulps above, on the C-ordered blocks that _search hands to
+    # ?potrf: the Fortran-ordered ones above are screened by np.linalg.cholesky
+    for seed in range(3):
+        a = _random_hermitian(n, dtype, seed)
+        w = np.linalg.eigvalsh(a)
+        norm = float(np.abs(w).max())
+        for k in range(-20, 21, 4):
+            b = a - (w[0] - k * norm * 1e-16) * np.eye(n)
+            expected = _numpy_factors(b)
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "cholesky", None)  # potrf must decide
+                assert gram._cholesky_factors(b) == expected  # b is C-ordered
+
+
+@pytest.mark.parametrize("dtype", [REAL, COMPLEX], ids=["real", "complex"])
+def test_cholesky_screen_reads_only_the_upper_triangle(dtype):
+    # the triangle _extremes reads, on both routes
     n = 64
     a = _random_hermitian(n, dtype, seed=4)
     w = np.linalg.eigvalsh(a)
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    lower = np.tril(np.ones((n, n), dtype=bool), -1)
     for shift in (w[0] - 1.0, w[0] + 1.0):
         b = a - shift * np.eye(n)
         verdict = _numpy_factors(b)
         for junk in (np.nan, 1e300, 0.0):
-            for order in ("F", "C"):  # the potrf route and the fallback
+            for order in ("C", "F"):  # the potrf route and the fallback
                 c = np.array(b, order=order)
-                c[upper] = junk
+                c[lower] = junk
                 assert gram._cholesky_factors(c) == verdict
 
 
@@ -1297,22 +1363,22 @@ def test_cholesky_screen_leaves_other_dtypes_to_numpy(monkeypatch, dtype):
 
 @POTRF
 @pytest.mark.parametrize("dtype", [REAL, COMPLEX], ids=["real", "complex"])
-def test_cholesky_screen_takes_potrf_only_in_fortran_order_and_writable(monkeypatch, dtype):
+def test_cholesky_screen_takes_potrf_only_in_c_order_and_writable(monkeypatch, dtype):
     n = 64
     x = _random_hermitian(n, dtype, seed=5)
     a = x @ x.conj().T + np.eye(n)  # positive definite
-    lower = np.linalg.cholesky(a)
+    lower = np.linalg.cholesky(a.T)  # a.T: the C-ordered buffer read column-major
     calls = []
     cholesky = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(1) or cholesky(m))
-    f = np.asfortranarray(a)
-    assert gram._cholesky_factors(f) and not calls
-    # in place: the lower triangle now holds numpy's factor
-    assert np.allclose(np.tril(f), lower, rtol=0, atol=1e-12 * np.abs(lower).max())
-    read_only = np.asfortranarray(a)
+    c = a.copy()  # C-ordered
+    assert gram._cholesky_factors(c) and not calls
+    # in place: the upper triangle, the column-major lower one, now holds numpy's factor
+    assert np.allclose(np.triu(c).T, lower, rtol=0, atol=1e-12 * np.abs(lower).max())
+    read_only = a.copy()
     read_only.flags.writeable = False
-    strided = np.asfortranarray(np.kron(a, np.ones((2, 2))))[::2, ::2]
-    for m in (np.ascontiguousarray(a), read_only, strided):
+    strided = np.kron(a, np.ones((2, 2)))[::2, ::2]
+    for m in (np.asfortranarray(a), read_only, strided):
         assert np.array_equal(m, a)
         calls.clear()
         assert gram._cholesky_factors(m) and calls == [1]
