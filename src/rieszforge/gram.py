@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadfield import integer_points, integers
-from .torus import MultibandSet, centered_interval_coefficient
+from .torus import TWO_PI, MultibandSet, centered_interval_coefficient
 
 __all__ = [
     "DEFAULT_SCHEDULE",
@@ -42,6 +42,7 @@ _REAL, _COMPLEX = np.dtype(np.float64), np.dtype(np.complex128)
 # smallest part the two-stage reductions take: one-stage is faster below (tests/two_stage_sweep.py)
 _TWO_STAGE_MIN_N = {_REAL: 896, _COMPLEX: 512}
 _LAPACK_COL_MAJOR = 102
+_BREAK_ALLOWANCE = 1e-9  # radians: distinct pushed arc ends this close leave the symbol uncounted
 _BLAS_PIN = threading.Lock()  # held while the OpenBLAS thread count is pinned
 
 FINITE_SECTION_NOTE = (
@@ -57,9 +58,10 @@ class BoundsEstimate:
     solver (see _bounds): "real-symmetric" or "hermitian" for a full solve,
     "centrosymmetric-split" or "centrohermitian-real" for a folded
     point-symmetric section (see _section_bounds), "prolate-tridiagonal" for a
-    progression on one arc (see _prolate_bounds), and the driver: "two-stage"
-    if any part took the two-stage reduction, else "one-stage" (see _extremes),
-    "eigvalsh" where _openblas() is empty, or "stemr-vectors"."""
+    progression on one arc (see _prolate_bounds), "toeplitz-symbol" for one on
+    several arcs whose symbol bracket holds (see _symbol_bounds), and the driver:
+    "two-stage" if any part took the two-stage reduction, else "one-stage" (see
+    _extremes), "eigvalsh" where _openblas() is empty, or "stemr-vectors"."""
 
     lambda_min: float
     lambda_max: float
@@ -353,35 +355,97 @@ def _estimate(lo, hi, n, solver, driver) -> BoundsEstimate:
                           solver=solver, driver=driver)
 
 
+def _slepian_vectors(n, w) -> np.ndarray:
+    """The two extreme eigenvectors, as rows, of Slepian's tridiagonal T at n points and
+    half-width w, d_j = ((n-1-2j)/2)^2 cos w and e_j = (j+1)(n-1-j)/2, by _stemr (jobz "V");
+    T commutes with the prolate matrix sin(w (j-k))/(pi (j-k)) (Slepian 1978, Grunbaum 1981)."""
+    j, de = np.arange(n), np.empty(2 * n)
+    de[:n] = ((n - 1 - 2 * j) / 2) ** 2 * math.cos(w)
+    de[n:2 * n - 1] = j[1:] * (n - j[1:]) / 2
+    with _one_blas_thread():
+        return _stemr(de, b"V")[2]  # its workspaces are freed before the correlation's buffers
+
+
+def _rayleigh(c, v) -> np.ndarray:
+    """Rayleigh quotients of v's rows for the Toeplitz M[j,k] = c[k-j], given c[m] for
+    0 <= m < n and c[-m] = conj(c[m]): Mv is an FFT correlation of v with the 2n - 1
+    coefficients, by real FFTs where c and v are real, in O(n log n) time and O(n) memory."""
+    n = v.shape[1]
+    coefficients = np.concatenate((c[:0:-1], c.conj()))  # m = n-1..-(n-1), as _table mirrors
+    size = 2 * n  # (coefficients * v)[n-1:2n-1] is Mv, and no wrap-around reaches it
+    real = np.isrealobj(coefficients) and np.isrealobj(v)
+    fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+    mv = ifft(fft(coefficients, size) * fft(v, size), size)[:, n - 1:2 * n - 1]
+    return np.sum(mv * v.conj(), axis=1).real / np.sum((v * v.conj()).real, axis=1)
+
+
 def _prolate_bounds(step, n, length) -> BoundsEstimate:
     """Bounds of the section of n >= 3 points of a progression of `step` on one arc
     of `length`: R[j,k] = r(step (k-j)) is (2 pi/step) P(w), w = step length/2, with P
-    the prolate matrix sin(w (j-k))/(pi (j-k)).  Slepian's tridiagonal T, d_j =
-    ((n-1-2j)/2)^2 cos w and e_j = (j+1)(n-1-j)/2, commutes with P (Slepian 1978,
-    Grunbaum 1981) and has a simple spectrum, so its two extreme eigenvectors, by
-    _stemr (jobz "V"), are R's: in R's order, or reversed where w mod 2 pi passes pi.
-    Their Rayleigh quotients, Rv by an FFT correlation with r(step m) for |m| < n,
-    are R's extremes, in O(n log n) time and O(n) memory (README, Gram assembly)."""
-    j, de = np.arange(n), np.empty(2 * n)
-    de[:n] = ((n - 1 - 2 * j) / 2) ** 2 * math.cos(step * length / 2)
-    de[n:2 * n - 1] = j[1:] * (n - j[1:]) / 2
-    with _one_blas_thread():
-        *_, z = _stemr(de, b"V")  # its workspaces are freed before the correlation's buffers
-        r = centered_interval_coefficient(length, step * j)  # the entries _table would give
-        coefficients = np.concatenate((r[:0:-1], r))  # m = -(n-1)..n-1, mirrored as _table does
-        size = 2 * n  # (coefficients * v)[n-1:2n-1] is Rv, and no wrap-around reaches it
-        rz = np.fft.irfft(np.fft.rfft(coefficients, size) * np.fft.rfft(z, size), size)
-    q = np.sum(rz[:, n - 1:2 * n - 1] * z, axis=1) / np.sum(z * z, axis=1)
+    the prolate matrix.  Slepian's tridiagonal commutes with P and has a simple spectrum,
+    so its two extreme eigenvectors (see _slepian_vectors) are R's: in R's order, or
+    reversed where w mod 2 pi passes pi.  Their Rayleigh quotients (see _rayleigh), with
+    r(step m) for |m| < n, are R's extremes (README, Gram assembly)."""
+    z = _slepian_vectors(n, step * length / 2)
+    q = _rayleigh(centered_interval_coefficient(length, step * np.arange(n)), z)
     return _estimate(float(q.min()), float(q.max()), n, "prolate-tridiagonal", "stemr-vectors")
+
+
+def _symbol_levels(step, spectrum):
+    """[(mu, centre, half-width)] of the least and the greatest value of mu(u), the number of
+    t in the arcs with step t = u mod 2 pi, each on the longest arc of the base circle where mu
+    takes it; None where rounding could decide the count.  [a, b) covers u (qb - qa) + [u >= pa]
+    - [u >= pb] times, (q, p) = divmod(step t, 2 pi), so mu is the sum of those q's, changed at
+    each p by its net count.  A p errs by at most step 2 pi eps: bit-equal p's are one point, and
+    distinct ones closer than _BREAK_ALLOWANCE around the circle, or a step whose error could
+    reach half of it, give None.  Otherwise the points keep their true order, and mu between
+    two of them is exact for the arcs' float ends."""
+    if 2 * step * TWO_PI * np.finfo(float).eps >= _BREAK_ALLOWANCE:
+        return None
+    base, change = 0, {}
+    for arc in spectrum.arcs:
+        for t, sign in ((arc.start, 1), (arc.end, -1)):
+            q, p = divmod(step * t, TWO_PI)
+            base, change[p] = base - sign * int(q), change.get(p, 0) + sign
+    ends = sorted(p for p, d in change.items() if d)
+    if not ends:  # mu is constant
+        return [(base, math.pi, math.pi)] * 2
+    gaps = np.diff(ends + [ends[0] + TWO_PI])  # the arc from each point to the next
+    if gaps.min() < _BREAK_ALLOWANCE:
+        return None
+    mu = base + np.cumsum([change[p] for p in ends])
+    longest = [max(np.flatnonzero(mu == level), key=gaps.__getitem__)
+               for level in (mu.min(), mu.max())]
+    return [(int(mu[i]), ends[i] + gaps[i] / 2, gaps[i] / 2) for i in longest]
+
+
+def _symbol_bounds(step, n, spectrum) -> BoundsEstimate | None:
+    """Bounds of the section of n >= 3 points of a progression of `step` on several arcs,
+    proven within tol of its extremes, or None.  G[j,k] = c(step (k-j)), so x^H G x is the
+    integral of g |X|^2 du/2 pi over the base circle, X(u) = sum_k x_k e^{-iku}, with the symbol
+    g = (2 pi/step) mu (see _symbol_levels): every section's spectrum lies in [A, B], g's
+    essential extremes (Grenander & Szego 1958).  The Slepian vectors of each extreme level's
+    longest arc, modulated to its centre, concentrate X on it; every Rayleigh quotient (see
+    _rayleigh) lies in [lambda_min, lambda_max], so when the least is within tol of A and the
+    greatest within tol of B, each is within tol of its extreme.  Otherwise None."""
+    if (levels := _symbol_levels(step, spectrum)) is None:
+        return None
+    j = np.arange(n)
+    v = np.concatenate([_slepian_vectors(n, w) * np.exp(1j * u * j) for _, u, w in levels])
+    q = _rayleigh(spectrum.fourier_coefficient((step * j)[:, None]), v)
+    b = _estimate(float(q.min()), float(q.max()), n, "toeplitz-symbol", "stemr-vectors")
+    low, high = (TWO_PI / step * mu for mu, _, _ in levels)
+    return b if b.lambda_min - low <= b.tol and high - b.lambda_max <= b.tol else None
 
 
 def _section_bounds(points, spectrum) -> BoundsEstimate:
     """Bounds of _solved_gram(points, spectrum) for ints or d-tuples in any
-    order, parsed once.  On one arc (the full torus and an arc across 0
-    included), n >= 3 ints whose sorted steps are one s > 0 go to
-    _prolate_bounds, with no Gram, where _openblas() is full; a span past
-    int64 goes on to _table, which refuses it.  Any other section is folded
-    when it can be.  G is taken in sorted key order (see _table),
+    order, parsed once.  Where _openblas() is full, n >= 3 ints whose sorted
+    steps are one s > 0 go, with no Gram, to _prolate_bounds on one arc (the
+    full torus and an arc across 0 included), and to _symbol_bounds on several
+    arcs, which leaves to the fold every section its bracket does not prove; a
+    span past int64 goes on to _table, which refuses it.  Any other section is
+    folded when it can be.  G is taken in sorted key order (see _table),
     the points' lexicographic order.  Each digit of p - lo lies in [0, span_i],
     so a digit of the sum of two lies in [0, 2*span_i], below the radix: the
     code is injective on sums, and keys_j + keys_{n-1-j} is the same for every
@@ -407,12 +471,14 @@ def _section_bounds(points, spectrum) -> BoundsEstimate:
     G Hermitian bit for bit from finite coefficients.
     """
     arr = integer_points(points)
-    if len(arr) >= 3 and arr.shape[1] == 1 and isinstance(spectrum, MultibandSet) \
-            and spectrum.is_arc() and _openblas():
+    if len(arr) >= 3 and arr.shape[1] == 1 and isinstance(spectrum, MultibandSet) and _openblas():
         x = np.sort(arr[:, 0])
         step, span = int(x[1]) - int(x[0]), int(x[-1]) - int(x[0])
         if step > 0 and span <= np.iinfo(np.int64).max and np.all(np.diff(x) == step):
-            return _prolate_bounds(step, len(x), spectrum.measure)
+            if spectrum.is_arc():
+                return _prolate_bounds(step, len(x), spectrum.measure)
+            if (b := _symbol_bounds(step, len(x), spectrum)) is not None:
+                return b
     vals, diffs, keys = _solved_table(arr, spectrum)
     keys, n = np.sort(keys), len(keys)
     sums = keys + keys[::-1]  # in [0, 2^64 - 2], where int64's wrap-around is one to one
@@ -531,16 +597,21 @@ def certify(points, spectrum, threshold: float,
     R[j,k] = r(p_k - p_j) (see centered_interval_coefficient), so R is solved
     instead ("real-symmetric"; "hermitian" on several arcs).  A section cut from
     a progression on one arc is solved through Slepian's commuting tridiagonal
-    in O(n log n) time ("prolate-tridiagonal"); any other point-symmetric
-    section, such as a progression's on several arcs, is folded; see
+    in O(n log n) time ("prolate-tridiagonal"); on several arcs, where Rayleigh
+    quotients come within tol of its symbol's extremes, as well
+    ("toeplitz-symbol"); any other point-symmetric section is folded; see
     _section_bounds.
     Verdicts:
 
     * refuted      final lambda_min below refute_floor, 1e-6 of the ambient
                    volume -- the lower bound is numerically zero;
     * supported    final lambda_min >= threshold and the last-step relative
-                   drop of lambda_min is at most drop_ratio;
+                   drop of lambda_min, final_drop, is at most drop_ratio;
     * inconclusive otherwise.
+
+    final_drop is 0.0 for one section, and where the previous lambda_min is
+    below refute_floor: a ratio to a numerical zero means nothing, and the
+    final one, no larger, is refuted by the floor alone.
     """
     if not (math.isfinite(threshold) and threshold > 0):
         raise ValueError(f"threshold must be positive and finite, got {threshold}")
@@ -558,16 +629,8 @@ def certify(points, spectrum, threshold: float,
 
     bounds = [_section_bounds(order[:n], spectrum) for n in schedule]
 
-    if len(bounds) >= 2:
-        prev, last = bounds[-2].lambda_min, bounds[-1].lambda_min
-        if prev <= 0.0:
-            final_drop = 0.0 if last >= prev else math.inf
-        else:
-            final_drop = max(0.0, (prev - last) / prev)
-    else:
-        final_drop = 0.0
-
-    last = bounds[-1].lambda_min
+    prev, last = bounds[-2 if len(bounds) > 1 else -1].lambda_min, bounds[-1].lambda_min
+    final_drop = max(0.0, (prev - last) / prev) if prev >= refute_floor else 0.0
     if last < refute_floor:
         verdict = "refuted"
     elif last >= threshold and final_drop <= drop_ratio:

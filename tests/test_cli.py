@@ -69,6 +69,18 @@ def test_certify_exit_codes(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("schedule", ["32,64", "8,16,32"])
+def test_final_drop_is_zero_below_the_refute_floor(capsys, schedule):
+    # the symbol of 2Z on these arcs vanishes on most of the circle, so lambda_min sits
+    # within 1e-15 of 0 (its sign is rounding's): a drop relative to it means nothing,
+    # and the floor alone refutes. Infinity and 2.52 were printed here
+    code, out = run(capsys, "certify", "--bands", "[[0,0.1],[0.5,0.6]]", "--step", "2",
+                    "--schedule", schedule)
+    cert = json.loads(out, parse_constant=lambda name: pytest.fail(f"non-JSON {name}"))["certificate"]
+    assert abs(cert["lambda_min"][-2]) < cert["refute_floor"]
+    assert (code, cert["verdict"], cert["final_drop"]) == (2, "refuted", 0.0)
+
+
 def test_certify_csv(tmp_path, capsys):
     csv_path = tmp_path / "trace.csv"
     code, _ = run(capsys, "certify", "--measure", "0.45",
@@ -388,6 +400,7 @@ def test_select_refuses_a_window_short_of_one_block_before_the_gram(capsys, monk
 def test_every_eigensolve_runs_in_gram_bounds(capsys, monkeypatch):
     calls = set()
     bounds, prolate = "rieszforge.gram._bounds", "rieszforge.gram._prolate_bounds"
+    symbol = "rieszforge.gram._symbol_bounds"
 
     def tracer(route, solve):
         def traced(*args, **kwargs):
@@ -396,7 +409,7 @@ def test_every_eigensolve_runs_in_gram_bounds(capsys, monkeypatch):
                 if not frame.f_code.co_name.startswith("<"):  # <listcomp>, <genexpr>
                     stack.append(f"{frame.f_globals['__name__']}.{frame.f_code.co_name}")
                 frame = frame.f_back
-            owner = next((f for f in stack if f in (bounds, prolate)), None)
+            owner = next((f for f in stack if f in (bounds, prolate, symbol)), None)
             calls.add((route, stack[0], owner))
             return solve(*args, **kwargs)
         return traced
@@ -429,13 +442,13 @@ def test_every_eigensolve_runs_in_gram_bounds(capsys, monkeypatch):
         assert main(argv) in (0, 2, 3), argv
     capsys.readouterr()
     # every solve is a reduction and two dstemr picks under _bounds, or, for the
-    # sections of the one-arc progression, two dstemr vectors under _prolate_bounds;
-    # _stemr makes every dstemr call, and none is eigvalsh
+    # sections of a progression, two dstemr vectors under _prolate_bounds (one arc)
+    # or _symbol_bounds (two arcs); _stemr makes every dstemr call, and none is eigvalsh
     assert {caller for _, caller, _ in calls} == {"rieszforge.gram._reduce",
                                                   "rieszforge.gram._stemr"}
     assert {(route, owner) for route, _, owner in calls} == {
         ("one-stage real", bounds), ("one-stage complex", bounds), ("two-stage complex", bounds),
-        ("dstemr", bounds), ("dstemr", prolate)}
+        ("dstemr", bounds), ("dstemr", prolate), ("dstemr", symbol)}
 
 
 @pytest.mark.parametrize("argv, cells", [

@@ -532,6 +532,9 @@ def _assert_matches_complex_oracle(pts, s, schedule):
             else ("centrohermitian-real", "hermitian")
         if s.is_arc() and _progression(section):
             assert b.solver == "prolate-tridiagonal"
+        elif _progression(section) and "stemr" in gram._openblas() \
+                and gram._symbol_bounds(section[1] - section[0], n, s) is not None:
+            assert b.solver == "toeplitz-symbol"  # several arcs, where the bracket holds
         else:
             assert b.solver == (folded if _point_symmetric(section) else full)
         w = np.linalg.eigvalsh(build_gram(section, s))
@@ -905,6 +908,117 @@ def test_progression_sections_take_linear_memory(monkeypatch):
     # the two vectors and the sorted points: about 37 words a point, 1.2 MB at
     # n = 4096, where the fold of the same section takes 64 MB
     assert peak <= 40 * 8 * n
+
+
+# ------------------------------------------- progressions on several arcs --
+
+def _multiband(rng):
+    """2 to 4 random arcs, turned by a random angle, so some cross 0."""
+    k = int(rng.integers(2, 5))
+    ends = np.sort(rng.uniform(0, TWO_PI, 2 * k)) + rng.uniform(0, TWO_PI)
+    return [(float(a), float(b)) for a, b in ends.reshape(k, 2)]
+
+
+def _symbol_extremes(step, bands):
+    """(A, B), the essential extremes of the symbol (2 pi/step) mu of a progression of
+    `step` on the bands, mu(u) the number of t in S with step t = u mod 2 pi: counted
+    directly at the midpoint between each two pushed arc ends, which lie far enough
+    apart that rounding cannot move a midpoint across an end."""
+    arcs = [(a.start, a.end) for a in normalize_bands(bands).arcs]
+    ends = sorted({(step * t) % TWO_PI for arc in arcs for t in arc})  # 0 and 2 pi meet at 0
+    gaps = np.diff(ends + [ends[0] + TWO_PI])
+    assert gaps.min() > 1e-6
+    mu = [sum(a <= (u + TWO_PI * j) / step < b for a, b in arcs for j in range(step))
+          for u in np.array(ends) + gaps / 2]
+    return TWO_PI / step * min(mu), TWO_PI / step * max(mu)
+
+
+def _fold(pts, bands):
+    """The fold of a point-symmetric section on several arcs, as _section_bounds solves it."""
+    return gram._bounds(_fold_parts(pts, bands), len(pts), "centrohermitian-real")
+
+
+@STEMR
+@pytest.mark.parametrize("step", range(1, 9))
+def test_multiband_progression_sections_bracket_the_symbol(step):
+    rng = np.random.default_rng(100 + step)
+    for k in range(2):
+        bands = _multiband(rng)
+        s = normalize_bands(bands)
+        assert not s.is_arc()
+        low, high = _symbol_extremes(step, bands)
+        for n in (3, 4, 8, 33, 200, 513, 1024)[:7 - k]:  # n = 1024 on the first set only
+            pts = (int(rng.integers(-500, 500)) + step * np.arange(n)).tolist()
+            # shuffled, or in certify's (|x|, x) order
+            given = rng.permutation(pts).tolist() if n % 2 else sorted(pts, key=lambda x: (abs(x), x))
+            b = gram._section_bounds(given, s)
+            if b.solver != "toeplitz-symbol":
+                assert n < 513, (bands, n)  # from 513 points on, every set here is answered
+                assert b == _fold(pts, bands), (bands, n)
+                continue
+            assert b.driver == "stemr-vectors"
+            w = np.linalg.eigvalsh(_solved_gram(pts, s))
+            assert _within_tol(b, w[0], w[-1]), (bands, n, b, w[[0, -1]])
+            assert low - b.tol <= b.lambda_min and b.lambda_max <= high + b.tol, (bands, n, b)
+
+
+@STEMR
+@pytest.mark.parametrize("step, bands", [
+    (2, [(0.3, 1.0), (1.0 + math.pi + 5e-11, 4.5)]),  # pushed ends 1e-10 apart
+    (2, [(0.3, 1.0), (1.0 + math.pi - 5e-11, 4.5)]),  # and overlapping by 1e-10
+    (3, [(0.3, 1.2), (2.0, 1.2 + 4 * math.pi / 3 + 2e-10)]),  # 6e-10 apart
+    (2**20, [(0.3, 1.9), (3.0, 4.5)]),  # a step whose pushed ends may err by 1e-9
+], ids=["gap", "overlap", "three", "wide-step"])
+def test_multiband_progressions_fall_back_where_rounding_could_decide(monkeypatch, step, bands):
+    s = normalize_bands(bands)
+    assert gram._symbol_levels(step, s) is None
+    pts = (step * np.arange(-256, 257)).tolist()
+    want = _fold(pts, bands)
+
+    def no_vectors(*args):
+        raise AssertionError("the count was left to rounding, and the route went on")
+
+    monkeypatch.setattr(gram, "_slepian_vectors", no_vectors)
+    assert gram._section_bounds(pts, s) == want
+
+
+@STEMR
+@pytest.mark.parametrize("bands, levels", [
+    ([(0.0, 0.1), (0.5, 0.6)], (0, 2)),  # A = 0: the sections are refuted
+    ([(0.0, 0.125), (0.375, 0.5), (0.625, 0.875)], (1, 1)),  # mu = 1: 2Z is an orthogonal basis
+], ids=["zero", "constant"])
+def test_multiband_progressions_at_exact_levels(bands, levels):
+    # in fractions of the circle, each pushed end is bit-equal to the one it meets
+    step, s = 2, normalize_bands(bands, unit="2pi")
+    assert [mu for mu, _, _ in gram._symbol_levels(step, s)] == list(levels)
+    pts = (step * np.arange(-32, 32)).tolist()
+    b = gram._section_bounds(pts, s)
+    assert b.solver == "toeplitz-symbol"
+    w = np.linalg.eigvalsh(_solved_gram(pts, s))
+    assert _within_tol(b, w[0], w[-1])
+    assert _within_tol(b, *(math.pi * mu for mu in levels))
+
+
+@STEMR
+def test_multiband_progression_sections_take_linear_memory(monkeypatch):
+    def no_gather(*args):
+        raise AssertionError("a progression section gathered its Gram")
+
+    monkeypatch.setattr(gram, "_gather", no_gather)
+    n, s = MAX_GRAM_N, normalize_bands([[0.1, 0.5], [0.7, 0.85]], unit="2pi")
+    pts = 3 * np.arange(-n // 2, n // 2)
+    gram._section_bounds(pts[:64], s)  # first-call allocations out of the measurement
+    tracemalloc.start()
+    try:
+        b = gram._section_bounds(pts, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert b.solver == "toeplitz-symbol"
+    # dstemr's workspaces, four complex vectors, the coefficients and the FFT buffers of
+    # the correlation: about 52 words a point, 1.6 MiB at n = 4096, where the fold of the
+    # same section fills an n x n real array, 128 MiB
+    assert peak <= 64 * 8 * n
 
 
 # ------------------------------------------- reductions and dstemr picks --
