@@ -214,6 +214,9 @@ def cmd_certify(spec: argparse.Namespace) -> tuple[int, dict]:
 def cmd_select(spec: argparse.Namespace) -> tuple[int, dict]:
     spectrum = _load_spectrum(spec)
     n = spec.window
+    for flag, value in (("--r", spec.r), ("--window", n)):
+        if value < 1:
+            raise ValueError(f"{flag} must be positive, got {value}")
     _check_gram_size(n)
     blocks = BlockSystem.intervals(range(n), spec.r)
     gram = gramlib._solved_gram(range(n), spectrum)

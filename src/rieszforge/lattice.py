@@ -223,21 +223,21 @@ def section_report(points, window: LatticeWindow) -> list[dict]:
 
     points are integers (1-D), d-tuples or an (n, d) integer array; those
     outside the window are ignored, and [] leaves every section sparse.  Per
-    axis, one lexsort by (frozen coordinates, axis coordinate) lines the
-    sections up, and one np.diff of the sorted axis coordinates gives every gap.
+    axis, one sort of a mixed-radix key per point (uint64 below 2^64 cells,
+    else Python ints) lines the sections up, and np.diff of the keys gives every gap.
     """
     arr, inside = _window_points(points, window)
     arr, report, sides, d = arr[inside], [], window.side_lengths, window.dim
-    for i in range(d):
-        frozen = [*range(i), *range(i + 1, d)]
-        srt = arr[np.lexsort([arr[:, j] for j in (i, *frozen)])]
-        same = np.ones(max(len(srt) - 1, 0), bool)  # consecutive points of one section
-        for j in frozen:
-            same &= srt[1:, j] == srt[:-1, j]
-        # int64 differences wrap, but a gap, ascending, is exact as uint64
-        gap = int(np.diff(srt[:, i])[same].view(np.uint64).max(initial=0))
-        del srt
+    low, high = (arr.min(0), arr.max(0)) if len(arr) else np.zeros((2, d), np.int64)
+    radix = [b - a + 1 for a, b in zip(low.tolist(), high.tolist())]  # the points' spans + 1
+    low = low.astype(np.uint64 if math.prod(radix) < 2 ** 64 else object)  # the keys' type
+    for i, r in enumerate(radix):
+        key = 0  # the offsets from low, one column at a time, axis i the least significant digit
+        for j in (*range(i), *range(i + 1, d), i):
+            key = key * radix[j] + (arr[:, j].astype(low.dtype) - low[j])
+        key.sort()
+        same = np.diff(key // r) == 0  # consecutive points of one section
         full = int(np.count_nonzero(np.diff(same, prepend=False) & same))  # runs of same
-        sparse = math.prod(sides) // sides[i] - full
-        report.append({"axis": i + 1, "max_section_gap": gap, "sections_under_two_points": sparse})
+        report.append({"axis": i + 1, "max_section_gap": int(np.diff(key)[same].max(initial=0)),
+                       "sections_under_two_points": math.prod(sides) // sides[i] - full})
     return report

@@ -813,6 +813,9 @@ def test_density_needs_source(capsys):
      "bad schedule '16,x'; expected comma-separated integers"),
     (["certify", "--measure", "0.4", "--points", '{"elements": [0]}'],
      "a points object needs 'elements' and 'window', missing ['window']"),
+    (["select", "--measure", "0.5", "--window", "0"], "--window must be positive, got 0"),
+    (["select", "--measure", "0.5", "--window", "-4"], "--window must be positive, got -4"),
+    (["select", "--measure", "0.5", "--r", "0"], "--r must be positive, got 0"),
 ])
 def test_source_conflicts_exit_1(capsys, argv, message):
     assert main(argv) == 1

@@ -431,18 +431,22 @@ def test_section_functions_read_any_iterable_once():
             covering_radius(bad, plane)
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_section_report_at_the_ends_of_int64(d):
     # a gap of 2^64 - 1 passes int64, and frozen coordinates 2^64 - 1 apart wrap
-    # to -1 as int64 differences: neither may be misread.  The window has 2^(64 d)
-    # cells, so no key that packs a point into one int64 can serve it
+    # to -1 as int64 differences: neither may be misread.  The points' box has
+    # 2^(64 d) cells, too many for uint64 keys, so the keys are Python ints; in
+    # 1-D as well, where its one radix, 2^64, is one past the largest uint64
     ends = (-2 ** 63, 2 ** 63 - 1)
     w = LatticeWindow(lo=(ends[0],) * d, hi=(ends[1],) * d)
-    pts = list(itertools.product(ends, repeat=d)) + [(0,) + (ends[1],) * (d - 1)]
+    corners = list(itertools.product(ends, repeat=d))
+    pts = corners + [(0,) + (ends[1],) * (d - 1)]
     report = section_report(pts, w)
     assert report == partition_oracle.section_report(pts, w.lo, w.hi)
     assert report == section_report(np.array(pts, dtype=np.int64), w)
-    assert [a["max_section_gap"] for a in report] == [2 ** 64 - 1] * d
+    # in 1-D the point 0 splits the one section: gaps 2^63 and 2^63 - 1
+    assert [a["max_section_gap"] for a in report] == [2 ** 64 - 1 if d > 1 else 2 ** 63] * d
+    assert [a["max_section_gap"] for a in section_report(corners, w)] == [2 ** 64 - 1] * d
     sparse = 2 ** (64 * (d - 1)) - 2 ** (d - 1)  # every section but the corners' pairs
     assert [a["sections_under_two_points"] for a in report] == [sparse] * d
     assert section_gaps(pts, 1, (ends[1],) * (d - 1), w).gaps == (2 ** 63, 2 ** 63 - 1)
@@ -465,6 +469,40 @@ def test_section_report_of_random_points_matches_the_oracle(d, seed):
     if d == 3:
         pts = [(lo[0], lo[1], lo[2]), (hi[0], lo[1], hi[2])]
         assert section_report(pts, w) == partition_oracle.section_report(pts, lo, hi)
+
+
+def _sweep_windows(d):
+    """_windows(d, 2), and two more: across all of int64, and past int64 on the
+    first axis."""
+    return {**_windows(d, 2), "int64-whole": ((-2 ** 63,) * d, (2 ** 63 - 1,) * d),
+            "past-int64": ((-2 ** 70, *[-2] * (d - 1)), (2 ** 70, *[3] * (d - 1)))}
+
+
+SWEEP_CASES = [(d, name, *w) for d in range(1, 7) for name, w in _sweep_windows(d).items()]
+
+
+@pytest.mark.parametrize("d, name, lo, hi", SWEEP_CASES,
+                         ids=[f"d{d}-{name}" for d, name, *_ in SWEEP_CASES])
+def test_section_report_sweeps_windows_against_the_oracle(d, name, lo, hi):
+    # random points on a few coordinates per axis, so that sections share points:
+    # the window's edges, its middle and, where int64 holds them, one step outside
+    w = LatticeWindow(lo=lo, hi=hi)
+    rng = np.random.default_rng(d)
+    choices = [sorted({min(max(x, -2 ** 63), 2 ** 63 - 1)
+                       for x in (a - 1, a, a + 1, (a + b) // 2, b - 1, b, b + 1)})
+               for a, b in zip(lo, hi)]
+    for count in (1, 2, 7, 60):
+        pts = [tuple(int(rng.choice(c)) for c in choices) for _ in range(count)]
+        pts += pts[:count // 3]  # repeated points
+        report = section_report(pts, w)
+        assert report == partition_oracle.section_report(pts, lo, hi) \
+            == section_report(np.array(pts, dtype=np.int64), w)
+        if math.prod(w.side_lengths) <= 256:
+            assert report == _report_by_sections(pts, w)
+    # the first axis as wide as a uint64 key goes, the others flat: offsets past 2^63
+    a, b = max(lo[0], -2 ** 63), min(hi[0], 2 ** 63 - 1)
+    pts = [(x, *lo[1:]) for x in (a, a + 1, b - 1)]
+    assert section_report(pts, w) == partition_oracle.section_report(pts, lo, hi)
 
 
 def test_box_set_basics():
