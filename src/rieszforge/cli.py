@@ -217,11 +217,13 @@ def cmd_select(spec: argparse.Namespace) -> tuple[int, dict]:
     for flag, value in (("--r", spec.r), ("--window", n)):
         if value < 1:
             raise ValueError(f"{flag} must be positive, got {value}")
+    if spec.mode == "tight" and spec.r < 4:  # select_tight's check, before the Gram is built
+        raise ValueError("tight selection needs blocks of size >= 4")
     _check_gram_size(n)
+    config = SelectorConfig(master_seed=spec.seed, max_trials=spec.trials)
     blocks = BlockSystem.intervals(range(n), spec.r)
     gram = gramlib._solved_gram(range(n), spectrum)
     gram /= spectrum.total_volume
-    config = SelectorConfig(master_seed=spec.seed, max_trials=spec.trials)
     delta = spectrum.fraction_of_torus
 
     if spec.mode == "riesz":
@@ -312,13 +314,13 @@ def cmd_partition(spec: argparse.Namespace) -> tuple[int, dict]:
                 t[n // 2] = size // 2
         return parts[np.arange(n), t]
 
+    s = spec.cube_side if spec.cube_side is not None else r
+    cubes = one_cell_each(cube_partition(d, s, window), 1)  # first: a bad --cube-side fails fast
+    radius, cube_count = covering_radius(cubes, window), len(cubes)
+    del cubes  # before the cycling partition is enumerated
     selector = one_cell_each(cycling_partition(d, r, window), 0, _mirror_invariant(window, r))
     gap_bound = 2 * d * r
     axis_report = section_report(selector, window)
-
-    s = spec.cube_side if spec.cube_side is not None else r
-    cube_selector = one_cell_each(cube_partition(d, s, window), 1)
-    radius = covering_radius(cube_selector, window)
 
     payload = {
         "dim": d,
@@ -330,7 +332,7 @@ def cmd_partition(spec: argparse.Namespace) -> tuple[int, dict]:
         "section_gap_bound": gap_bound,
         "section_gap_ok": max(a["max_section_gap"] for a in axis_report) <= gap_bound,
         "cube_side": s,
-        "cube_count": len(cube_selector),
+        "cube_count": cube_count,
         "covering_radius": radius,
         "covering_bound": s * math.sqrt(d),
         "covering_ok": radius <= s * math.sqrt(d),

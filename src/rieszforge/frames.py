@@ -234,6 +234,7 @@ def _search(gram: np.ndarray, blocks: tuple, config: SelectorConfig,
     first trial meeting the target.  Otherwise it keeps the first trial until
     one is certifiably better: with quality q = lambda_max (bessel) or
     -lambda_min (riesz), lower being better, it must reach q < q_b - 3m.
+    With one label a block every trial repeats trial 1, so trial 1 alone runs.
 
     The margin m = 4 n^2 eps (trace(A) + |q_b|) + tiny bounds the rounding
     (README, "select", derives it).  Only a block A of exact quality below
@@ -251,7 +252,7 @@ def _search(gram: np.ndarray, blocks: tuple, config: SelectorConfig,
     rows, diag = np.arange(n), np.real(np.diagonal(gram))
     goal = target if objective == "bessel" else -target
     best = None
-    for t in range(config.max_trials):
+    for t in range(config.max_trials if lengths.max() > 1 else 1):
         if t % _CHUNK == 0:
             key = (t // _CHUNK,) if stage is None else (stage, t // _CHUNK)
             rng = np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=key))

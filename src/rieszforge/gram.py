@@ -15,6 +15,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
+from operator import eq
 
 import numpy as np
 
@@ -463,12 +464,11 @@ def _section_bounds(points, spectrum) -> BoundsEstimate:
     centrosymmetric, the off-diagonal blocks vanish, and the two diagonal
     blocks are solved apart as "centrosymmetric-split" (Cantoni & Butler, LAA
     1976); _bounds solves the folds with tol for the full n.  G itself is
-    never built: A and BJ are gathered from _solved_table a row block at a
-    time, each folded entry is the one sum or difference of the same two table
-    values that G's quadrants would give, and the blocks go straight into
-    their places.  Other sections are gathered whole from the same table and
-    solved by _bounds, without extreme_eigs' Hermiticity check: _table builds
-    G Hermitian bit for bit from finite coefficients.
+    never built: A, BJ and x are gathered from _solved_table a row block at a
+    time, and only the triangle _extremes reads is written: every upper-triangle
+    entry has the bits of the one sum or difference of two table values that G's
+    quadrants would give.  Other sections are gathered whole and solved by _bounds
+    with no Hermiticity check: _table builds G Hermitian bit for bit from finite coefficients.
     """
     arr = integer_points(points)
     if len(arr) >= 3 and arr.shape[1] == 1 and isinstance(spectrum, MultibandSet) and _openblas():
@@ -488,27 +488,23 @@ def _section_bounds(points, spectrum) -> BoundsEstimate:
     real = np.isrealobj(vals)
     if real:
         plus, minus = np.empty((h, h)), np.empty((m, m))
-    else:  # [[plus, k], [k^T, minus]]
+    else:  # [[plus, k], [k^T, minus]], k^T left unwritten
         whole = np.empty((n, n))
         plus, k, minus = whole[:h, :h], whole[:h, h:], whole[h:, h:]
-    cols = np.concatenate((keys[:m], keys[::-1][:m]))  # A's columns, then BJ's
+    cols = np.concatenate((keys[:m], keys[::-1][:m], keys[m:h]))  # A's columns, BJ's, then x's
     step = max(1, _GATHER_ENTRIES // len(cols))
     for i in range(0, m, step):
         rows = slice(i, min(i + step, m))
-        a, bj = np.hsplit(_gather(vals, diffs, keys[rows], cols), 2)
+        a, bj, x = np.split(_gather(vals, diffs, keys[rows], cols), [m, 2 * m], axis=1)
+        x = math.sqrt(2.0) * x
         np.add(a.real, bj.real, out=plus[rows, :m])
         np.subtract(a.real, bj.real, out=minus[rows])
+        plus[rows, m:] = x.real
         if not real:
             np.subtract(bj.imag, a.imag, out=k[rows])
-            whole[h:, rows] = k[rows].T
-        del a, bj  # free the block before the next one is gathered
-    if h > m:
-        col = _gather(vals, diffs, keys[:h], keys[m:h])[:, 0]  # G[j,m] for j <= m
-        x = math.sqrt(2.0) * col[:m]
-        plus[m, :m] = plus[:m, m] = x.real
-        plus[m, m] = col[m].real
-        if not real:
-            k[m] = whole[h:, m] = x.imag
+            k[m:, rows] = x.imag.T
+        del a, bj, x  # free the block before the next one is gathered
+    plus[m:, m:] = vals[len(vals) // 2].real  # G[m,m] = c(0), the table's middle entry
     if real:
         return _bounds([plus, minus], n, "centrosymmetric-split")
     return _bounds([whole], n, "centrohermitian-real")
@@ -620,14 +616,14 @@ def certify(points, spectrum, threshold: float,
         raise ValueError("drop_ratio must be in [0, 1)")
     refute_floor = 1e-6 * spectrum.total_volume
 
-    elems = integers(points, "points")
-    if len(set(elems)) != len(elems):
+    elems = sorted(integers(points, "points"))
+    if any(map(eq, elems, elems[1:])):
         raise ValueError("duplicate elements")
     if schedule[-1] > len(elems):
         raise ValueError(f"schedule needs {schedule[-1]} elements, have {len(elems)}")
-    order = sorted(elems, key=lambda x: (abs(x), x))
+    elems.sort(key=abs)  # stable, so in (|x|, x) order
 
-    bounds = [_section_bounds(order[:n], spectrum) for n in schedule]
+    bounds = [_section_bounds(elems[:n], spectrum) for n in schedule]
 
     prev, last = bounds[-2 if len(bounds) > 1 else -1].lambda_min, bounds[-1].lambda_min
     final_drop = max(0.0, (prev - last) / prev) if prev >= refute_floor else 0.0

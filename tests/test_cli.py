@@ -397,6 +397,23 @@ def test_select_refuses_a_window_short_of_one_block_before_the_gram(capsys, monk
     assert "3 labels cannot fill a block of size 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--measure", "0.5", "--window", "4096", "--trials", "0"], "max_trials must be >= 1, got 0"),
+    (["--bands", "[[0,0.3],[0.45,0.75]]", "--mode", "tight", "--r", "3", "--window", "2048"],
+     "tight selection needs blocks of size >= 4"),
+], ids=["no-trials", "tight-below-4"])
+def test_select_refuses_bad_trials_and_tight_blocks_before_the_gram(capsys, monkeypatch, argv,
+                                                                    message):
+    from rieszforge import gram
+
+    def no_gram(*args, **kwargs):
+        raise AssertionError("Gram built for a refused select")
+
+    monkeypatch.setattr(gram, "_table", no_gram)
+    assert main(["select", *argv]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_every_eigensolve_runs_in_gram_bounds(capsys, monkeypatch):
     calls = set()
     bounds, prolate = "rieszforge.gram._bounds", "rieszforge.gram._prolate_bounds"
@@ -466,6 +483,22 @@ def test_partition_refuses_huge_windows(capsys, monkeypatch, argv, cells):
     assert cells > cli.MAX_PARTITION_CELLS
     assert main(["partition", *argv]) == 1
     assert str(cells) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("side, message", [
+    ("0", "cube side must be >= 1"),
+    ("3", "is not aligned to step 3"),
+])
+def test_partition_checks_the_cube_side_before_partitioning(capsys, monkeypatch, side, message):
+    from rieszforge import cli
+
+    def no_partition(*args):
+        raise AssertionError("cycling partition built for a refused --cube-side")
+
+    monkeypatch.setattr(cli, "cycling_partition", no_partition)
+    argv = ["partition", "--dim", "2", "--r", "2", "--window", "1024", "--cube-side", side]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("boxes, message", [

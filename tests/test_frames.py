@@ -701,6 +701,31 @@ def test_search_screens_and_solves_the_upper_triangle(monkeypatch, lapack, objec
         frames._search(g, blocks, config, objective, unmet)
 
 
+@pytest.mark.parametrize("objective", ["riesz", "bessel"])
+def test_one_label_blocks_run_one_trial(monkeypatch, objective):
+    # with one label a block every trial is trial 1's selection, so trial 1 alone
+    # runs and none is screened.  Each label doubled in its block keeps the draws
+    # and the selection but runs the full loop, which screens max_trials - 1
+    # trials: both give the oracle's result, met and unmet
+    g = _random_gram(8, 10, 24, scale=0.3)
+    one = tuple((i,) for i in range(0, 24, 3))
+    doubled = tuple((i, i) for i in range(0, 24, 3))
+    config = SelectorConfig(master_seed=5, max_trials=70)
+    lmin, lmax = _extremes(g[np.ix_(range(0, 24, 3), range(0, 24, 3))])
+    unmet, reached = (1e3, lmin) if objective == "riesz" else (-1.0, lmax)
+    screens = []
+    cholesky = frames._cholesky_factors
+    monkeypatch.setattr(frames, "_cholesky_factors", lambda a: screens.append(1) or cholesky(a))
+    for target, want in ((unmet, (70, False)), (reached, (1, True))):
+        oracle = _search_oracle(g, one, config, objective, target)
+        assert oracle[0] == tuple(range(0, 24, 3)) and oracle[3:] == want
+        screens.clear()
+        assert frames._search(g, one, config, objective, target) == oracle
+        assert not screens
+        assert frames._search(g, doubled, config, objective, target) == oracle
+        assert len(screens) == (69 if target == unmet else 0)
+
+
 @pytest.mark.parametrize("stage", [None, 2])
 @pytest.mark.parametrize("objective", ["riesz", "bessel"])
 def test_search_without_potrf_is_bit_identical(monkeypatch, objective, stage):

@@ -395,6 +395,24 @@ def test_certify_centered_ordering():
     assert cert.lambda_min[0] == pytest.approx(float(np.linalg.eigvalsh(g16)[0]), abs=1e-12)
 
 
+def test_certify_orders_by_magnitude_then_value(monkeypatch):
+    # each section is a prefix of the (|x|, x) order, past int64 too, where -x comes
+    # before x; x and -x are distinct elements, and a repeat anywhere is refused
+    rng = np.random.default_rng(3)
+    far = {2**63, -2**63, 1 - 2**63, 2**70, -2**70}
+    pts = list({int(x) for x in rng.integers(-40, 41, 70)} | far)
+    rng.shuffle(pts)
+    sections = []
+    est = gram.BoundsEstimate(1.0, 1.0, 1e-12, "real-symmetric", "one-stage")
+    monkeypatch.setattr(gram, "_section_bounds", lambda p, s: sections.append(p) or est)
+    certify(pts, HALF, threshold=0.1, schedule=(3, len(pts)))
+    want = sorted(pts, key=lambda x: (abs(x), x))
+    assert sections == [want[:3], want]
+    for repeated in ([5, -3, 5], [2**70, 0, 2**70], [0, 1, -1, 0]):
+        with pytest.raises(ValueError, match="duplicate elements"):
+            certify(repeated, HALF, threshold=0.1, schedule=(2,))
+
+
 # ------------------------------------------------ table gather and real path --
 
 class CountingSpectrum:
@@ -690,8 +708,32 @@ def test_folds_from_the_table_match_the_folds_cut_from_the_gram(monkeypatch, ban
     gram._section_bounds(pts, s)
     want = _folds_cut_from_the_gram(_solved_gram(pts, s))
     assert len(parts) == len(want)
-    for got, cut in zip(parts, want):
-        assert np.array_equal(oracle.bits(got), oracle.bits(cut))
+    for got, cut in zip(parts, want):  # the upper triangles, the ones _extremes reads
+        upper = np.triu_indices(len(cut))
+        assert np.array_equal(oracle.bits(got[upper]), oracle.bits(cut[upper]))
+
+
+@pytest.mark.parametrize("bands", FOLD_SPECTRA, ids=["one-arc", "arc-across-zero", "two-arcs"])
+@pytest.mark.parametrize("pts", FOLD_TABLE_SETS, ids=["odd", "even", "unique-odd", "unique-even"])
+def test_folds_write_every_entry_the_solver_reads(monkeypatch, bands, pts):
+    # every array np.empty hands out is NaN-filled, so an entry the fold leaves unwritten
+    # on or above a part's diagonal, where _extremes reads, shows up as NaN
+    empty = np.empty
+
+    def nan_empty(*args, **kwargs):
+        a = empty(*args, **kwargs)
+        if a.dtype.kind in "fc":
+            a.fill(np.nan)
+        return a
+
+    parts = []
+    monkeypatch.setattr(gram, "_bounds", lambda p, n, solver: parts.extend(p))
+    monkeypatch.setattr(gram.np, "empty", nan_empty)
+    gram._section_bounds(pts, normalize_bands(bands))
+    monkeypatch.undo()
+    assert len(parts) == (2 if normalize_bands(bands).is_arc() else 1)
+    for part in parts:
+        assert not np.isnan(part[np.triu_indices(len(part))]).any()
 
 
 @pytest.mark.parametrize("bands, bound", [([(0.0, 0.6 * TWO_PI)], 0.6),
@@ -1048,7 +1090,8 @@ def _fold_parts(points, bands):
         patch.setattr(gram, "_bounds", lambda p, size, solver: parts.extend(p))
         patch.setattr(gram, "_openblas", dict)
         gram._section_bounds(points, normalize_bands(bands))
-    return parts
+    # the fold writes only the upper triangles; eigvalsh's default reads the lower
+    return [np.triu(p) + np.triu(p, 1).T for p in parts]
 
 
 def _fold_part(n, bands):
