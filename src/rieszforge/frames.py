@@ -244,13 +244,17 @@ def _search(gram: np.ndarray, blocks: tuple, config: SelectorConfig,
     first trial and those that factor are solved by gram._bounds: results have
     the bits of a search solving every trial, at any BLAS thread count.  Both
     the screen and _bounds read the upper triangle of A, gathered from gram with no
-    copy of it (bessel negates A in place, through its float64 view); traces sum per chunk.
+    copy of it into one block buffer, through one row buffer, both allocated per search
+    (bessel negates A in place, through its float64 view); traces sum per chunk.
     """
     n = len(blocks)
     lengths = np.array([len(b) for b in blocks])
     table = np.array([list(b) + [0] * (lengths.max() - len(b)) for b in blocks])
     rows, diag = np.arange(n), np.real(np.diagonal(gram))
     goal = target if objective == "bessel" else -target
+    picked, block = np.empty((n, len(gram)), gram.dtype), np.empty((n, n), gram.dtype)
+    floats, diagonal = block.view(np.float64), block.ravel()[::n + 1]
+    factors = _cholesky_factors(block)
     best = None
     for t in range(config.max_trials if lengths.max() > 1 else 1):
         if t % _CHUNK == 0:
@@ -261,13 +265,14 @@ def _search(gram: np.ndarray, blocks: tuple, config: SelectorConfig,
         idx = chunk[t % _CHUNK]
         if best is not None:
             margin = 4 * n * n * _EPS * (traces[t % _CHUNK] + abs(best_q)) + _TINY
-            shifted = gram.take(idx, 0).take(idx, 1)
+            gram.take(idx, 0, out=picked, mode="clip").take(idx, 1, out=block, mode="clip")
             if objective == "bessel":
-                np.negative(v := shifted.view(np.float64), out=v)
-            shifted.ravel()[::n + 1] += max(best_q - 2 * margin, goal + margin)
-            if not _cholesky_factors(shifted):
+                np.negative(floats, out=floats)
+            diagonal += max(best_q - 2 * margin, goal + margin)
+            if not factors():
                 continue
-        b = _bounds([gram.take(idx, 0).take(idx, 1)], n)
+        gram.take(idx, 0, out=picked, mode="clip").take(idx, 1, out=block, mode="clip")
+        b = _bounds([block], n)
         lmin, lmax = b.lambda_min, b.lambda_max
         q = lmax if objective == "bessel" else -lmin
         if q <= goal:

@@ -42,7 +42,8 @@ _HERMITIAN_TOL = 1e-12  # Hermiticity residual allowed, relative to the largest 
 _REAL, _COMPLEX = np.dtype(np.float64), np.dtype(np.complex128)
 # smallest part the two-stage reductions take: one-stage is faster below (tests/two_stage_sweep.py)
 _TWO_STAGE_MIN_N = {_REAL: 896, _COMPLEX: 512}
-_LAPACK_COL_MAJOR = 102
+# largest block the selection screen hands unblocked ?potf2, ?potrf above (tests/screen_sweep.py)
+_UNBLOCKED_MAX_N = 112
 _BREAK_ALLOWANCE = 1e-9  # radians: distinct pushed arc ends this close leave the symbol uncounted
 _BLAS_PIN = threading.Lock()  # held while the OpenBLAS thread count is pinned
 
@@ -214,24 +215,24 @@ def extreme_eigs(h: np.ndarray) -> BoundsEstimate:
 
 @functools.cache
 def _openblas() -> dict:
-    """numpy's OpenBLAS symbols, all nine or {} where the build lacks any (MKL, Accelerate,
-    Windows): reductions by (two_stage, dtype), "stemr", ("potrf", dtype), threads "get", "set"."""
+    """numpy's OpenBLAS symbols, all eleven or {} where the build lacks any (MKL, Accelerate,
+    Windows): reductions by (two_stage, dtype), "stemr", ("potrf", dtype), ("potf2", dtype),
+    threads "get", "set"."""
     from numpy.linalg import _umath_linalg
     try:
         lib = ctypes.CDLL(_umath_linalg.__file__)
     except OSError:
         return {}
     c = ctypes  # Fortran takes every argument by address, then each character's length
-    one, two, stemr = ((None, *[c.c_void_p] * k, *[c.c_size_t] * chars)
-                       for k, chars in ((10, 1), (13, 2), (21, 2)))
-    potrf = (c.c_int64, c.c_int, c.c_char, c.c_int64, c.c_void_p, c.c_int64)  # LAPACKE, int64
+    chol, one, two, stemr = ((None, *[c.c_void_p] * k, *[c.c_size_t] * chars)
+                             for k, chars in ((5, 1), (10, 1), (13, 2), (21, 2)))
     found = {}
     for key, name, (restype, *argtypes) in (
             ((False, _REAL), "dsytrd_64_", one), ((False, _COMPLEX), "zhetrd_64_", one),
             ((True, _REAL), "dsytrd_2stage_64_", two), ((True, _COMPLEX), "zhetrd_2stage_64_", two),
             ("stemr", "dstemr_64_", stemr),
-            (("potrf", _REAL), "LAPACKE_dpotrf_work64_", potrf),
-            (("potrf", _COMPLEX), "LAPACKE_zpotrf_work64_", potrf),
+            (("potrf", _REAL), "dpotrf_64_", chol), (("potrf", _COMPLEX), "zpotrf_64_", chol),
+            (("potf2", _REAL), "dpotf2_64_", chol), (("potf2", _COMPLEX), "zpotf2_64_", chol),
             ("get", "openblas_get_num_threads64_", (c.c_int,)),
             ("set", "openblas_set_num_threads64_", (None, c.c_int))):
         if (fn := getattr(lib, "scipy_" + name, None)) is None:
@@ -308,17 +309,26 @@ def _stemr(de, jobz) -> tuple[float, float, np.ndarray | None]:
     return *picks, (f[3 * n:5 * n].reshape(2, n).copy() if jobz == b"V" else None)
 
 
-def _cholesky_factors(a) -> bool:
-    """Whether Cholesky completes on the upper triangle of a, as _extremes reads it: by ?potrf
-    "L" on a read column-major, in place where _openblas() is full and a is float64 or
-    complex128, C-ordered, aligned and writable, else by np.linalg.cholesky(a.T)."""
+def _cholesky_factors(a):
+    """A screen bound to a: each call tells whether Cholesky completes on the upper triangle a
+    then holds, as _extremes reads it.  Where _openblas() is full and a is float64 or
+    complex128, C-ordered, aligned and writable, by ?potf2 up to _UNBLOCKED_MAX_N rows and
+    ?potrf above, "L" on a read column-major, in place, with a's address, n and info bound
+    once (the address keeps a alive); else by np.linalg.cholesky(a.T)."""
     if (blas := _openblas()) and a.dtype in (_REAL, _COMPLEX) and a.flags.carray:
-        return blas["potrf", a.dtype](_LAPACK_COL_MAJOR, b"L", len(a), a.ctypes.data, len(a)) == 0
-    try:
-        np.linalg.cholesky(a.T)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+        fn = blas["potf2" if len(a) <= _UNBLOCKED_MAX_N else "potrf", a.dtype]
+        n, info = ctypes.c_int64(len(a)), ctypes.c_int64()
+        args = (b"L", ctypes.byref(n), a.ctypes.data_as(ctypes.c_void_p), ctypes.byref(n),
+                ctypes.byref(info), 1)
+        return lambda: fn(*args) or info.value == 0  # fn returns None
+
+    def factors():
+        try:
+            np.linalg.cholesky(a.T)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+    return factors
 
 
 @contextlib.contextmanager

@@ -463,6 +463,18 @@ def _count_eigensolves(monkeypatch):
     return calls
 
 
+def _count_screens(monkeypatch):
+    calls = []
+    bind = frames._cholesky_factors
+
+    def counted(a):
+        screen = bind(a)
+        return lambda: calls.append(1) or screen()
+
+    monkeypatch.setattr(frames, "_cholesky_factors", counted)
+    return calls
+
+
 def _arc_gram(fraction, window):
     return build_gram(range(window), normalize_bands([(0.0, fraction)], unit="2pi"), normalized=True)
 
@@ -668,7 +680,7 @@ def test_search_matches_oracle_across_chunk_boundaries(monkeypatch, objective, s
         shifted.append(b.copy())
         return False
 
-    monkeypatch.setattr(frames, "_cholesky_factors", fail)
+    monkeypatch.setattr(frames, "_cholesky_factors", lambda b: lambda: fail(b))
     config = SelectorConfig(master_seed=5, max_trials=130)
     frames._search(g, blocks, config, objective, unmet, stage)
     sign, goal = (1.0, -unmet) if objective == "riesz" else (-1.0, unmet)
@@ -682,15 +694,59 @@ def test_search_matches_oracle_across_chunk_boundaries(monkeypatch, objective, s
         assert b.flags.c_contiguous and np.array_equal(b, want)
 
 
+@pytest.mark.parametrize("unblocked_max_n", [0, 10**9], ids=["potrf", "potf2"])
+@pytest.mark.parametrize("dtype", ["real", "complex"])
+@pytest.mark.parametrize("stage", [None, 1, 2, 3])
 @pytest.mark.parametrize("objective", ["riesz", "bessel"])
-@pytest.mark.parametrize("lapack", ["openblas", "no-symbols"])
+def test_search_matches_oracle_on_both_sides_of_the_crossover(monkeypatch, unblocked_max_n,
+                                                              dtype, stage, objective):
+    # ?potf2 screens blocks of up to gram._UNBLOCKED_MAX_N rows and ?potrf larger ones;
+    # the two round differently, so they may pass different trials to the eigensolve,
+    # but a screen that fails proves the trial cannot matter on either route: the
+    # labels, bounds and trial counts of every stage key are the oracle's, unmet and met
+    monkeypatch.setattr(gram, "_UNBLOCKED_MAX_N", unblocked_max_n)
+    g = _random_gram(8, 10, 24, scale=0.3)
+    g = g.real.copy() if dtype == "real" else g  # the real part of a Gram is a Gram
+    blocks = BlockSystem.intervals(range(24), 3).blocks
+    unmet = 1e3 if objective == "riesz" else -1.0
+    fast, slow = _search_both(g, blocks, objective, unmet, 150, seed=5, stage=stage)
+    assert fast == slow and fast[3] == 150 and not fast[4]
+    target = fast[1] if objective == "riesz" else fast[2]
+    fast, slow = _search_both(g, blocks, objective, target, 150, seed=5, stage=stage)
+    assert fast == slow and fast[4]
+
+
+@pytest.mark.parametrize("unblocked_max_n", [0, 10**9], ids=["potrf", "potf2"])
+@pytest.mark.parametrize("dtype", ["real", "complex"])
+def test_select_tight_matches_oracle_on_both_sides_of_the_crossover(monkeypatch,
+                                                                    unblocked_max_n, dtype):
+    # the three stages of select_tight, stage 3 on the dual of the stage-2 Gram
+    monkeypatch.setattr(gram, "_UNBLOCKED_MAX_N", unblocked_max_n)
+    rng = np.random.default_rng(6)
+    z = rng.normal(size=(12, 32)) + (1j * rng.normal(size=(12, 32)) if dtype == "complex" else 0)
+    f = z / np.linalg.norm(z, axis=0)
+    g = f.conj().T @ f
+    assert np.iscomplexobj(g) == (dtype == "complex")
+    blocks, config = BlockSystem.intervals(range(32), 8), SelectorConfig(master_seed=6,
+                                                                         max_trials=150)
+    fast = select_tight(g, blocks, 0.05, config)
+    assert fast.trials == 450 and not fast.met
+    monkeypatch.setattr(frames, "_search", _search_oracle)
+    assert fast == select_tight(g, blocks, 0.05, config)
+
+
+@pytest.mark.parametrize("objective", ["riesz", "bessel"])
+@pytest.mark.parametrize("lapack", ["openblas", "potrf", "no-symbols"])
 def test_search_screens_and_solves_the_upper_triangle(monkeypatch, lapack, objective):
     # the Cholesky screen and the eigensolve of each trial read one triangle, the
-    # upper one, through numpy's OpenBLAS or through np.linalg where its symbols are
+    # upper one, through numpy's OpenBLAS, by ?potf2 on these 8-row blocks or by
+    # ?potrf with the crossover at 0, or through np.linalg where its symbols are
     # missing, so the screen decides on the matrix that is solved: junk below the
     # diagonal of a Gram whose blocks keep their order changes nothing
     if lapack == "no-symbols":
         monkeypatch.setattr(gram, "_openblas", dict)
+    if lapack == "potrf":
+        monkeypatch.setattr(gram, "_UNBLOCKED_MAX_N", 0)
     g = _random_gram(8, 10, 24, scale=0.3)
     blocks = BlockSystem.intervals(range(24), 3).blocks
     config = SelectorConfig(master_seed=5, max_trials=130)
@@ -713,9 +769,7 @@ def test_one_label_blocks_run_one_trial(monkeypatch, objective):
     config = SelectorConfig(master_seed=5, max_trials=70)
     lmin, lmax = _extremes(g[np.ix_(range(0, 24, 3), range(0, 24, 3))])
     unmet, reached = (1e3, lmin) if objective == "riesz" else (-1.0, lmax)
-    screens = []
-    cholesky = frames._cholesky_factors
-    monkeypatch.setattr(frames, "_cholesky_factors", lambda a: screens.append(1) or cholesky(a))
+    screens = _count_screens(monkeypatch)
     for target, want in ((unmet, (70, False)), (reached, (1, True))):
         oracle = _search_oracle(g, one, config, objective, target)
         assert oracle[0] == tuple(range(0, 24, 3)) and oracle[3:] == want
@@ -745,7 +799,7 @@ def test_search_without_potrf_is_bit_identical(monkeypatch, objective, stage):
     met = frames._search(g, blocks, config, objective, target, stage)
     assert not calls or not gram._openblas()
     monkeypatch.setattr(frames, "_cholesky_factors",
-                        lambda a: gram._cholesky_factors(np.asfortranarray(a)))
+                        lambda a: lambda: gram._cholesky_factors(np.asfortranarray(a))())
     assert frames._search(g, blocks, config, objective, unmet, stage) == with_potrf
     assert frames._search(g, blocks, config, objective, target, stage) == met
     assert met[4] and not with_potrf[4] and len(calls) >= 129

@@ -1345,11 +1345,12 @@ def test_two_stage_solves_in_place():
 def test_scipy_openblas_numpy_resolves_every_symbol():
     if np.__config__.CONFIG["Build Dependencies"]["lapack"]["name"] != "scipy-openblas":
         pytest.skip("numpy is not built on scipy-openblas")
-    assert set(gram._openblas()) == SOLVE | {("potrf", REAL), ("potrf", COMPLEX), "get", "set"}
+    assert set(gram._openblas()) == SOLVE | SCREENS | {"get", "set"}
 
 
+SCREENS = {("potrf", REAL), ("potrf", COMPLEX), ("potf2", REAL), ("potf2", COMPLEX)}
 SYMBOLS = ("dsytrd_64_", "zhetrd_64_", "dsytrd_2stage_64_", "zhetrd_2stage_64_", "dstemr_64_",
-           "LAPACKE_dpotrf_work64_", "LAPACKE_zpotrf_work64_", "openblas_get_num_threads64_",
+           "dpotrf_64_", "zpotrf_64_", "dpotf2_64_", "zpotf2_64_", "openblas_get_num_threads64_",
            "openblas_set_num_threads64_")
 
 
@@ -1380,7 +1381,8 @@ def test_a_library_lacking_any_symbol_gives_no_symbols(monkeypatch, missing):
         calls = []
         cholesky = np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(1) or cholesky(m))
-        assert gram._cholesky_factors(np.asfortranarray(np.eye(4))) and calls == [1]
+        # C-ordered and small: the ?potf2 route, were the table full
+        assert gram._cholesky_factors(np.eye(4))() and calls == [1]
         threads = real["get"]()
         with gram._one_blas_thread():
             assert real["get"]() == threads
@@ -1439,8 +1441,8 @@ def test_extreme_eigs_tol_holds_on_small_matrices():
 
 # ---------------------------------------------------------- Cholesky screen --
 
-POTRF = pytest.mark.skipif(not {("potrf", REAL), ("potrf", COMPLEX)} <= set(gram._openblas()),
-                           reason="numpy's LAPACK exports no ?potrf")
+LAPACK_SCREENS = pytest.mark.skipif(not SCREENS <= set(gram._openblas()),
+                                    reason="numpy's LAPACK exports no ?potrf or ?potf2")
 
 
 def _numpy_factors(a):
@@ -1453,12 +1455,13 @@ def _numpy_factors(a):
 
 @pytest.mark.parametrize("n", [1, 2, 64, 200])
 @pytest.mark.parametrize("dtype", [REAL, COMPLEX], ids=["real", "complex"])
-def test_cholesky_screen_matches_numpy(n, dtype):
+def test_cholesky_screen_matches_numpy(monkeypatch, n, dtype):
     # README, select, step 4: Cholesky completes once lambda_min exceeds about
-    # 2 n(n+1) u times the largest diagonal entry.  Shifts a hundred times
-    # that past lambda_min on either side must factor or fail; shifts of a few
-    # ulps of the norm either side, where rounding decides, get numpy's
-    # verdict, since the screen makes numpy's own LAPACK call
+    # 2 n(n+1) u times the largest diagonal entry, for any backward-stable
+    # Cholesky.  Shifts a hundred times that past lambda_min on either side must
+    # factor or fail, on the C-ordered blocks _search hands to ?potf2 and ?potrf
+    # too; shifts of a few ulps of the norm either side, where rounding decides,
+    # get numpy's verdict on the Fortran-ordered ones, which numpy itself screens
     for seed in range(3):
         a = _random_hermitian(n, dtype, seed)
         w = np.linalg.eigvalsh(a)
@@ -1469,15 +1472,22 @@ def test_cholesky_screen_matches_numpy(n, dtype):
             b = a - (w[0] - shift) * np.eye(n)
             expected = _numpy_factors(b)
             assert expected == factors or factors is None
-            assert gram._cholesky_factors(np.asfortranarray(b)) == expected
+            assert gram._cholesky_factors(np.asfortranarray(b))() == expected
+            for unblocked_max_n in (0, 10**9) if factors is not None else ():
+                monkeypatch.setattr(gram, "_UNBLOCKED_MAX_N", unblocked_max_n)
+                c = b.copy()
+                assert gram._cholesky_factors(c)() == factors
 
 
-@POTRF
+@LAPACK_SCREENS
 @pytest.mark.parametrize("n", [1, 2, 64, 200])
 @pytest.mark.parametrize("dtype", [REAL, COMPLEX], ids=["real", "complex"])
 def test_potrf_screen_gives_numpys_verdict_where_rounding_decides(monkeypatch, n, dtype):
     # the shifts of a few ulps above, on the C-ordered blocks that _search hands to
-    # ?potrf: the Fortran-ordered ones above are screened by np.linalg.cholesky
+    # ?potrf: the Fortran-ordered ones above are screened by np.linalg.cholesky.
+    # numpy's own call is ?potrf, so every block takes that route here; unblocked
+    # ?potf2 rounds otherwise and may differ from it where rounding decides
+    monkeypatch.setattr(gram, "_UNBLOCKED_MAX_N", 0)
     for seed in range(3):
         a = _random_hermitian(n, dtype, seed)
         w = np.linalg.eigvalsh(a)
@@ -1487,40 +1497,43 @@ def test_potrf_screen_gives_numpys_verdict_where_rounding_decides(monkeypatch, n
             expected = _numpy_factors(b)
             with monkeypatch.context() as m:
                 m.setattr(np.linalg, "cholesky", None)  # potrf must decide
-                assert gram._cholesky_factors(b) == expected  # b is C-ordered
+                assert gram._cholesky_factors(b)() == expected  # b is C-ordered
 
 
 @pytest.mark.parametrize("dtype", [REAL, COMPLEX], ids=["real", "complex"])
-def test_cholesky_screen_reads_only_the_upper_triangle(dtype):
-    # the triangle _extremes reads, on both routes
+def test_cholesky_screen_reads_only_the_upper_triangle(monkeypatch, dtype):
+    # the triangle _extremes reads, on the LAPACK routes, ?potf2 and ?potrf, and the fallback
     n = 64
     a = _random_hermitian(n, dtype, seed=4)
     w = np.linalg.eigvalsh(a)
     lower = np.tril(np.ones((n, n), dtype=bool), -1)
-    for shift in (w[0] - 1.0, w[0] + 1.0):
-        b = a - shift * np.eye(n)
-        verdict = _numpy_factors(b)
-        for junk in (np.nan, 1e300, 0.0):
-            for order in ("C", "F"):  # the potrf route and the fallback
-                c = np.array(b, order=order)
-                c[lower] = junk
-                assert gram._cholesky_factors(c) == verdict
+    for unblocked_max_n in (0, 10**9):
+        monkeypatch.setattr(gram, "_UNBLOCKED_MAX_N", unblocked_max_n)
+        for shift in (w[0] - 1.0, w[0] + 1.0):
+            b = a - shift * np.eye(n)
+            verdict = _numpy_factors(b)
+            for junk in (np.nan, 1e300, 0.0):
+                for order in ("C", "F"):  # the LAPACK route and the fallback
+                    c = np.array(b, order=order)
+                    c[lower] = junk
+                    assert gram._cholesky_factors(c)() == verdict
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.complex64], ids=["float32", "complex64"])
 def test_cholesky_screen_leaves_other_dtypes_to_numpy(monkeypatch, dtype):
-    # ?potrf is bound for float64 and complex128 only
+    # ?potf2 and ?potrf are bound for float64 and complex128 only
     calls = []
     cholesky = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(1) or cholesky(m))
     a = np.asfortranarray(np.eye(8, dtype=dtype) * 2 + 1)  # positive definite
-    assert gram._cholesky_factors(a) and calls == [1]
-    assert not gram._cholesky_factors(-a) and calls == [1, 1]
+    assert gram._cholesky_factors(a)() and calls == [1]
+    assert not gram._cholesky_factors(-a)() and calls == [1, 1]
 
 
-@POTRF
+@LAPACK_SCREENS
 @pytest.mark.parametrize("dtype", [REAL, COMPLEX], ids=["real", "complex"])
 def test_cholesky_screen_takes_potrf_only_in_c_order_and_writable(monkeypatch, dtype):
+    # ?potrf, and ?potf2 below the crossover, both in place
     n = 64
     x = _random_hermitian(n, dtype, seed=5)
     a = x @ x.conj().T + np.eye(n)  # positive definite
@@ -1528,15 +1541,42 @@ def test_cholesky_screen_takes_potrf_only_in_c_order_and_writable(monkeypatch, d
     calls = []
     cholesky = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(1) or cholesky(m))
-    c = a.copy()  # C-ordered
-    assert gram._cholesky_factors(c) and not calls
-    # in place: the upper triangle, the column-major lower one, now holds numpy's factor
-    assert np.allclose(np.triu(c).T, lower, rtol=0, atol=1e-12 * np.abs(lower).max())
+    for unblocked_max_n in (0, 10**9):
+        monkeypatch.setattr(gram, "_UNBLOCKED_MAX_N", unblocked_max_n)
+        c = a.copy()  # C-ordered
+        assert gram._cholesky_factors(c)() and not calls
+        # in place: the upper triangle, the column-major lower one, now holds numpy's factor
+        assert np.allclose(np.triu(c).T, lower, rtol=0, atol=1e-12 * np.abs(lower).max())
     read_only = a.copy()
     read_only.flags.writeable = False
     strided = np.kron(a, np.ones((2, 2)))[::2, ::2]
     for m in (np.asfortranarray(a), read_only, strided):
         assert np.array_equal(m, a)
         calls.clear()
-        assert gram._cholesky_factors(m) and calls == [1]
+        assert gram._cholesky_factors(m)() and calls == [1]
     assert np.array_equal(read_only, a)
+
+
+@LAPACK_SCREENS
+@pytest.mark.parametrize("dtype", [REAL, COMPLEX], ids=["real", "complex"])
+def test_screen_takes_potf2_up_to_the_crossover_and_potrf_above(monkeypatch, dtype):
+    # a counting wrapper over each bound routine: blocks of up to _UNBLOCKED_MAX_N rows,
+    # select's 64-row blocks at W=128 and r=2 among them, go to unblocked ?potf2, larger
+    # ones to blocked ?potrf; a bound screen reads its buffer afresh on every call
+    symbols, calls = gram._openblas(), []
+
+    def counted(key):
+        return lambda *args: calls.append(key[0]) or symbols[key](*args)
+
+    monkeypatch.setattr(gram, "_openblas", lambda: {**symbols, **{k: counted(k) for k in SCREENS}})
+    limit = gram._UNBLOCKED_MAX_N
+    assert 64 <= limit < 128
+    for n, route in ((1, "potf2"), (64, "potf2"), (limit, "potf2"), (limit + 1, "potrf"),
+                     (200, "potrf")):
+        calls.clear()
+        b = np.empty((n, n), dtype)
+        screen = gram._cholesky_factors(b)
+        for sign, factors in ((1, True), (-1, False), (1, True)):
+            b[...] = sign * (np.eye(n) + 0.5)
+            assert screen() == factors
+        assert calls == [route] * 3
