@@ -127,9 +127,11 @@ def _load_points(spec: argparse.Namespace) -> qc.PointSet | None:
     if spec.step is not None:
         if spec.step < 1:
             raise ValueError("--step must be a positive integer")
-        lo, hi = _symmetric_window(spec.window)
-        elems = tuple(range(-(hi // spec.step) * spec.step, hi + 1, spec.step))
-        return qc.PointSet(elements=elems, window=(lo, hi))
+        # the multiples of step in [lo, hi] = [-hi, hi], as offsets from lo; a reversed
+        # window is refused as a PointSet refuses it
+        lo, hi = qc.PointSet(elements=(), window=_symmetric_window(spec.window)).window
+        offsets = np.arange(hi % spec.step, hi - lo + 1, spec.step)
+        return qc.PointSet._from_offsets(offsets, (lo, hi))
     if spec.points is None and spec.points_file is None:
         return None
     raw = _read_json(spec.points, spec.points_file)

@@ -15,11 +15,11 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
-from operator import eq
 
 import numpy as np
 
 from .quadfield import integer_points, integers
+from .quasicrystal import PointSet
 from .torus import TWO_PI, MultibandSet, centered_interval_coefficient
 
 __all__ = [
@@ -626,14 +626,28 @@ def certify(points, spectrum, threshold: float,
         raise ValueError("drop_ratio must be in [0, 1)")
     refute_floor = 1e-6 * spectrum.total_volume
 
-    elems = sorted(integers(points, "points"))
-    if any(map(eq, elems, elems[1:])):
-        raise ValueError("duplicate elements")
-    if schedule[-1] > len(elems):
-        raise ValueError(f"schedule needs {schedule[-1]} elements, have {len(elems)}")
-    elems.sort(key=abs)  # stable, so in (|x|, x) order
+    if isinstance(points, PointSet):
+        x = points._values()  # increasing: int64, or Python ints where the window passes it
+    else:
+        elems = integers(points, "points")
+        try:
+            x = np.sort(np.array(elems, dtype=np.int64))
+        except OverflowError:  # past int64, Python ints
+            x = np.sort(np.array(elems, dtype=object))
+        if np.any(x[1:] == x[:-1]):
+            raise ValueError("duplicate elements")
+    if schedule[-1] > len(x):
+        raise ValueError(f"schedule needs {schedule[-1]} elements, have {len(x)}")
+    # the schedule[-1] nearest 0 lie within schedule[-1] places of where 0 would go;
+    # a stable sort of them by |x| gives the (|x|, x) order.  abs(-2**63) wraps in
+    # int64, but not when read as uint64
+    z = int(np.searchsorted(x, 0))
+    x = x[max(0, z - schedule[-1]):z + schedule[-1]]
+    order = np.argsort(np.abs(x).view(np.uint64) if x.dtype == np.int64 else np.abs(x),
+                       kind="stable")
+    x = x[order[:schedule[-1]]]
 
-    bounds = [_section_bounds(elems[:n], spectrum) for n in schedule]
+    bounds = [_section_bounds(x[:n], spectrum) for n in schedule]
 
     prev, last = bounds[-2 if len(bounds) > 1 else -1].lambda_min, bounds[-1].lambda_min
     final_drop = max(0.0, (prev - last) / prev) if prev >= refute_floor else 0.0

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import lt
 
 import numpy as np
@@ -71,8 +70,11 @@ class UnitInterval:
 
 @dataclass(frozen=True)
 class PointSet:
-    """Strictly increasing integers in an inclusive window, from any integral iterable,
-    kept as a tuple of Python ints; cached offsets stay out of ==, hash and repr."""
+    """Strictly increasing integers in an inclusive window, from any integral iterable.
+
+    Only the offsets from window[0] are stored: int64, or Python ints if the
+    window spans over 2**63.  The elements tuple of Python ints, which ==, hash
+    and repr read, is built on first use."""
 
     elements: tuple[int, ...]
     window: tuple[int, int]
@@ -92,25 +94,32 @@ class PointSet:
             i = np.flatnonzero(outside | np.r_[False, values[1:] <= values[:-1]])[0]
             raise ValueError(f"element {elements[i]} outside window {window}" if outside[i]
                              else "elements must be strictly increasing")
-        self.__dict__.update(elements=elements, window=window)
+        offsets = np.array(elements, dtype=object) - n0
+        del self.__dict__["elements"]
+        self.__dict__.update(window=window, _offsets=offsets.astype(np.int64)
+                             if n1 - n0 < 2**63 else offsets)
 
     @classmethod
     def _from_offsets(cls, offsets: np.ndarray, window: tuple[int, int]) -> "PointSet":
         """window[0] + offsets, unchecked: for strictly increasing int64 offsets in it."""
-        n0, n1 = window
-        shifted = (offsets if -2**63 <= n0 and n1 < 2**63 else offsets.astype(object)) + n0
         points = object.__new__(cls)
-        points.__dict__.update(elements=tuple(shifted.tolist()), window=window, _offsets=offsets)
+        points.__dict__.update(window=window, _offsets=offsets)
         return points
 
-    @cached_property
-    def _offsets(self) -> np.ndarray:
-        """elements - window[0]: int64, or Python ints if the window spans over 2**63."""
-        offsets = np.array(self.elements, dtype=object) - self.window[0]
-        return offsets.astype(np.int64) if self.span <= 2**63 else offsets
+    def __getattr__(self, name):  # a missing attribute: elements is built once, then kept
+        if name != "elements":
+            raise AttributeError(f"'PointSet' object has no attribute {name!r}")
+        self.__dict__["elements"] = elements = tuple(self._values().tolist())
+        return elements
+
+    def _values(self) -> np.ndarray:
+        """The elements as an array: int64 if the window fits in it, else Python ints."""
+        n0, n1 = self.window
+        fits = -2**63 <= n0 and n1 < 2**63
+        return (self._offsets if fits else self._offsets.astype(object)) + n0
 
     def __len__(self):
-        return len(self.elements)
+        return len(self._offsets)
 
     def __iter__(self):
         return iter(self.elements)
@@ -121,7 +130,7 @@ class PointSet:
 
     @property
     def density(self) -> float:
-        return len(self.elements) / self.span
+        return len(self) / self.span
 
     def complement_in_window(self) -> "PointSet":
         keep = np.ones(self.span, dtype=bool)
@@ -129,7 +138,7 @@ class PointSet:
         return PointSet._from_offsets(np.flatnonzero(keep), self.window)
 
     def to_json(self) -> dict:
-        return {"elements": list(self.elements), "window": list(self.window)}
+        return {"elements": self._values().tolist(), "window": list(self.window)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "PointSet":
@@ -140,16 +149,29 @@ class PointSet:
 
 @dataclass(frozen=True)
 class GapStats:
-    """Consecutive differences; gamma is the largest (inf if under 2 points)."""
+    """Consecutive differences; gamma is the largest (inf if under 2 points).
+
+    The differences are stored as an array, as given or of Python ints; the gaps
+    tuple, which ==, hash and repr read, is built on first use."""
 
     gaps: tuple[int, ...]
     gamma: float
     min_gap: float
 
+    def __post_init__(self):
+        if not isinstance(gaps := self.__dict__.pop("gaps"), np.ndarray):
+            gaps = np.array([*gaps], dtype=object)
+        self.__dict__["_gaps"] = gaps
+
+    def __getattr__(self, name):  # a missing attribute: gaps is built once, then kept
+        if name != "gaps":
+            raise AttributeError(f"'GapStats' object has no attribute {name!r}")
+        self.__dict__["gaps"] = gaps = tuple(self._gaps.tolist())
+        return gaps
+
     def to_json(self) -> dict:
-        values = sorted(set(self.gaps))
-        return {"gap_values": values, "gamma": self.gamma, "min_gap": self.min_gap,
-                "count": len(self.gaps)}
+        return {"gap_values": np.unique(self._gaps).tolist(), "gamma": self.gamma,
+                "min_gap": self.min_gap, "count": len(self._gaps)}
 
 
 @dataclass(frozen=True)
@@ -230,7 +252,7 @@ def generate(alpha: QuadNum, interval: UnitInterval, window: tuple[int, int]) ->
     unsure = ~member & (top > lo) & ((u <= hi) | (top > one))
     for i in np.flatnonzero(unsure).tolist():
         member[i] = interval.lo <= (alpha * (n0 + i)).frac_mod1() < interval.hi
-    del k, u, top, unsure  # freed before the elements are built: 30-60 MB at the window limit
+    del k, u, top, unsure  # freed before the offsets are gathered: 30-60 MB at the window limit
     return PointSet._from_offsets(np.flatnonzero(member), (n0, n1))
 
 
@@ -329,9 +351,9 @@ def construct_riesz_set(spectrum: MultibandSet, window: tuple[int, int],
 def gap_stats(points) -> GapStats:
     """Gap statistics of a PointSet or sorted integer sequence."""
     values = points._offsets if isinstance(points, PointSet) else np.array([*points], dtype=object)
-    gaps = np.diff(values).tolist()
-    return GapStats(gaps=tuple(gaps), gamma=max(gaps, default=math.inf),
-                    min_gap=min(gaps, default=math.inf))
+    gaps = np.diff(values)
+    return GapStats(gaps=gaps, gamma=int(gaps.max()) if len(gaps) else math.inf,
+                    min_gap=int(gaps.min()) if len(gaps) else math.inf)
 
 
 def density_stats(points: PointSet) -> DensityStats:

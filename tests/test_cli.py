@@ -355,17 +355,36 @@ POINT_SET_PINS = [
      0, 1083, "a4259dfb15d0667921db8553434dd8c15e684e4f8aae96c2387fb0ccf5bf5799"),
     (["certify", "--measure", "0.45", "--schedule", "8,16,32"],
      3, 1476, "1aeeadf2ee28568b4a6039886f6c6edfed0be95eca57e779166396f495d66cc1"),
+    (["certify", "--measure", "0.5", "--points", "[20, -9, 0, 5, 2, -4, 7, 11, -15, 15]",
+      "--schedule", "4,8,10"],
+     0, 1109, "aaf9dcaf562243cd8cf78ef0617ff01d7d8157824eb3622bf9601efd0006db95"),
 ]
+POINT_SET_IDS = ["construct-small", "construct-large", "density-points", "density-step-kahane",
+                 "density-constructed", "certify-step", "certify-constructed", "certify-points"]
 
 
-@pytest.mark.parametrize("argv, exit_code, size, digest", POINT_SET_PINS,
-                         ids=["construct-small", "construct-large", "density-points",
-                              "density-step-kahane", "density-constructed", "certify-step",
-                              "certify-constructed"])
+@pytest.mark.parametrize("argv, exit_code, size, digest", POINT_SET_PINS, ids=POINT_SET_IDS)
 def test_point_set_stdout_pinned(capsys, argv, exit_code, size, digest):
     code, out = run(capsys, *argv)
     assert code == exit_code
     assert json.loads(out)["command"] == argv[0]
+    assert len(out.encode()) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, exit_code, size, digest", POINT_SET_PINS, ids=POINT_SET_IDS)
+def test_point_set_commands_build_no_tuple_of_every_point(capsys, monkeypatch, argv,
+                                                          exit_code, size, digest):
+    # the commands read the point and gap arrays: a PointSet's elements tuple and a
+    # GapStats' gaps tuple, built on first use, are never built, and the bytes hold
+    def refuse(self, name):
+        assert name not in ("elements", "gaps"), f"{type(self).__name__}.{name} was built"
+        raise AttributeError(name)
+
+    monkeypatch.setattr(rieszforge.PointSet, "__getattr__", refuse)
+    monkeypatch.setattr(rieszforge.GapStats, "__getattr__", refuse)
+    code, out = run(capsys, *argv)
+    assert code == exit_code
     assert len(out.encode()) == size
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

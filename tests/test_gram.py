@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rieszforge import TWO_PI, BoxSet, LatticeWindow, build_gram, certify, \
+from rieszforge import TWO_PI, BoxSet, LatticeWindow, PointSet, build_gram, certify, \
     construct_riesz_set, covering_radius, dual_system, extreme_eigs, normalize_bands, \
     select_riesz
 from rieszforge import gram
@@ -407,7 +407,24 @@ def test_certify_orders_by_magnitude_then_value(monkeypatch):
     monkeypatch.setattr(gram, "_section_bounds", lambda p, s: sections.append(p) or est)
     certify(pts, HALF, threshold=0.1, schedule=(3, len(pts)))
     want = sorted(pts, key=lambda x: (abs(x), x))
-    assert sections == [want[:3], want]
+    assert [list(s) for s in sections] == [want[:3], want]
+    # the nearest few, from both sides of 0 or from one
+    for some in (pts, [x for x in pts if x > 0], [x for x in pts if x < 0]):
+        sections.clear()
+        certify(some, HALF, threshold=0.1, schedule=(3, 10))
+        want = sorted(some, key=lambda x: (abs(x), x))
+        assert [list(s) for s in sections] == [want[:3], want[:10]]
+    # inside int64 the sections are int64 slices, ordered by |x| read as uint64: abs
+    # wraps -2**63 to itself, and its magnitude, the greatest, puts it last; a PointSet
+    # over the whole of int64 spans past it, and takes the Python-int path
+    edge = [2**63 - 1, 5, -2**63, 0, 1 - 2**63, -5, 1]
+    want = sorted(edge, key=lambda x: (abs(x), x))
+    assert want[-1] == -2**63
+    for given in (edge, PointSet(elements=sorted(edge), window=(-2**63, 2**63 - 1))):
+        sections.clear()
+        certify(given, HALF, threshold=0.1, schedule=(3, len(edge)))
+        assert [list(s) for s in sections] == [want[:3], want]
+        assert all(s.dtype == (np.int64 if given is edge else object) for s in sections)
     for repeated in ([5, -3, 5], [2**70, 0, 2**70], [0, 1, -1, 0]):
         with pytest.raises(ValueError, match="duplicate elements"):
             certify(repeated, HALF, threshold=0.1, schedule=(2,))

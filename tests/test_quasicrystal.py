@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rieszforge import PointSet, QuadNum, UnitInterval, choose_params, \
+from rieszforge import GapStats, PointSet, QuadNum, UnitInterval, choose_params, \
     construct_riesz_set, density_stats, gap_stats, generate, \
     generate_centered, kahane_classify, normalize_bands
 from rieszforge import quadfield, quasicrystal
@@ -388,6 +388,11 @@ def test_gap_stats_degenerate():
     assert gap_stats([]).min_gap == math.inf
     st = gap_stats([0, 1, 4])
     assert st.gaps == (1, 3) and st.gamma == 3 and st.min_gap == 1
+    # a GapStats built by hand is the value gap_stats gives
+    given = GapStats(gaps=(1, 3), gamma=3, min_gap=1)
+    assert given == st == gap_stats(PointSet(elements=(0, 1, 4), window=(0, 4)))
+    assert hash(given) == hash(st) and repr(given) == repr(st)
+    assert given.to_json() == {"gap_values": [1, 3], "gamma": 3, "min_gap": 1, "count": 2}
 
 
 def test_density_stats_progression():
@@ -466,17 +471,24 @@ def test_array_statistics_match_their_python_formulas():
         span = draw(st.sampled_from([1, 2, 999, 1000, 1001]) | st.integers(1, 2500))
         count = draw(st.sampled_from([0, 1, 2, span - 1, span]) | st.integers(0, span))
         rng = random.Random(draw(st.integers(0, 2**32)))
-        offsets = sorted(rng.sample(range(span), max(0, count)))
+        offsets = sorted(rng.sample(range(span), min(count, span)))  # count 2 is drawn at span 1
         return PointSet(elements=tuple(n0 + k for k in offsets), window=(n0, n0 + span - 1))
 
     @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @hypothesis.given(point_sets())
     def check(points):
         elems, (n0, n1) = points.elements, points.window
-        for source in (points, list(elems)):  # the cached offsets, and a plain sequence
+        lazy = PointSet._from_offsets(np.array([x - n0 for x in elems], dtype=np.int64), (n0, n1))
+        assert lazy == points and hash(lazy) == hash(points) and repr(lazy) == repr(points)
+        assert len(lazy) == len(elems) and lazy.to_json() == points.to_json()
+        oracle = _oracle_gaps(elems)
+        for source in (points, lazy, list(elems)):  # validated, unchecked, a plain sequence
             st_ = gap_stats(source)
-            assert (st_.gaps, st_.gamma, st_.min_gap) == _oracle_gaps(elems)
+            assert st_.to_json() == {"gap_values": sorted(set(oracle[0])), "gamma": oracle[1],
+                                     "min_gap": oracle[2], "count": len(oracle[0])}
+            assert (st_.gaps, st_.gamma, st_.min_gap) == oracle
             assert all(type(g) is int for g in st_.gaps)
+        assert density_stats(lazy) == density_stats(points)
         # every sub-window of r integers, counted by bisection on the elements
         r = min(1000, points.span)
         counts = [bisect_left(elems, n0 + s + r) - bisect_left(elems, n0 + s)
@@ -498,22 +510,29 @@ def test_array_statistics_match_their_python_formulas():
 @pytest.mark.parametrize("n0", FAR_STARTS, ids=FAR_IDS)
 @pytest.mark.parametrize("s_norm", [0.45, 0.78])
 def test_generated_sets_are_the_validated_sets(n0, s_norm):
-    # generate builds its set unchecked from member offsets; it is one value with
-    # the set validated from the same ints, whatever either has cached
+    # generate, complement_in_window and _from_offsets build their sets unchecked from
+    # offsets, and build the elements tuple on first use; each is one value with the
+    # set validated from the same ints, before and after either tuple is built
     p = choose_params(s_norm)
-    got = generate(p.alpha, p.riesz_interval, (n0, n0 + 300))
-    rest = got.complement_in_window()
-    for ps in (got, rest):
-        assert type(ps.elements) is tuple and all(type(x) is int for x in ps.elements)
+    window = (n0, n0 + 300)
+    got = generate(p.alpha, p.riesz_interval, window)
+    for ps in (got, got.complement_in_window(),
+               PointSet._from_offsets(np.arange(0, 301, 7), window)):
+        ints = [n0 + k for k in ps._offsets.tolist()]
+        same = PointSet(elements=ints, window=window)
+        assert len(ps) == len(same) == len(ints)
+        assert ps.to_json() == same.to_json() == {"elements": ints, "window": list(window)}
         json.JSONEncoder().encode(ps.to_json())
-        same = PointSet(elements=list(ps.elements), window=ps.window)
-        fresh = PointSet(elements=list(ps.elements), window=ps.window)
-        density_stats(same)  # caches its offsets; fresh caches none
-        for other in (same, fresh):
-            assert ps == other and hash(ps) == hash(other)
-            assert repr(ps) == repr(other) and ps.to_json() == other.to_json()
-        assert gap_stats(ps) == gap_stats(same) == gap_stats(list(ps.elements))
-        assert density_stats(ps) == density_stats(fresh)
+        assert gap_stats(ps).to_json() == gap_stats(same).to_json() == gap_stats(ints).to_json()
+        assert density_stats(ps) == density_stats(same)
+        assert "elements" not in vars(ps) and "elements" not in vars(same)  # no tuple yet
+        assert ps == same and same == ps
+        assert hash(ps) == hash(same) == hash((tuple(ints), window))
+        assert repr(ps) == repr(same) == f"PointSet(elements={tuple(ints)!r}, window={window!r})"
+        assert list(ps) == list(same) == ints and all(type(x) is int for x in ps)
+        assert type(ps.elements) is tuple and ps.elements == same.elements
+        assert gap_stats(ps) == gap_stats(same) == gap_stats(ints)
+        assert hash(gap_stats(ps)) == hash(gap_stats(ints))
     assert "offsets" not in repr(got) and len({got, PointSet(got.elements, got.window)}) == 1
 
 
